@@ -24,19 +24,34 @@ Grammar (one statement per line, `#` starts a comment):
 `from` rebinds the input of the next node-producing line.  `detect` marks
 its input as one of the prediction grids; a runnable detection network has
 exactly three, tagged large/medium/small from coarse to fine.
+
+Every node kind is one `_Kind` record in `_KINDS`, keyed by its op class:
+grammar word and arguments, node-reference fields, explorer slot names,
+shape rule, cost rule, parameter init/shapes/storage order and forward
+step.  Parsing, serialization, shape inference, weight stores, execution,
+cost counting (`complexity`) and design-space expansion (`explorer`) all
+look kinds up in that table instead of testing op classes.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
-from typing import Optional, Union
+from operator import attrgetter
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import nn_modules
-from .nn_modules import EpConfig, FcaConfig, PepConfig, ModuleParams
+from .nn_modules import (
+    EpConfig,
+    FcaConfig,
+    ModuleParams,
+    PepConfig,
+    fca_bottleneck_width,
+    residual_active,
+)
 from .tensor_core import (
     ConfigError,
     ConvWeights,
@@ -116,17 +131,6 @@ class DetectSpec:
 
 NodeOp = Union[ConvSpec, PepConfig, EpConfig, FcaConfig, MaxPoolSpec, UpsampleSpec, ConcatSpec, DetectSpec]
 
-_KIND_BY_TYPE = {
-    ConvSpec: "conv",
-    PepConfig: "pep",
-    EpConfig: "ep",
-    FcaConfig: "fca",
-    MaxPoolSpec: "maxpool",
-    UpsampleSpec: "upsample",
-    ConcatSpec: "concat",
-    DetectSpec: "detect",
-}
-
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -136,7 +140,7 @@ class NodeSpec:
 
     @property
     def kind(self) -> str:
-        return _KIND_BY_TYPE[type(self.op)]
+        return _KINDS[type(self.op)].word
 
 
 @dataclass
@@ -152,6 +156,237 @@ class NetworkSpec:
 
     def detect_channels(self) -> int:
         return self.anchors_per_scale * (5 + self.num_classes)
+
+
+@dataclass(frozen=True)
+class NodeCost:
+    macs: int = 0
+    ops: int = 0
+    params: int = 0
+
+    def __add__(self, other: "NodeCost") -> "NodeCost":
+        return NodeCost(self.macs + other.macs, self.ops + other.ops, self.params + other.params)
+
+
+# Per-kind rules.  Each one looks kernels and module functions up by global
+# or module attribute when it runs, never at import, so a caller that rebinds
+# those names (a tracer, a test double) reaches every node.
+
+def _conv_shape(op, in_shape, shape_of, spec) -> tuple:
+    oh, ow = conv_output_hw(in_shape[1], in_shape[2], op.kernel, op.stride, op.padding)
+    return (op.out_channels, oh, ow)
+
+
+def _block_shape(op, in_shape, shape_of, spec) -> tuple:
+    oh, ow = conv_output_hw(in_shape[1], in_shape[2], 3, op.stride, 1)
+    return (op.out_channels, oh, ow)
+
+
+def _concat_shape(op, in_shape, shape_of, spec) -> tuple:
+    c, h, w = in_shape
+    c2, h2, w2 = shape_of(op.with_id)
+    if (h, w) != (h2, w2):
+        raise ConfigError(f"concat inputs {h}x{w} and {h2}x{w2} differ spatially")
+    return (c + c2, h, w)
+
+
+def _detect_shape(op, in_shape, shape_of, spec) -> tuple:
+    expected = spec.detect_channels()
+    if in_shape[0] != expected:
+        raise ConfigError(
+            f"detect '{op.scale_tag}' input has {in_shape[0]} channels, needs "
+            f"{spec.anchors_per_scale}*(5+{spec.num_classes}) = {expected}"
+        )
+    return in_shape
+
+
+def _conv_cost(k: int, c_in: int, c_out: int, out_hw: int, groups: int = 1, activated: bool = True) -> NodeCost:
+    macs = k * k * (c_in // groups) * c_out * out_hw
+    ops = 2 * macs + (c_out * out_hw if activated else 0)
+    params = k * k * (c_in // groups) * c_out + c_out
+    return NodeCost(macs, ops, params)
+
+
+def _dense_cost(c_in: int, c_out: int, activated: bool) -> NodeCost:
+    macs = c_in * c_out
+    return NodeCost(macs, 2 * macs + (c_out if activated else 0), c_in * c_out + c_out)
+
+
+def _expand_project_cost(op, c_in: int, a_in: int, a_out: int) -> NodeCost:
+    """Expand 1x1, 3x3 depthwise, linear 1x1 projection: the tail PEP and EP share."""
+    e = op.expansion_channels
+    return (
+        _conv_cost(1, c_in, e, a_in)
+        + _conv_cost(3, e, e, a_out, groups=e)
+        + _conv_cost(1, e, op.out_channels, a_out, activated=False)
+    )
+
+
+def _residual_cost(op, c_in: int, a_out: int) -> NodeCost:
+    return NodeCost(0, op.out_channels * a_out if residual_active(op, c_in) else 0, 0)
+
+
+def _pep_cost(op, in_shape, out_shape, linear) -> NodeCost:
+    c_in, a_in, a_out = in_shape[0], in_shape[1] * in_shape[2], out_shape[1] * out_shape[2]
+    return (
+        _conv_cost(1, c_in, op.proj1_channels, a_in)
+        + _expand_project_cost(op, op.proj1_channels, a_in, a_out)
+        + _residual_cost(op, c_in, a_out)
+    )
+
+
+def _ep_cost(op, in_shape, out_shape, linear) -> NodeCost:
+    c_in, a_in, a_out = in_shape[0], in_shape[1] * in_shape[2], out_shape[1] * out_shape[2]
+    return _expand_project_cost(op, c_in, a_in, a_out) + _residual_cost(op, c_in, a_out)
+
+
+def _fca_cost(op, in_shape, out_shape, linear) -> NodeCost:
+    c, h, w = in_shape
+    width = fca_bottleneck_width(c, op.reduction_ratio)
+    # Global average pool and sigmoid gate (c each), then the channel rescale.
+    return _dense_cost(c, width, True) + _dense_cost(width, c, False) + NodeCost(0, 2 * c + c * h * w, 0)
+
+
+def _per_output_cost(op, in_shape, out_shape, linear) -> NodeCost:
+    return NodeCost(0, out_shape[0] * out_shape[1] * out_shape[2], 0)
+
+
+def _conv_init(op, in_channels: int, rng) -> ConvWeights:
+    kernel_shape = (op.out_channels, in_channels, op.kernel, op.kernel)
+    if rng is None:
+        kernel = np.zeros(kernel_shape, dtype=np.float32)
+    else:
+        fan_in = in_channels * op.kernel * op.kernel
+        kernel = (rng.standard_normal(kernel_shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
+    bias = np.zeros(op.out_channels, dtype=np.float32)
+    return ConvWeights(kernel=kernel, bias=bias, stride=op.stride, padding=op.padding)
+
+
+def _ep_param_shapes(op, c_in: int) -> tuple:
+    e, out = op.expansion_channels, op.out_channels
+    return ((e, c_in, 1, 1), (e,), (e, 1, 3, 3), (e,), (out, e, 1, 1), (out,))
+
+
+def _fca_param_shapes(op, c: int) -> tuple:
+    width = fca_bottleneck_width(c, op.reduction_ratio)
+    return ((width, c), (width,), (c, width), (c,))
+
+
+def _conv_forward(op, x, params, outputs, linear):
+    y = conv2d(x, params)
+    return y if linear else leaky_relu(y)
+
+
+def _conv_tensors(*layers) -> tuple:
+    """(stored name, attribute path) of ConvWeights sub-layers, kernel then bias."""
+    return tuple((f"{name}.{t}", f"{attr}.{t}") for name, attr in layers for t in ("kernel", "bias"))
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """The rules of one node kind (see the module docstring)."""
+
+    op: type  # the op dataclass; its fields are the grammar arguments, in order
+    word: str  # grammar word, serialized form and NodeSpec.kind
+    args: tuple  # argument names in parse errors, in field order
+    shape: Callable  # (op, in_shape, shape_of, spec) -> out_shape; ConfigError if they do not chain
+    cost: Callable  # (op, in_shape, out_shape, linear) -> NodeCost
+    forward: Callable  # (op, x, params, outputs, linear) -> y; linear marks a head conv
+    refs: tuple = ()  # fields naming earlier nodes, besides the input
+    slots: dict = field(default_factory=dict)  # explorer slot spelling -> field
+    params: type = type(None)  # parameter object class
+    init: Optional[Callable] = None  # (op, in_channels, rng) -> params, zeros when rng is None
+    param_shapes: Callable = lambda op, c_in: ()  # (op, in_channels) -> shapes in `tensors` order
+    tensors: tuple = ()  # (stored name, attribute path) in storage order
+
+
+_KINDS = {
+    kind.op: kind
+    for kind in (
+        _Kind(
+            ConvSpec, "conv", ("kernel", "out_channels", "stride"),
+            shape=_conv_shape,
+            cost=lambda op, i, o, linear: _conv_cost(
+                op.kernel, i[0], op.out_channels, o[1] * o[2], activated=not linear
+            ),
+            forward=_conv_forward,
+            slots={"out": "out_channels"},
+            params=ConvWeights,
+            init=_conv_init,
+            param_shapes=lambda op, c: ((op.out_channels, c, op.kernel, op.kernel), (op.out_channels,)),
+            tensors=(("kernel", "kernel"), ("bias", "bias")),
+        ),
+        _Kind(
+            PepConfig, "pep", ("proj1", "expansion", "out_channels", "stride"),
+            shape=_block_shape,
+            cost=_pep_cost,
+            forward=lambda op, x, params, outputs, linear: nn_modules.pep_forward(x, op, params),
+            slots={"proj1": "proj1_channels", "expansion": "expansion_channels", "out": "out_channels"},
+            params=nn_modules.PepParams,
+            init=lambda op, c, rng: nn_modules.init_pep_params(op, c, rng),
+            param_shapes=lambda op, c: (
+                (op.proj1_channels, c, 1, 1), (op.proj1_channels,)
+            ) + _ep_param_shapes(op, op.proj1_channels),
+            tensors=_conv_tensors(
+                ("proj1", "project_in"), ("expand", "expand"), ("depthwise", "depthwise"),
+                ("proj2", "project_out"),
+            ),
+        ),
+        _Kind(
+            EpConfig, "ep", ("expansion", "out_channels", "stride"),
+            shape=_block_shape,
+            cost=_ep_cost,
+            forward=lambda op, x, params, outputs, linear: nn_modules.ep_forward(x, op, params),
+            slots={"expansion": "expansion_channels", "out": "out_channels"},
+            params=nn_modules.EpParams,
+            init=lambda op, c, rng: nn_modules.init_ep_params(op, c, rng),
+            param_shapes=_ep_param_shapes,
+            tensors=_conv_tensors(("expand", "expand"), ("depthwise", "depthwise"), ("project", "project")),
+        ),
+        _Kind(
+            FcaConfig, "fca", ("reduction",),
+            shape=lambda op, i, shape_of, spec: i,
+            cost=_fca_cost,
+            forward=lambda op, x, params, outputs, linear: nn_modules.fca_forward(x, op, params),
+            slots={"reduction": "reduction_ratio"},
+            params=nn_modules.FcaParams,
+            init=lambda op, c, rng: nn_modules.init_fca_params(op, c, rng),
+            param_shapes=_fca_param_shapes,
+            tensors=(
+                ("dense1.weight", "reduce_weight"), ("dense1.bias", "reduce_bias"),
+                ("dense2.weight", "restore_weight"), ("dense2.bias", "restore_bias"),
+            ),
+        ),
+        _Kind(
+            MaxPoolSpec, "maxpool", ("kernel", "stride"),
+            shape=lambda op, i, shape_of, spec: (i[0], -(-i[1] // op.stride), -(-i[2] // op.stride)),
+            cost=_per_output_cost,
+            forward=lambda op, x, params, outputs, linear: max_pool2d(x, op.kernel, op.stride),
+        ),
+        _Kind(
+            UpsampleSpec, "upsample", ("factor",),
+            shape=lambda op, i, shape_of, spec: (i[0], i[1] * op.factor, i[2] * op.factor),
+            cost=_per_output_cost,
+            forward=lambda op, x, params, outputs, linear: upsample_nearest(x, op.factor),
+        ),
+        _Kind(
+            ConcatSpec, "concat", ("node reference",),
+            shape=_concat_shape,
+            cost=lambda op, i, o, linear: NodeCost(),
+            forward=lambda op, x, params, outputs, linear: concat_channels(x, outputs[op.with_id]),
+            refs=("with_id",),
+        ),
+        _Kind(
+            DetectSpec, "detect", ("scale tag",),
+            shape=_detect_shape,
+            cost=lambda op, i, o, linear: NodeCost(),
+            forward=lambda op, x, params, outputs, linear: x,
+        ),
+    )
+}
+_KINDS_BY_WORD = {kind.word: kind for kind in _KINDS.values()}
+# Weightless kinds all map NoneType to no tensors: param_tensors(None) == [].
+_KINDS_BY_PARAMS = {kind.params: kind for kind in _KINDS.values()}
 
 
 class GraphBuilder:
@@ -216,8 +451,8 @@ def _validate_references(spec: NetworkSpec):
         raise ParseError("no nodes")
     for node in spec.nodes:
         refs = [node.input_id]
-        if isinstance(node.op, ConcatSpec):
-            refs.append(node.op.with_id)
+        for name in _KINDS[type(node.op)].refs:
+            refs.append(getattr(node.op, name))
         for ref in refs:
             if ref != INPUT_ID and not (0 <= ref < node.id):
                 raise ParseError(
@@ -238,6 +473,12 @@ def _int_field(token: str, what: str, line_no: int, minimum: int = 1) -> int:
     return value
 
 
+def _scale_tag(token: str, line_no: int) -> str:
+    if token not in SCALE_TAGS:
+        raise ParseError(f"unknown scale tag {token!r}", line_no)
+    return token
+
+
 def parse_network_spec(text: str) -> NetworkSpec:
     input_shape = None
     num_classes = None
@@ -253,15 +494,12 @@ def parse_network_spec(text: str) -> NetworkSpec:
             )
         return ref
 
-    def push(op: NodeOp, line_no: int):
-        nonlocal pending_from
-        node_id = len(nodes)
-        if pending_from is not None:
-            input_id = pending_from
-            pending_from = None
-        else:
-            input_id = node_id - 1 if node_id else INPUT_ID
-        nodes.append(NodeSpec(id=node_id, op=op, input_id=input_id))
+    def node_arg(kind: _Kind, name: str, label: str, token: str, line_no: int):
+        if name in kind.refs:
+            return node_ref(token, line_no)
+        if name == "scale_tag":
+            return _scale_tag(token, line_no)
+        return _int_field(token, label, line_no)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -290,9 +528,7 @@ def parse_network_spec(text: str) -> NetworkSpec:
             elif word == "anchors":
                 if len(args) < 2:
                     raise ParseError("anchors needs a scale tag and at least one w,h pair", line_no)
-                tag = args[0]
-                if tag not in SCALE_TAGS:
-                    raise ParseError(f"unknown scale tag {tag!r}", line_no)
+                tag = _scale_tag(args[0], line_no)
                 if tag in anchors:
                     raise ParseError(f"duplicate anchors for scale {tag!r}", line_no)
                 pairs = []
@@ -313,60 +549,19 @@ def parse_network_spec(text: str) -> NetworkSpec:
                 if pending_from is not None:
                     raise ParseError("two from lines in a row", line_no)
                 pending_from = node_ref(args[0], line_no)
-            elif word == "conv":
-                need(3)
-                push(
-                    ConvSpec(
-                        kernel=_int_field(args[0], "kernel", line_no),
-                        out_channels=_int_field(args[1], "out_channels", line_no),
-                        stride=_int_field(args[2], "stride", line_no),
-                    ),
-                    line_no,
-                )
-            elif word == "pep":
-                need(4)
-                push(
-                    PepConfig(
-                        proj1_channels=_int_field(args[0], "proj1", line_no),
-                        expansion_channels=_int_field(args[1], "expansion", line_no),
-                        out_channels=_int_field(args[2], "out_channels", line_no),
-                        stride=_int_field(args[3], "stride", line_no),
-                    ),
-                    line_no,
-                )
-            elif word == "ep":
-                need(3)
-                push(
-                    EpConfig(
-                        expansion_channels=_int_field(args[0], "expansion", line_no),
-                        out_channels=_int_field(args[1], "out_channels", line_no),
-                        stride=_int_field(args[2], "stride", line_no),
-                    ),
-                    line_no,
-                )
-            elif word == "fca":
-                need(1)
-                push(FcaConfig(reduction_ratio=_int_field(args[0], "reduction", line_no)), line_no)
-            elif word == "maxpool":
-                need(2)
-                push(
-                    MaxPoolSpec(
-                        kernel=_int_field(args[0], "kernel", line_no),
-                        stride=_int_field(args[1], "stride", line_no),
-                    ),
-                    line_no,
-                )
-            elif word == "upsample":
-                need(1)
-                push(UpsampleSpec(factor=_int_field(args[0], "factor", line_no)), line_no)
-            elif word == "concat":
-                need(1)
-                push(ConcatSpec(with_id=node_ref(args[0], line_no)), line_no)
-            elif word == "detect":
-                need(1)
-                if args[0] not in SCALE_TAGS:
-                    raise ParseError(f"unknown scale tag {args[0]!r}", line_no)
-                push(DetectSpec(scale_tag=args[0]), line_no)
+            elif word in _KINDS_BY_WORD:
+                kind = _KINDS_BY_WORD[word]
+                need(len(kind.args))
+                op = kind.op(*(
+                    node_arg(kind, f.name, label, token, line_no)
+                    for f, label, token in zip(fields(kind.op), kind.args, args)
+                ))
+                node_id = len(nodes)
+                if pending_from is not None:
+                    input_id, pending_from = pending_from, None
+                else:
+                    input_id = node_id - 1 if node_id else INPUT_ID
+                nodes.append(NodeSpec(id=node_id, op=op, input_id=input_id))
             else:
                 raise ParseError(f"unknown statement {word!r}", line_no)
         except ConfigError as exc:
@@ -406,25 +601,8 @@ def serialize_network_spec(spec: NetworkSpec) -> str:
         default_input = node.id - 1 if node.id else INPUT_ID
         if node.input_id != default_input:
             out.write(f"from {node.input_id}\n")
-        op = node.op
-        if isinstance(op, ConvSpec):
-            out.write(f"conv {op.kernel} {op.out_channels} {op.stride}\n")
-        elif isinstance(op, PepConfig):
-            out.write(
-                f"pep {op.proj1_channels} {op.expansion_channels} {op.out_channels} {op.stride}\n"
-            )
-        elif isinstance(op, EpConfig):
-            out.write(f"ep {op.expansion_channels} {op.out_channels} {op.stride}\n")
-        elif isinstance(op, FcaConfig):
-            out.write(f"fca {op.reduction_ratio}\n")
-        elif isinstance(op, MaxPoolSpec):
-            out.write(f"maxpool {op.kernel} {op.stride}\n")
-        elif isinstance(op, UpsampleSpec):
-            out.write(f"upsample {op.factor}\n")
-        elif isinstance(op, ConcatSpec):
-            out.write(f"concat {op.with_id}\n")
-        elif isinstance(op, DetectSpec):
-            out.write(f"detect {op.scale_tag}\n")
+        values = " ".join(str(getattr(node.op, f.name)) for f in fields(node.op))
+        out.write(f"{node.kind} {values}\n")
     return out.getvalue()
 
 
@@ -444,48 +622,18 @@ class ShapeTable:
 def infer_shapes(spec: NetworkSpec) -> ShapeTable:
     _validate_references(spec)
     shapes: list[tuple] = []
+    input_shape = tuple(spec.input_shape)
 
     def shape_of(node_id: int) -> tuple:
-        return spec.input_shape if node_id == INPUT_ID else shapes[node_id]
+        return input_shape if node_id == INPUT_ID else shapes[node_id]
 
     for node in spec.nodes:
-        c, h, w = shape_of(node.input_id)
-        op = node.op
         try:
-            if isinstance(op, ConvSpec):
-                oh, ow = conv_output_hw(h, w, op.kernel, op.stride, op.padding)
-                shape = (op.out_channels, oh, ow)
-            elif isinstance(op, (PepConfig, EpConfig)):
-                oh, ow = conv_output_hw(h, w, 3, op.stride, 1)
-                shape = (op.out_channels, oh, ow)
-            elif isinstance(op, FcaConfig):
-                shape = (c, h, w)
-            elif isinstance(op, MaxPoolSpec):
-                shape = (c, -(-h // op.stride), -(-w // op.stride))
-            elif isinstance(op, UpsampleSpec):
-                shape = (c, h * op.factor, w * op.factor)
-            elif isinstance(op, ConcatSpec):
-                c2, h2, w2 = shape_of(op.with_id)
-                if (h, w) != (h2, w2):
-                    raise ShapeError(
-                        f"concat inputs {h}x{w} and {h2}x{w2} differ spatially", node.id
-                    )
-                shape = (c + c2, h, w)
-            elif isinstance(op, DetectSpec):
-                expected = spec.detect_channels()
-                if c != expected:
-                    raise ShapeError(
-                        f"detect '{op.scale_tag}' input has {c} channels, needs "
-                        f"{spec.anchors_per_scale}*(5+{spec.num_classes}) = {expected}",
-                        node.id,
-                    )
-                shape = (c, h, w)
-            else:  # pragma: no cover - kinds are closed
-                raise ShapeError(f"unknown op {op!r}", node.id)
+            shape = _KINDS[type(node.op)].shape(node.op, shape_of(node.input_id), shape_of, spec)
         except ConfigError as exc:
             raise ShapeError(str(exc), node.id) from None
         shapes.append(shape)
-    return ShapeTable(input_shape=tuple(spec.input_shape), shapes=tuple(shapes))
+    return ShapeTable(input_shape=input_shape, shapes=tuple(shapes))
 
 
 def linear_conv_ids(spec: NetworkSpec) -> frozenset:
@@ -499,58 +647,10 @@ def linear_conv_ids(spec: NetworkSpec) -> frozenset:
 
 def param_tensors(params: Optional[ModuleParams]) -> list:
     """Flatten module parameters to (name, array) in fixed storage order."""
-    if params is None:
-        return []
-    if isinstance(params, ConvWeights):
-        return [("kernel", params.kernel), ("bias", params.bias)]
-    if isinstance(params, nn_modules.PepParams):
-        return [
-            ("proj1.kernel", params.project_in.kernel),
-            ("proj1.bias", params.project_in.bias),
-            ("expand.kernel", params.expand.kernel),
-            ("expand.bias", params.expand.bias),
-            ("depthwise.kernel", params.depthwise.kernel),
-            ("depthwise.bias", params.depthwise.bias),
-            ("proj2.kernel", params.project_out.kernel),
-            ("proj2.bias", params.project_out.bias),
-        ]
-    if isinstance(params, nn_modules.EpParams):
-        return [
-            ("expand.kernel", params.expand.kernel),
-            ("expand.bias", params.expand.bias),
-            ("depthwise.kernel", params.depthwise.kernel),
-            ("depthwise.bias", params.depthwise.bias),
-            ("project.kernel", params.project.kernel),
-            ("project.bias", params.project.bias),
-        ]
-    if isinstance(params, nn_modules.FcaParams):
-        return [
-            ("dense1.weight", params.reduce_weight),
-            ("dense1.bias", params.reduce_bias),
-            ("dense2.weight", params.restore_weight),
-            ("dense2.bias", params.restore_bias),
-        ]
-    raise ConfigError(f"unknown parameter object {type(params).__name__}")
-
-
-def _node_params(node: NodeSpec, in_channels: int, rng) -> Optional[ModuleParams]:
-    op = node.op
-    if isinstance(op, ConvSpec):
-        kernel_shape = (op.out_channels, in_channels, op.kernel, op.kernel)
-        if rng is None:
-            kernel = np.zeros(kernel_shape, dtype=np.float32)
-        else:
-            fan_in = in_channels * op.kernel * op.kernel
-            kernel = (rng.standard_normal(kernel_shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
-        bias = np.zeros(op.out_channels, dtype=np.float32)
-        return ConvWeights(kernel=kernel, bias=bias, stride=op.stride, padding=op.padding)
-    if isinstance(op, PepConfig):
-        return nn_modules.init_pep_params(op, in_channels, rng)
-    if isinstance(op, EpConfig):
-        return nn_modules.init_ep_params(op, in_channels, rng)
-    if isinstance(op, FcaConfig):
-        return nn_modules.init_fca_params(op, in_channels, rng)
-    return None
+    kind = _KINDS_BY_PARAMS.get(type(params))
+    if kind is None:
+        raise ConfigError(f"unknown parameter object {type(params).__name__}")
+    return [(name, attrgetter(path)(params)) for name, path in kind.tensors]
 
 
 class WeightStore:
@@ -570,9 +670,10 @@ class WeightStore:
     @classmethod
     def _init(cls, spec: NetworkSpec, rng) -> "WeightStore":
         table = infer_shapes(spec)
-        params = [
-            _node_params(node, table.of(node.input_id)[0], rng) for node in spec.nodes
-        ]
+        params = []
+        for node in spec.nodes:
+            init = _KINDS[type(node.op)].init
+            params.append(init(node.op, table.of(node.input_id)[0], rng) if init else None)
         return cls(params)
 
     def validate_against(self, spec: NetworkSpec):
@@ -581,22 +682,21 @@ class WeightStore:
                 f"weight store has {len(self.params)} entries for {len(spec.nodes)} nodes"
             )
         table = infer_shapes(spec)
-        reference = WeightStore.zeros(spec)
-        for node in spec.nodes:
-            expected = param_tensors(reference.params[node.id])
-            actual = param_tensors(self.params[node.id])
+        for node, params in zip(spec.nodes, self.params):
+            kind = _KINDS[type(node.op)]
+            expected = kind.param_shapes(node.op, table.of(node.input_id)[0])
+            actual = param_tensors(params)
             if len(expected) != len(actual):
                 raise ConfigError(
                     f"node {node.id} ({node.kind}) expects {len(expected)} tensors, "
                     f"store has {len(actual)}"
                 )
-            for (name, want), (_, have) in zip(expected, actual):
-                if want.shape != have.shape:
+            for (name, _), want, (_, have) in zip(kind.tensors, expected, actual):
+                if want != have.shape:
                     raise ConfigError(
                         f"node {node.id} ({node.kind}) tensor {name}: expected shape "
-                        f"{want.shape}, store has {have.shape}"
+                        f"{want}, store has {have.shape}"
                     )
-        del table
 
 
 def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
@@ -615,36 +715,12 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
 
     raw_heads = linear_conv_ids(spec)
     outputs: dict[int, np.ndarray] = {INPUT_ID: x}
-    detect_by_tag: dict[str, np.ndarray] = {}
-
     for node in spec.nodes:
-        inp = outputs[node.input_id]
-        op = node.op
-        params = weights.params[node.id]
-        if isinstance(op, ConvSpec):
-            y = conv2d(inp, params)
-            if node.id not in raw_heads:
-                y = leaky_relu(y)
-        elif isinstance(op, PepConfig):
-            y = nn_modules.pep_forward(inp, op, params)
-        elif isinstance(op, EpConfig):
-            y = nn_modules.ep_forward(inp, op, params)
-        elif isinstance(op, FcaConfig):
-            y = nn_modules.fca_forward(inp, op, params)
-        elif isinstance(op, MaxPoolSpec):
-            y = max_pool2d(inp, op.kernel, op.stride)
-        elif isinstance(op, UpsampleSpec):
-            y = upsample_nearest(inp, op.factor)
-        elif isinstance(op, ConcatSpec):
-            y = concat_channels(inp, outputs[op.with_id])
-        elif isinstance(op, DetectSpec):
-            y = inp
-            detect_by_tag[op.scale_tag] = y
-        else:  # pragma: no cover - kinds are closed
-            raise ConfigError(f"unknown op {op!r}")
-        outputs[node.id] = y
-
-    return tuple(detect_by_tag[tag] for tag in SCALE_TAGS)
+        outputs[node.id] = _KINDS[type(node.op)].forward(
+            node.op, outputs[node.input_id], weights.params[node.id], outputs, node.id in raw_heads
+        )
+    by_tag = {n.op.scale_tag: outputs[n.id] for n in spec.detect_nodes()}
+    return tuple(by_tag[tag] for tag in SCALE_TAGS)
 
 
 def load_bundled_config(name: str) -> "NetworkSpec":
@@ -653,63 +729,3 @@ def load_bundled_config(name: str) -> "NetworkSpec":
         name += ".cfg"
     text = resources.files("compactdet.configs").joinpath(name).read_text()
     return parse_network_spec(text)
-
-
-def reference_network() -> NetworkSpec:
-    """Bundled three-scale reference detector (416x416, 20 classes)."""
-    g = GraphBuilder((3, 416, 416), num_classes=20)
-
-    g.conv(3, 12, 1)                 # 0
-    g.conv(3, 24, 2)                 # 1   208x208
-    g.pep(7, 14, 24, 1)              # 2
-    g.ep(32, 70, 2)                  # 3   104x104
-    g.pep(25, 34, 70, 1)             # 4
-    g.pep(24, 32, 70, 1)             # 5
-    g.ep(64, 150, 2)                 # 6   52x52
-    g.pep(56, 58, 150, 1)            # 7
-    g.conv(1, 150, 1)                # 8
-    g.fca(8)                         # 9
-    g.pep(73, 74, 150, 1)            # 10
-    g.pep(71, 72, 150, 1)            # 11
-    small_tap = g.pep(75, 76, 150, 1)   # 12
-    g.ep(96, 325, 2)                 # 13  26x26
-    g.pep(132, 140, 325, 1)          # 14
-    g.pep(124, 136, 325, 1)          # 15
-    g.pep(141, 150, 325, 1)          # 16
-    g.pep(140, 148, 325, 1)          # 17
-    g.pep(137, 146, 325, 1)          # 18
-    g.pep(135, 144, 325, 1)          # 19
-    g.pep(133, 142, 325, 1)          # 20
-    medium_tap = g.pep(140, 148, 325, 1)  # 21
-    g.ep(480, 545, 2)                # 22  13x13
-    g.pep(276, 700, 545, 1)          # 23
-    g.conv(1, 230, 1)                # 24
-    g.ep(420, 489, 1)                # 25
-    g.pep(213, 720, 469, 1)          # 26
-    trunk = g.conv(1, 189, 1)        # 27
-
-    g.conv(1, 105, 1)                # 28
-    g.upsample(2)                    # 29  26x26
-    g.concat(medium_tap)             # 30  430 ch
-    g.pep(113, 180, 325, 1)          # 31
-    g.pep(99, 128, 207, 1)           # 32
-    mid_trunk = g.conv(1, 98, 1)     # 33
-
-    g.conv(1, 47, 1)                 # 34
-    g.upsample(2)                    # 35  52x52
-    g.concat(small_tap)              # 36  197 ch
-    g.pep(58, 66, 122, 1)            # 37
-    g.pep(52, 56, 87, 1)             # 38
-    g.pep(47, 50, 93, 1)             # 39
-    g.conv(1, 75, 1)                 # 40
-    g.detect("small")                # 41
-
-    g.ep(120, 183, 1, frm=mid_trunk)  # 42
-    g.conv(1, 75, 1)                 # 43
-    g.detect("medium")               # 44
-
-    g.ep(360, 462, 1, frm=trunk)     # 45
-    g.conv(1, 75, 1)                 # 46
-    g.detect("large")                # 47
-
-    return g.build()

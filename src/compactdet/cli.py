@@ -150,8 +150,6 @@ def cmd_detect(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    if args.bits != 8:
-        raise ConfigError(f"quantize writes 8-bit files, got --bits {args.bits}")
     spec = _load_spec(args.config)
     store, bits = complexity.load_weights(args.weights, spec)
     if bits == 8:
@@ -180,9 +178,7 @@ def cmd_explore(args) -> int:
     proto_spec = _load_spec(args.config)
     proto = explorer.PrototypeSpec(base=proto_spec)
     space = explorer.parse_design_space(Path(args.space).read_text(), proto)
-    constraints = complexity.ConstraintSet(
-        max_ops=args.max_ops, min_score=args.min_score, weight_bits=args.bits
-    )
+    constraints = complexity.ConstraintSet(max_ops=args.max_ops, min_score=args.min_score)
     evaluator = explorer.synthetic_evaluator()
     result = explorer.explore(
         proto, space, constraints, evaluator, budget=args.budget, seed=args.seed
@@ -261,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     quant.add_argument("--config", required=True)
     quant.add_argument("--weights", required=True)
     quant.add_argument("--out", required=True)
-    quant.add_argument("--bits", type=int, choices=(8, 32), default=8)
     quant.set_defaults(func=cmd_quantize)
 
     explore = sub.add_parser("explore", help="search a design space around a prototype config")
@@ -273,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--seed", type=int, default=0)
     explore.add_argument("--max-ops", type=int, default=None)
     explore.add_argument("--min-score", type=float, default=None)
-    explore.add_argument("--bits", type=int, choices=(8, 32), default=8)
     explore.set_defaults(func=cmd_explore)
 
     bench = sub.add_parser("bench", help="measure forward-pass latency")

@@ -19,25 +19,21 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import BinaryIO, Optional
 
 import numpy as np
 
 from .arch_graph import (
-    ConcatSpec,
-    ConvSpec,
-    DetectSpec,
-    FcaConfig,
-    MaxPoolSpec,
+    _KINDS,
     NetworkSpec,
+    NodeCost,
     NodeSpec,
-    UpsampleSpec,
     WeightStore,
     infer_shapes,
     linear_conv_ids,
     param_tensors,
 )
-from .nn_modules import EpConfig, PepConfig, fca_bottleneck_width, residual_active
 from .tensor_core import ConfigError
 
 MAGIC = b"YNWF"
@@ -48,83 +44,22 @@ class WeightFormatError(ValueError):
     """A weights file is malformed or does not match its network spec."""
 
 
-@dataclass(frozen=True)
-class NodeCost:
-    macs: int = 0
-    ops: int = 0
-    params: int = 0
-
-    def __add__(self, other: "NodeCost") -> "NodeCost":
-        return NodeCost(self.macs + other.macs, self.ops + other.ops, self.params + other.params)
-
-
-def _conv_cost(k: int, c_in: int, c_out: int, out_hw: int, groups: int = 1, activated: bool = True) -> NodeCost:
-    macs = k * k * (c_in // groups) * c_out * out_hw
-    ops = 2 * macs + (c_out * out_hw if activated else 0)
-    params = k * k * (c_in // groups) * c_out + c_out
-    return NodeCost(macs, ops, params)
-
-
-def _dense_cost(c_in: int, c_out: int, activated: bool) -> NodeCost:
-    macs = c_in * c_out
-    return NodeCost(macs, 2 * macs + (c_out if activated else 0), c_in * c_out + c_out)
-
-
 def count_node(node: NodeSpec, in_shape: tuple, out_shape: tuple, linear: bool = False) -> NodeCost:
     """Cost of one node given its input/output (c, h, w) shapes.
 
     `linear` marks conv nodes that emit raw logits and skip the activation.
+    The rule for each kind is the cost entry of its arch_graph record.
     """
-    c_in, h_in, w_in = in_shape
-    c_out, h_out, w_out = out_shape
-    a_in = h_in * w_in
-    a_out = h_out * w_out
-    op = node.op
-
-    if isinstance(op, ConvSpec):
-        return _conv_cost(op.kernel, c_in, op.out_channels, a_out, activated=not linear)
-    if isinstance(op, PepConfig):
-        cost = _conv_cost(1, c_in, op.proj1_channels, a_in)
-        cost += _conv_cost(1, op.proj1_channels, op.expansion_channels, a_in)
-        cost += _conv_cost(
-            3, op.expansion_channels, op.expansion_channels, a_out, groups=op.expansion_channels
-        )
-        cost += _conv_cost(1, op.expansion_channels, op.out_channels, a_out, activated=False)
-        if residual_active(op, c_in):
-            cost += NodeCost(0, op.out_channels * a_out, 0)
-        return cost
-    if isinstance(op, EpConfig):
-        cost = _conv_cost(1, c_in, op.expansion_channels, a_in)
-        cost += _conv_cost(
-            3, op.expansion_channels, op.expansion_channels, a_out, groups=op.expansion_channels
-        )
-        cost += _conv_cost(1, op.expansion_channels, op.out_channels, a_out, activated=False)
-        if residual_active(op, c_in):
-            cost += NodeCost(0, op.out_channels * a_out, 0)
-        return cost
-    if isinstance(op, FcaConfig):
-        width = fca_bottleneck_width(c_in, op.reduction_ratio)
-        cost = NodeCost(0, c_in, 0)                       # global average pool
-        cost += _dense_cost(c_in, width, activated=True)
-        cost += _dense_cost(width, c_in, activated=False)
-        cost += NodeCost(0, c_in, 0)                      # sigmoid gate
-        cost += NodeCost(0, c_in * a_in, 0)               # channel rescale
-        return cost
-    if isinstance(op, MaxPoolSpec):
-        return NodeCost(0, c_out * a_out, 0)
-    if isinstance(op, UpsampleSpec):
-        return NodeCost(0, c_out * a_out, 0)
-    if isinstance(op, (ConcatSpec, DetectSpec)):
-        return NodeCost(0, 0, 0)
-    raise ConfigError(f"unknown op {op!r}")  # pragma: no cover
+    return _KINDS[type(node.op)].cost(node.op, in_shape, out_shape, linear)
 
 
 @dataclass
 class OpsReport:
     rows: list = field(default_factory=list)  # (node_id, kind, NodeCost)
 
-    @property
+    @cached_property
     def total(self) -> NodeCost:
+        """Row sum, computed on first read; rows are complete by then."""
         total = NodeCost()
         for _, _, cost in self.rows:
             total = total + cost
@@ -154,13 +89,13 @@ class OpsReport:
 def count_network(spec: NetworkSpec) -> OpsReport:
     table = infer_shapes(spec)
     raw_heads = linear_conv_ids(spec)
-    report = OpsReport()
+    rows = []
     for node in spec.nodes:
         cost = count_node(
             node, table.of(node.input_id), table.of(node.id), linear=node.id in raw_heads
         )
-        report.rows.append((node.id, node.kind, cost))
-    return report
+        rows.append((node.id, node.kind, cost))
+    return OpsReport(rows)
 
 
 def _tensor_counts(spec: NetworkSpec) -> tuple:
@@ -209,8 +144,8 @@ class QuantizedWeights:
             raise ConfigError(f"scale must be positive, got {self.scale}")
 
 
-def quantize_tensor(w: np.ndarray) -> QuantizedWeights:
-    """Asymmetric per-tensor 8-bit quantization over a zero-anchored range."""
+def _affine_grid(w: np.ndarray, levels: int) -> tuple:
+    """Map w onto the integer grid [0, levels]; returns (q, scale, zero_point)."""
     w = np.asarray(w, dtype=np.float32)
     # Pull the range through zero so the affine map can represent 0.0
     # exactly and the round-trip error stays within scale / 2; a constant
@@ -218,9 +153,15 @@ def quantize_tensor(w: np.ndarray) -> QuantizedWeights:
     # end exactly.  Only the all-zero tensor leaves no range at all.
     lo = min(float(w.min()), 0.0) if w.size else 0.0
     hi = max(float(w.max()), 0.0) if w.size else 0.0
-    scale = 1.0 if hi == lo else (hi - lo) / 255.0
-    zero_point = int(np.clip(np.round(-lo / scale), 0, 255))
-    q = np.clip(np.round(w.astype(np.float64) / scale) + zero_point, 0, 255)
+    scale = 1.0 if hi == lo else (hi - lo) / levels
+    zero_point = int(np.clip(np.round(-lo / scale), 0, levels))
+    q = np.clip(np.round(w.astype(np.float64) / scale) + zero_point, 0, levels)
+    return q, scale, zero_point
+
+
+def quantize_tensor(w: np.ndarray) -> QuantizedWeights:
+    """Asymmetric per-tensor 8-bit quantization over a zero-anchored range."""
+    q, scale, zero_point = _affine_grid(w, 255)
     return QuantizedWeights(values=q.astype(np.uint8), scale=scale, zero_point=zero_point)
 
 
@@ -234,32 +175,21 @@ def fake_quantize(w: np.ndarray, bits: int) -> np.ndarray:
     """Round-trip w through a bits-wide affine grid (analysis helper)."""
     if bits < 2 or bits > 16:
         raise ConfigError(f"fake_quantize supports 2..16 bits, got {bits}")
-    w = np.asarray(w, dtype=np.float32)
-    levels = (1 << bits) - 1
-    lo = min(float(w.min()), 0.0) if w.size else 0.0
-    hi = max(float(w.max()), 0.0) if w.size else 0.0
-    scale = 1.0 if hi == lo else (hi - lo) / levels
-    zero_point = int(np.clip(np.round(-lo / scale), 0, levels))
-    q = np.clip(np.round(w.astype(np.float64) / scale) + zero_point, 0, levels)
+    q, scale, zero_point = _affine_grid(w, (1 << bits) - 1)
     return (np.float32(scale) * (q.astype(np.float32) - np.float32(zero_point))).astype(np.float32)
 
 
 @dataclass
 class ConstraintSet:
-    """Feasibility envelope for design candidates.
-
-    max_ops and min_score bound the indicator; weight_bits records the
-    storage precision assumed when sizes are reported alongside.
-    """
+    """Feasibility envelope for design candidates: an ops ceiling and a score floor."""
 
     max_ops: Optional[int] = None
     min_score: Optional[float] = None
-    weight_bits: int = 8
 
 
-def check_constraints(report: OpsReport, map_proxy: float, constraints: ConstraintSet) -> bool:
-    """Feasibility indicator over an ops report and a detection-quality proxy."""
-    if constraints.max_ops is not None and report.total_ops > constraints.max_ops:
+def check_constraints(total_ops: int, map_proxy: float, constraints: ConstraintSet) -> bool:
+    """Feasibility indicator over a total op count and a detection-quality proxy."""
+    if constraints.max_ops is not None and total_ops > constraints.max_ops:
         return False
     if constraints.min_score is not None and not (map_proxy >= constraints.min_score):
         return False

@@ -35,7 +35,11 @@ SIZE_LOGIT_CLIP = 30.0
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Overflow-free sigmoid in float64."""
+    """Overflow-free sigmoid in float64.
+
+    Not tensor_core.sigmoid: that kernel is float32, and decode scores (and so
+    the detect output) are defined on the float64 values this one gives.
+    """
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 

@@ -39,29 +39,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arch_graph import (
+    _KINDS,
     INPUT_ID,
-    ConcatSpec,
-    ConvSpec,
-    DetectSpec,
     NetworkSpec,
     NodeSpec,
     ParseError,
     infer_shapes,
     linear_conv_ids,
 )
-from .complexity import ConstraintSet, NodeCost, OpsReport, check_constraints, count_network
-from .nn_modules import EpConfig, FcaConfig, PepConfig
+from .complexity import ConstraintSet, check_constraints, count_network
 from .tensor_core import ConfigError
 
 BRUTE_FORCE_LIMIT = 1 << 16
-
-# Field-slot spelling per node kind: short name -> dataclass attribute.
-_FIELDS = {
-    "conv": {"out": "out_channels"},
-    "pep": {"proj1": "proj1_channels", "expansion": "expansion_channels", "out": "out_channels"},
-    "ep": {"expansion": "expansion_channels", "out": "out_channels"},
-    "fca": {"reduction": "reduction_ratio"},
-}
 
 
 @dataclass(frozen=True)
@@ -75,10 +64,9 @@ class PrototypeSpec:
         pinned = linear_conv_ids(self.base)
         out = {}
         for node in self.base.nodes:
-            fields = _FIELDS.get(node.kind, {})
-            for short, attr in fields.items():
-                if node.kind == "conv" and node.id in pinned:
-                    continue  # head conv channels are pinned by the detect contract
+            if node.id in pinned:
+                continue  # head conv channels are pinned by the detect contract
+            for short, attr in _KINDS[type(node.op)].slots.items():
                 out[(node.id, short)] = getattr(node.op, attr)
         return out
 
@@ -233,10 +221,6 @@ def _validate_space(space: DesignSpace):
     infer_shapes(expand_point(space, space.base_point()))
 
 
-def _with_field(op, kind: str, short: str, value: int):
-    return replace(op, **{_FIELDS[kind][short]: value})
-
-
 def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
     """Rewrite the prototype with a slot assignment into a NetworkSpec."""
     if not space.contains(point):
@@ -256,17 +240,18 @@ def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
 
     for node in base.nodes:
         op = node.op
+        kind = _KINDS[type(op)]
         copies = 1
         present = True
         for slot, value in per_node.get(node.id, []):
             if slot.kind == "field":
-                op = _with_field(op, node.kind, slot.field, value)
+                op = replace(op, **{kind.slots[slot.field]: value})
             elif slot.kind == "present":
                 present = bool(value)
             elif slot.kind == "repeat":
                 copies = value
-        if isinstance(op, ConcatSpec):
-            op = ConcatSpec(with_id=remap[op.with_id])
+        if kind.refs:
+            op = replace(op, **{f: remap[getattr(op, f)] for f in kind.refs})
         if not present or copies == 0:
             remap[node.id] = remap[node.input_id]
             continue
@@ -345,9 +330,6 @@ class Candidate:
     u_value: float
     point: Optional[tuple] = None
 
-    def report(self) -> OpsReport:
-        return count_network(self.spec)
-
 
 def evaluate(
     spec: NetworkSpec,
@@ -376,11 +358,6 @@ def evaluate(
         u_value=performance(score, report.total_params, report.total_ops, coeffs),
         point=point,
     )
-
-
-def _candidate_feasible(cand: Candidate, constraints: ConstraintSet) -> bool:
-    totals = OpsReport(rows=[(0, "total", NodeCost(0, cand.ops, cand.params))])
-    return check_constraints(totals, cand.score, constraints)
 
 
 @dataclass
@@ -427,13 +404,6 @@ def sample_point(g: Generator, seed: int, space: DesignSpace) -> tuple:
         idx = int(rng.choice(len(slot.values), p=g.probabilities(slot)))
         values.append(slot.values[idx])
     return tuple(values)
-
-
-def generate(g: Generator, seed: int, proto: PrototypeSpec, space: DesignSpace) -> NetworkSpec:
-    """Draw one design deterministically from (generator state, seed)."""
-    if space.proto is not proto and space.proto != proto:
-        raise ConfigError("design space was built for a different prototype")
-    return expand_point(space, sample_point(g, seed, space))
 
 
 def _rank_key(cand: Candidate) -> tuple:
@@ -494,7 +464,7 @@ def explore(
         if len(seen) >= budget:
             return False
         cand = evaluate(expand_point(space, point), evaluator, coeffs, point=point)
-        feasible = _candidate_feasible(cand, constraints)
+        feasible = check_constraints(cand.ops, cand.score, constraints)
         seen[point] = (cand, feasible)
         history.append(
             HistoryEntry(
@@ -561,11 +531,20 @@ def brute_force_search(
     best: Optional[Candidate] = None
     for point in space.enumerate_points():
         cand = evaluate(expand_point(space, point), evaluator, coeffs, point=point)
-        if not _candidate_feasible(cand, constraints):
+        if not check_constraints(cand.ops, cand.score, constraints):
             continue
         if best is None or _rank_key(cand) < _rank_key(best):
             best = cand
     return best
+
+
+# Per-kind capacity terms of the synthetic score; other kinds add nothing.
+_CAPACITY = {
+    "conv": lambda op: math.log1p(3 * op.out_channels),
+    "pep": lambda op: 1.3 * math.log1p(op.proj1_channels + op.expansion_channels + op.out_channels),
+    "ep": lambda op: 1.1 * math.log1p(op.expansion_channels + 2 * op.out_channels),
+    "fca": lambda op: 2.0 * math.log1p(64 / op.reduction_ratio),
+}
 
 
 def synthetic_evaluator(half_life: float = 80.0) -> Callable[[NetworkSpec], float]:
@@ -586,15 +565,9 @@ def synthetic_evaluator(half_life: float = 80.0) -> Callable[[NetworkSpec], floa
     def score(spec: NetworkSpec) -> float:
         g = 0.0
         for node in spec.nodes:
-            op = node.op
-            if isinstance(op, ConvSpec):
-                g += math.log1p(3 * op.out_channels)
-            elif isinstance(op, PepConfig):
-                g += 1.3 * math.log1p(op.proj1_channels + op.expansion_channels + op.out_channels)
-            elif isinstance(op, EpConfig):
-                g += 1.1 * math.log1p(op.expansion_channels + 2 * op.out_channels)
-            elif isinstance(op, FcaConfig):
-                g += 2.0 * math.log1p(64 / op.reduction_ratio)
+            term = _CAPACITY.get(node.kind)
+            if term is not None:
+                g += term(node.op)
         return 0.18 + 0.8 * (1.0 - math.exp(-g / half_life))
 
     return score

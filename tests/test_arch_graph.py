@@ -24,7 +24,6 @@ from compactdet.arch_graph import (
     load_bundled_config,
     param_tensors,
     parse_network_spec,
-    reference_network,
     serialize_network_spec,
 )
 from compactdet.nn_modules import EpConfig, PepConfig
@@ -213,18 +212,15 @@ class TestInferShapes:
 class TestReferenceNetwork:
     def test_three_grid_shapes(self):
         """416x416 in, 20 classes: grids 13/26/52 with 3*(5+20)=75 channels."""
-        spec = reference_network()
+        spec = load_bundled_config("reference")
         table = infer_shapes(spec)
         by_tag = {n.op.scale_tag: table.of(n.id) for n in spec.detect_nodes()}
         assert by_tag["large"] == (75, 13, 13)
         assert by_tag["medium"] == (75, 26, 26)
         assert by_tag["small"] == (75, 52, 52)
 
-    def test_bundled_config_matches_builder(self):
-        assert load_bundled_config("reference") == reference_network()
-
     def test_head_convs_are_linear(self):
-        spec = reference_network()
+        spec = load_bundled_config("reference")
         heads = linear_conv_ids(spec)
         assert len(heads) == 3
         for n in spec.detect_nodes():

@@ -6,6 +6,7 @@ image, and head biases then place one anchor's boxes at every cell center
 of the coarse grid with score sigmoid(10)^2 while silencing the rest.
 """
 
+import hashlib
 from importlib import resources
 
 import numpy as np
@@ -258,12 +259,6 @@ class TestQuantize:
                        "--out", str(tmp_path / "x.w")])
         assert rc == 3
 
-    def test_rejects_32bit_target(self, head_setup, tmp_path, capsys):
-        cfg, weights, _ = head_setup
-        rc = cli.main(["quantize", "--config", str(cfg), "--weights", str(weights),
-                       "--out", str(tmp_path / "x.w"), "--bits", "32"])
-        assert rc == 2
-
 
 class TestExplore:
     def run(self, tmp_path, tag, *extra):
@@ -337,3 +332,36 @@ class TestBench:
             "bench", "--config", str(cfg), "--weights", str(weights), "--iterations", "2",
         ])
         assert rc == 0
+
+
+class TestGoldenOutput:
+    """Full stdout pinned by sha256, so any byte that changes is caught.
+
+    Run from the bundled configs directory with relative paths, so the
+    `config:` line does not depend on where the package is installed.
+    """
+
+    DIGESTS = {
+        ("describe", "reference.cfg"):
+            "ce4510c1cf2368297bc143fde066bda5831195f560afa8acd9f603bf35dcf6b7",
+        ("describe", "tiny-yolov3.cfg"):
+            "a8e3680ad00054c6b4cae21d50b9196017415304a779e756a118987942917223",
+        ("describe", "explore-proto.cfg"):
+            "959aa539beeb99ac0b9069008f879435cc5bcb4360d36fa4598110ab98f766cc",
+        ("explore", "0"):
+            "fb98387b0252c622299ff07ab9cbb7d19dffe59c7c2faf5dab45f21dc39100e1",
+        ("explore", "1"):
+            "81aed2f629283b8abce8b97dd2d69df9fa65630627e07195c3444fe6d1c32043",
+    }
+
+    @pytest.mark.parametrize("command, arg", sorted(DIGESTS))
+    def test_stdout_digest(self, command, arg, monkeypatch, capsys):
+        monkeypatch.chdir(bundled(""))
+        if command == "describe":
+            argv = ["describe", "--config", arg]
+        else:  # no --out or --log: the evaluation log goes to stdout too
+            argv = ["explore", "--config", "explore-proto.cfg", "--space", "explore-space.txt",
+                    "--budget", "64", "--max-ops", "2500000", "--seed", arg]
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.DIGESTS[(command, arg)]

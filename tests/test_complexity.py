@@ -14,12 +14,10 @@ from compactdet.arch_graph import (
     load_bundled_config,
     param_tensors,
     parse_network_spec,
-    reference_network,
 )
 from compactdet.complexity import (
     ConstraintSet,
     NodeCost,
-    OpsReport,
     QuantizedWeights,
     WeightFormatError,
     check_constraints,
@@ -156,7 +154,7 @@ class TestCountingRules:
 
 class TestReferenceBudgets:
     def test_reference_totals_frozen(self):
-        report = count_network(reference_network())
+        report = count_network(load_bundled_config("reference"))
         assert report.total_ops == 4644924066
         assert report.total_params == 4024600
 
@@ -165,7 +163,7 @@ class TestReferenceBudgets:
         assert report.total_ops == 5478974592
 
     def test_reference_sizes_frozen(self):
-        spec = reference_network()
+        spec = load_bundled_config("reference")
         assert model_size_bytes(spec, 8) == 4088357
         assert model_size_bytes(spec, 32) == 16098400
 
@@ -285,25 +283,22 @@ class TestFakeQuantize:
 
 
 class TestConstraints:
-    def one_row(self, ops, params=0):
-        return OpsReport(rows=[(0, "total", NodeCost(0, ops, params))])
-
     def test_ops_bound(self):
         cons = ConstraintSet(max_ops=100)
-        assert check_constraints(self.one_row(100), 1.0, cons)
-        assert not check_constraints(self.one_row(101), 1.0, cons)
+        assert check_constraints(100, 1.0, cons)
+        assert not check_constraints(101, 1.0, cons)
 
     def test_score_bound(self):
         cons = ConstraintSet(min_score=0.5)
-        assert check_constraints(self.one_row(1), 0.5, cons)
-        assert not check_constraints(self.one_row(1), 0.49, cons)
+        assert check_constraints(1, 0.5, cons)
+        assert not check_constraints(1, 0.49, cons)
 
     def test_nan_score_fails_a_floor(self):
         cons = ConstraintSet(min_score=0.0)
-        assert not check_constraints(self.one_row(1), float("nan"), cons)
+        assert not check_constraints(1, float("nan"), cons)
 
     def test_unbounded_is_feasible(self):
-        assert check_constraints(self.one_row(10**12), float("nan"), ConstraintSet())
+        assert check_constraints(10**12, float("nan"), ConstraintSet())
 
 
 class TestWeightsFile:
