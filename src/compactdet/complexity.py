@@ -17,6 +17,7 @@ is 32-bit regardless; quantization only changes what is stored on disk.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -99,15 +100,20 @@ def count_network(spec: NetworkSpec) -> OpsReport:
 
 
 def _tensor_counts(spec: NetworkSpec) -> tuple:
-    """(weight elements, bias elements, quantized tensor count) for a spec."""
-    store = WeightStore.zeros(spec)
+    """(weight elements, bias elements, quantized tensor count) for a spec.
+
+    Counted from each kind's parameter shapes; nothing is allocated.
+    """
+    table = infer_shapes(spec)
     weights = biases = tensors = 0
-    for params in store.params:
-        for name, arr in param_tensors(params):
+    for node in spec.nodes:
+        kind = _KINDS[type(node.op)]
+        shapes = kind.param_shapes(node.op, table.of(node.input_id)[0])
+        for (name, _), shape in zip(kind.tensors, shapes):
             if name.endswith("bias"):
-                biases += arr.size
+                biases += math.prod(shape)
             else:
-                weights += arr.size
+                weights += math.prod(shape)
                 tensors += 1
     return weights, biases, tensors
 
@@ -140,7 +146,7 @@ class QuantizedWeights:
         self.values = np.asarray(self.values, dtype=np.uint8)
         if not (0 <= self.zero_point <= 255):
             raise ConfigError(f"zero_point {self.zero_point} outside [0, 255]")
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
 
 
@@ -234,7 +240,10 @@ def load_weights(path, spec: NetworkSpec) -> tuple:
     """Read a weights file for spec; returns (WeightStore, bits).
 
     8-bit payloads are dequantized to float32 on load; execution always
-    runs in 32-bit arithmetic.
+    runs in 32-bit arithmetic.  A file is refused (WeightFormatError) unless
+    every 8-bit scale is positive with its zero point in [0, 255], and
+    every tensor it yields is finite, which also rules out infinite scales
+    and scales whose 255-fold overflows.
     """
     store = WeightStore.zeros(spec)
     with open(path, "rb") as fh:
@@ -246,20 +255,28 @@ def load_weights(path, spec: NetworkSpec) -> tuple:
             raise WeightFormatError(f"unsupported format version {version}")
         if bits not in (8, 32):
             raise WeightFormatError(f"unsupported precision flag {bits}")
-        for params in store.params:
+        for node, params in zip(spec.nodes, store.params):
             for name, arr in param_tensors(params):
+                where = f"node {node.id} ({node.kind}) tensor {name}"
                 if bits == 32 or name.endswith("bias"):
                     data = _read_exact(fh, arr.size * 4)
                     arr[...] = np.frombuffer(data, dtype="<f4").reshape(arr.shape)
                 else:
                     scale, zero_point = struct.unpack("<fi", _read_exact(fh, 8))
                     data = _read_exact(fh, arr.size)
-                    q = QuantizedWeights(
-                        values=np.frombuffer(data, dtype=np.uint8).reshape(arr.shape),
-                        scale=scale,
-                        zero_point=zero_point,
-                    )
-                    arr[...] = dequantize_tensor(q)
+                    try:
+                        q = QuantizedWeights(
+                            values=np.frombuffer(data, dtype=np.uint8).reshape(arr.shape),
+                            scale=scale,
+                            zero_point=zero_point,
+                        )
+                    except ConfigError as exc:
+                        raise WeightFormatError(f"{where}: {exc}") from None
+                    # An infinite or huge scale gives inf/NaN here; refused below.
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        arr[...] = dequantize_tensor(q)
+                if not np.isfinite(arr).all():
+                    raise WeightFormatError(f"{where}: non-finite values")
         trailing = fh.read(1)
         if trailing:
             raise WeightFormatError("trailing bytes after final tensor")

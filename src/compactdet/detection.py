@@ -120,36 +120,63 @@ def decode_predictions(
     best_prob = np.take_along_axis(class_probs, best_class[:, None], axis=1)[:, 0]
     scores = objectness * best_prob
 
-    detections = []
-    for a, anchor in enumerate(anchors):
-        keep_i, keep_j = np.nonzero(scores[a] >= conf_threshold)
-        for i, j in zip(keep_i.tolist(), keep_j.tolist()):
-            detections.append(
-                Detection(
-                    bbox=BBox(
-                        cx=float(cols[a, i, j]),
-                        cy=float(rows[a, i, j]),
-                        w=float(anchor.w * sizes[a, 0, i, j]),
-                        h=float(anchor.h * sizes[a, 1, i, j]),
-                    ),
-                    class_id=int(best_class[a, i, j]),
-                    score=float(scores[a, i, j]),
-                )
-            )
-    return detections
+    # Candidates in (anchor, row, col) order, gathered in one pass.
+    a, i, j = np.nonzero(scores >= conf_threshold)
+    anchor_wh = np.array([(anchor.w, anchor.h) for anchor in anchors], dtype=np.float64)
+    columns = (
+        cols[a, i, j].tolist(),
+        rows[a, i, j].tolist(),
+        (anchor_wh[a, 0] * sizes[a, 0, i, j]).tolist(),
+        (anchor_wh[a, 1] * sizes[a, 1, i, j]).tolist(),
+        best_class[a, i, j].tolist(),
+        scores[a, i, j].tolist(),
+    )
+    return [
+        Detection(BBox(cx, cy, w, h), class_id, score)
+        for cx, cy, w, h, class_id, score in zip(*columns)
+    ]
 
 
 def nms(detections: list, iou_threshold: float = DEFAULT_NMS_IOU) -> list:
-    """Greedy per-class suppression; result sorted by descending score."""
+    """Greedy per-class suppression; result sorted by descending score.
+
+    Returns the given Detection objects that the pairwise scan keeps: walking
+    in score order (ties in input order), a box is kept unless a kept box of
+    its class overlaps it with IoU > iou_threshold.  The walk runs on arrays,
+    one class at a time: each surviving box computes one row of IoUs against
+    the later boxes of its class and marks those it suppresses.  A row repeats
+    the float64 operations of `iou`, so every IoU, and so the kept set, is the
+    one the scalar scan gives; no pairwise matrix is built.
+    """
     ordered = sorted(detections, key=lambda d: -d.score)
-    kept: list = []
-    for det in ordered:
-        suppressed = any(
-            k.class_id == det.class_id and iou(k.bbox, det.bbox) > iou_threshold for k in kept
-        )
-        if not suppressed:
-            kept.append(det)
-    return kept
+    if not ordered:
+        return []
+    cx, cy, w, h = np.array(
+        [(d.bbox.cx, d.bbox.cy, d.bbox.w, d.bbox.h) for d in ordered], dtype=np.float64
+    ).T
+    classes = np.array([d.class_id for d in ordered])
+    edges = np.stack([cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2, w * h])
+    # `iou` gives 0 for a box of non-positive area: an empty interval keeps
+    # it from overlapping anything, and a positive stand-in area keeps every
+    # union it enters positive, so its IoU is exactly 0 too.
+    edges[:, ~(edges[4] > 0)] = np.array([[np.inf], [-np.inf], [np.inf], [-np.inf], [1.0]])
+    keep = []
+    for class_id in np.unique(classes):
+        members = np.flatnonzero(classes == class_id)
+        left, right, top, bottom, area = edges[:, members]
+        alive = np.ones(members.size, dtype=bool)
+        for p in range(members.size):
+            if not alive[p]:
+                continue
+            later = slice(p + 1, None)
+            iw = np.minimum(right[p], right[later]) - np.maximum(left[p], left[later])
+            ih = np.minimum(bottom[p], bottom[later]) - np.maximum(top[p], top[later])
+            # Sides clipped at 0: unchanged where both are positive, a zero
+            # intersection (so IoU 0) elsewhere.
+            inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+            alive[later] &= ~(inter / (area[p] + area[later] - inter) > iou_threshold)
+        keep.extend(members[alive].tolist())
+    return [ordered[k] for k in sorted(keep)]
 
 
 def detect(

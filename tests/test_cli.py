@@ -7,6 +7,7 @@ of the coarse grid with score sigmoid(10)^2 while silencing the rest.
 """
 
 import hashlib
+import struct
 from importlib import resources
 
 import numpy as np
@@ -205,6 +206,38 @@ class TestDetect:
             "--image", str(image),
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "bits, offset, patch",
+        [
+            (8, 0, struct.pack("<f", float("nan"))),   # first scale NaN
+            (8, 0, struct.pack("<f", -1.0)),           # negative scale
+            (8, 4, struct.pack("<i", 999)),            # zero point out of range
+            (32, 0, struct.pack("<f", float("nan"))),  # NaN in an f32 payload
+        ],
+        ids=["nan-scale", "negative-scale", "zero-point-999", "nan-f32"],
+    )
+    def test_corrupted_weights_values_exit_3(
+        self, head_setup, tmp_path, capsys, bits, offset, patch
+    ):
+        """A file whose numbers break the format's invariants is a format
+        error (exit 3, nothing on stdout), not silent NaN weights."""
+        cfg, weights, image = head_setup
+        spec = parse_network_spec(cfg.read_text())
+        store, _ = load_weights(weights, spec)
+        bad = tmp_path / "bad.w"
+        save_weights(bad, spec, store, bits=bits)
+        data = bytearray(bad.read_bytes())
+        start = 7 + offset  # after the 7-byte header, at the first tensor
+        data[start:start + len(patch)] = patch
+        bad.write_bytes(bytes(data))
+        rc = cli.main([
+            "detect", "--config", str(cfg), "--weights", str(bad), "--image", str(image),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert "node 0" in captured.err
 
     def test_bad_image_exit_3(self, head_setup, tmp_path, capsys):
         cfg, weights, _ = head_setup

@@ -6,6 +6,8 @@ biases) and written down as a literal, so a regression in the counting
 code cannot hide behind a regenerated expectation.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,20 @@ class TestModelSize:
         with pytest.raises(ConfigError):
             model_size_bytes(spec, 16)
 
+    def test_counts_match_an_allocated_store(self):
+        """The shape-derived counts equal those of a real zero store."""
+        for name in ("reference", "tiny-yolov3", "explore-proto"):
+            spec = load_bundled_config(name)
+            tensors = [
+                (tname, arr)
+                for params in WeightStore.zeros(spec).params
+                for tname, arr in param_tensors(params)
+            ]
+            weights = [arr.size for tname, arr in tensors if not tname.endswith("bias")]
+            biases = sum(arr.size for tname, arr in tensors if tname.endswith("bias"))
+            assert model_size_bytes(spec, 32) == 4 * (sum(weights) + biases)
+            assert model_size_bytes(spec, 8) == sum(weights) + 4 * biases + 8 * len(weights)
+
     def test_param_free_nodes_cost_nothing(self):
         a = model_size_bytes(parse_network_spec("input 3 8 8\nconv 3 4 1\n"), 32)
         b = model_size_bytes(
@@ -252,6 +268,11 @@ class TestQuantization:
             QuantizedWeights(np.zeros(3, dtype=np.uint8), scale=0.0, zero_point=0)
         with pytest.raises(ConfigError):
             QuantizedWeights(np.zeros(3, dtype=np.uint8), scale=1.0, zero_point=300)
+
+
+    def test_quantized_weights_reject_nan_scale(self):
+        with pytest.raises(ConfigError):
+            QuantizedWeights(np.zeros(3, dtype=np.uint8), scale=float("nan"), zero_point=0)
 
 
 class TestFakeQuantize:
@@ -374,6 +395,34 @@ class TestWeightsFile:
         other = parse_network_spec("input 3 8 8\nconv 3 7 1\n")
         with pytest.raises(WeightFormatError):
             load_weights(path, other)
+
+    @pytest.mark.parametrize(
+        "scale, zero_point",
+        [(float("inf"), 0), (0.0, 0), (3e38, 0), (1.0, -1), (1.0, 256)],
+        ids=["inf-scale", "zero-scale", "overflowing-scale", "zero-point-low", "zero-point-high"],
+    )
+    def test_bad_quantization_fields(self, tmp_path, scale, zero_point):
+        """Scale finite and > 0, zero point in [0, 255], finite dequantized
+        values; a scale of 3e38 passes the first check but overflows."""
+        path = tmp_path / "w8.bin"
+        save_weights(path, self.spec, self.store, bits=8)
+        data = bytearray(path.read_bytes())
+        data[7:15] = struct.pack("<fi", scale, zero_point)
+        path.write_bytes(bytes(data))
+        with pytest.raises(WeightFormatError, match="node 0"):
+            load_weights(path, self.spec)
+
+    def test_non_finite_bias_in_8bit_file(self, tmp_path):
+        """Biases stay f32 in 8-bit files and are checked too."""
+        path = tmp_path / "w8.bin"
+        save_weights(path, self.spec, self.store, bits=8)
+        kernel_bytes = self.store.params[0].kernel.size
+        data = bytearray(path.read_bytes())
+        start = 7 + 8 + kernel_bytes
+        data[start:start + 4] = struct.pack("<f", float("inf"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(WeightFormatError, match="node 0 .* bias"):
+            load_weights(path, self.spec)
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"

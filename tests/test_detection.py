@@ -2,15 +2,19 @@
 
 Decode and NMS get independent scalar re-implementations (plain Python
 loops, math.exp); the mAP examples are enumerated by hand on paper so the
-expected values are literals, not regenerated numbers.
+expected values are literals, not regenerated numbers.  The array-backed
+`nms` is also checked object for object against `nms_scalar`, the pairwise
+scan it replaced, on hypothesis-drawn scenes and on one dense frame.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from compactdet.arch_graph import WeightStore, load_bundled_config
+from compactdet.arch_graph import SCALE_TAGS, WeightStore, execute, load_bundled_config
 from compactdet.detection import (
     Anchor,
     BBox,
@@ -100,6 +104,24 @@ def nms_reference(detections, iou_threshold):
     return kept
 
 
+def nms_scalar(detections, iou_threshold):
+    """The pairwise greedy scan on `iou`, kept as the oracle of `nms`."""
+    ordered = sorted(detections, key=lambda d: -d.score)
+    kept = []
+    for det in ordered:
+        suppressed = any(
+            k.class_id == det.class_id and iou(k.bbox, det.bbox) > iou_threshold for k in kept
+        )
+        if not suppressed:
+            kept.append(det)
+    return kept
+
+
+def assert_same_objects(got, want):
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
 class TestIou:
     def test_hand_cases(self):
         a = BBox(0.5, 0.5, 0.4, 0.4)
@@ -150,6 +172,18 @@ class TestDecode:
                     assert getattr(g.bbox, field) == pytest.approx(
                         getattr(w.bbox, field), abs=1e-9
                     )
+
+    def test_candidates_in_anchor_row_col_order(self):
+        """The single-pass gather emits the scalar decoder's order."""
+        rng = np.random.default_rng(88)
+        for _ in range(50):
+            raw, anchors = self.random_grid(rng)
+            got = decode_predictions(raw, anchors, 0.1)
+            want = decode_reference(raw, anchors, 0.1)
+            assert [d.class_id for d in got] == [d.class_id for d in want]
+            for g, w in zip(got, want):
+                assert (g.bbox.cx, g.bbox.cy) == pytest.approx((w.bbox.cx, w.bbox.cy), abs=1e-9)
+                assert type(g.score) is float and type(g.class_id) is int
 
     def test_zero_logits_decode(self):
         """All-zero grid: center of each cell, anchor-sized box, score 0.25."""
@@ -234,6 +268,97 @@ class TestNms:
             kept = nms(self.random_scene(rng), 0.45)
             scores = [d.score for d in kept]
             assert scores == sorted(scores, reverse=True)
+
+
+# Scene parts for the property test.  Grid values make exact score ties,
+# shared edges and exact IoU boundaries (two 0.2-wide boxes 0.1 apart meet at
+# IoU 1/3) common; sides run from non-positive (IoU 0 with everything) up to
+# the anchor * e^30 boxes that clipped untrained size logits produce.
+GRID = [k / 10 for k in range(-2, 13)]
+CENTERS = st.one_of(st.sampled_from(GRID), st.floats(-1.0, 2.0))
+SIDES = st.one_of(
+    st.sampled_from([0.0, -0.0, -0.2, 0.1, 0.2, 0.4]),
+    st.floats(-1.0, 0.0),
+    st.floats(1e-15, 1e13),
+)
+BOXES = st.builds(BBox, CENTERS, CENTERS, SIDES, SIDES)
+SCORES = st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def nms_scenes(draw):
+    """(detections, threshold): up to 300 boxes over up to 20 classes.
+
+    Boxes are picked from a drawn pool, so duplicates are common.  The
+    threshold is a fixed or free value, or the exact IoU of two drawn boxes.
+    """
+    n_classes = draw(st.integers(1, 20))
+    pool = draw(st.lists(BOXES, min_size=1, max_size=300))
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.integers(0, n_classes - 1), SCORES),
+            max_size=300,
+        )
+    )
+    dets = [Detection(pool[b], class_id, score) for b, class_id, score in picks]
+    threshold = draw(
+        st.one_of(st.sampled_from([-0.1, 0.0, 1 / 3, 0.45, 0.5, 1.0]), st.floats(-0.5, 1.5))
+    )
+    if dets and draw(st.booleans()):
+        a, b = draw(st.tuples(*[st.integers(0, len(dets) - 1)] * 2))
+        threshold = iou(dets[a].bbox, dets[b].bbox)
+    return dets, threshold
+
+
+class TestNmsAgainstScalarScan:
+    """`nms` returns the very objects `nms_scalar` keeps, in the same order.
+
+    Values are finite only: what non-finite boxes, scores or thresholds
+    should do is an open decision (ROADMAP item 5), not a property here.
+    """
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(nms_scenes())
+    def test_same_objects_as_scalar_scan(self, scene):
+        dets, threshold = scene
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = nms(dets, threshold)
+        assert_same_objects(got, nms_scalar(dets, threshold))
+
+    def test_degenerate_and_negative_threshold(self):
+        """Non-positive-area boxes have IoU 0 with everything, themselves
+        included; below 0 that IoU suppresses."""
+        flat = Detection(BBox(0.5, 0.5, 0.0, 0.4), class_id=0, score=0.9)
+        inverted = Detection(BBox(0.5, 0.5, -0.4, 0.4), class_id=0, score=0.85)
+        box = Detection(BBox(0.5, 0.5, 0.4, 0.4), class_id=0, score=0.8)
+        far = Detection(BBox(0.9, 0.9, 0.1, 0.1), class_id=1, score=0.7)
+        scene = [box, far, inverted, flat]
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            assert_same_objects(nms(scene, 0.45), [flat, inverted, box, far])
+            assert_same_objects(nms(scene, -0.1), [flat, far])
+            assert_same_objects(nms([inverted, box], -0.1), [inverted])
+
+    def test_dense_frame(self):
+        """Raw random weights on the reference config saturate every logit:
+        thousands of candidates on one noise frame, in a few big classes."""
+        spec = load_bundled_config("reference")
+        store = WeightStore.random(spec, seed=0)
+        rng = np.random.default_rng(0)
+        image = rng.integers(0, 256, size=(416, 416, 3), dtype=np.uint8)
+        x, _ = letterbox_image(image, spec.input_shape[1:])
+        candidates = [
+            det
+            for tag, grid in zip(SCALE_TAGS, execute(spec, store, x))
+            for det in decode_predictions(grid, spec.anchors[tag])
+        ]
+        assert len(candidates) >= 1000
+        assert_same_objects(nms(candidates, 0.45), nms_scalar(candidates, 0.45))
 
 
 class TestEvaluateMap:
