@@ -27,10 +27,11 @@ exactly three, tagged large/medium/small from coarse to fine.
 
 Every node kind is one `_Kind` record in `_KINDS`, keyed by its op class:
 grammar word and arguments, node-reference fields, explorer slot names,
-shape rule, cost rule, parameter init/shapes/storage order and forward
-step.  Parsing, serialization, shape inference, weight stores, execution,
-cost counting (`complexity`) and design-space expansion (`explorer`) all
-look kinds up in that table instead of testing op classes.
+shape rule, cost rule, parameter shapes, construction and storage order,
+and forward step.  Parsing, serialization, shape inference, weight stores
+and files, execution, cost counting (`complexity`) and design-space
+expansion (`explorer`) all look kinds up in that table instead of testing
+op classes.
 """
 
 from __future__ import annotations
@@ -251,27 +252,6 @@ def _per_output_cost(op, in_shape, out_shape, linear) -> NodeCost:
     return NodeCost(0, out_shape[0] * out_shape[1] * out_shape[2], 0)
 
 
-def _conv_init(op, in_channels: int, rng) -> ConvWeights:
-    kernel_shape = (op.out_channels, in_channels, op.kernel, op.kernel)
-    if rng is None:
-        kernel = np.zeros(kernel_shape, dtype=np.float32)
-    else:
-        fan_in = in_channels * op.kernel * op.kernel
-        kernel = (rng.standard_normal(kernel_shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
-    bias = np.zeros(op.out_channels, dtype=np.float32)
-    return ConvWeights(kernel=kernel, bias=bias, stride=op.stride, padding=op.padding)
-
-
-def _ep_param_shapes(op, c_in: int) -> tuple:
-    e, out = op.expansion_channels, op.out_channels
-    return ((e, c_in, 1, 1), (e,), (e, 1, 3, 3), (e,), (out, e, 1, 1), (out,))
-
-
-def _fca_param_shapes(op, c: int) -> tuple:
-    width = fca_bottleneck_width(c, op.reduction_ratio)
-    return ((width, c), (width,), (c, width), (c,))
-
-
 def _conv_forward(op, x, params, outputs, linear):
     y = conv2d(x, params)
     return y if linear else leaky_relu(y)
@@ -295,9 +275,10 @@ class _Kind:
     refs: tuple = ()  # fields naming earlier nodes, besides the input
     slots: dict = field(default_factory=dict)  # explorer slot spelling -> field
     params: type = type(None)  # parameter object class
-    init: Optional[Callable] = None  # (op, in_channels, rng) -> params, zeros when rng is None
     param_shapes: Callable = lambda op, c_in: ()  # (op, in_channels) -> shapes in `tensors` order
+    build: Callable = lambda op, tensors: None  # (op, tensors in `tensors` order) -> params
     tensors: tuple = ()  # (stored name, attribute path) in storage order
+    draws_biases: bool = False  # random init draws biases too (else zeros)
 
 
 _KINDS = {
@@ -312,8 +293,8 @@ _KINDS = {
             forward=_conv_forward,
             slots={"out": "out_channels"},
             params=ConvWeights,
-            init=_conv_init,
             param_shapes=lambda op, c: ((op.out_channels, c, op.kernel, op.kernel), (op.out_channels,)),
+            build=lambda op, t: ConvWeights(t[0], t[1], stride=op.stride, padding=op.padding),
             tensors=(("kernel", "kernel"), ("bias", "bias")),
         ),
         _Kind(
@@ -323,14 +304,13 @@ _KINDS = {
             forward=lambda op, x, params, outputs, linear: nn_modules.pep_forward(x, op, params),
             slots={"proj1": "proj1_channels", "expansion": "expansion_channels", "out": "out_channels"},
             params=nn_modules.PepParams,
-            init=lambda op, c, rng: nn_modules.init_pep_params(op, c, rng),
-            param_shapes=lambda op, c: (
-                (op.proj1_channels, c, 1, 1), (op.proj1_channels,)
-            ) + _ep_param_shapes(op, op.proj1_channels),
+            param_shapes=lambda op, c: nn_modules.pep_param_shapes(op, c),
+            build=lambda op, tensors: nn_modules.build_pep_params(op, tensors),
             tensors=_conv_tensors(
                 ("proj1", "project_in"), ("expand", "expand"), ("depthwise", "depthwise"),
                 ("proj2", "project_out"),
             ),
+            draws_biases=True,
         ),
         _Kind(
             EpConfig, "ep", ("expansion", "out_channels", "stride"),
@@ -339,9 +319,10 @@ _KINDS = {
             forward=lambda op, x, params, outputs, linear: nn_modules.ep_forward(x, op, params),
             slots={"expansion": "expansion_channels", "out": "out_channels"},
             params=nn_modules.EpParams,
-            init=lambda op, c, rng: nn_modules.init_ep_params(op, c, rng),
-            param_shapes=_ep_param_shapes,
+            param_shapes=lambda op, c: nn_modules.ep_param_shapes(op, c),
+            build=lambda op, tensors: nn_modules.build_ep_params(op, tensors),
             tensors=_conv_tensors(("expand", "expand"), ("depthwise", "depthwise"), ("project", "project")),
+            draws_biases=True,
         ),
         _Kind(
             FcaConfig, "fca", ("reduction",),
@@ -350,8 +331,8 @@ _KINDS = {
             forward=lambda op, x, params, outputs, linear: nn_modules.fca_forward(x, op, params),
             slots={"reduction": "reduction_ratio"},
             params=nn_modules.FcaParams,
-            init=lambda op, c, rng: nn_modules.init_fca_params(op, c, rng),
-            param_shapes=_fca_param_shapes,
+            param_shapes=lambda op, c: nn_modules.fca_param_shapes(op, c),
+            build=lambda op, tensors: nn_modules.FcaParams(*tensors),
             tensors=(
                 ("dense1.weight", "reduce_weight"), ("dense1.bias", "reduce_bias"),
                 ("dense2.weight", "restore_weight"), ("dense2.bias", "restore_bias"),
@@ -669,11 +650,14 @@ class WeightStore:
 
     @classmethod
     def _init(cls, spec: NetworkSpec, rng) -> "WeightStore":
+        """Draw each node's tensors from its kind's shapes, then build it."""
         table = infer_shapes(spec)
         params = []
         for node in spec.nodes:
-            init = _KINDS[type(node.op)].init
-            params.append(init(node.op, table.of(node.input_id)[0], rng) if init else None)
+            kind = _KINDS[type(node.op)]
+            shapes = kind.param_shapes(node.op, table.of(node.input_id)[0])
+            tensors = nn_modules.draw_tensors(shapes, rng, kind.draws_biases)
+            params.append(kind.build(node.op, tensors))
         return cls(params)
 
     def validate_against(self, spec: NetworkSpec):

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: describe, detect, quantize, explore, bench.  Exit codes:
-0 success, 2 config/parse problems, 3 I/O or file-format problems,
-4 exploration found no feasible candidate.
+0 success, 2 config/parse problems, 3 I/O or file-format problems (and
+weights whose network output is not finite), 4 exploration found no
+feasible candidate.
 
 Images come in as binary PPM (P6, 8-bit RGB, maxval 255); reports are
 plain text with stable columns, detections use the interchange line format
@@ -23,7 +24,7 @@ import numpy as np
 from . import arch_graph, complexity, detection, explorer
 from .arch_graph import ParseError, ShapeError
 from .complexity import WeightFormatError
-from .detection import DetectionFormatError
+from .detection import DetectionFormatError, NonFiniteOutputError
 from .tensor_core import ConfigError
 
 EXIT_OK = 0
@@ -158,9 +159,9 @@ def cmd_quantize(args) -> int:
 
     worst_err = 0.0
     worst_bound = 0.0
-    for params in store.params:
-        for name, arr in arch_graph.param_tensors(params):
-            if name.endswith("bias"):
+    for node, entries in complexity._layout(spec, 8):
+        for (_, _, as_f32), (_, arr) in zip(entries, arch_graph.param_tensors(store.params[node.id])):
+            if as_f32:
                 continue
             q = complexity.quantize_tensor(arr)
             err = float(np.abs(complexity.dequantize_tensor(q) - arr).max()) if arr.size else 0.0
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
     except (ParseError, ShapeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (WeightFormatError, PpmError, DetectionFormatError) as exc:
+    except (WeightFormatError, PpmError, DetectionFormatError, NonFiniteOutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

@@ -99,23 +99,23 @@ def count_network(spec: NetworkSpec) -> OpsReport:
     return OpsReport(rows)
 
 
-def _tensor_counts(spec: NetworkSpec) -> tuple:
-    """(weight elements, bias elements, quantized tensor count) for a spec.
+def _layout(spec: NetworkSpec, bits: int) -> list:
+    """The weights-file layout of spec: per node, (node, entries), where each
+    entry is (stored name, shape, stored as f32) in storage order.
 
-    Counted from each kind's parameter shapes; nothing is allocated.
+    Shapes come from each kind's parameter shapes; nothing is allocated.
+    Biases always stay f32; other tensors take `bits` bits per element.
     """
     table = infer_shapes(spec)
-    weights = biases = tensors = 0
+    layout = []
     for node in spec.nodes:
         kind = _KINDS[type(node.op)]
         shapes = kind.param_shapes(node.op, table.of(node.input_id)[0])
-        for (name, _), shape in zip(kind.tensors, shapes):
-            if name.endswith("bias"):
-                biases += math.prod(shape)
-            else:
-                weights += math.prod(shape)
-                tensors += 1
-    return weights, biases, tensors
+        layout.append((node, [
+            (name, shape, bits == 32 or name.endswith("bias"))
+            for (name, _), shape in zip(kind.tensors, shapes)
+        ]))
+    return layout
 
 
 def model_size_bytes(spec: NetworkSpec, bits_per_weight: int = 8) -> int:
@@ -127,11 +127,11 @@ def model_size_bytes(spec: NetworkSpec, bits_per_weight: int = 8) -> int:
     """
     if bits_per_weight not in (8, 32):
         raise ConfigError(f"storable precisions are 8 and 32 bits, got {bits_per_weight}")
-    weights, biases, tensors = _tensor_counts(spec)
-    size = weights * bits_per_weight // 8 + biases * 4
-    if bits_per_weight == 8:
-        size += tensors * 8
-    return size
+    return sum(
+        4 * math.prod(shape) if as_f32 else math.prod(shape) + 8
+        for _, entries in _layout(spec, bits_per_weight)
+        for _, shape, as_f32 in entries
+    )
 
 
 @dataclass
@@ -172,9 +172,11 @@ def quantize_tensor(w: np.ndarray) -> QuantizedWeights:
 
 
 def dequantize_tensor(q: QuantizedWeights) -> np.ndarray:
-    return (np.float32(q.scale) * (q.values.astype(np.float32) - np.float32(q.zero_point))).astype(
-        np.float32
-    )
+    """scale * (q - zero_point) in float32, computed in one new array."""
+    real = q.values.astype(np.float32)
+    real -= np.float32(q.zero_point)
+    real *= np.float32(q.scale)
+    return real
 
 
 def fake_quantize(w: np.ndarray, bits: int) -> np.ndarray:
@@ -202,15 +204,13 @@ def check_constraints(total_ops: int, map_proxy: float, constraints: ConstraintS
     return True
 
 
-def _write_array_f32(fh: BinaryIO, arr: np.ndarray):
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_exact(fh: BinaryIO, count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise WeightFormatError(f"truncated weights file: wanted {count} bytes, got {len(data)}")
-    return data
+def _read_into(fh: BinaryIO, buf):
+    """Fill buf (a bytearray or array) from the file, straight from its bytes."""
+    view = memoryview(buf).cast("B")
+    got = fh.readinto(view)
+    if got != len(view):
+        raise WeightFormatError(f"truncated weights file: wanted {len(view)} bytes, got {got}")
+    return buf
 
 
 def save_weights(path, spec: NetworkSpec, store: WeightStore, bits: int = 32):
@@ -226,10 +226,10 @@ def save_weights(path, spec: NetworkSpec, store: WeightStore, bits: int = 32):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HB", FORMAT_VERSION, bits))
-        for params in store.params:
-            for name, arr in param_tensors(params):
-                if bits == 32 or name.endswith("bias"):
-                    _write_array_f32(fh, arr)
+        for node, entries in _layout(spec, bits):
+            for (_, _, as_f32), (_, arr) in zip(entries, param_tensors(store.params[node.id])):
+                if as_f32:
+                    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
                 else:
                     q = quantize_tensor(arr)
                     fh.write(struct.pack("<fi", q.scale, q.zero_point))
@@ -239,45 +239,44 @@ def save_weights(path, spec: NetworkSpec, store: WeightStore, bits: int = 32):
 def load_weights(path, spec: NetworkSpec) -> tuple:
     """Read a weights file for spec; returns (WeightStore, bits).
 
-    8-bit payloads are dequantized to float32 on load; execution always
-    runs in 32-bit arithmetic.  A file is refused (WeightFormatError) unless
-    every 8-bit scale is positive with its zero point in [0, 255], and
-    every tensor it yields is finite, which also rules out infinite scales
-    and scales whose 255-fold overflows.
+    Each tensor is read from the file into its own float32 array; 8-bit
+    payloads are dequantized on load, and execution always runs in 32-bit
+    arithmetic.  A file is refused (WeightFormatError) unless every 8-bit
+    scale is positive with its zero point in [0, 255], and every tensor it
+    yields is finite, which also rules out infinite scales and scales whose
+    255-fold overflows.
     """
-    store = WeightStore.zeros(spec)
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise WeightFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version, bits = struct.unpack("<HB", _read_exact(fh, 3))
+        version, bits = struct.unpack("<HB", _read_into(fh, bytearray(3)))
         if version != FORMAT_VERSION:
             raise WeightFormatError(f"unsupported format version {version}")
         if bits not in (8, 32):
             raise WeightFormatError(f"unsupported precision flag {bits}")
-        for node, params in zip(spec.nodes, store.params):
-            for name, arr in param_tensors(params):
+        params = []
+        for node, entries in _layout(spec, bits):
+            tensors = []
+            for name, shape, as_f32 in entries:
                 where = f"node {node.id} ({node.kind}) tensor {name}"
-                if bits == 32 or name.endswith("bias"):
-                    data = _read_exact(fh, arr.size * 4)
-                    arr[...] = np.frombuffer(data, dtype="<f4").reshape(arr.shape)
+                if as_f32:
+                    arr = _read_into(fh, np.empty(shape, dtype="<f4"))
                 else:
-                    scale, zero_point = struct.unpack("<fi", _read_exact(fh, 8))
-                    data = _read_exact(fh, arr.size)
+                    scale, zero_point = struct.unpack("<fi", _read_into(fh, bytearray(8)))
+                    values = _read_into(fh, np.empty(shape, dtype=np.uint8))
                     try:
-                        q = QuantizedWeights(
-                            values=np.frombuffer(data, dtype=np.uint8).reshape(arr.shape),
-                            scale=scale,
-                            zero_point=zero_point,
-                        )
+                        q = QuantizedWeights(values=values, scale=scale, zero_point=zero_point)
                     except ConfigError as exc:
                         raise WeightFormatError(f"{where}: {exc}") from None
                     # An infinite or huge scale gives inf/NaN here; refused below.
                     with np.errstate(over="ignore", invalid="ignore"):
-                        arr[...] = dequantize_tensor(q)
+                        arr = dequantize_tensor(q)
                 if not np.isfinite(arr).all():
                     raise WeightFormatError(f"{where}: non-finite values")
+                tensors.append(arr)
+            params.append(_KINDS[type(node.op)].build(node.op, tensors))
         trailing = fh.read(1)
         if trailing:
             raise WeightFormatError("trailing bytes after final tensor")
-    return store, bits
+    return WeightStore(params), bits

@@ -19,7 +19,7 @@ classes that have at least one ground truth box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -46,6 +46,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 class DetectionFormatError(ValueError):
     """A detection/ground-truth interchange line is malformed."""
+
+
+class NonFiniteOutputError(ValueError):
+    """The network gave a non-finite prediction value: finite weights can
+    still overflow float32 on the way through it."""
 
 
 @dataclass(frozen=True)
@@ -186,10 +191,18 @@ def detect(
     conf_threshold: float = DEFAULT_CONF_THRESHOLD,
     nms_iou: float = DEFAULT_NMS_IOU,
 ) -> list:
-    """Full pipeline on a preprocessed input tensor: execute, decode, NMS."""
+    """Full pipeline on a preprocessed input tensor: execute, decode, NMS.
+
+    Raises NonFiniteOutputError when a prediction grid holds NaN or inf,
+    so no score reaches decode or NMS undefined.
+    """
     grids = execute(spec, weights, image)
     candidates: list = []
     for tag, grid in zip(SCALE_TAGS, grids):
+        if not np.isfinite(grid).all():
+            raise NonFiniteOutputError(
+                f"the {tag} prediction grid has non-finite values (these weights overflow float32)"
+            )
         if tag not in spec.anchors:
             raise ConfigError(f"spec has no anchors for scale {tag!r}")
         candidates.extend(decode_predictions(grid, spec.anchors[tag], conf_threshold))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -98,20 +98,13 @@ class DesignSpace:
         for combo in itertools.product(*(slot.values for slot in self.slots)):
             yield combo
 
-    def assignment(self, point: tuple) -> dict:
-        return {slot.name: value for slot, value in zip(self.slots, point)}
-
     def base_point(self) -> tuple:
         """The point whose expansion equals the prototype itself."""
         values = []
         current = self.proto.mutable_fields()
         for slot in self.slots:
-            if slot.kind == "field":
-                base = current[(slot.node_id, slot.field)]
-            elif slot.kind == "present":
-                base = 1
-            else:
-                base = 1
+            # Present and repeat slots keep the node once.
+            base = current[(slot.node_id, slot.field)] if slot.kind == "field" else 1
             values.append(base if base in slot.values else slot.values[0])
         return tuple(values)
 
@@ -383,26 +376,17 @@ class ExploreResult:
         return self.best is not None
 
 
-@dataclass
-class Generator:
-    """Seeded categorical sampler over a design space."""
+def sample_point(seed: int, generation: int, space: DesignSpace) -> tuple:
+    """Draw every slot uniformly from a stream fixed by (seed, generation).
 
-    weights: dict = field(default_factory=dict)  # slot name -> tuple of weights
-    generation: int = 0
-
-    def probabilities(self, slot: Slot) -> np.ndarray:
-        w = np.asarray(self.weights.get(slot.name, [1.0] * len(slot.values)), dtype=np.float64)
-        if len(w) != len(slot.values) or (w <= 0).any():
-            raise ConfigError(f"bad weights for slot {slot.name!r}")
-        return w / w.sum()
-
-
-def sample_point(g: Generator, seed: int, space: DesignSpace) -> tuple:
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, g.generation])
+    The explicit uniform p keeps the stream of `choice` with p (a cdf
+    search), not the one it takes without p.
+    """
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, generation])
     values = []
     for slot in space.slots:
-        idx = int(rng.choice(len(slot.values), p=g.probabilities(slot)))
-        values.append(slot.values[idx])
+        n = len(slot.values)
+        values.append(slot.values[int(rng.choice(n, p=np.full(n, 1.0 / n)))])
     return tuple(values)
 
 
@@ -449,7 +433,6 @@ def explore(
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(seed)
-    g = Generator()
     size = space.size()
     seen: dict = {}  # point -> (Candidate, feasible)
     history: list = []
@@ -491,7 +474,7 @@ def explore(
             if produced >= population:
                 break
             if not parents or attempt % 4 == 3:
-                point = sample_point(g, int(rng.integers(1 << 32)), space)
+                point = sample_point(int(rng.integers(1 << 32)), gen, space)
             else:
                 parent = parents[int(rng.integers(len(parents)))]
                 point = _mutate(parent, space, rng)
@@ -500,7 +483,6 @@ def explore(
                     exhausted = True
                     break
                 produced += 1
-        g.generation += 1
         gen += 1
         if exhausted:
             break

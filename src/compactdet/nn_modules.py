@@ -16,6 +16,7 @@ output is bit-identical to applying the individual kernels by hand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -125,58 +126,74 @@ class FcaParams:
 ModuleParams = Union[PepParams, EpParams, FcaParams, ConvWeights]
 
 
-def _pointwise(c_in: int, c_out: int, rng=None) -> ConvWeights:
-    kernel = _draw(rng, (c_out, c_in, 1, 1))
-    return ConvWeights(kernel=kernel, bias=_draw(rng, (c_out,)), stride=1, padding=0)
+def draw_tensors(shapes, rng, biases: bool = True) -> list:
+    """One float32 tensor per shape, in order; all zeros without an rng.
+
+    With one, He-style fan-in scaling keeps activations in a sane range at
+    any width: a weight is standard_normal(shape) * sqrt(2 / prod(shape[1:])).
+    1-D shapes are biases, drawn with fan-in equal to their length when
+    `biases` is set and left at zero (drawing nothing) otherwise.
+    """
+    out = []
+    for shape in shapes:
+        if rng is None or (len(shape) == 1 and not biases):
+            out.append(np.zeros(shape, dtype=DTYPE))
+        else:
+            fan_in = math.prod(shape[1:]) if len(shape) > 1 else shape[0]
+            out.append((rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(DTYPE))
+    return out
 
 
-def _depthwise(channels: int, stride: int, rng=None) -> ConvWeights:
-    kernel = _draw(rng, (channels, 1, 3, 3))
-    return ConvWeights(
-        kernel=kernel, bias=_draw(rng, (channels,)), stride=stride, padding=1, groups=channels
+def _pointwise(kernel, bias) -> ConvWeights:
+    return ConvWeights(kernel=kernel, bias=bias, stride=1, padding=0)
+
+
+def _depthwise(kernel, bias, stride: int) -> ConvWeights:
+    return ConvWeights(kernel=kernel, bias=bias, stride=stride, padding=1, groups=kernel.shape[0])
+
+
+def ep_param_shapes(cfg: Union[PepConfig, EpConfig], in_channels: int) -> tuple:
+    """Expand, depthwise and project kernels, each followed by its bias."""
+    e, out = cfg.expansion_channels, cfg.out_channels
+    return ((e, in_channels, 1, 1), (e,), (e, 1, 3, 3), (e,), (out, e, 1, 1), (out,))
+
+
+def pep_param_shapes(cfg: PepConfig, in_channels: int) -> tuple:
+    """The first projection's kernel and bias, then the EP tail's tensors."""
+    p = cfg.proj1_channels
+    return ((p, in_channels, 1, 1), (p,)) + ep_param_shapes(cfg, p)
+
+
+def fca_param_shapes(cfg: FcaConfig, channels: int) -> tuple:
+    width = fca_bottleneck_width(channels, cfg.reduction_ratio)
+    return ((width, channels), (width,), (channels, width), (channels,))
+
+
+def build_pep_params(cfg: PepConfig, tensors) -> PepParams:
+    """Wrap tensors in pep_param_shapes order."""
+    pk, pb, ek, eb, dk, db, ok, ob = tensors
+    return PepParams(
+        _pointwise(pk, pb), _pointwise(ek, eb), _depthwise(dk, db, cfg.stride), _pointwise(ok, ob)
     )
 
 
-def _draw(rng, shape) -> np.ndarray:
-    if rng is None:
-        return np.zeros(shape, dtype=DTYPE)
-    # He-style fan-in scaling keeps activations in a sane range at any width.
-    fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else int(shape[0])
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / max(fan_in, 1))).astype(DTYPE)
+def build_ep_params(cfg: EpConfig, tensors) -> EpParams:
+    """Wrap tensors in ep_param_shapes order."""
+    ek, eb, dk, db, pk, pb = tensors
+    return EpParams(_pointwise(ek, eb), _depthwise(dk, db, cfg.stride), _pointwise(pk, pb))
 
 
 def init_pep_params(cfg: PepConfig, in_channels: int, rng=None) -> PepParams:
     """Zero parameters by default, He-scaled gaussians when an rng is given."""
-    return PepParams(
-        project_in=_pointwise(in_channels, cfg.proj1_channels, rng),
-        expand=_pointwise(cfg.proj1_channels, cfg.expansion_channels, rng),
-        depthwise=_depthwise(cfg.expansion_channels, cfg.stride, rng),
-        project_out=_pointwise(cfg.expansion_channels, cfg.out_channels, rng),
-    )
+    return build_pep_params(cfg, draw_tensors(pep_param_shapes(cfg, in_channels), rng))
 
 
 def init_ep_params(cfg: EpConfig, in_channels: int, rng=None) -> EpParams:
-    return EpParams(
-        expand=_pointwise(in_channels, cfg.expansion_channels, rng),
-        depthwise=_depthwise(cfg.expansion_channels, cfg.stride, rng),
-        project=_pointwise(cfg.expansion_channels, cfg.out_channels, rng),
-    )
+    return build_ep_params(cfg, draw_tensors(ep_param_shapes(cfg, in_channels), rng))
 
 
 def init_fca_params(cfg: FcaConfig, channels: int, rng=None) -> FcaParams:
-    width = fca_bottleneck_width(channels, cfg.reduction_ratio)
-    if rng is None:
-        rw = np.zeros((width, channels), dtype=DTYPE)
-        sw = np.zeros((channels, width), dtype=DTYPE)
-    else:
-        rw = (rng.standard_normal((width, channels)) * np.sqrt(2.0 / channels)).astype(DTYPE)
-        sw = (rng.standard_normal((channels, width)) * np.sqrt(2.0 / width)).astype(DTYPE)
-    return FcaParams(
-        reduce_weight=rw,
-        reduce_bias=np.zeros(width, dtype=DTYPE),
-        restore_weight=sw,
-        restore_bias=np.zeros(channels, dtype=DTYPE),
-    )
+    return FcaParams(*draw_tensors(fca_param_shapes(cfg, channels), rng, biases=False))
 
 
 def _check_pointwise(name: str, w: ConvWeights, c_in: int, c_out: int):

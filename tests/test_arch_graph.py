@@ -4,6 +4,9 @@ Shape expectations are hand-derived from the layer formulas; executor
 tests run the small bundled prototype so the whole file stays fast.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,14 @@ from compactdet.arch_graph import (
     parse_network_spec,
     serialize_network_spec,
 )
-from compactdet.nn_modules import EpConfig, PepConfig
+from compactdet.nn_modules import (
+    EpConfig,
+    FcaConfig,
+    PepConfig,
+    init_ep_params,
+    init_fca_params,
+    init_pep_params,
+)
 from compactdet.tensor_core import ConfigError
 
 MINI = """\
@@ -279,6 +289,114 @@ class TestWeightStore:
             "dense1.weight", "dense1.bias", "dense2.weight", "dense2.bias",
         ]
         assert [n for n, _ in param_tensors(store.params[3])] == ["kernel", "bias"]
+
+
+def _feed(h, obj):
+    if isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif dataclasses.is_dataclass(obj):
+        h.update(type(obj).__name__.encode())
+        for f in dataclasses.fields(obj):
+            h.update(f.name.encode())
+            _feed(h, getattr(obj, f.name))
+    else:
+        h.update(repr(obj).encode())
+
+
+def params_digest(*params) -> str:
+    """sha256 over parameter objects: class and field names, each array's
+    dtype, shape and bytes, and the repr of every other field (stride,
+    padding, groups), so a change to draw order, fan-in scaling, dtype or
+    conv settings shows."""
+    h = hashlib.sha256()
+    for obj in params:
+        _feed(h, obj)
+    return h.hexdigest()
+
+
+# Digests of WeightStore.zeros and WeightStore.random at seeds 0, 1, 2.
+STORE_DIGESTS = {
+    "reference": (
+        "61a2b4c477e93ca2e7a26fc34667f8b90ebbbb9510589abfa0dea332f808cf97",
+        "82a7d42533ad257eef0f19797175a66a8968a773b5efea3a16b87a243260cd8c",
+        "d68146dd30e1934dd8c7ebead89714aeb667e9d6a32e3503449e63a05977fef8",
+        "53f9cde671a986a39b1b04da338321ec61ace70e6e08ecf0ae39efad98c90432",
+    ),
+    "tiny-yolov3": (
+        "93b843758a3356d73acf7383c38809dc2917ee60cae318a40c11aac0c86628e0",
+        "7e2787da0a22414cf803bc50f7468f78f07f2e4cc4d6d4ca4f38c086afad3065",
+        "051f01afbbe92daa6c2275f15973b63e33961b225b036dd580a14dc9fe83eb27",
+        "caff798987624c536187b27d59ee357ecd75af3a0e104e44ffcd71b2da762978",
+    ),
+    "explore-proto": (
+        "d568dbf1211d1481a676037ab881fe51399e7b3374f60b57c13bbba414dd3af0",
+        "f524ef8806b64fd43cf95fbb620020967a2ce249bc227c3a06a00d00405dd5d7",
+        "940f508de87374442c8f398ee60870c659830df53c355a30911a1c3e24957fef",
+        "838995ad7540e23081fd86ddbe5554fdc80f22a01e083f9d5d984d45287fa733",
+    ),
+}
+
+# Digests of init_*_params(cfg, channels) without an rng, then with
+# default_rng(0), (1) and (2).
+MODULE_DIGESTS = [
+    (init_pep_params, PepConfig(3, 7, 9, 2), 5, (
+        "95e3575229072f56247a91b6df33454993da05e8070177d18dfea01674adaa20",
+        "5538f0568bc4cb4d2506b8837ecf44d95ca08a4652752f7cb6dcc2f49f2ecbe1",
+        "59b72368a2c0b98813c99f8beb37e26ca0f7981e9680ef638718c1c19fa3548d",
+        "b94c549e063d85bbd4a96abe48b40c9dfe07ff600c9144eb4d64a49cd7d4a274",
+    )),
+    (init_pep_params, PepConfig(4, 4, 4, 1), 4, (
+        "5a48c1f6ce15c4e300cc4d483664bcefdf9f96399efbb873f479aba41bc69367",
+        "ae9f93f9648f1b2d91f25422dd2f5dc88d6e78fa81add50083180404a7e8d117",
+        "26efae4b8de979e75c8a62bc47040ed7d172952bbb0d120ffa4c6d2c22503b5c",
+        "bf6ffb07bc87fe2c36092454879656418f1bf935c42bc84173c80718a04217d1",
+    )),
+    (init_ep_params, EpConfig(8, 5, 2), 6, (
+        "3b59ecbab3e41beb5dc2ec05208359a971407338ed0ef8cccfcd469ad0226750",
+        "8200ee7d8e3fc18b9e7dfb29d75bd02c65566672b39d0f9dfabc0304be1e327a",
+        "2010192d3d90b87e77c7254be08d808527615c8a2e1037cdf0f51b8a798dba8b",
+        "54650ab89a523971a3e4fbf20d566b7f6534c442356b0306dad8a185e306bb39",
+    )),
+    (init_ep_params, EpConfig(3, 3, 1), 3, (
+        "2cfd1a0fcb0f854497c6ef80401355979581953c777257daabc9a3b79bbcdf5e",
+        "53a3ffd97921c4c179e98137197797c2e5f63e6cc35db0e5eb65708174b3f8ab",
+        "1f161d8bc28329275833b67b62f1ca3f20e5fdf5fd15dfd98c2a43bc3ef0dd3b",
+        "5fb440849037513d77fead01f2dfcd1841ab969b1926723aa5ead5c9d64912fe",
+    )),
+    (init_fca_params, FcaConfig(2), 6, (
+        "1c19cf29251801dc2999de28884e5cf950fe836d225aa18c04248862d1828c61",
+        "75a769b26b56964b676cb9fc8dc49878bf46c7fd319e07ef6ac567813c002c19",
+        "5dd2d4d7a9b6f9bb863f4d1a6f322c8b903e097af045702343183538de951805",
+        "e7f80642ffa9313343c5ea0ad25b36e7a538fac7837ddbfa742de4b46283bd20",
+    )),
+    (init_fca_params, FcaConfig(8), 20, (
+        "a5f103070d5af925310030cc7f998d257028b384cd9e32e529fa6d80b5900ce5",
+        "55a3a1db1d93116e5089e9ca1c91c22299250f7687892c23300373d089024c39",
+        "b4847bc1018bdf1cc16d9cb59467c01e4ff6c3d033f29795b2f029aa12ad87ab",
+        "3d0523735b305c5866aa8abf6b58fd5ac45f9077e415b8760c7c2d2b0f609e89",
+    )),
+]
+
+
+class TestParameterDigests:
+    """Pinned streams: every store and block is drawn tensor by tensor from
+    its kind's shapes, in storage order, with the same values as ever."""
+
+    @pytest.mark.parametrize("name", list(STORE_DIGESTS))
+    def test_weight_stores(self, name):
+        spec = load_bundled_config(name)
+        stores = [WeightStore.zeros(spec)] + [WeightStore.random(spec, seed=s) for s in range(3)]
+        assert tuple(params_digest(*store.params) for store in stores) == STORE_DIGESTS[name]
+
+    @pytest.mark.parametrize(
+        "init, cfg, channels, digests",
+        MODULE_DIGESTS,
+        ids=["pep-stride2", "pep-residual", "ep-stride2", "ep-residual", "fca-6", "fca-20"],
+    )
+    def test_module_params(self, init, cfg, channels, digests):
+        rngs = [None] + [np.random.default_rng(s) for s in range(3)]
+        assert tuple(params_digest(init(cfg, channels, rng)) for rng in rngs) == digests
 
 
 class TestExecute:

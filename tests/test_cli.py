@@ -239,6 +239,27 @@ class TestDetect:
         assert captured.out == ""
         assert "node 0" in captured.err
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_overflowing_weights_exit_3(self, head_setup, tmp_path, capsys, to_file):
+        """Finite weights whose forward pass overflows float32: exit 3 naming
+        the grid, nothing on stdout and no detections file."""
+        cfg, _, image = head_setup
+        spec = parse_network_spec(cfg.read_text())
+        store = WeightStore.random(spec, seed=0)
+        for node in (0, 1):
+            store.params[node].kernel *= np.float32(1e36)
+        weights = tmp_path / "huge.w"
+        save_weights(weights, spec, store, bits=32)
+        out = tmp_path / "dets.txt"
+        argv = ["detect", "--config", str(cfg), "--weights", str(weights), "--image", str(image)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(argv + (["--out", str(out)] if to_file else []))
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert "large prediction grid has non-finite values" in captured.err
+        assert not out.exists()
+
     def test_bad_image_exit_3(self, head_setup, tmp_path, capsys):
         cfg, weights, _ = head_setup
         bad = tmp_path / "bad.ppm"

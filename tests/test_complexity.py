@@ -6,10 +6,16 @@ biases) and written down as a literal, so a regression in the counting
 code cannot hide behind a regenerated expectation.
 """
 
+import functools
+import hashlib
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from compactdet.arch_graph import (
     WeightStore,
@@ -31,7 +37,7 @@ from compactdet.complexity import (
     quantize_tensor,
     save_weights,
 )
-from compactdet.tensor_core import ConfigError
+from compactdet.tensor_core import ConfigError, ConvWeights
 
 
 def report_for(text):
@@ -322,6 +328,13 @@ class TestConstraints:
         assert check_constraints(10**12, float("nan"), ConstraintSet())
 
 
+def conv_settings(params) -> list:
+    convs = [params] if isinstance(params, ConvWeights) else [
+        v for v in vars(params).values() if isinstance(v, ConvWeights)
+    ]
+    return [(c.stride, c.padding, c.groups) for c in convs]
+
+
 class TestWeightsFile:
     def setup_method(self):
         self.spec = parse_network_spec(
@@ -424,8 +437,126 @@ class TestWeightsFile:
         with pytest.raises(WeightFormatError, match="node 0 .* bias"):
             load_weights(path, self.spec)
 
+    @pytest.mark.parametrize("bits", [8, 32])
+    def test_loads_writable_float32_arrays(self, tmp_path, bits):
+        """Each loaded tensor is its own aligned, writable float32 array, and
+        every node is built with the saved store's conv settings."""
+        path = tmp_path / "w.bin"
+        save_weights(path, self.spec, self.store, bits=bits)
+        loaded, _ = load_weights(path, self.spec)
+        loaded.validate_against(self.spec)
+        for saved, got in zip(self.store.params, loaded.params):
+            assert type(got) is type(saved)
+            for (name, want), (_, arr) in zip(param_tensors(saved), param_tensors(got)):
+                assert arr.dtype == np.float32
+                assert arr.flags.writeable and arr.flags.aligned and arr.flags.owndata
+                if bits == 32 or name.endswith("bias"):
+                    np.testing.assert_array_equal(arr, want)
+            assert conv_settings(got) == conv_settings(saved)
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         save_weights(a, self.spec, self.store, bits=8)
         save_weights(b, self.spec, self.store, bits=8)
         assert a.read_bytes() == b.read_bytes()
+
+
+def tensors_digest(store) -> str:
+    h = hashlib.sha256()
+    for params in store.params:
+        for _, arr in param_tensors(params):
+            assert arr.dtype.str == "<f4"
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the save_weights bytes of WeightStore.random(seed=0) and of the
+# tensors load_weights reads back, at 8 then 32 bits.
+FILE_DIGESTS = {
+    "reference": (
+        "1f30436c3f1c487182a9b946611b2e24da42fa83a58b963dd13f77a2e9fa334d",
+        "372845a487990ef90a08d477355f93de669ffc578332fc6027ba189549905004",
+        "0e8e7bd5147689bb5d0f6e882dbeab54159251978f770d4a5ea959db67fe67cf",
+        "16f818ede3730641c61b7867078de30740a4bec68934b507be5cfe7270ca2e68",
+    ),
+    "tiny-yolov3": (
+        "35407d07193323810b120accd9d9d09ee5a4f22373d6b2900f360bd36f71a9d3",
+        "03d5ec32a81d941ba4dee71102a80d9f0a3c464971cd9b1dfa9b33ec148ab18f",
+        "588e097ce6f0614ac6b1608f7e057203394960b255ffc4fa3aeb0e29e88a6d9e",
+        "59d66a05239e93d73c1d7c77be9d64f6494378d181d8e6a5a6d881b9720d4b30",
+    ),
+    "explore-proto": (
+        "51f9b96b18e6791b6a9350459bb9279878baf6996e8d3c5244de3a4b7d4861d8",
+        "795bc58f0adfafd86c30c7c7fff4b6776544e14ca94953295fe499e336cec9de",
+        "e7617071d8b704f3d34376d93773f77c13260ebbf65e8fd4850ef739116f98a6",
+        "ebbd74fc11e48bb277419c07f9d14b83c4ad254d9b0331791f0481f1d1cf98c6",
+    ),
+}
+
+
+class TestWeightsFileDigests:
+    @pytest.mark.parametrize("name", list(FILE_DIGESTS))
+    def test_saved_bytes_and_loaded_tensors(self, tmp_path, name):
+        spec = load_bundled_config(name)
+        store = WeightStore.random(spec, seed=0)
+        got = []
+        for bits in (8, 32):
+            path = tmp_path / f"w{bits}.bin"
+            save_weights(path, spec, store, bits=bits)
+            loaded, _ = load_weights(path, spec)
+            got += [hashlib.sha256(path.read_bytes()).hexdigest(), tensors_digest(loaded)]
+        assert tuple(got) == FILE_DIGESTS[name]
+
+
+MUTATION_SPEC = parse_network_spec("input 3 8 8\nconv 3 6 1\npep 2 4 6 1\nep 8 5 2\nfca 2\n")
+SPECIAL_VALUES = [
+    struct.pack("<f", v) for v in (float("nan"), float("inf"), -float("inf"), 3e38, -1.0, 0.0)
+] + [struct.pack("<i", v) for v in (-1, 256, 2**31 - 1)] + [b"\x7f", b"\xff", b"\x80", b"\x00"]
+
+
+@functools.lru_cache(maxsize=None)
+def intact_weights(bits: int) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.bin"
+        save_weights(path, MUTATION_SPEC, WeightStore.random(MUTATION_SPEC, seed=71), bits=bits)
+        return path.read_bytes()
+
+
+@st.composite
+def mutated_weights(draw):
+    """A small weights file with a few byte patches, maybe cut or extended."""
+    data = bytearray(intact_weights(draw(st.sampled_from([8, 32]))))
+    # Half the patches land in the header and first tensor's fields.
+    positions = st.one_of(st.integers(0, 24), st.integers(0, len(data) - 1))
+    patches = st.one_of(st.binary(min_size=1, max_size=4), st.sampled_from(SPECIAL_VALUES))
+    for pos, patch in draw(st.lists(st.tuples(positions, patches), max_size=6)):
+        data[pos:pos + len(patch)] = patch[: len(data) - pos]
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return bytes(data) + draw(st.binary(max_size=3))
+
+
+class TestWeightsFileMutations:
+    """Whatever the bytes, load_weights gives a finite store or refuses the
+    file with WeightFormatError; nothing else escapes."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=mutated_weights())
+    def test_loads_finite_or_refuses(self, tmp_path, data):
+        path = tmp_path / "mutated.bin"
+        path.write_bytes(data)
+        try:
+            store, bits = load_weights(path, MUTATION_SPEC)
+        except WeightFormatError:
+            return
+        assert bits in (8, 32)
+        store.validate_against(MUTATION_SPEC)
+        for params in store.params:
+            for _, arr in param_tensors(params):
+                assert arr.dtype == np.float32 and np.isfinite(arr).all()

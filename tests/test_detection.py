@@ -22,6 +22,7 @@ from compactdet.detection import (
     Detection,
     DetectionFormatError,
     GroundTruth,
+    NonFiniteOutputError,
     decode_predictions,
     detect,
     evaluate_map,
@@ -631,3 +632,25 @@ class TestDetectPipeline:
         x = rng.random((1, 3, 64, 64), dtype=np.float32)
         scores = [d.score for d in detect(x, spec, store, 0.01, 0.45)]
         assert scores == sorted(scores, reverse=True)
+
+    def test_refuses_overflowing_network(self):
+        """Finite weights that overflow float32 on the way through the network
+        end in an error, not in NaN scores handed to decode and NMS."""
+        spec = load_bundled_config("explore-proto")
+        store = WeightStore.random(spec, seed=17)
+        store.params[0].kernel *= np.float32(1e36)
+        assert np.isfinite(store.params[0].kernel).all()
+        x = np.random.default_rng(18).random((1, 3, 64, 64), dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteOutputError, match="prediction grid has non-finite"):
+                detect(x, spec, store)
+
+    @pytest.mark.parametrize("tag", SCALE_TAGS)
+    def test_error_names_the_non_finite_grid(self, tag):
+        spec = load_bundled_config("explore-proto")
+        store = WeightStore.zeros(spec)
+        head = {n.op.scale_tag: n.input_id for n in spec.detect_nodes()}[tag]
+        store.params[head].bias[0] = np.nan
+        x = np.zeros((1, 3, 64, 64), dtype=np.float32)
+        with pytest.raises(NonFiniteOutputError, match=f"the {tag} prediction grid"):
+            detect(x, spec, store)

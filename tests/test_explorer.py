@@ -16,7 +16,6 @@ from compactdet.explorer import (
     BRUTE_FORCE_LIMIT,
     Candidate,
     DesignSpace,
-    Generator,
     HistoryEntry,
     PrototypeSpec,
     Slot,
@@ -277,24 +276,13 @@ class TestEvaluate:
 
 class TestSampling:
     def test_same_seed_same_point(self, space):
-        g = Generator()
-        assert sample_point(g, 123, space) == sample_point(g, 123, space)
+        assert sample_point(123, 0, space) == sample_point(123, 0, space)
 
     def test_generation_advances_stream(self, space):
-        a = sample_point(Generator(generation=0), 123, space)
-        b = sample_point(Generator(generation=1), 123, space)
+        a = sample_point(123, 0, space)
+        b = sample_point(123, 1, space)
         assert space.contains(a) and space.contains(b)
         assert a != b  # fixed seeds chosen so the streams differ
-
-    def test_weighted_slots_respected(self, space):
-        g = Generator(weights={"n0.out": (1.0, 1.0, 1e9)})
-        point = sample_point(g, 7, space)
-        assert point[0] == 16  # overwhelming weight on the last value
-
-    def test_bad_weights_rejected(self, space):
-        g = Generator(weights={"n0.out": (1.0, -1.0, 1.0)})
-        with pytest.raises(ConfigError, match="weights"):
-            sample_point(g, 7, space)
 
 
 def run_explore(space, seed=3, budget=None, **constraint_kwargs):
