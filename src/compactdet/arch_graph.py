@@ -37,6 +37,7 @@ op classes.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from operator import attrgetter
@@ -86,6 +87,11 @@ class ParseError(ValueError):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
+
+
+class NonFiniteOutputError(ValueError):
+    """The network gave a non-finite value: finite weights can still
+    overflow float32 on the way through it."""
 
 
 class ShapeError(ValueError):
@@ -149,8 +155,12 @@ class NetworkSpec:
     nodes: tuple
     input_shape: tuple  # (channels, height, width)
     num_classes: int = 20
-    anchors_per_scale: int = 3
     anchors: dict = field(default_factory=lambda: dict(DEFAULT_ANCHORS))
+
+    @property
+    def anchors_per_scale(self) -> int:
+        """Every scale has the same count; the parser refuses configs that differ."""
+        return len(next(iter(self.anchors.values())))
 
     def detect_nodes(self) -> list:
         return [n for n in self.nodes if n.kind == "detect"]
@@ -370,63 +380,6 @@ _KINDS_BY_WORD = {kind.word: kind for kind in _KINDS.values()}
 _KINDS_BY_PARAMS = {kind.params: kind for kind in _KINDS.values()}
 
 
-class GraphBuilder:
-    """Programmatic NetworkSpec construction; methods return node ids."""
-
-    def __init__(self, input_shape, num_classes=20, anchors=None):
-        self.input_shape = tuple(input_shape)
-        self.num_classes = num_classes
-        self.anchors = dict(anchors) if anchors is not None else dict(DEFAULT_ANCHORS)
-        self.nodes: list[NodeSpec] = []
-
-    def _push(self, op: NodeOp, frm: Optional[int]) -> int:
-        node_id = len(self.nodes)
-        input_id = (node_id - 1 if node_id else INPUT_ID) if frm is None else frm
-        self.nodes.append(NodeSpec(id=node_id, op=op, input_id=input_id))
-        return node_id
-
-    def conv(self, kernel, out_channels, stride, frm=None) -> int:
-        return self._push(ConvSpec(kernel, out_channels, stride), frm)
-
-    def pep(self, proj1, expansion, out_channels, stride, frm=None) -> int:
-        return self._push(PepConfig(proj1, expansion, out_channels, stride), frm)
-
-    def ep(self, expansion, out_channels, stride, frm=None) -> int:
-        return self._push(EpConfig(expansion, out_channels, stride), frm)
-
-    def fca(self, reduction, frm=None) -> int:
-        return self._push(FcaConfig(reduction), frm)
-
-    def maxpool(self, kernel, stride, frm=None) -> int:
-        return self._push(MaxPoolSpec(kernel, stride), frm)
-
-    def upsample(self, factor, frm=None) -> int:
-        return self._push(UpsampleSpec(factor), frm)
-
-    def concat(self, with_id, frm=None) -> int:
-        return self._push(ConcatSpec(with_id), frm)
-
-    def detect(self, scale_tag, frm=None) -> int:
-        return self._push(DetectSpec(scale_tag), frm)
-
-    def build(self) -> "NetworkSpec":
-        anchors_per_scale = 3
-        if self.anchors:
-            counts = {len(v) for v in self.anchors.values()}
-            if len(counts) != 1:
-                raise ConfigError("anchor counts differ between scales")
-            anchors_per_scale = counts.pop()
-        spec = NetworkSpec(
-            nodes=tuple(self.nodes),
-            input_shape=self.input_shape,
-            num_classes=self.num_classes,
-            anchors_per_scale=anchors_per_scale,
-            anchors={k: tuple(tuple(p) for p in v) for k, v in self.anchors.items()},
-        )
-        _validate_references(spec)
-        return spec
-
-
 def _validate_references(spec: NetworkSpec):
     if not spec.nodes:
         raise ParseError("no nodes")
@@ -521,8 +474,10 @@ def parse_network_spec(text: str) -> NetworkSpec:
                         pair = (float(parts[0]), float(parts[1]))
                     except ValueError:
                         raise ParseError(f"anchor {token!r} is not numeric", line_no) from None
-                    if pair[0] <= 0 or pair[1] <= 0:
-                        raise ParseError(f"anchor dims must be positive, got {token}", line_no)
+                    if not all(0 < v < math.inf for v in pair):
+                        raise ParseError(
+                            f"anchor dims must be positive and finite, got {token!r}", line_no
+                        )
                     pairs.append(pair)
                 anchors[tag] = tuple(pairs)
             elif word == "from":
@@ -550,21 +505,21 @@ def parse_network_spec(text: str) -> NetworkSpec:
 
     if input_shape is None:
         raise ParseError("missing input line")
-    if not nodes:
-        raise ParseError("no nodes")
     if pending_from is not None:
         raise ParseError("dangling from line with no following node")
     if anchors and set(anchors) != set(SCALE_TAGS):
         raise ParseError(f"anchors given for {sorted(anchors)}, need all of {list(SCALE_TAGS)} or none")
+    if len({len(pairs) for pairs in anchors.values()}) > 1:
+        raise ParseError("anchor counts differ between scales")
 
-    builder_anchors = anchors if anchors else None
-    builder = GraphBuilder(input_shape, num_classes if num_classes is not None else 20, builder_anchors)
-    builder.nodes = nodes
-    return builder.build()
-
-
-def _format_float(v: float) -> str:
-    return repr(float(v))
+    spec = NetworkSpec(
+        nodes=tuple(nodes),
+        input_shape=input_shape,
+        num_classes=num_classes if num_classes is not None else 20,
+        anchors=anchors or dict(DEFAULT_ANCHORS),
+    )
+    _validate_references(spec)
+    return spec
 
 
 def serialize_network_spec(spec: NetworkSpec) -> str:
@@ -574,9 +529,7 @@ def serialize_network_spec(spec: NetworkSpec) -> str:
     out.write(f"classes {spec.num_classes}\n")
     for tag in SCALE_TAGS:
         if tag in spec.anchors:
-            pairs = " ".join(
-                f"{_format_float(aw)},{_format_float(ah)}" for aw, ah in spec.anchors[tag]
-            )
+            pairs = " ".join(f"{float(aw)!r},{float(ah)!r}" for aw, ah in spec.anchors[tag])
             out.write(f"anchors {tag} {pairs}\n")
     for node in spec.nodes:
         default_input = node.id - 1 if node.id else INPUT_ID
@@ -684,7 +637,11 @@ class WeightStore:
 
 
 def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
-    """Run a complete detection network; returns (large, medium, small) maps."""
+    """Run a complete detection network; returns (large, medium, small) maps.
+
+    Raises NonFiniteOutputError naming the first node whose float32
+    arithmetic overflows, divides by zero or gives an invalid value.
+    """
     x = as_tensor(x)
     if tuple(x.shape[1:]) != tuple(spec.input_shape):
         raise ConfigError(
@@ -699,10 +656,17 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
 
     raw_heads = linear_conv_ids(spec)
     outputs: dict[int, np.ndarray] = {INPUT_ID: x}
-    for node in spec.nodes:
-        outputs[node.id] = _KINDS[type(node.op)].forward(
-            node.op, outputs[node.input_id], weights.params[node.id], outputs, node.id in raw_heads
-        )
+
+    def fail(err: str, _flag: int):
+        raise NonFiniteOutputError(f"node {node.id} ({node.kind}): float32 {err}")
+
+    # Stop at the first node whose float32 arithmetic overflows or turns
+    # invalid, instead of warning and carrying inf/NaN on to the grids.
+    with np.errstate(over="call", invalid="call", divide="call", call=fail):
+        for node in spec.nodes:
+            outputs[node.id] = _KINDS[type(node.op)].forward(
+                node.op, outputs[node.input_id], weights.params[node.id], outputs, node.id in raw_heads
+            )
     by_tag = {n.op.scale_tag: outputs[n.id] for n in spec.detect_nodes()}
     return tuple(by_tag[tag] for tag in SCALE_TAGS)
 

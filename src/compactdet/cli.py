@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import arch_graph, complexity, detection, explorer
-from .arch_graph import ParseError, ShapeError
+from .arch_graph import NonFiniteOutputError, ParseError, ShapeError
 from .complexity import WeightFormatError
-from .detection import DetectionFormatError, NonFiniteOutputError
+from .detection import DetectionFormatError
 from .tensor_core import ConfigError
 
 EXIT_OK = 0
@@ -157,17 +157,18 @@ def cmd_quantize(args) -> int:
         raise ConfigError(f"{args.weights} is already 8-bit; quantize takes 32-bit input")
     complexity.save_weights(args.out, spec, store, bits=8)
 
+    # Report the round trip from the file just written, one node at a time
+    # so a second whole store is never held.  Biases come back exact, so the
+    # worst tensor is always a quantized one.
     worst_err = 0.0
-    worst_bound = 0.0
-    for node, entries in complexity._layout(spec, 8):
-        for (_, _, as_f32), (_, arr) in zip(entries, arch_graph.param_tensors(store.params[node.id])):
-            if as_f32:
-                continue
-            q = complexity.quantize_tensor(arr)
-            err = float(np.abs(complexity.dequantize_tensor(q) - arr).max()) if arr.size else 0.0
+    worst = None
+    for after, before in zip(complexity.iter_weights(args.out, spec), store.params, strict=True):
+        for (_, back), (_, arr) in zip(arch_graph.param_tensors(after), arch_graph.param_tensors(before)):
+            err = float(np.abs(back - arr).max()) if arr.size else 0.0
             if err > worst_err:
-                worst_err = err
-                worst_bound = q.scale / 2
+                worst_err, worst = err, arr
+    # The file keeps the scale as f32; the bound uses its full-precision value.
+    worst_bound = complexity.quantize_tensor(worst).scale / 2 if worst is not None else 0.0
     in_size = Path(args.weights).stat().st_size
     out_size = Path(args.out).stat().st_size
     print(f"wrote {args.out}: {out_size} bytes (8-bit), input {in_size} bytes (32-bit)")
@@ -176,14 +177,10 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    proto_spec = _load_spec(args.config)
-    proto = explorer.PrototypeSpec(base=proto_spec)
-    space = explorer.parse_design_space(Path(args.space).read_text(), proto)
+    space = explorer.parse_design_space(Path(args.space).read_text(), _load_spec(args.config))
     constraints = complexity.ConstraintSet(max_ops=args.max_ops, min_score=args.min_score)
     evaluator = explorer.synthetic_evaluator()
-    result = explorer.explore(
-        proto, space, constraints, evaluator, budget=args.budget, seed=args.seed
-    )
+    result = explorer.explore(space, constraints, evaluator, budget=args.budget, seed=args.seed)
 
     log_lines = [explorer.format_log_header(space)]
     log_lines += [explorer.format_history_line(args.seed, e) for e in result.history]

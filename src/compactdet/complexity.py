@@ -247,36 +247,51 @@ def load_weights(path, spec: NetworkSpec) -> tuple:
     255-fold overflows.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise WeightFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version, bits = struct.unpack("<HB", _read_into(fh, bytearray(3)))
-        if version != FORMAT_VERSION:
-            raise WeightFormatError(f"unsupported format version {version}")
-        if bits not in (8, 32):
-            raise WeightFormatError(f"unsupported precision flag {bits}")
-        params = []
-        for node, entries in _layout(spec, bits):
-            tensors = []
-            for name, shape, as_f32 in entries:
-                where = f"node {node.id} ({node.kind}) tensor {name}"
-                if as_f32:
-                    arr = _read_into(fh, np.empty(shape, dtype="<f4"))
-                else:
-                    scale, zero_point = struct.unpack("<fi", _read_into(fh, bytearray(8)))
-                    values = _read_into(fh, np.empty(shape, dtype=np.uint8))
-                    try:
-                        q = QuantizedWeights(values=values, scale=scale, zero_point=zero_point)
-                    except ConfigError as exc:
-                        raise WeightFormatError(f"{where}: {exc}") from None
-                    # An infinite or huge scale gives inf/NaN here; refused below.
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        arr = dequantize_tensor(q)
-                if not np.isfinite(arr).all():
-                    raise WeightFormatError(f"{where}: non-finite values")
-                tensors.append(arr)
-            params.append(_KINDS[type(node.op)].build(node.op, tensors))
-        trailing = fh.read(1)
-        if trailing:
-            raise WeightFormatError("trailing bytes after final tensor")
-    return WeightStore(params), bits
+        bits = _read_header(fh)
+        return WeightStore(list(_read_params(fh, spec, bits))), bits
+
+
+def iter_weights(path, spec: NetworkSpec):
+    """Yield each node's parameters from a weights file in node order, with
+    every check of load_weights, without holding the whole store."""
+    with open(path, "rb") as fh:
+        yield from _read_params(fh, spec, _read_header(fh))
+
+
+def _read_header(fh: BinaryIO) -> int:
+    """Check magic and version; returns the precision in bits."""
+    magic = fh.read(4)
+    if magic != MAGIC:
+        raise WeightFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    version, bits = struct.unpack("<HB", _read_into(fh, bytearray(3)))
+    if version != FORMAT_VERSION:
+        raise WeightFormatError(f"unsupported format version {version}")
+    if bits not in (8, 32):
+        raise WeightFormatError(f"unsupported precision flag {bits}")
+    return bits
+
+
+def _read_params(fh: BinaryIO, spec: NetworkSpec, bits: int):
+    """Yield each node's parameter object; refuse trailing bytes at the end."""
+    for node, entries in _layout(spec, bits):
+        tensors = []
+        for name, shape, as_f32 in entries:
+            where = f"node {node.id} ({node.kind}) tensor {name}"
+            if as_f32:
+                arr = _read_into(fh, np.empty(shape, dtype="<f4"))
+            else:
+                scale, zero_point = struct.unpack("<fi", _read_into(fh, bytearray(8)))
+                values = _read_into(fh, np.empty(shape, dtype=np.uint8))
+                try:
+                    q = QuantizedWeights(values=values, scale=scale, zero_point=zero_point)
+                except ConfigError as exc:
+                    raise WeightFormatError(f"{where}: {exc}") from None
+                # An infinite or huge scale gives inf/NaN here; refused below.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    arr = dequantize_tensor(q)
+            if not np.isfinite(arr).all():
+                raise WeightFormatError(f"{where}: non-finite values")
+            tensors.append(arr)
+        yield _KINDS[type(node.op)].build(node.op, tensors)
+    if fh.read(1):
+        raise WeightFormatError("trailing bytes after final tensor")

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .arch_graph import SCALE_TAGS, NetworkSpec, WeightStore, execute
+from .arch_graph import SCALE_TAGS, NetworkSpec, NonFiniteOutputError, WeightStore, execute
 from .tensor_core import ConfigError
 
 DEFAULT_CONF_THRESHOLD = 0.25
@@ -46,11 +46,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 class DetectionFormatError(ValueError):
     """A detection/ground-truth interchange line is malformed."""
-
-
-class NonFiniteOutputError(ValueError):
-    """The network gave a non-finite prediction value: finite weights can
-    still overflow float32 on the way through it."""
 
 
 @dataclass(frozen=True)
@@ -193,16 +188,16 @@ def detect(
 ) -> list:
     """Full pipeline on a preprocessed input tensor: execute, decode, NMS.
 
-    Raises NonFiniteOutputError when a prediction grid holds NaN or inf,
-    so no score reaches decode or NMS undefined.
+    Raises NonFiniteOutputError when the forward pass overflows float32
+    (see execute) or a prediction grid holds NaN or inf without a float
+    error on the way (a NaN bias), so no score reaches decode or NMS
+    undefined.
     """
     grids = execute(spec, weights, image)
     candidates: list = []
     for tag, grid in zip(SCALE_TAGS, grids):
         if not np.isfinite(grid).all():
-            raise NonFiniteOutputError(
-                f"the {tag} prediction grid has non-finite values (these weights overflow float32)"
-            )
+            raise NonFiniteOutputError(f"the {tag} prediction grid has non-finite values")
         if tag not in spec.anchors:
             raise ConfigError(f"spec has no anchors for scale {tag!r}")
         candidates.extend(decode_predictions(grid, spec.anchors[tag], conf_threshold))

@@ -13,9 +13,10 @@ duplicating nodes, and renumbering references) into a NetworkSpec that
 passes shape inference.  Spaces are validated up front so that every point
 in the cross product expands to a valid network.
 
-Candidates are ranked by a resource-aware performance score
+Candidates are ranked by NetScore (Wong, arXiv 1806.05512) with
+alpha = 2 and beta = gamma = 0.5:
 
-    u = scale * log10(score^kappa / (params_millions^beta * ops_billions^gamma))
+    u = 20 * log10(score^2 / (params_millions^0.5 * ops_billions^0.5))
 
 with u = -inf when the score is not positive.  Search is an elitist
 (mu + lambda) evolutionary loop with per-slot categorical mutation; a
@@ -51,27 +52,20 @@ from .complexity import ConstraintSet, check_constraints, count_network
 from .tensor_core import ConfigError
 
 BRUTE_FORCE_LIMIT = 1 << 16
+POPULATION = 16  # parents kept and children proposed per generation
+HALF_LIFE = 80.0  # capacity at which the synthetic score is 1 - 1/e of the way up
 
 
-@dataclass(frozen=True)
-class PrototypeSpec:
-    """A base network whose integer fields can be opened up as slots."""
-
-    base: NetworkSpec
-
-    def mutable_fields(self) -> dict:
-        """(node_id, short field name) -> current value, for slottable nodes."""
-        pinned = linear_conv_ids(self.base)
-        out = {}
-        for node in self.base.nodes:
-            if node.id in pinned:
-                continue  # head conv channels are pinned by the detect contract
-            for short, attr in _KINDS[type(node.op)].slots.items():
-                out[(node.id, short)] = getattr(node.op, attr)
-        return out
-
-    def detect_taps(self) -> tuple:
-        return tuple(n.id for n in self.base.nodes if n.kind == "detect")
+def mutable_fields(base: NetworkSpec) -> dict:
+    """(node_id, short field name) -> current value, for slottable nodes."""
+    pinned = linear_conv_ids(base)
+    out = {}
+    for node in base.nodes:
+        if node.id in pinned:
+            continue  # head conv channels are pinned by the detect contract
+        for short, attr in _KINDS[type(node.op)].slots.items():
+            out[(node.id, short)] = getattr(node.op, attr)
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ class Slot:
 
 @dataclass(frozen=True)
 class DesignSpace:
-    proto: PrototypeSpec
+    base: NetworkSpec
     slots: tuple
 
     def size(self) -> int:
@@ -101,7 +95,7 @@ class DesignSpace:
     def base_point(self) -> tuple:
         """The point whose expansion equals the prototype itself."""
         values = []
-        current = self.proto.mutable_fields()
+        current = mutable_fields(self.base)
         for slot in self.slots:
             # Present and repeat slots keep the node once.
             base = current[(slot.node_id, slot.field)] if slot.kind == "field" else 1
@@ -121,7 +115,7 @@ def _node_token(token: str) -> int:
 
 
 def build_design_space(
-    proto: PrototypeSpec,
+    base: NetworkSpec,
     field_values: Optional[dict] = None,
     optional_fca: tuple = (),
     repeats: Optional[dict] = None,
@@ -132,9 +126,8 @@ def build_design_space(
     lists fca node ids whose presence becomes a slot; repeats maps node id
     to (min, max) copy counts.
     """
-    base = proto.base
     table = infer_shapes(base)
-    mutable = proto.mutable_fields()
+    mutable = mutable_fields(base)
     slots = []
 
     for name, values in sorted((field_values or {}).items()):
@@ -175,7 +168,7 @@ def build_design_space(
         )
 
     slots.sort(key=lambda s: (s.node_id, s.kind, s.name))
-    space = DesignSpace(proto=proto, slots=tuple(slots))
+    space = DesignSpace(base=base, slots=tuple(slots))
     _validate_space(space)
     return space
 
@@ -192,9 +185,8 @@ def _validate_space(space: DesignSpace):
     by_node: dict = {}
     for slot in space.slots:
         by_node.setdefault(slot.node_id, {})[slot.field or slot.kind] = slot.values
-    base = space.proto.base
     for node_id, fields in by_node.items():
-        node = base.nodes[node_id]
+        node = space.base.nodes[node_id]
         if node.kind == "pep":
             proj1 = fields.get("proj1", (node.op.proj1_channels,))
             expansion = fields.get("expansion", (node.op.expansion_channels,))
@@ -218,20 +210,13 @@ def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
     """Rewrite the prototype with a slot assignment into a NetworkSpec."""
     if not space.contains(point):
         raise ConfigError(f"point {point!r} is not in the design space")
-    base = space.proto.base
     per_node: dict = {}
     for slot, value in zip(space.slots, point):
         per_node.setdefault(slot.node_id, []).append((slot, value))
 
     new_nodes: list = []
     remap = {INPUT_ID: INPUT_ID}
-
-    def push(op, input_id: int) -> int:
-        node_id = len(new_nodes)
-        new_nodes.append(NodeSpec(id=node_id, op=op, input_id=input_id))
-        return node_id
-
-    for node in base.nodes:
+    for node in space.base.nodes:
         op = node.op
         kind = _KINDS[type(op)]
         copies = 1
@@ -250,19 +235,14 @@ def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
             continue
         input_id = remap[node.input_id]
         for _ in range(copies):
-            input_id = push(op, input_id)
+            new_nodes.append(NodeSpec(id=len(new_nodes), op=op, input_id=input_id))
+            input_id = len(new_nodes) - 1
         remap[node.id] = input_id
 
-    return NetworkSpec(
-        nodes=tuple(new_nodes),
-        input_shape=base.input_shape,
-        num_classes=base.num_classes,
-        anchors_per_scale=base.anchors_per_scale,
-        anchors=dict(base.anchors),
-    )
+    return replace(space.base, nodes=tuple(new_nodes))
 
 
-def parse_design_space(text: str, proto: PrototypeSpec) -> DesignSpace:
+def parse_design_space(text: str, base: NetworkSpec) -> DesignSpace:
     field_values: dict = {}
     optional_fca: list = []
     repeats: dict = {}
@@ -289,29 +269,19 @@ def parse_design_space(text: str, proto: PrototypeSpec) -> DesignSpace:
             raise ParseError(str(exc), line_no) from None
     try:
         return build_design_space(
-            proto, field_values=field_values, optional_fca=tuple(optional_fca), repeats=repeats
+            base, field_values=field_values, optional_fca=tuple(optional_fca), repeats=repeats
         )
     except ConfigError as exc:
         raise ParseError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class UCoeffs:
-    kappa: float = 2.0
-    beta: float = 0.5
-    gamma: float = 0.5
-    scale: float = 20.0
-
-
-def performance(score: float, params: int, ops: int, coeffs: UCoeffs = UCoeffs()) -> float:
-    """Resource-aware figure of merit; -inf when the score is not positive."""
+def performance(score: float, params: int, ops: int) -> float:
+    """NetScore u (module docstring); -inf when the score is not positive."""
     if not (score > 0.0):
         return float("-inf")
     params_m = params / 1e6
     ops_b = ops / 1e9
-    return coeffs.scale * math.log10(
-        score**coeffs.kappa / (params_m**coeffs.beta * ops_b**coeffs.gamma)
-    )
+    return 20.0 * math.log10(score**2.0 / (params_m**0.5 * ops_b**0.5))
 
 
 @dataclass(frozen=True)
@@ -327,7 +297,6 @@ class Candidate:
 def evaluate(
     spec: NetworkSpec,
     evaluator: Callable[[NetworkSpec], float],
-    coeffs: UCoeffs = UCoeffs(),
     point: Optional[tuple] = None,
 ) -> Candidate:
     """Attach cost metrics and the performance value to one design.
@@ -348,7 +317,7 @@ def evaluate(
         ops=report.total_ops,
         params=report.total_params,
         score=score,
-        u_value=performance(score, report.total_params, report.total_ops, coeffs),
+        u_value=performance(score, report.total_params, report.total_ops),
         point=point,
     )
 
@@ -415,14 +384,11 @@ def _draw_other(slot: Slot, current, rng: np.random.Generator):
 
 
 def explore(
-    proto: PrototypeSpec,
     space: DesignSpace,
     constraints: ConstraintSet,
     evaluator: Callable[[NetworkSpec], float],
     budget: int,
     seed: int,
-    coeffs: UCoeffs = UCoeffs(),
-    population: int = 16,
 ) -> ExploreResult:
     """Elitist (mu + lambda) evolutionary search, deterministic in seed.
 
@@ -446,7 +412,7 @@ def explore(
             return True
         if len(seen) >= budget:
             return False
-        cand = evaluate(expand_point(space, point), evaluator, coeffs, point=point)
+        cand = evaluate(expand_point(space, point), evaluator, point=point)
         feasible = check_constraints(cand.ops, cand.score, constraints)
         seen[point] = (cand, feasible)
         history.append(
@@ -467,11 +433,11 @@ def explore(
     consider(space.base_point())
     while len(seen) < min(budget, size):
         elite = sorted((c for c, feasible in seen.values() if feasible), key=_rank_key)
-        parents = [c.point for c in elite[:population]]
+        parents = [c.point for c in elite[:POPULATION]]
         exhausted = False
         produced = 0
-        for attempt in range(population * 10):
-            if produced >= population:
+        for attempt in range(POPULATION * 10):
+            if produced >= POPULATION:
                 break
             if not parents or attempt % 4 == 3:
                 point = sample_point(int(rng.integers(1 << 32)), gen, space)
@@ -500,7 +466,6 @@ def brute_force_search(
     space: DesignSpace,
     constraints: ConstraintSet,
     evaluator: Callable[[NetworkSpec], float],
-    coeffs: UCoeffs = UCoeffs(),
 ) -> Optional[Candidate]:
     """Exact constrained argmax of u over the whole space.
 
@@ -512,7 +477,7 @@ def brute_force_search(
         raise ConfigError(f"space has {size} points, brute force caps at {BRUTE_FORCE_LIMIT}")
     best: Optional[Candidate] = None
     for point in space.enumerate_points():
-        cand = evaluate(expand_point(space, point), evaluator, coeffs, point=point)
+        cand = evaluate(expand_point(space, point), evaluator, point=point)
         if not check_constraints(cand.ops, cand.score, constraints):
             continue
         if best is None or _rank_key(cand) < _rank_key(best):
@@ -529,10 +494,10 @@ _CAPACITY = {
 }
 
 
-def synthetic_evaluator(half_life: float = 80.0) -> Callable[[NetworkSpec], float]:
+def synthetic_evaluator() -> Callable[[NetworkSpec], float]:
     """Deterministic stand-in for a trained-model score.
 
-    score(spec) = 0.18 + 0.8 * (1 - exp(-g / half_life)), where g sums
+    score(spec) = 0.18 + 0.8 * (1 - exp(-g / HALF_LIFE)), where g sums
     per-node capacity terms:
 
         conv: log1p(3 * out_channels)
@@ -550,7 +515,7 @@ def synthetic_evaluator(half_life: float = 80.0) -> Callable[[NetworkSpec], floa
             term = _CAPACITY.get(node.kind)
             if term is not None:
                 g += term(node.op)
-        return 0.18 + 0.8 * (1.0 - math.exp(-g / half_life))
+        return 0.18 + 0.8 * (1.0 - math.exp(-g / HALF_LIFE))
 
     return score
 

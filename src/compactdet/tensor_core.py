@@ -159,9 +159,9 @@ def depthwise_conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
     return conv2d(x, w)
 
 
-def leaky_relu(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
+def leaky_relu(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=DTYPE)
-    return np.where(x >= 0, x, DTYPE(slope) * x)
+    return np.where(x >= 0, x, DTYPE(LEAKY_SLOPE) * x)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -43,7 +43,6 @@ from compactdet.detection import (
     nms,
 )
 from compactdet.explorer import (
-    PrototypeSpec,
     brute_force_search,
     explore,
     parse_design_space,
@@ -490,21 +489,21 @@ def test_criterion_10_explorer_vs_brute_force():
     evaluator and budget 4x space size, explore returns the brute-force
     constrained optimum in >= 18/20; best-feasible u is non-decreasing
     and every returned candidate satisfies the constraints."""
-    proto = PrototypeSpec(base=parse_network_spec(
-        (resources.files("compactdet.configs") / "explore-proto.cfg").read_text()))
+    base = parse_network_spec(
+        (resources.files("compactdet.configs") / "explore-proto.cfg").read_text())
     evaluator = synthetic_evaluator()
-    base_ops = count_network(proto.base).total_ops
+    base_ops = count_network(base).total_ops
     t0 = perf_counter()
     matches, feasible_spaces, sizes = 0, 0, []
     for i in range(20):
         rng = np.random.default_rng(1000 + i)
-        space = parse_design_space(random_space_doc(rng), proto)
+        space = parse_design_space(random_space_doc(rng), base)
         size = space.size()
         sizes.append(size)
         assert size <= 4096
         constraints = ConstraintSet(max_ops=int(base_ops * rng.uniform(0.8, 1.35)))
 
-        result = explore(proto, space, constraints, evaluator, budget=4 * size, seed=i)
+        result = explore(space, constraints, evaluator, budget=4 * size, seed=i)
         reference = brute_force_search(space, constraints, evaluator)
 
         trajectory = [-math.inf]

@@ -6,9 +6,13 @@ tests run the small bundled prototype so the whole file stays fast.
 
 import dataclasses
 import hashlib
+import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactdet.arch_graph import (
     DEFAULT_ANCHORS,
@@ -17,7 +21,7 @@ from compactdet.arch_graph import (
     ConcatSpec,
     ConvSpec,
     DetectSpec,
-    GraphBuilder,
+    NetworkSpec,
     ParseError,
     ShapeError,
     WeightStore,
@@ -108,6 +112,10 @@ class TestParse:
             ("input 3 8 8\nanchors large 0.5,0.5\nconv 1 1 1\n", "need all"),
             ("input 3 8 8\nanchors huge 0.5,0.5\nconv 1 1 1\n", "unknown scale tag"),
             ("input 3 8 8\nanchors large 0.5\nconv 1 1 1\n", "not w,h"),
+            ("input 3 8 8\nanchors large nan,0.2\nconv 1 1 1\n", "positive and finite, got 'nan,0.2'"),
+            ("input 3 8 8\nanchors large 0.2,inf\nconv 1 1 1\n", "positive and finite, got '0.2,inf'"),
+            ("input 3 8 8\nanchors large 1e999,0.2\nconv 1 1 1\n", "positive and finite, got '1e999,0.2'"),
+            ("input 3 8 8\nanchors large -0.2,0.2\nconv 1 1 1\n", "positive and finite"),
             ("input 3 8 8\ndetect big\n", "unknown scale tag"),
             ("input 3 8 8\npep 8 4 4 1\n", "line 2"),  # proj1 > expansion
             (
@@ -125,6 +133,80 @@ class TestParse:
             parse_network_spec("input 3 8 8\nconv 3 4 1\nconv x 4 1\n")
         assert err.value.line_no == 3
 
+    def test_forward_reference_rejected(self):
+        with pytest.raises(ParseError, match="before it is defined"):
+            parse_network_spec("input 3 16 16\nfrom 5\nconv 3 4 1\n")
+        # A spec built by hand gets the same check from shape inference.
+        spec = parse_network_spec("input 3 16 16\nconv 3 4 1\nconv 3 4 1\n")
+        ahead = dataclasses.replace(spec.nodes[0], input_id=1)
+        with pytest.raises(ParseError, match="not an earlier node"):
+            infer_shapes(dataclasses.replace(spec, nodes=(ahead, spec.nodes[1])))
+
+    def test_anchor_count_consistency(self):
+        two = "0.1,0.1 0.2,0.2"
+        lines = [f"anchors {tag} {two}" for tag in SCALE_TAGS]
+        spec = parse_network_spec("input 3 16 16\n" + "\n".join(lines) + "\nconv 3 4 1\n")
+        assert spec.anchors_per_scale == 2
+        assert spec.detect_channels() == 2 * (5 + 20)
+        lines[2] += " 0.3,0.3"
+        with pytest.raises(ParseError, match="anchor counts differ"):
+            parse_network_spec("input 3 16 16\n" + "\n".join(lines) + "\nconv 3 4 1\n")
+
+
+class TestBuilder:
+    """Networks assembled node by node, outside a full reference config."""
+
+    def test_ids_are_sequential(self):
+        spec = parse_network_spec("input 3 16 16\nconv 3 4 1\npep 2 4 4 1\nconcat 0\n")
+        assert [(n.id, n.kind) for n in spec.nodes] == [(0, "conv"), (1, "pep"), (2, "concat")]
+        assert spec.nodes[2].op == ConcatSpec(0)
+        assert infer_shapes(spec).shapes[2] == (8, 16, 16)
+
+    def test_empty_graph_rejected(self):
+        # A spec built in code, not parsed, still gets the check from shape inference.
+        with pytest.raises(ParseError, match="no nodes"):
+            infer_shapes(NetworkSpec(nodes=(), input_shape=(3, 16, 16)))
+
+
+def random_config_text(rng) -> str:
+    """A random document the grammar accepts (it need not pass shape
+    inference): every node kind, `from` lines, optional classes and anchors."""
+    lines = [f"input {rng.integers(1, 8)} {rng.integers(1, 64)} {rng.integers(1, 64)}"]
+    if rng.random() < 0.5:
+        lines.append(f"classes {rng.integers(1, 30)}")
+    if rng.random() < 0.5:
+        count = int(rng.integers(1, 5))
+        for tag in SCALE_TAGS:
+            pairs = rng.uniform(1e-3, 1.0, (count, 2))
+            lines.append(f"anchors {tag} " + " ".join(f"{float(w)!r},{float(h)!r}" for w, h in pairs))
+    tags = list(SCALE_TAGS)
+    kinds = ["conv", "pep", "ep", "fca", "maxpool", "upsample", "concat", "detect"]
+    for node_id in range(int(rng.integers(1, 16))):
+        if node_id and rng.random() < 0.2:
+            lines.append(f"from {rng.integers(node_id)}")
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if (kind == "concat" and not node_id) or (kind == "detect" and not tags):
+            kind = "fca"
+        if kind == "conv":
+            args = (rng.integers(1, 6), rng.integers(1, 33), rng.integers(1, 4))
+        elif kind == "pep":
+            proj1 = rng.integers(1, 9)
+            args = (proj1, proj1 + rng.integers(0, 9), rng.integers(1, 33), rng.integers(1, 3))
+        elif kind == "ep":
+            args = (rng.integers(1, 33), rng.integers(1, 33), rng.integers(1, 3))
+        elif kind == "fca":
+            args = (rng.integers(1, 17),)
+        elif kind == "maxpool":
+            args = (rng.integers(1, 4), rng.integers(1, 4))
+        elif kind == "upsample":
+            args = (rng.integers(1, 4),)
+        elif kind == "concat":
+            args = (rng.integers(node_id),)
+        else:
+            args = (tags.pop(int(rng.integers(len(tags)))),)
+        lines.append(" ".join([kind, *(str(a) for a in args)]))
+    return "\n".join(lines) + "\n"
+
 
 class TestSerialize:
     def test_round_trip_mini(self):
@@ -139,32 +221,19 @@ class TestSerialize:
         assert again == spec
 
     def test_round_trip_random_graphs(self):
-        """Random builder graphs survive serialize -> parse unchanged."""
+        """Random documents with every node kind and `from` survive
+        parse -> serialize -> parse unchanged."""
         rng = np.random.default_rng(51)
+        words = set()
         for _ in range(30):
-            g = GraphBuilder((3, 32, 32), num_classes=int(rng.integers(1, 30)))
-            channels = 3
-            taps = []
-            for _ in range(int(rng.integers(2, 10))):
-                kind = rng.choice(["conv", "pep", "ep", "fca", "maxpool"])
-                if kind == "conv":
-                    channels = int(rng.integers(1, 20))
-                    taps.append(g.conv(int(rng.choice([1, 3])), channels, 1))
-                elif kind == "pep":
-                    p = int(rng.integers(1, 6))
-                    channels = int(rng.integers(1, 20))
-                    taps.append(g.pep(p, p + int(rng.integers(0, 6)), channels, 1))
-                elif kind == "ep":
-                    channels = int(rng.integers(1, 20))
-                    taps.append(g.ep(int(rng.integers(1, 20)), channels, 1))
-                elif kind == "fca":
-                    taps.append(g.fca(int(rng.choice([2, 4, 8]))))
-                else:
-                    taps.append(g.maxpool(2, int(rng.choice([1, 2]))))
-            if len(taps) > 2 and rng.random() < 0.5:
-                g.concat(taps[0])
-            spec = g.build()
+            text = random_config_text(rng)
+            words |= {line.split()[0] for line in text.splitlines()}
+            spec = parse_network_spec(text)
             assert parse_network_spec(serialize_network_spec(spec)) == spec
+        assert words == {
+            "input", "classes", "anchors", "from",
+            "conv", "pep", "ep", "fca", "maxpool", "upsample", "concat", "detect",
+        }
 
     def test_serializes_explicit_from(self):
         text = serialize_network_spec(parse_network_spec(MINI))
@@ -460,27 +529,65 @@ class TestExecute:
         np.testing.assert_allclose(large, np.full((1, 21, 8, 8), -0.8, dtype=np.float32), rtol=1e-6)
 
 
-class TestBuilder:
-    def test_ids_are_sequential(self):
-        g = GraphBuilder((3, 16, 16))
-        a = g.conv(3, 4, 1)
-        b = g.pep(2, 4, 4, 1)
-        c = g.concat(a)
-        assert (a, b, c) == (0, 1, 2)
+BUNDLED_TEXTS = {
+    name: (resources.files("compactdet.configs") / f"{name}.cfg").read_text()
+    for name in ("reference", "tiny-yolov3", "explore-proto")
+}
+ODD_TOKENS = [
+    "nan", "inf", "-inf", "1e999", "-1", "0", "0.0", "1e-320", "nan,0.2", "0.2,inf",
+    "1e999,1", "-0.5,0.5", "0.5,0.5,0.5", ",", "x", "3.5", "99999", "1_0", "large",
+    "from", "detect", "concat", "anchors", "#",
+]
 
-    def test_forward_reference_rejected_at_build(self):
-        g = GraphBuilder((3, 16, 16))
-        g.conv(3, 4, 1, frm=5)
-        with pytest.raises(ParseError, match="not an earlier node"):
-            g.build()
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ParseError, match="no nodes"):
-            GraphBuilder((3, 16, 16)).build()
+@st.composite
+def mutated_configs(draw):
+    """A bundled config with a few tokens replaced or dropped, lines
+    dropped or doubled, or an anchor pair replaced by any two floats."""
+    name = draw(st.sampled_from(sorted(BUNDLED_TEXTS)))
+    text = BUNDLED_TEXTS[name]
+    lines = [line.split() for line in text.splitlines() if line.split("#", 1)[0].strip()]
+    tokens = st.one_of(
+        st.sampled_from(ODD_TOKENS),
+        st.integers(-2, 1000).map(str),
+        st.text(alphabet="0123456789.,-einf", max_size=6),
+    )
+    pairs = st.one_of(
+        st.sampled_from(["nan,0.2", "0.2,inf", "1e999,0.1", "-inf,0.3", "0,0.1"]),
+        st.tuples(st.floats(), st.floats()).map(lambda p: f"{p[0]!r},{p[1]!r}"),
+    )
+    actions = ["replace", "drop token", "drop line", "double line", "anchor", "anchor"]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(actions))
+        if action == "replace":
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(tokens)
+        elif action == "drop token" and len(lines[i]) > 1:
+            del lines[i][draw(st.integers(0, len(lines[i]) - 1))]
+        elif action == "drop line" and len(lines) > 1:
+            del lines[i]
+        elif action == "double line":
+            lines.insert(i, list(lines[i]))
+        elif action == "anchor":
+            anchor_lines = [k for k, line in enumerate(lines) if line[0] == "anchors" and len(line) > 2]
+            if anchor_lines:
+                k = draw(st.sampled_from(anchor_lines))
+                lines[k][draw(st.integers(2, len(lines[k]) - 1))] = draw(pairs)
+    return "\n".join(" ".join(line) for line in lines) + "\n"
 
-    def test_anchor_count_consistency(self):
-        anchors = {"large": ((0.5, 0.5),), "medium": ((0.2, 0.2),), "small": ((0.1, 0.1), (0.2, 0.1))}
-        g = GraphBuilder((3, 16, 16), anchors=anchors)
-        g.conv(3, 4, 1)
-        with pytest.raises(ConfigError, match="anchor counts"):
-            g.build()
+
+class TestConfigMutations:
+    """Whatever the text, a config either fails with a config error (exit 2
+    from the CLI) or parses to finite positive anchors and round-trips."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=mutated_configs())
+    def test_parses_cleanly_or_refuses(self, text):
+        try:
+            spec = parse_network_spec(text)
+            infer_shapes(spec)
+        except (ParseError, ShapeError, ConfigError):
+            return
+        for pairs in spec.anchors.values():
+            assert all(0 < v < math.inf for pair in pairs for v in pair)
+        assert parse_network_spec(serialize_network_spec(spec)) == spec

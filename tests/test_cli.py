@@ -13,8 +13,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from compactdet import cli
-from compactdet.arch_graph import WeightStore, parse_network_spec
+from compactdet import cli, complexity
+from compactdet.arch_graph import WeightStore, load_bundled_config, param_tensors, parse_network_spec
 from compactdet.cli import PpmError, read_ppm, write_ppm
 from compactdet.complexity import load_weights, save_weights
 from compactdet.detection import parse_detections
@@ -242,7 +242,8 @@ class TestDetect:
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
     def test_overflowing_weights_exit_3(self, head_setup, tmp_path, capsys, to_file):
         """Finite weights whose forward pass overflows float32: exit 3 naming
-        the grid, nothing on stdout and no detections file."""
+        the first overflowing node, with no warning before the error line,
+        nothing on stdout and no detections file."""
         cfg, _, image = head_setup
         spec = parse_network_spec(cfg.read_text())
         store = WeightStore.random(spec, seed=0)
@@ -252,13 +253,24 @@ class TestDetect:
         save_weights(weights, spec, store, bits=32)
         out = tmp_path / "dets.txt"
         argv = ["detect", "--config", str(cfg), "--weights", str(weights), "--image", str(image)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = cli.main(argv + (["--out", str(out)] if to_file else []))
+        rc = cli.main(argv + (["--out", str(out)] if to_file else []))
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
-        assert "large prediction grid has non-finite values" in captured.err
+        assert captured.err == "error: node 1 (conv): float32 overflow\n"
         assert not out.exists()
+
+    def test_non_finite_anchor_exit_2(self, head_setup, tmp_path, capsys):
+        cfg, weights, image = head_setup
+        bad = tmp_path / "nan.cfg"
+        bad.write_text(HEAD_CFG.replace("anchors large 0.5,0.5", "anchors large nan,0.5"))
+        rc = cli.main([
+            "detect", "--config", str(bad), "--weights", str(weights), "--image", str(image),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "'nan,0.5'" in captured.err
 
     def test_bad_image_exit_3(self, head_setup, tmp_path, capsys):
         cfg, weights, _ = head_setup
@@ -312,6 +324,45 @@ class TestQuantize:
         rc = cli.main(["quantize", "--config", str(cfg), "--weights", str(bad),
                        "--out", str(tmp_path / "x.w")])
         assert rc == 3
+
+    @pytest.fixture
+    def random_proto_weights(self, tmp_path, monkeypatch):
+        """explore-proto with seed-0 random f32 weights in in.w, cwd tmp_path."""
+        monkeypatch.chdir(tmp_path)
+        spec = load_bundled_config("explore-proto")
+        store = WeightStore.random(spec, seed=0)
+        save_weights("in.w", spec, store, bits=32)
+        return bundled("explore-proto.cfg"), store
+
+    def test_stdout_and_file_digests(self, random_proto_weights, capsys):
+        cfg, _ = random_proto_weights
+        assert cli.main(["quantize", "--config", cfg, "--weights", "in.w", "--out", "out.w"]) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "dbe24db8074ea10b99334d57bf51d76c5e272cd45411f0b9e1118ef7da4e9dc3"
+        )
+        assert hashlib.sha256(open("out.w", "rb").read()).hexdigest() == (
+            "51f9b96b18e6791b6a9350459bb9279878baf6996e8d3c5244de3a4b7d4861d8"
+        )
+
+    def test_quantizes_each_weight_tensor_once(self, random_proto_weights, monkeypatch):
+        """One call per weight tensor to write the file, one more for the
+        worst tensor's bound; the report reads the file back instead."""
+        cfg, store = random_proto_weights
+        calls = []
+        real = complexity.quantize_tensor
+
+        def counting(w):
+            calls.append(w.shape)
+            return real(w)
+
+        monkeypatch.setattr(complexity, "quantize_tensor", counting)
+        assert cli.main(["quantize", "--config", cfg, "--weights", "in.w", "--out", "out.w"]) == 0
+        weight_tensors = sum(
+            not name.endswith("bias") for params in store.params for name, _ in param_tensors(params)
+        )
+        assert weight_tensors > 0
+        assert len(calls) <= weight_tensors + 1
 
 
 class TestExplore:

@@ -641,9 +641,8 @@ class TestDetectPipeline:
         store.params[0].kernel *= np.float32(1e36)
         assert np.isfinite(store.params[0].kernel).all()
         x = np.random.default_rng(18).random((1, 3, 64, 64), dtype=np.float32)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteOutputError, match="prediction grid has non-finite"):
-                detect(x, spec, store)
+        with pytest.raises(NonFiniteOutputError, match=r"^node 6 \(fca\): float32 overflow$"):
+            detect(x, spec, store)
 
     @pytest.mark.parametrize("tag", SCALE_TAGS)
     def test_error_names_the_non_finite_grid(self, tag):

@@ -17,9 +17,7 @@ from compactdet.explorer import (
     Candidate,
     DesignSpace,
     HistoryEntry,
-    PrototypeSpec,
     Slot,
-    UCoeffs,
     brute_force_search,
     build_design_space,
     evaluate,
@@ -27,6 +25,7 @@ from compactdet.explorer import (
     explore,
     format_history_line,
     format_log_header,
+    mutable_fields,
     parse_design_space,
     performance,
     sample_point,
@@ -47,32 +46,29 @@ repeat n5 min 0 max 2
 
 
 @pytest.fixture(scope="module")
-def proto():
-    return PrototypeSpec(base=load_bundled_config("explore-proto"))
+def base():
+    return load_bundled_config("explore-proto")
 
 
 @pytest.fixture(scope="module")
-def space(proto):
-    return parse_design_space(SPACE_DOC, proto)
+def space(base):
+    return parse_design_space(SPACE_DOC, base)
 
 
 class TestPrototype:
-    def test_mutable_fields(self, proto):
-        fields = proto.mutable_fields()
+    def test_mutable_fields(self, base):
+        fields = mutable_fields(base)
         assert fields[(0, "out")] == 8
         assert fields[(1, "proj1")] == 4
         assert fields[(1, "expansion")] == 8
         assert fields[(6, "reduction")] == 4
         assert fields[(2, "expansion")] == 16
 
-    def test_head_convs_pinned(self, proto):
+    def test_head_convs_pinned(self, base):
         """The three 21-channel convs feeding detect are not slottable."""
-        fields = proto.mutable_fields()
+        fields = mutable_fields(base)
         for node_id in (10, 12, 14):
             assert (node_id, "out") not in fields
-
-    def test_detect_taps(self, proto):
-        assert proto.detect_taps() == (11, 13, 15)
 
 
 class TestBuildSpace:
@@ -83,66 +79,66 @@ class TestBuildSpace:
         ]
         assert space.size() == 3 * 3 * 3 * 3 * 3 * 3 * 2 * 3  # 4374
 
-    def test_base_point_reproduces_prototype(self, proto, space):
-        assert expand_point(space, space.base_point()) == proto.base
+    def test_base_point_reproduces_prototype(self, base, space):
+        assert expand_point(space, space.base_point()) == base
 
-    def test_values_sorted_deduped(self, proto):
-        s = build_design_space(proto, field_values={"n0.out": (16, 8, 8, 12)})
+    def test_values_sorted_deduped(self, base):
+        s = build_design_space(base, field_values={"n0.out": (16, 8, 8, 12)})
         assert s.slots[0].values == (8, 12, 16)
 
-    def test_rejects_unknown_slot(self, proto):
+    def test_rejects_unknown_slot(self, base):
         with pytest.raises(ConfigError, match="mutable field"):
-            build_design_space(proto, field_values={"n0.reduction": (2, 4)})
+            build_design_space(base, field_values={"n0.reduction": (2, 4)})
         with pytest.raises(ConfigError, match="mutable field"):
-            build_design_space(proto, field_values={"n99.out": (2, 4)})
+            build_design_space(base, field_values={"n99.out": (2, 4)})
 
-    def test_rejects_head_conv_slot(self, proto):
+    def test_rejects_head_conv_slot(self, base):
         with pytest.raises(ConfigError, match="mutable field"):
-            build_design_space(proto, field_values={"n10.out": (21, 42)})
+            build_design_space(base, field_values={"n10.out": (21, 42)})
 
-    def test_rejects_nonpositive_values(self, proto):
+    def test_rejects_nonpositive_values(self, base):
         with pytest.raises(ConfigError, match="positive"):
-            build_design_space(proto, field_values={"n0.out": (0, 8)})
+            build_design_space(base, field_values={"n0.out": (0, 8)})
 
-    def test_rejects_pep_projection_wider_than_expansion(self, proto):
+    def test_rejects_pep_projection_wider_than_expansion(self, base):
         """proj1 and expansion slots must be jointly valid at every point."""
         with pytest.raises(ConfigError, match="proj1"):
             build_design_space(
-                proto,
+                base,
                 field_values={"n1.proj1": (4, 16), "n1.expansion": (8, 12)},
             )
 
-    def test_rejects_non_fca_presence_site(self, proto):
+    def test_rejects_non_fca_presence_site(self, base):
         with pytest.raises(ConfigError, match="fca"):
-            build_design_space(proto, optional_fca=(1,))
+            build_design_space(base, optional_fca=(1,))
 
-    def test_rejects_repeat_on_strided_node(self, proto):
+    def test_rejects_repeat_on_strided_node(self, base):
         with pytest.raises(ConfigError, match="preserve"):
-            build_design_space(proto, repeats={2: (0, 2)})  # ep stride 2
+            build_design_space(base, repeats={2: (0, 2)})  # ep stride 2
 
     def test_rejects_repeat_on_channel_changing_node(self):
         base = parse_network_spec("input 3 8 8\nconv 3 5 1\nconv 3 7 1\n")
         with pytest.raises(ConfigError, match="preserve"):
-            build_design_space(PrototypeSpec(base), repeats={1: (0, 2)})
+            build_design_space(base, repeats={1: (0, 2)})
 
-    def test_rejects_repeat_with_out_slot(self, proto):
+    def test_rejects_repeat_with_out_slot(self, base):
         with pytest.raises(ConfigError, match="repeat and out"):
             build_design_space(
-                proto, field_values={"n5.out": (24, 32)}, repeats={5: (1, 2)}
+                base, field_values={"n5.out": (24, 32)}, repeats={5: (1, 2)}
             )
 
-    def test_rejects_bad_repeat_bounds(self, proto):
+    def test_rejects_bad_repeat_bounds(self, base):
         with pytest.raises(ConfigError, match="bounds"):
-            build_design_space(proto, repeats={5: (2, 1)})
+            build_design_space(base, repeats={5: (2, 1)})
 
 
 class TestParseSpaceDoc:
-    def test_round_trips_the_demo_document(self, proto, space):
-        again = parse_design_space(SPACE_DOC, proto)
+    def test_round_trips_the_demo_document(self, base, space):
+        again = parse_design_space(SPACE_DOC, base)
         assert again.slots == space.slots
 
-    def test_comments_ignored(self, proto):
-        s = parse_design_space("# nothing\nslot n0.out values 8,16 # wide\n", proto)
+    def test_comments_ignored(self, base):
+        s = parse_design_space("# nothing\nslot n0.out values 8,16 # wide\n", base)
         assert s.slots[0].values == (8, 16)
 
     @pytest.mark.parametrize(
@@ -155,45 +151,45 @@ class TestParseSpaceDoc:
             ("grow n5\n", "unrecognized"),
         ],
     )
-    def test_rejects_malformed(self, proto, doc, fragment):
+    def test_rejects_malformed(self, base, doc, fragment):
         with pytest.raises(ParseError, match=fragment):
-            parse_design_space(doc, proto)
+            parse_design_space(doc, base)
 
-    def test_semantic_error_still_parse_error(self, proto):
+    def test_semantic_error_still_parse_error(self, base):
         with pytest.raises(ParseError, match="fca"):
-            parse_design_space("fca_site n1 optional\n", proto)
+            parse_design_space("fca_site n1 optional\n", base)
 
 
 class TestExpandPoint:
-    def test_field_substitution(self, proto):
-        s = build_design_space(proto, field_values={"n0.out": (8, 12)})
+    def test_field_substitution(self, base):
+        s = build_design_space(base, field_values={"n0.out": (8, 12)})
         spec = expand_point(s, (12,))
         assert spec.nodes[0].op.out_channels == 12
         # Everything else untouched.
-        assert spec.nodes[1:] == proto.base.nodes[1:]
+        assert spec.nodes[1:] == base.nodes[1:]
 
-    def test_absent_fca_is_removed_and_rewired(self, proto):
-        s = build_design_space(proto, optional_fca=(6,))
+    def test_absent_fca_is_removed_and_rewired(self, base):
+        s = build_design_space(base, optional_fca=(6,))
         spec = expand_point(s, (0,))
-        assert len(spec.nodes) == len(proto.base.nodes) - 1
+        assert len(spec.nodes) == len(base.nodes) - 1
         assert all(n.kind != "fca" for n in spec.nodes)
         # Node 7 (ep) slid to id 6 and now reads the pep at id 5 directly.
         assert spec.nodes[6].kind == "ep"
         assert spec.nodes[6].input_id == 5
         count_network(spec)  # shapes still chain
 
-    def test_absent_node_remaps_branch_references(self, proto):
+    def test_absent_node_remaps_branch_references(self, base):
         """`from` references past a dropped node follow its input."""
-        s = build_design_space(proto, optional_fca=(6,))
+        s = build_design_space(base, optional_fca=(6,))
         spec = expand_point(s, (0,))
         # Head convs read old nodes 9, 8, 5; after the drop those sit at
         # ids 8, 7, 5.
         tap_ids = [n.input_id for n in spec.nodes if n.kind == "conv"][1:]
         assert tap_ids == [8, 7, 5]
 
-    def test_repeat_chains_copies(self, proto):
-        s = build_design_space(proto, repeats={5: (0, 2)})
-        base_len = len(proto.base.nodes)
+    def test_repeat_chains_copies(self, base):
+        s = build_design_space(base, repeats={5: (0, 2)})
+        base_len = len(base.nodes)
         for copies in (0, 1, 2):
             spec = expand_point(s, (copies,))
             assert len(spec.nodes) == base_len - 1 + copies
@@ -201,7 +197,7 @@ class TestExpandPoint:
             for n in spec.nodes:
                 if n.kind == "fca":
                     walk = n.input_id
-                    while spec.nodes[walk].op == proto.base.nodes[5].op:
+                    while spec.nodes[walk].op == base.nodes[5].op:
                         peps_into_fca += 1
                         walk = spec.nodes[walk].input_id
             assert peps_into_fca == copies
@@ -240,20 +236,9 @@ class TestPerformance:
         assert performance(0.5, 2 * 10**6, 10**9) < base
         assert performance(0.5, 10**6, 2 * 10**9) < base
 
-    def test_coefficient_knobs(self):
-        # kappa = 0 removes the score's influence entirely.
-        coeffs = UCoeffs(kappa=0.0)
-        a = performance(0.2, 10**6, 10**9, coeffs)
-        b = performance(0.9, 10**6, 10**9, coeffs)
-        assert a == pytest.approx(b)
-
-    def test_defaults(self):
-        c = UCoeffs()
-        assert (c.kappa, c.beta, c.gamma, c.scale) == (2.0, 0.5, 0.5, 20.0)
-
 
 class TestEvaluate:
-    def test_metrics_match_count_network(self, proto, space):
+    def test_metrics_match_count_network(self, base, space):
         spec = expand_point(space, space.base_point())
         cand = evaluate(spec, synthetic_evaluator())
         report = count_network(spec)
@@ -261,7 +246,7 @@ class TestEvaluate:
         assert cand.params == report.total_params
         assert cand.u_value == performance(cand.score, cand.params, cand.ops)
 
-    def test_raising_evaluator_never_feasible(self, proto, space):
+    def test_raising_evaluator_never_feasible(self, base, space):
         def boom(spec):
             raise RuntimeError("no score available")
 
@@ -269,7 +254,7 @@ class TestEvaluate:
         assert math.isnan(cand.score)
         assert cand.u_value == float("-inf")
 
-    def test_nonfinite_score_becomes_nan(self, proto, space):
+    def test_nonfinite_score_becomes_nan(self, base, space):
         cand = evaluate(expand_point(space, space.base_point()), lambda s: float("inf"))
         assert math.isnan(cand.score)
 
@@ -288,7 +273,6 @@ class TestSampling:
 def run_explore(space, seed=3, budget=None, **constraint_kwargs):
     constraints = ConstraintSet(**constraint_kwargs)
     return explore(
-        space.proto,
         space,
         constraints,
         synthetic_evaluator(),
@@ -353,22 +337,22 @@ class TestExplore:
 
 
 class TestBruteForce:
-    def test_refuses_oversized_space(self, proto):
+    def test_refuses_oversized_space(self, base):
         fat = tuple(
             Slot(name=f"s{i}", kind="field", node_id=0, field="out", values=(1, 2))
             for i in range(17)
         )
-        space = DesignSpace(proto=proto, slots=fat)
+        space = DesignSpace(base=base, slots=fat)
         assert space.size() == 2**17 > BRUTE_FORCE_LIMIT
         with pytest.raises(ConfigError, match="brute force"):
             brute_force_search(space, ConstraintSet(), synthetic_evaluator())
 
-    def test_tie_breaks_lexicographically(self, proto):
+    def test_tie_breaks_lexicographically(self, base):
         """With the fca absent its reduction value is dead weight: the two
         points expand to identical specs, so u ties and the smaller
         reduction value must win."""
         s = build_design_space(
-            proto, field_values={"n6.reduction": (2, 4)}, optional_fca=(6,)
+            base, field_values={"n6.reduction": (2, 4)}, optional_fca=(6,)
         )
         assert [slot.name for slot in s.slots] == ["n6.reduction", "n6.present"]
         best = brute_force_search(s, ConstraintSet(), synthetic_evaluator())
@@ -392,18 +376,18 @@ class TestBruteForce:
 
 
 class TestSyntheticEvaluator:
-    def test_deterministic(self, proto):
+    def test_deterministic(self, base):
         ev = synthetic_evaluator()
-        assert ev(proto.base) == ev(proto.base)
+        assert ev(base) == ev(base)
 
-    def test_wider_scores_higher(self, proto, space):
+    def test_wider_scores_higher(self, base, space):
         ev = synthetic_evaluator()
         narrow = expand_point(space, (8, 8, 12, 16, 1, 8, 1, 24))
         wide = expand_point(space, (16, 16, 24, 32, 1, 2, 1, 48))
         assert ev(wide) > ev(narrow)
 
-    def test_range(self, proto):
-        score = synthetic_evaluator()(proto.base)
+    def test_range(self, base):
+        score = synthetic_evaluator()(base)
         assert 0.18 < score < 0.98
 
 
