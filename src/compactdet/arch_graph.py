@@ -397,11 +397,19 @@ def _validate_references(spec: NetworkSpec):
         raise ParseError(f"duplicate detect scale tags: {tags}")
 
 
+def _decimal(token):
+    """The value of an ASCII-decimal str or bytes token ([0-9]+: no sign,
+    underscore, space or non-ASCII digit); ValueError otherwise."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"expected a decimal integer, got {token!r}")
+    return int(token)
+
+
 def _int_field(token: str, what: str, line_no: int, minimum: int = 1) -> int:
     try:
-        value = int(token)
+        value = _decimal(token)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {token!r}", line_no) from None
+        raise ParseError(f"{what} must be a decimal integer, got {token!r}", line_no) from None
     if value < minimum:
         raise ParseError(f"{what} must be >= {minimum}, got {value}", line_no)
     return value

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arch_graph, complexity, detection, explorer
-from .arch_graph import NonFiniteOutputError, ParseError, ShapeError
+from .arch_graph import NonFiniteOutputError, ParseError, ShapeError, _decimal
 from .complexity import WeightFormatError
 from .detection import DetectionFormatError
 from .tensor_core import ConfigError
@@ -62,9 +62,9 @@ def read_ppm(path) -> np.ndarray:
     if next_token() != b"P6":
         raise PpmError("not a binary PPM (P6) file")
     try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
+        width = _decimal(next_token())
+        height = _decimal(next_token())
+        maxval = _decimal(next_token())
     except ValueError:
         raise PpmError("non-numeric header field") from None
     if width < 1 or height < 1:
@@ -193,8 +193,8 @@ def cmd_explore(args) -> int:
 
     if result.best is None:
         print(
-            f"no feasible candidate in {result.evaluations} evaluations "
-            f"over {result.space_size} points",
+            f"no feasible candidate in {len(result.history)} evaluations "
+            f"over {space.size()} points",
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
@@ -205,7 +205,7 @@ def cmd_explore(args) -> int:
         f"best: u {best.u_value:.6f} score {best.score:.6f} ops {best.ops} "
         f"params {best.params} point {' '.join(str(v) for v in best.point)}"
     )
-    print(f"evaluated {result.evaluations} of {result.space_size} points")
+    print(f"evaluated {len(result.history)} of {space.size()} points")
     return EXIT_OK
 
 
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except (WeightFormatError, PpmError, DetectionFormatError, NonFiniteOutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -28,6 +28,9 @@ Design-space document grammar (one statement per line, `#` comments):
     slot <name> values <v1,v2,...>
     fca_site <n_id> optional
     repeat <n_id> min <a> max <b>
+
+Integers (values, node ids, a and b) are ASCII-decimal [0-9]+ tokens, and
+b is at most MAX_REPEAT.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import numpy as np
 
 from .arch_graph import (
     _KINDS,
+    _decimal,
     INPUT_ID,
     NetworkSpec,
     NodeSpec,
@@ -52,6 +56,7 @@ from .complexity import ConstraintSet, check_constraints, count_network
 from .tensor_core import ConfigError
 
 BRUTE_FORCE_LIMIT = 1 << 16
+MAX_REPEAT = 64  # largest copy count a repeat slot may offer
 POPULATION = 16  # parents kept and children proposed per generation
 HALF_LIFE = 80.0  # capacity at which the synthetic score is 1 - 1/e of the way up
 
@@ -70,11 +75,13 @@ def mutable_fields(base: NetworkSpec) -> dict:
 
 @dataclass(frozen=True)
 class Slot:
-    name: str
-    kind: str  # "field" | "present" | "repeat"
     node_id: int
-    field: Optional[str]
+    field: str  # a mutable field's short name, "present" or "repeat"
     values: tuple
+
+    @property
+    def name(self) -> str:
+        return f"n{self.node_id}.{self.field}"
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,7 @@ class DesignSpace:
         current = mutable_fields(self.base)
         for slot in self.slots:
             # Present and repeat slots keep the node once.
-            base = current[(slot.node_id, slot.field)] if slot.kind == "field" else 1
+            base = current.get((slot.node_id, slot.field), 1)
             values.append(base if base in slot.values else slot.values[0])
         return tuple(values)
 
@@ -109,9 +116,12 @@ class DesignSpace:
 
 
 def _node_token(token: str) -> int:
-    if not token.startswith("n") or not token[1:].isdigit():
-        raise ConfigError(f"node references look like n<id>, got {token!r}")
-    return int(token[1:])
+    try:
+        if token.startswith("n"):
+            return _decimal(token[1:])
+    except ValueError:
+        pass
+    raise ConfigError(f"node references look like n<id>, got {token!r}")
 
 
 def build_design_space(
@@ -138,18 +148,20 @@ def build_design_space(
         values = tuple(sorted(set(int(v) for v in values)))
         if not values or any(v < 1 for v in values):
             raise ConfigError(f"slot {name!r} needs positive candidate values")
-        slots.append(Slot(name=name, kind="field", node_id=node_id, field=fname, values=values))
+        slots.append(Slot(node_id, fname, values))
 
     for node_id in sorted(set(optional_fca)):
         node = _checked_node(base, node_id)
         if node.kind != "fca":
             raise ConfigError(f"fca_site n{node_id} is a {node.kind} node")
-        slots.append(Slot(name=f"n{node_id}.present", kind="present", node_id=node_id, field=None, values=(1, 0)))
+        slots.append(Slot(node_id, "present", (1, 0)))
 
     for node_id, (lo, hi) in sorted((repeats or {}).items()):
         node = _checked_node(base, node_id)
-        if not 0 <= lo <= hi:
-            raise ConfigError(f"repeat bounds for n{node_id} must satisfy 0 <= min <= max")
+        if not 0 <= lo <= hi <= MAX_REPEAT:
+            raise ConfigError(
+                f"repeat bounds for n{node_id} must satisfy 0 <= min <= max <= {MAX_REPEAT}"
+            )
         in_c = table.of(node.input_id)[0]
         out_shape = table.of(node.id)
         if out_shape != table.of(node.input_id) or getattr(node.op, "stride", 1) != 1:
@@ -157,17 +169,10 @@ def build_design_space(
                 f"repeat target n{node_id} must preserve its input shape "
                 f"(stride 1, {in_c} -> {in_c} channels)"
             )
-        slots.append(
-            Slot(
-                name=f"n{node_id}.repeat",
-                kind="repeat",
-                node_id=node_id,
-                field=None,
-                values=tuple(range(lo, hi + 1)),
-            )
-        )
+        slots.append(Slot(node_id, "repeat", tuple(range(lo, hi + 1))))
 
-    slots.sort(key=lambda s: (s.node_id, s.kind, s.name))
+    # Per node: field slots by name, then present, then repeat.
+    slots.sort(key=lambda s: (s.node_id, s.field in ("present", "repeat"), s.field))
     space = DesignSpace(base=base, slots=tuple(slots))
     _validate_space(space)
     return space
@@ -184,7 +189,7 @@ def _validate_space(space: DesignSpace):
     plus corner-point shape inference keep that true by construction."""
     by_node: dict = {}
     for slot in space.slots:
-        by_node.setdefault(slot.node_id, {})[slot.field or slot.kind] = slot.values
+        by_node.setdefault(slot.node_id, {})[slot.field] = slot.values
     for node_id, fields in by_node.items():
         node = space.base.nodes[node_id]
         if node.kind == "pep":
@@ -195,14 +200,11 @@ def _validate_space(space: DesignSpace):
                     f"slot values on n{node_id} allow proj1 {max(proj1)} > "
                     f"expansion {min(expansion)}; every point must be valid"
                 )
-    # Repeat/out interactions: a repeated node must keep in == out under
-    # every out-channel assignment, which field slots on it would break.
-    for slot in space.slots:
-        if slot.kind == "repeat" and any(
-            s.node_id == slot.node_id and s.kind == "field" and s.field == "out"
-            for s in space.slots
-        ):
-            raise ConfigError(f"n{slot.node_id} cannot carry both repeat and out slots")
+    # A repeated node must keep in == out under every out-channel
+    # assignment, which an out slot on it would break.
+    for node_id, fields in by_node.items():
+        if "repeat" in fields and "out" in fields:
+            raise ConfigError(f"n{node_id} cannot carry both repeat and out slots")
     infer_shapes(expand_point(space, space.base_point()))
 
 
@@ -222,12 +224,12 @@ def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
         copies = 1
         present = True
         for slot, value in per_node.get(node.id, []):
-            if slot.kind == "field":
-                op = replace(op, **{kind.slots[slot.field]: value})
-            elif slot.kind == "present":
+            if slot.field == "present":
                 present = bool(value)
-            elif slot.kind == "repeat":
+            elif slot.field == "repeat":
                 copies = value
+            else:
+                op = replace(op, **{kind.slots[slot.field]: value})
         if kind.refs:
             op = replace(op, **{f: remap[getattr(op, f)] for f in kind.refs})
         if not present or copies == 0:
@@ -253,7 +255,7 @@ def parse_design_space(text: str, base: NetworkSpec) -> DesignSpace:
         tokens = line.split()
         try:
             if tokens[0] == "slot" and len(tokens) == 4 and tokens[2] == "values":
-                field_values[tokens[1]] = tuple(int(v) for v in tokens[3].split(",") if v)
+                field_values[tokens[1]] = tuple(_decimal(v) for v in tokens[3].split(",") if v)
             elif tokens[0] == "fca_site" and len(tokens) == 3 and tokens[2] == "optional":
                 optional_fca.append(_node_token(tokens[1]))
             elif (
@@ -262,7 +264,10 @@ def parse_design_space(text: str, base: NetworkSpec) -> DesignSpace:
                 and tokens[2] == "min"
                 and tokens[4] == "max"
             ):
-                repeats[_node_token(tokens[1])] = (int(tokens[3]), int(tokens[5]))
+                lo, hi = _decimal(tokens[3]), _decimal(tokens[5])
+                if hi > MAX_REPEAT:
+                    raise ConfigError(f"repeat max {hi} exceeds {MAX_REPEAT}")
+                repeats[_node_token(tokens[1])] = (lo, hi)
             else:
                 raise ConfigError(f"unrecognized statement {line!r}")
         except (ValueError, ConfigError) as exc:
@@ -276,8 +281,9 @@ def parse_design_space(text: str, base: NetworkSpec) -> DesignSpace:
 
 
 def performance(score: float, params: int, ops: int) -> float:
-    """NetScore u (module docstring); -inf when the score is not positive."""
-    if not (score > 0.0):
+    """NetScore u (module docstring); -inf when the score is not positive
+    or the design has no parameters or no ops."""
+    if not (score > 0.0 and params > 0 and ops > 0):
         return float("-inf")
     params_m = params / 1e6
     ops_b = ops / 1e9
@@ -322,27 +328,21 @@ def evaluate(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class HistoryEntry:
     gen: int
-    point: tuple
     feasible: bool
-    ops: int
-    params: int
-    score: float
-    u_value: float
+    candidate: Candidate
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExploreResult:
     best: Optional[Candidate]
-    history: list
-    evaluations: int
-    space_size: int
+    history: list  # HistoryEntry per evaluation, in evaluation order
 
     @property
-    def feasible_found(self) -> bool:
-        return self.best is not None
+    def evaluations(self) -> int:  # read by bench/perlayer.py
+        return len(self.history)
 
 
 def sample_point(seed: int, generation: int, space: DesignSpace) -> tuple:
@@ -361,6 +361,23 @@ def sample_point(seed: int, generation: int, space: DesignSpace) -> tuple:
 
 def _rank_key(cand: Candidate) -> tuple:
     return (-cand.u_value, cand.point)
+
+
+def _assess(
+    space: DesignSpace,
+    point: tuple,
+    constraints: ConstraintSet,
+    evaluator: Callable[[NetworkSpec], float],
+    gen: int = 0,
+) -> HistoryEntry:
+    """Expand, evaluate and constraint-check one point."""
+    cand = evaluate(expand_point(space, point), evaluator, point=point)
+    return HistoryEntry(gen, check_constraints(cand.ops, cand.score, constraints), cand)
+
+
+def _best(entries) -> Optional[Candidate]:
+    """The feasible candidate of smallest rank key, or None."""
+    return min((e.candidate for e in entries if e.feasible), key=_rank_key, default=None)
 
 
 def _mutate(point: tuple, space: DesignSpace, rng: np.random.Generator) -> tuple:
@@ -400,39 +417,21 @@ def explore(
         raise ConfigError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(seed)
     size = space.size()
-    seen: dict = {}  # point -> (Candidate, feasible)
-    history: list = []
-    best: Optional[Candidate] = None
+    seen: dict = {}  # point -> its HistoryEntry, in evaluation order
     gen = 0
 
     def consider(point: tuple) -> bool:
         """Evaluate an unseen point; returns False when budget is spent."""
-        nonlocal best
         if point in seen:
             return True
         if len(seen) >= budget:
             return False
-        cand = evaluate(expand_point(space, point), evaluator, point=point)
-        feasible = check_constraints(cand.ops, cand.score, constraints)
-        seen[point] = (cand, feasible)
-        history.append(
-            HistoryEntry(
-                gen=gen,
-                point=point,
-                feasible=feasible,
-                ops=cand.ops,
-                params=cand.params,
-                score=cand.score,
-                u_value=cand.u_value,
-            )
-        )
-        if feasible and (best is None or _rank_key(cand) < _rank_key(best)):
-            best = cand
+        seen[point] = _assess(space, point, constraints, evaluator, gen)
         return True
 
     consider(space.base_point())
     while len(seen) < min(budget, size):
-        elite = sorted((c for c, feasible in seen.values() if feasible), key=_rank_key)
+        elite = sorted((e.candidate for e in seen.values() if e.feasible), key=_rank_key)
         parents = [c.point for c in elite[:POPULATION]]
         exhausted = False
         produced = 0
@@ -459,7 +458,8 @@ def explore(
                 if point not in seen and not consider(point):
                     break
             break
-    return ExploreResult(best=best, history=history, evaluations=len(seen), space_size=size)
+    # Points are unique, so rank keys are too: the minimum is the one best.
+    return ExploreResult(best=_best(seen.values()), history=list(seen.values()))
 
 
 def brute_force_search(
@@ -475,14 +475,7 @@ def brute_force_search(
     size = space.size()
     if size > BRUTE_FORCE_LIMIT:
         raise ConfigError(f"space has {size} points, brute force caps at {BRUTE_FORCE_LIMIT}")
-    best: Optional[Candidate] = None
-    for point in space.enumerate_points():
-        cand = evaluate(expand_point(space, point), evaluator, point=point)
-        if not check_constraints(cand.ops, cand.score, constraints):
-            continue
-        if best is None or _rank_key(cand) < _rank_key(best):
-            best = cand
-    return best
+    return _best(_assess(space, p, constraints, evaluator) for p in space.enumerate_points())
 
 
 # Per-kind capacity terms of the synthetic score; other kinds add nothing.
@@ -526,10 +519,11 @@ def format_log_header(space: DesignSpace) -> str:
 
 
 def format_history_line(seed: int, entry: HistoryEntry) -> str:
-    score = "nan" if math.isnan(entry.score) else f"{entry.score:.6f}"
-    u = "-inf" if entry.u_value == float("-inf") else f"{entry.u_value:.6f}"
-    slots = " ".join(str(v) for v in entry.point)
+    cand = entry.candidate
+    score = "nan" if math.isnan(cand.score) else f"{cand.score:.6f}"
+    u = "-inf" if cand.u_value == float("-inf") else f"{cand.u_value:.6f}"
+    slots = " ".join(str(v) for v in cand.point)
     return (
-        f"{entry.gen} {seed} {int(entry.feasible)} {entry.ops} {entry.params} "
+        f"{entry.gen} {seed} {int(entry.feasible)} {cand.ops} {cand.params} "
         f"{score} {u} {slots}".rstrip()
     )

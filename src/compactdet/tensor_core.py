@@ -105,7 +105,8 @@ def _im2col(x: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.nd
 
 
 def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
-    """Grouped 2-D cross-correlation with zero padding plus bias."""
+    """Dense (groups 1) or depthwise 2-D cross-correlation with zero padding
+    plus bias; other groupings raise ConfigError."""
     x = as_tensor(x)
     n, c_in, h, width = x.shape
     if c_in % w.groups != 0:
@@ -124,15 +125,10 @@ def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
         flat = w.kernel.reshape(w.c_out, -1)
         out = np.matmul(flat, cols).reshape(n, w.c_out, out_h, out_w)
     else:
-        cpg_in = c_in // w.groups
-        cpg_out = w.c_out // w.groups
-        out = np.empty((n, w.c_out, out_h, out_w), dtype=DTYPE)
-        for g in range(w.groups):
-            cols = _im2col(xp[:, g * cpg_in:(g + 1) * cpg_in], w.k, w.stride, out_h, out_w)
-            flat = w.kernel[g * cpg_out:(g + 1) * cpg_out].reshape(cpg_out, -1)
-            out[:, g * cpg_out:(g + 1) * cpg_out] = np.matmul(flat, cols).reshape(
-                n, cpg_out, out_h, out_w
-            )
+        raise ConfigError(
+            f"only dense (groups 1) and depthwise convs are supported, got groups {w.groups} "
+            f"for {c_in} -> {w.c_out} channels"
+        )
     out += w.bias.reshape(1, -1, 1, 1)
     return np.ascontiguousarray(out)
 

@@ -508,9 +508,9 @@ def test_criterion_10_explorer_vs_brute_force():
 
         trajectory = [-math.inf]
         for entry in result.history:
-            assert entry.feasible == (entry.ops <= constraints.max_ops)
+            assert entry.feasible == (entry.candidate.ops <= constraints.max_ops)
             if entry.feasible:
-                trajectory.append(max(trajectory[-1], entry.u_value))
+                trajectory.append(max(trajectory[-1], entry.candidate.u_value))
         assert all(a <= b for a, b in zip(trajectory, trajectory[1:]))
         best_so_far = trajectory[-1]
 

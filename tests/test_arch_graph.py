@@ -118,6 +118,14 @@ class TestParse:
             ("input 3 8 8\nanchors large -0.2,0.2\nconv 1 1 1\n", "positive and finite"),
             ("input 3 8 8\ndetect big\n", "unknown scale tag"),
             ("input 3 8 8\npep 8 4 4 1\n", "line 2"),  # proj1 > expansion
+            # Integers are [0-9]+ tokens: no sign, underscore or non-ASCII digit.
+            ("input +3 64 64\nconv 1 1 1\n", "line 1: input dim must be a decimal integer"),
+            ("input 3 6_4 64\nconv 1 1 1\n", "line 1: input dim must be a decimal integer"),
+            ("input 3 \u0666\u0664 64\nconv 1 1 1\n", "must be a decimal integer"),  # Arabic-Indic 64
+            ("input 3 -8 8\nconv 1 1 1\n", "must be a decimal integer"),
+            ("input 3 8 8\nconv 1 +4 1\n", "line 2: .* must be a decimal integer"),
+            ("input 3 8 8\nclasses 2_0\nconv 1 1 1\n", "must be a decimal integer"),
+            ("input 3 8 8\nconv 1 1 1\nfrom +0\nconv 1 1 1\n", "line 3: .* must be a decimal integer"),
             (
                 "input 3 8 8\nconv 1 21 1\ndetect large\nfrom 0\nconv 1 21 1\ndetect large\n",
                 "duplicate detect",

@@ -6,12 +6,17 @@ image, and head biases then place one anchor's boxes at every cell center
 of the coarse grid with score sigmoid(10)^2 while silencing the rest.
 """
 
+import contextlib
 import hashlib
+import io
+import re
 import struct
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactdet import cli, complexity
 from compactdet.arch_graph import WeightStore, load_bundled_config, param_tensors, parse_network_spec
@@ -90,6 +95,9 @@ class TestPpm:
             b"P6\n0 2\n255\n",                     # zero dimension
             b"P6\ntwo 2\n255\n" + bytes(12),      # non-numeric
             b"P6",                                 # truncated header
+            b"P6\n+2 10\n255\n" + bytes(60),      # signed width
+            b"P6\n2 1_0\n255\n" + bytes(60),      # underscore in height
+            b"P6\n2 2\n+255\n" + bytes(12),      # signed maxval
         ],
     )
     def test_rejects_malformed(self, tmp_path, data):
@@ -398,9 +406,30 @@ class TestExplore:
     def test_infeasible_exits_4(self, tmp_path, capsys):
         rc, out, log = self.run(tmp_path, "x", "--min-score", "2.0")
         assert rc == 4
-        assert "no feasible candidate" in capsys.readouterr().err
+        assert capsys.readouterr().err == "no feasible candidate in 40 evaluations over 4374 points\n"
         assert not out.exists()      # no best config written
         assert log.exists()          # the log still documents the attempt
+
+    def test_best_config_digest(self, tmp_path):
+        rc, out, _ = self.run(tmp_path, "d")
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "41a995d72628ac2dac2ac5f409bbc623375cc689ba46665a8d4b158f7bb9916b"
+        )
+
+    def test_weightless_network(self, tmp_path, capsys):
+        """A network with no parameters ranks at u -inf instead of
+        dividing by zero."""
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text("input 75 13 13\nclasses 20\nupsample 1\ndetect large\n")
+        space = tmp_path / "space.txt"
+        space.write_text("")
+        rc = cli.main(["explore", "--config", str(cfg), "--space", str(space), "--budget", "4"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "best: u -inf " in captured.out
+        assert "evaluated 1 of 1 points" in captured.out
+        assert "Traceback" not in captured.err
 
     def test_constraint_respected(self, tmp_path, capsys):
         cap = 2500000
@@ -470,3 +499,149 @@ class TestGoldenOutput:
         assert cli.main(argv) == 0
         stdout = capsys.readouterr().out
         assert hashlib.sha256(stdout.encode()).hexdigest() == self.DIGESTS[(command, arg)]
+
+
+def run_quietly(argv) -> tuple:
+    """cli.main with stdout and stderr captured; any exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def head_net(tmp_path_factory):
+    """HEAD_CFG with zero weights, plus a directory for mutated inputs."""
+    directory = tmp_path_factory.mktemp("mutations")
+    cfg = directory / "net.cfg"
+    cfg.write_text(HEAD_CFG)
+    weights = directory / "net.w"
+    spec = parse_network_spec(HEAD_CFG)
+    save_weights(weights, spec, WeightStore.zeros(spec), bits=32)
+    return directory, cfg, weights
+
+
+ODD_INTEGERS = [
+    "+2", "1_0", "-1", "0", "00016", "16.0", "0x10", "1e1", " 16", "\u0661\u0666",
+    "\uff11\uff16", "\u00b2", "255", "256", "65535", "99999999999", "#", "",
+]
+
+
+@st.composite
+def mutated_ppms(draw):
+    """A valid PPM whose header tokens, separators, raster length or bytes
+    are changed; width x height may be any factoring of the raster.
+
+    Returns (bytes, refuse): refuse is set when the header plainly holds a
+    numeric field that is not [0-9]+, which must not load."""
+    w, h = draw(st.sampled_from([(16, 16), (256, 1), (1, 256), (32, 8), (8, 32)]))
+    tokens = [b"P6", str(w).encode(), str(h).encode(), b"255"]
+    seps = [b"\n", b" ", b"\n", b"\n"]  # the last is the single byte before the raster
+    raster = bytes(range(256)) * 3
+    odd = st.one_of(
+        st.sampled_from([t.encode() for t in ODD_INTEGERS] + [b"P3", b"P5", b"P6"]),
+        st.integers(-2, 300).map(lambda v: str(v).encode()),
+        st.binary(max_size=4),
+    )
+    odd_seps = st.sampled_from([b"", b"\t", b"\r\n", b"  ", b"\n# c\n", b"#", b"\x00", b"\xa0"])
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["token", "token", "sep", "truncate", "append", "flip"]))
+        if action == "token":
+            tokens[draw(st.integers(0, 3))] = draw(odd)
+        elif action == "sep":
+            seps[draw(st.integers(0, 3))] = draw(odd_seps)
+        elif action == "truncate":
+            raster = raster[: draw(st.integers(0, len(raster)))]
+        elif action == "append":
+            raster += draw(st.binary(min_size=1, max_size=8))
+        elif raster:
+            i = draw(st.integers(0, len(raster) - 1))
+            raster = raster[:i] + bytes([raster[i] ^ 0xFF]) + raster[i + 1:]
+    refuse = (
+        any(not re.fullmatch(rb"[0-9]+", t) for t in tokens[1:])
+        and all(re.fullmatch(rb"[^\s#]+", t) for t in tokens)
+        and all(re.fullmatch(rb"\s+", sep) for sep in seps[:3])
+    )
+    return b"".join(t + sep for t, sep in zip(tokens, seps)) + raster, refuse
+
+
+SPACE_LINES = [
+    line.split()
+    for line in (resources.files("compactdet.configs") / "explore-space.txt").read_text().splitlines()
+    if line.split("#", 1)[0].strip()
+]
+SPACE_STATEMENT = re.compile(
+    r"slot n[0-9]+\.[a-z0-9]+ values [0-9,]+|fca_site n[0-9]+ optional"
+    r"|repeat n[0-9]+ min [0-9]+ max ([0-9]|[1-5][0-9]|6[0-4])"
+)
+SPACE_TOKENS = ODD_INTEGERS + [
+    "n5", "n6", "n99", "n+5", "n\u0665", "n-1", "n", "8,12", "8,,16", ",", "1_6,8", "8,+12",
+    "64", "65", "5000", "slot", "values", "fca_site", "optional", "repeat", "min", "max",
+    "n0.out", "n1.proj1", "n6.present", "n10.out", "n5.out",
+]
+
+
+@st.composite
+def mutated_spaces(draw):
+    """The bundled design-space document, as bytes, with tokens replaced
+    (also by raw bytes) or dropped, lines dropped or doubled."""
+    lines = [[token.encode() for token in line] for line in SPACE_LINES]
+    tokens = st.one_of(
+        st.sampled_from(SPACE_TOKENS).map(str.encode),
+        st.integers(-2, 100).map(lambda v: str(v).encode()),
+        st.lists(st.integers(-1, 70), min_size=1, max_size=4).map(
+            lambda v: ",".join(map(str, v)).encode()
+        ),
+        st.binary(min_size=1, max_size=3),
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["replace", "replace", "drop token", "drop line", "double line"]))
+        if action == "replace":
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(tokens)
+        elif action == "drop token" and len(lines[i]) > 1:
+            del lines[i][draw(st.integers(0, len(lines[i]) - 1))]
+        elif action == "drop line" and len(lines) > 1:
+            del lines[i]
+        elif action == "double line":
+            lines.insert(i, list(lines[i]))
+    return b"\n".join(b" ".join(line) for line in lines) + b"\n"
+
+
+class TestInputMutations:
+    """Whatever the bytes, a PPM image or design-space document either
+    loads or ends in its documented exit code, never in an exception."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=mutated_ppms())
+    def test_ppm_loads_or_exits_3(self, head_net, case):
+        data, refuse = case
+        directory, cfg, weights = head_net
+        image = directory / "frame.ppm"
+        image.write_bytes(data)
+        rc, out, err = run_quietly(
+            ["detect", "--config", str(cfg), "--weights", str(weights), "--image", str(image)]
+        )
+        if rc == 0 and not refuse:
+            parse_detections(out)
+        else:
+            assert rc == 3 and err.startswith("error: ") and not out
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(doc=mutated_spaces())
+    def test_space_loads_or_exits_2_or_3(self, head_net, doc):
+        directory, _, _ = head_net
+        space, log = directory / "space.txt", directory / "explore.log"
+        space.write_bytes(doc)
+        rc, out, err = run_quietly([
+            "explore", "--config", bundled("explore-proto.cfg"), "--space", str(space),
+            "--log", str(log), "--budget", "4",
+        ])
+        if rc == 0:
+            assert out.startswith("best: u ")
+            # What loaded used only [0-9]+ integers and repeat max <= 64.
+            for raw in doc.decode().splitlines():
+                statement = " ".join(raw.split("#", 1)[0].split())
+                assert not statement or SPACE_STATEMENT.fullmatch(statement), statement
+        else:
+            assert rc in (2, 3) and err.startswith("error: ") and not out

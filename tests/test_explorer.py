@@ -14,6 +14,7 @@ from compactdet.arch_graph import ParseError, load_bundled_config, parse_network
 from compactdet.complexity import ConstraintSet, count_network
 from compactdet.explorer import (
     BRUTE_FORCE_LIMIT,
+    MAX_REPEAT,
     Candidate,
     DesignSpace,
     HistoryEntry,
@@ -149,11 +150,26 @@ class TestParseSpaceDoc:
             ("fca_site 6 optional\n", "n<id>"),
             ("repeat n5 min 0\n", "line 1"),
             ("grow n5\n", "unrecognized"),
+            # Integers are [0-9]+ tokens and repeat max is at most MAX_REPEAT.
+            ("# header\nslot n0.out values 1_6,8\n", "^line 2: "),
+            ("slot n0.out values 8,+12\n", "^line 1: "),
+            ("slot n0.out values 8,-12\n", "^line 1: "),
+            ("slot n0.out values 8,\u0661\u0662\n", "^line 1: "),  # Arabic-Indic 12
+            ("fca_site n\u0666 optional\n", "^line 1: "),
+            ("repeat n5 min +0 max 2\n", "^line 1: "),
+            ("repeat n5 min 0 max 5000\n", "^line 1: repeat max 5000 exceeds 64"),
+            ("repeat n5 min 0 max 65\n", "^line 1: "),
         ],
     )
     def test_rejects_malformed(self, base, doc, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse_design_space(doc, base)
+
+    def test_repeat_bound_is_inclusive(self, base):
+        s = parse_design_space(f"repeat n5 min 0 max {MAX_REPEAT}\n", base)
+        assert s.slots[0].values == tuple(range(MAX_REPEAT + 1))
+        with pytest.raises(ConfigError, match="bounds"):
+            build_design_space(base, repeats={5: (0, MAX_REPEAT + 1)})
 
     def test_semantic_error_still_parse_error(self, base):
         with pytest.raises(ParseError, match="fca"):
@@ -226,6 +242,12 @@ class TestPerformance:
         assert performance(-0.5, 10**6, 10**9) == float("-inf")
         assert performance(float("nan"), 10**6, 10**9) == float("-inf")
 
+    def test_weightless_designs_are_minus_inf(self):
+        """No parameters or no ops: u is -inf, not a ZeroDivisionError."""
+        assert performance(0.5, 0, 10**9) == float("-inf")
+        assert performance(0.5, 10**6, 0) == float("-inf")
+        assert performance(0.5, 0, 0) == float("-inf")
+
     def test_monotone_in_score(self):
         lo = performance(0.3, 10**6, 10**9)
         hi = performance(0.6, 10**6, 10**9)
@@ -287,23 +309,21 @@ class TestExplore:
         exact = brute_force_search(space, ConstraintSet(), synthetic_evaluator())
         assert result.best.point == exact.point
         assert result.best.u_value == exact.u_value
-        assert result.evaluations == space.size()
+        assert len(result.history) == space.size()
 
     def test_budget_respected(self, space):
         result = run_explore(space, budget=60)
-        assert result.evaluations == 60
         assert len(result.history) == 60
 
     def test_deterministic_history(self, space):
         a = run_explore(space, seed=11, budget=80)
         b = run_explore(space, seed=11, budget=80)
-        assert [e.point for e in a.history] == [e.point for e in b.history]
-        assert [e.u_value for e in a.history] == [e.u_value for e in b.history]
+        assert a.history == b.history
         assert a.best.point == b.best.point
 
     def test_no_duplicate_evaluations(self, space):
         result = run_explore(space, budget=200)
-        points = [e.point for e in result.history]
+        points = [e.candidate.point for e in result.history]
         assert len(points) == len(set(points))
 
     def test_constraint_max_ops_enforced(self, space):
@@ -320,7 +340,6 @@ class TestExplore:
     def test_infeasible_space_returns_none(self, space):
         result = run_explore(space, budget=50, min_score=2.0)  # scores top out < 1
         assert result.best is None
-        assert not result.feasible_found
         assert all(not e.feasible for e in result.history)
 
     def test_best_u_monotone_over_history(self, space):
@@ -328,8 +347,17 @@ class TestExplore:
         best = float("-inf")
         for entry in result.history:
             if entry.feasible:
-                best = max(best, entry.u_value)
+                best = max(best, entry.candidate.u_value)
         assert result.best.u_value == best
+
+    def test_best_is_taken_from_history(self, space):
+        """The best candidate is taken from the history records, not kept
+        apart: it is the very object the winning record holds."""
+        result = run_explore(space, budget=150, max_ops=2_500_000)
+        feasible = [e.candidate for e in result.history if e.feasible]
+        top = max(c.u_value for c in feasible)
+        winners = [c for c in feasible if c.u_value == top]
+        assert result.best is min(winners, key=lambda c: c.point)
 
     def test_rejects_silly_budget(self, space):
         with pytest.raises(ConfigError, match="budget"):
@@ -338,10 +366,7 @@ class TestExplore:
 
 class TestBruteForce:
     def test_refuses_oversized_space(self, base):
-        fat = tuple(
-            Slot(name=f"s{i}", kind="field", node_id=0, field="out", values=(1, 2))
-            for i in range(17)
-        )
+        fat = tuple(Slot(node_id=i, field="out", values=(1, 2)) for i in range(17))
         space = DesignSpace(base=base, slots=fat)
         assert space.size() == 2**17 > BRUTE_FORCE_LIMIT
         with pytest.raises(ConfigError, match="brute force"):
@@ -399,16 +424,14 @@ class TestLogFormat:
             "n3.expansion n5.expansion n5.repeat n6.reduction n6.present n8.expansion"
         )
 
-    def test_line(self):
-        entry = HistoryEntry(
-            gen=2, point=(8, 12), feasible=True, ops=1000, params=50,
-            score=0.5, u_value=-3.25,
-        )
+    def test_line(self, base):
+        cand = Candidate(spec=base, ops=1000, params=50, score=0.5, u_value=-3.25, point=(8, 12))
+        entry = HistoryEntry(gen=2, feasible=True, candidate=cand)
         assert format_history_line(7, entry) == "2 7 1 1000 50 0.500000 -3.250000 8 12"
 
-    def test_line_nan_and_inf_spelling(self):
-        entry = HistoryEntry(
-            gen=0, point=(8,), feasible=False, ops=1, params=1,
-            score=float("nan"), u_value=float("-inf"),
+    def test_line_nan_and_inf_spelling(self, base):
+        cand = Candidate(
+            spec=base, ops=1, params=1, score=float("nan"), u_value=float("-inf"), point=(8,)
         )
+        entry = HistoryEntry(gen=0, feasible=False, candidate=cand)
         assert format_history_line(0, entry) == "0 0 0 1 1 nan -inf 8"

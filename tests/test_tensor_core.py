@@ -92,25 +92,14 @@ class TestConv2d:
         out = conv2d(x, ConvWeights(kernel, np.zeros(2), stride=1, padding=1))
         np.testing.assert_allclose(out, x, atol=1e-7)
 
-    def test_grouped_matches_direct(self):
-        """Grouped convs (1 < groups < c_in) agree with the reference."""
-        rng = np.random.default_rng(77)
-        for _ in range(50):
-            groups = int(rng.choice([2, 3]))
-            cpg = int(rng.integers(1, 4))
-            c_in = groups * cpg
-            c_out = groups * int(rng.integers(1, 4))
-            k = int(rng.choice([1, 3]))
-            x = rng.standard_normal((1, c_in, 7, 9)).astype(np.float32)
-            kernel = rng.standard_normal((c_out, cpg, k, k)).astype(np.float32)
-            bias = rng.standard_normal(c_out).astype(np.float32)
-            w = ConvWeights(kernel, bias, stride=1, padding=k // 2, groups=groups)
-            np.testing.assert_allclose(
-                conv2d(x, w),
-                conv2d_reference(x, kernel, bias, 1, k // 2, groups),
-                rtol=1e-5,
-                atol=1e-5,
-            )
+    def test_rejects_grouped(self):
+        """Only dense and depthwise weights exist; 1 < groups < c_in and a
+        depthwise multiplier are refused rather than computed."""
+        x = np.zeros((1, 4, 5, 5), dtype=np.float32)
+        for kernel_shape, groups in [((4, 2, 3, 3), 2), ((6, 2, 1, 1), 2), ((8, 1, 3, 3), 4)]:
+            w = ConvWeights(np.zeros(kernel_shape), np.zeros(kernel_shape[0]), padding=1, groups=groups)
+            with pytest.raises(ConfigError, match="dense .* and depthwise"):
+                conv2d(x, w)
 
     def test_rejects_channel_mismatch(self):
         w = ConvWeights(np.zeros((4, 3, 3, 3)), np.zeros(4))
