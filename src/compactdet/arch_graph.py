@@ -23,7 +23,8 @@ Grammar (one statement per line, `#` starts a comment):
 
 `from` rebinds the input of the next node-producing line.  `detect` marks
 its input as one of the prediction grids; a runnable detection network has
-exactly three, tagged large/medium/small from coarse to fine.
+exactly three, tagged large/medium/small from coarse to fine.  Integer
+arguments are ASCII-decimal [0-9]+ tokens of at most MAX_INT (2**31 - 1).
 
 Every node kind is one `_Kind` record in `_KINDS`, keyed by its op class:
 grammar word and arguments, node-reference fields, explorer slot names,
@@ -67,6 +68,9 @@ from .tensor_core import (
 )
 
 INPUT_ID = -1
+# Largest integer a config or design-space document may hold.  Larger ones
+# only reach float overflow in cost totals or allocations that cannot fit.
+MAX_INT = 2**31 - 1
 SCALE_TAGS = ("large", "medium", "small")
 
 # Normalized prior box sizes (fractions of the input side), widest grid
@@ -412,6 +416,8 @@ def _int_field(token: str, what: str, line_no: int, minimum: int = 1) -> int:
         raise ParseError(f"{what} must be a decimal integer, got {token!r}", line_no) from None
     if value < minimum:
         raise ParseError(f"{what} must be >= {minimum}, got {value}", line_no)
+    if value > MAX_INT:
+        raise ParseError(f"{what} must be <= {MAX_INT}", line_no)
     return value
 
 
@@ -587,6 +593,15 @@ def linear_conv_ids(spec: NetworkSpec) -> frozenset:
     )
 
 
+def node_param_shapes(spec: NetworkSpec):
+    """Yield (node, kind record, parameter shapes in storage order) for each
+    node of spec; the one walk behind weight stores and weights files."""
+    table = infer_shapes(spec)
+    for node in spec.nodes:
+        kind = _KINDS[type(node.op)]
+        yield node, kind, kind.param_shapes(node.op, table.of(node.input_id)[0])
+
+
 def param_tensors(params: Optional[ModuleParams]) -> list:
     """Flatten module parameters to (name, array) in fixed storage order."""
     kind = _KINDS_BY_PARAMS.get(type(params))
@@ -612,24 +627,17 @@ class WeightStore:
     @classmethod
     def _init(cls, spec: NetworkSpec, rng) -> "WeightStore":
         """Draw each node's tensors from its kind's shapes, then build it."""
-        table = infer_shapes(spec)
-        params = []
-        for node in spec.nodes:
-            kind = _KINDS[type(node.op)]
-            shapes = kind.param_shapes(node.op, table.of(node.input_id)[0])
-            tensors = nn_modules.draw_tensors(shapes, rng, kind.draws_biases)
-            params.append(kind.build(node.op, tensors))
-        return cls(params)
+        return cls([
+            kind.build(node.op, nn_modules.draw_tensors(shapes, rng, kind.draws_biases))
+            for node, kind, shapes in node_param_shapes(spec)
+        ])
 
     def validate_against(self, spec: NetworkSpec):
         if len(self.params) != len(spec.nodes):
             raise ConfigError(
                 f"weight store has {len(self.params)} entries for {len(spec.nodes)} nodes"
             )
-        table = infer_shapes(spec)
-        for node, params in zip(spec.nodes, self.params):
-            kind = _KINDS[type(node.op)]
-            expected = kind.param_shapes(node.op, table.of(node.input_id)[0])
+        for (node, kind, expected), params in zip(node_param_shapes(spec), self.params):
             actual = param_tensors(params)
             if len(expected) != len(actual):
                 raise ConfigError(

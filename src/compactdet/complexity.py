@@ -18,6 +18,7 @@ is 32-bit regardless; quantization only changes what is stored on disk.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,6 +34,7 @@ from .arch_graph import (
     WeightStore,
     infer_shapes,
     linear_conv_ids,
+    node_param_shapes,
     param_tensors,
 )
 from .tensor_core import ConfigError
@@ -106,16 +108,13 @@ def _layout(spec: NetworkSpec, bits: int) -> list:
     Shapes come from each kind's parameter shapes; nothing is allocated.
     Biases always stay f32; other tensors take `bits` bits per element.
     """
-    table = infer_shapes(spec)
-    layout = []
-    for node in spec.nodes:
-        kind = _KINDS[type(node.op)]
-        shapes = kind.param_shapes(node.op, table.of(node.input_id)[0])
-        layout.append((node, [
+    return [
+        (node, [
             (name, shape, bits == 32 or name.endswith("bias"))
             for (name, _), shape in zip(kind.tensors, shapes)
-        ]))
-    return layout
+        ])
+        for node, kind, shapes in node_param_shapes(spec)
+    ]
 
 
 def model_size_bytes(spec: NetworkSpec, bits_per_weight: int = 8) -> int:
@@ -127,9 +126,15 @@ def model_size_bytes(spec: NetworkSpec, bits_per_weight: int = 8) -> int:
     """
     if bits_per_weight not in (8, 32):
         raise ConfigError(f"storable precisions are 8 and 32 bits, got {bits_per_weight}")
+    return _stored_bytes(_layout(spec, bits_per_weight))
+
+
+def _stored_bytes(layout: list) -> int:
+    """File bytes of a layout's tensors: f32 ones take 4 per element, 8-bit
+    ones 1 per element plus their scale and zero point."""
     return sum(
         4 * math.prod(shape) if as_f32 else math.prod(shape) + 8
-        for _, entries in _layout(spec, bits_per_weight)
+        for _, entries in layout
         for _, shape, as_f32 in entries
     )
 
@@ -272,8 +277,17 @@ def _read_header(fh: BinaryIO) -> int:
 
 
 def _read_params(fh: BinaryIO, spec: NetworkSpec, bits: int):
-    """Yield each node's parameter object; refuse trailing bytes at the end."""
-    for node, entries in _layout(spec, bits):
+    """Yield each node's parameter object.  The rest of the file must be
+    exactly as long as the layout needs, which is checked before any tensor
+    is allocated, so a short file is refused without reading it."""
+    layout = _layout(spec, bits)
+    want = _stored_bytes(layout)
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if have < want:
+        raise WeightFormatError(f"truncated weights file: tensors need {want} bytes, file has {have}")
+    if have > want:
+        raise WeightFormatError(f"{have - want} trailing bytes after final tensor")
+    for node, entries in layout:
         tensors = []
         for name, shape, as_f32 in entries:
             where = f"node {node.id} ({node.kind}) tensor {name}"
@@ -293,5 +307,3 @@ def _read_params(fh: BinaryIO, spec: NetworkSpec, bits: int):
                 raise WeightFormatError(f"{where}: non-finite values")
             tensors.append(arr)
         yield _KINDS[type(node.op)].build(node.op, tensors)
-    if fh.read(1):
-        raise WeightFormatError("trailing bytes after final tensor")

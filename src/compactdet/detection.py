@@ -19,7 +19,7 @@ classes that have at least one ground truth box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -57,12 +57,6 @@ class BBox:
 
 
 @dataclass(frozen=True)
-class Anchor:
-    w: float
-    h: float
-
-
-@dataclass(frozen=True)
 class Detection:
     bbox: BBox
     class_id: int
@@ -92,14 +86,20 @@ def iou(a: BBox, b: BBox) -> float:
 
 
 def decode_predictions(
-    raw: np.ndarray, anchors: Iterable, conf_threshold: float = DEFAULT_CONF_THRESHOLD
+    raw: np.ndarray, anchors: Sequence, conf_threshold: float = DEFAULT_CONF_THRESHOLD
 ) -> list:
-    """Decode one raw grid into Detection candidates (no NMS)."""
+    """Decode one raw grid into Detection candidates (no NMS); anchors are
+    (w, h) pairs, as in NetworkSpec.anchors."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 4 or raw.shape[0] != 1:
         raise ConfigError(f"expected a (1, c, s, s) prediction grid, got shape {raw.shape}")
-    anchors = [a if isinstance(a, Anchor) else Anchor(float(a[0]), float(a[1])) for a in anchors]
-    n_anchors = len(anchors)
+    try:
+        anchor_wh = np.array(anchors, dtype=np.float64)
+    except (TypeError, ValueError):
+        anchor_wh = np.empty(0)
+    if anchor_wh.ndim != 2 or anchor_wh.shape[1] != 2:
+        raise ConfigError(f"anchors must be (w, h) pairs, got {anchors!r}")
+    n_anchors = len(anchor_wh)
     channels = raw.shape[1]
     if n_anchors < 1 or channels % n_anchors != 0 or channels // n_anchors < 6:
         raise ConfigError(
@@ -122,7 +122,6 @@ def decode_predictions(
 
     # Candidates in (anchor, row, col) order, gathered in one pass.
     a, i, j = np.nonzero(scores >= conf_threshold)
-    anchor_wh = np.array([(anchor.w, anchor.h) for anchor in anchors], dtype=np.float64)
     columns = (
         cols[a, i, j].tolist(),
         rows[a, i, j].tolist(),
@@ -350,7 +349,8 @@ def _iou_wh(wh: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def kmeans_anchors(box_whs, k: int, seed: int = 0, iters: int = 100) -> list:
-    """Cluster (w, h) pairs under 1 - IoU distance; returns k anchors by area."""
+    """Cluster (w, h) pairs under 1 - IoU distance; returns k (w, h) anchor
+    tuples by area."""
     wh = np.asarray(box_whs, dtype=np.float64).reshape(-1, 2)
     if len(wh) < k:
         raise ConfigError(f"need at least k={k} boxes, got {len(wh)}")
@@ -367,7 +367,7 @@ def kmeans_anchors(box_whs, k: int, seed: int = 0, iters: int = 100) -> list:
             if len(members):
                 centers[j] = members.mean(axis=0)
     order = np.argsort(centers[:, 0] * centers[:, 1])
-    return [Anchor(float(w), float(h)) for w, h in centers[order]]
+    return [(float(w), float(h)) for w, h in centers[order]]
 
 
 def format_detection_line(image_id: str, det: Detection) -> str:

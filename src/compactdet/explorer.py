@@ -29,8 +29,8 @@ Design-space document grammar (one statement per line, `#` comments):
     fca_site <n_id> optional
     repeat <n_id> min <a> max <b>
 
-Integers (values, node ids, a and b) are ASCII-decimal [0-9]+ tokens, and
-b is at most MAX_REPEAT.
+Integers (values, node ids, a and b) are ASCII-decimal [0-9]+ tokens;
+values are at most arch_graph.MAX_INT and b at most MAX_REPEAT.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .arch_graph import (
     _KINDS,
     _decimal,
     INPUT_ID,
+    MAX_INT,
     NetworkSpec,
     NodeSpec,
     ParseError,
@@ -255,7 +256,10 @@ def parse_design_space(text: str, base: NetworkSpec) -> DesignSpace:
         tokens = line.split()
         try:
             if tokens[0] == "slot" and len(tokens) == 4 and tokens[2] == "values":
-                field_values[tokens[1]] = tuple(_decimal(v) for v in tokens[3].split(",") if v)
+                values = tuple(_decimal(v) for v in tokens[3].split(",") if v)
+                if any(v > MAX_INT for v in values):
+                    raise ConfigError(f"slot values must be <= {MAX_INT}")
+                field_values[tokens[1]] = values
             elif tokens[0] == "fca_site" and len(tokens) == 3 and tokens[2] == "optional":
                 optional_fca.append(_node_token(tokens[1]))
             elif (
@@ -416,27 +420,15 @@ def explore(
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(seed)
-    size = space.size()
-    seen: dict = {}  # point -> its HistoryEntry, in evaluation order
     gen = 0
-
-    def consider(point: tuple) -> bool:
-        """Evaluate an unseen point; returns False when budget is spent."""
-        if point in seen:
-            return True
-        if len(seen) >= budget:
-            return False
-        seen[point] = _assess(space, point, constraints, evaluator, gen)
-        return True
-
-    consider(space.base_point())
-    while len(seen) < min(budget, size):
+    base = space.base_point()
+    seen = {base: _assess(space, base, constraints, evaluator, gen)}  # point -> entry, in order
+    while len(seen) < min(budget, space.size()):
         elite = sorted((e.candidate for e in seen.values() if e.feasible), key=_rank_key)
         parents = [c.point for c in elite[:POPULATION]]
-        exhausted = False
         produced = 0
         for attempt in range(POPULATION * 10):
-            if produced >= POPULATION:
+            if produced >= POPULATION or len(seen) >= budget:
                 break
             if not parents or attempt % 4 == 3:
                 point = sample_point(int(rng.integers(1 << 32)), gen, space)
@@ -444,19 +436,17 @@ def explore(
                 parent = parents[int(rng.integers(len(parents)))]
                 point = _mutate(parent, space, rng)
             if point not in seen:
-                if not consider(point):
-                    exhausted = True
-                    break
+                seen[point] = _assess(space, point, constraints, evaluator, gen)
                 produced += 1
         gen += 1
-        if exhausted:
-            break
         if produced == 0:
             # Proposals keep landing on visited points; finish small spaces
             # by sweeping the remainder in enumeration order.
             for point in space.enumerate_points():
-                if point not in seen and not consider(point):
+                if len(seen) >= budget:
                     break
+                if point not in seen:
+                    seen[point] = _assess(space, point, constraints, evaluator, gen)
             break
     # Points are unique, so rank keys are too: the minimum is the one best.
     return ExploreResult(best=_best(seen.values()), history=list(seen.values()))

@@ -17,7 +17,7 @@ output is bit-identical to applying the individual kernels by hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -217,46 +217,41 @@ def _check_depthwise(name: str, w: ConvWeights, channels: int, stride: int):
         )
 
 
-def pep_forward(x: np.ndarray, cfg: PepConfig, params: PepParams) -> np.ndarray:
-    in_channels = x.shape[1]
-    _check_pointwise("project_in", params.project_in, in_channels, cfg.proj1_channels)
-    _check_pointwise("expand", params.expand, cfg.proj1_channels, cfg.expansion_channels)
-    _check_depthwise("depthwise", params.depthwise, cfg.expansion_channels, cfg.stride)
-    _check_pointwise("project_out", params.project_out, cfg.expansion_channels, cfg.out_channels)
-
-    y = leaky_relu(conv2d(x, params.project_in))
-    y = leaky_relu(conv2d(y, params.expand))
-    y = leaky_relu(depthwise_conv2d(y, params.depthwise))
-    y = conv2d(y, params.project_out)
-    if residual_active(cfg, in_channels):
+def _expand_project(y: np.ndarray, x: np.ndarray, cfg, expand, depthwise, project) -> np.ndarray:
+    """The tail PEP and EP share: expand 1x1, 3x3 depthwise, linear 1x1
+    projection, then the residual from the block input x when it applies."""
+    _check_pointwise("expand", expand, y.shape[1], cfg.expansion_channels)
+    _check_depthwise("depthwise", depthwise, cfg.expansion_channels, cfg.stride)
+    _check_pointwise("project", project, cfg.expansion_channels, cfg.out_channels)
+    y = leaky_relu(conv2d(y, expand))
+    y = leaky_relu(depthwise_conv2d(y, depthwise))
+    y = conv2d(y, project)
+    if residual_active(cfg, x.shape[1]):
         y = add(y, x)
     return y
+
+
+def pep_forward(x: np.ndarray, cfg: PepConfig, params: PepParams) -> np.ndarray:
+    _check_pointwise("project_in", params.project_in, x.shape[1], cfg.proj1_channels)
+    # No local name for the projection, so the tail frees it after the
+    # expand; a name here would hold it through the whole tail.
+    return _expand_project(
+        leaky_relu(conv2d(x, params.project_in)), x, cfg, params.expand, params.depthwise, params.project_out
+    )
 
 
 def ep_forward(x: np.ndarray, cfg: EpConfig, params: EpParams) -> np.ndarray:
-    in_channels = x.shape[1]
-    _check_pointwise("expand", params.expand, in_channels, cfg.expansion_channels)
-    _check_depthwise("depthwise", params.depthwise, cfg.expansion_channels, cfg.stride)
-    _check_pointwise("project", params.project, cfg.expansion_channels, cfg.out_channels)
-
-    y = leaky_relu(conv2d(x, params.expand))
-    y = leaky_relu(depthwise_conv2d(y, params.depthwise))
-    y = conv2d(y, params.project)
-    if residual_active(cfg, in_channels):
-        y = add(y, x)
-    return y
+    return _expand_project(x, x, cfg, params.expand, params.depthwise, params.project)
 
 
 def fca_forward(x: np.ndarray, cfg: FcaConfig, params: FcaParams) -> np.ndarray:
     channels = x.shape[1]
-    width = fca_bottleneck_width(channels, cfg.reduction_ratio)
-    if params.reduce_weight.shape != (width, channels) or params.restore_weight.shape != (
-        channels,
-        width,
-    ):
+    want = fca_param_shapes(cfg, channels)
+    have = tuple(getattr(params, f.name).shape for f in fields(params))
+    if have != want:
         raise ConfigError(
-            f"FCA weights do not match {channels} channels at reduction "
-            f"{cfg.reduction_ratio}: {params.reduce_weight.shape}, {params.restore_weight.shape}"
+            f"FCA parameters {have} do not match {want} for {channels} channels at "
+            f"reduction {cfg.reduction_ratio}"
         )
 
     pooled = global_avg_pool(x)

@@ -105,36 +105,35 @@ def _im2col(x: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.nd
 
 
 def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
-    """Dense (groups 1) or depthwise 2-D cross-correlation with zero padding
-    plus bias; other groupings raise ConfigError."""
+    """Dense (groups 1) 2-D cross-correlation with zero padding plus bias;
+    other groupings raise ConfigError (per-channel ones: depthwise_conv2d)."""
     x = as_tensor(x)
     n, c_in, h, width = x.shape
-    if c_in % w.groups != 0:
-        raise ConfigError(f"input channels {c_in} not divisible by groups {w.groups}")
-    if w.kernel.shape[1] != c_in // w.groups:
+    if w.groups != 1:
         raise ConfigError(
-            f"kernel expects {w.kernel.shape[1]} channels per group, input has {c_in // w.groups}"
+            f"conv2d computes dense (groups 1) convolutions only, got groups {w.groups}; "
+            f"per-channel weights go to depthwise_conv2d"
         )
+    if w.kernel.shape[1] != c_in:
+        raise ConfigError(f"kernel expects {w.kernel.shape[1]} input channels, input has {c_in}")
     out_h, out_w = conv_output_hw(h, width, w.k, w.stride, w.padding)
-    xp = _pad_input(x, w.padding)
-
-    if w.groups == c_in and w.c_out == c_in and w.kernel.shape[1] == 1:
-        out = _depthwise_apply(xp, w, out_h, out_w)
-    elif w.groups == 1:
-        cols = _im2col(xp, w.k, w.stride, out_h, out_w)
-        flat = w.kernel.reshape(w.c_out, -1)
-        out = np.matmul(flat, cols).reshape(n, w.c_out, out_h, out_w)
-    else:
-        raise ConfigError(
-            f"only dense (groups 1) and depthwise convs are supported, got groups {w.groups} "
-            f"for {c_in} -> {w.c_out} channels"
-        )
+    cols = _im2col(_pad_input(x, w.padding), w.k, w.stride, out_h, out_w)
+    out = np.matmul(w.kernel.reshape(w.c_out, -1), cols).reshape(n, w.c_out, out_h, out_w)
     out += w.bias.reshape(1, -1, 1, 1)
     return np.ascontiguousarray(out)
 
 
-def _depthwise_apply(xp: np.ndarray, w: ConvWeights, out_h: int, out_w: int) -> np.ndarray:
-    n, c, _, _ = xp.shape
+def depthwise_conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
+    """Per-channel 2-D cross-correlation with zero padding plus bias; groups
+    and c_out must both equal the input channel count."""
+    x = as_tensor(x)
+    n, c, h, width = x.shape
+    if w.groups != c:
+        raise ConfigError(f"depthwise conv needs groups == c_in == {c}, got groups {w.groups}")
+    if w.kernel.shape[1] != 1 or w.c_out != c:
+        raise ConfigError(f"depthwise kernel must be (c_in, 1, k, k), got {w.kernel.shape}")
+    out_h, out_w = conv_output_hw(h, width, w.k, w.stride, w.padding)
+    xp = _pad_input(x, w.padding)
     sn, sc, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp,
@@ -142,17 +141,9 @@ def _depthwise_apply(xp: np.ndarray, w: ConvWeights, out_h: int, out_w: int) -> 
         strides=(sn, sc, w.stride * sh, w.stride * sw, sh, sw),
         writeable=False,
     )
-    return np.einsum("nchwuv,cuv->nchw", windows, w.kernel[:, 0], dtype=DTYPE, casting="same_kind")
-
-
-def depthwise_conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
-    """Per-channel convolution: groups must equal the input channel count."""
-    x = as_tensor(x)
-    if w.groups != x.shape[1]:
-        raise ConfigError(f"depthwise conv needs groups == c_in == {x.shape[1]}, got groups {w.groups}")
-    if w.kernel.shape[1] != 1 or w.c_out != x.shape[1]:
-        raise ConfigError(f"depthwise kernel must be (c_in, 1, k, k), got {w.kernel.shape}")
-    return conv2d(x, w)
+    out = np.einsum("nchwuv,cuv->nchw", windows, w.kernel[:, 0], dtype=DTYPE, casting="same_kind")
+    out += w.bias.reshape(1, -1, 1, 1)
+    return np.ascontiguousarray(out)
 
 
 def leaky_relu(x: np.ndarray) -> np.ndarray:

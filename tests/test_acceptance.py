@@ -65,6 +65,7 @@ from compactdet.tensor_core import (
     channel_scale,
     conv2d,
     dense,
+    depthwise_conv2d,
     global_avg_pool,
     leaky_relu,
     sigmoid,
@@ -179,7 +180,7 @@ def conv2d_direct(x, kernel, bias, stride, padding, groups):
 
 
 def test_criterion_05_kernel_oracles():
-    """conv2d and its depthwise path agree with the direct oracle on 200
+    """conv2d and depthwise_conv2d agree with the direct oracle on 200
     random instances at relative error <= 1e-5."""
     rng = np.random.default_rng(2024)
     t0 = perf_counter()
@@ -199,7 +200,8 @@ def test_criterion_05_kernel_oracles():
             kernel = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
         bias = rng.standard_normal(c_out).astype(np.float32)
         x = rng.standard_normal((1, c_in, h, w)).astype(np.float32)
-        got = conv2d(x, ConvWeights(kernel, bias, stride=stride, padding=padding, groups=groups))
+        kernel_fn = depthwise_conv2d if depthwise else conv2d
+        got = kernel_fn(x, ConvWeights(kernel, bias, stride=stride, padding=padding, groups=groups))
         want = conv2d_direct(x.astype(np.float64), kernel.astype(np.float64),
                              bias.astype(np.float64), stride, padding, groups)
         err = float(np.max(np.abs(got.astype(np.float64) - want)))
@@ -240,7 +242,7 @@ def test_criterion_06_module_composition():
         p = init_pep_params(cfg, c_in, rng=np.random.default_rng(rng.integers(1 << 30)))
         y = leaky_relu(conv2d(x, p.project_in))
         y = leaky_relu(conv2d(y, p.expand))
-        y = leaky_relu(conv2d(y, p.depthwise))
+        y = leaky_relu(depthwise_conv2d(y, p.depthwise))
         y = conv2d(y, p.project_out)
         if cfg.stride == 1 and cfg.out_channels == c_in:
             y = y + x
@@ -251,7 +253,7 @@ def test_criterion_06_module_composition():
                         stride=int(rng.integers(1, 3)))
         ep = init_ep_params(ecfg, c_in, rng=np.random.default_rng(rng.integers(1 << 30)))
         y = leaky_relu(conv2d(x, ep.expand))
-        y = leaky_relu(conv2d(y, ep.depthwise))
+        y = leaky_relu(depthwise_conv2d(y, ep.depthwise))
         y = conv2d(y, ep.project)
         if ecfg.stride == 1 and ecfg.out_channels == c_in:
             y = y + x

@@ -130,6 +130,16 @@ class TestDescribe:
         assert rc == 2
         assert "line 2" in err
 
+    def test_integer_above_bound_exits_2(self, tmp_path, capsys):
+        """Integer fields stop at 2**31 - 1 (one above is refused, the bound
+        itself is not), so no count reaches float overflow."""
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("input 3 8 8\nconv 3 2147483648 1\n")
+        assert cli.main(["describe", "--config", str(cfg)]) == 2
+        assert "line 2" in capsys.readouterr().err
+        cfg.write_text("input 3 8 8\nconv 3 2147483647 1\n")
+        assert cli.main(["describe", "--config", str(cfg)]) == 0
+
     def test_missing_file_exits_3(self, capsys):
         rc = cli.main(["describe", "--config", "/nonexistent/net.cfg"])
         assert rc == 3
@@ -279,6 +289,20 @@ class TestDetect:
         assert rc == 2
         assert captured.out == ""
         assert "'nan,0.5'" in captured.err
+
+    def test_short_weights_refused_before_allocating(self, head_setup, tmp_path, capsys):
+        """A header-only file for a ~216 GiB layer is refused as truncated
+        from its size, without allocating a tensor."""
+        _, weights, image = head_setup
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("input 3 8 8\nconv 3 2147483647 1\n")
+        header = tmp_path / "header.w"
+        header.write_bytes(weights.read_bytes()[:7])
+        rc = cli.main([
+            "detect", "--config", str(cfg), "--weights", str(header), "--image", str(image),
+        ])
+        assert rc == 3
+        assert "truncated" in capsys.readouterr().err
 
     def test_bad_image_exit_3(self, head_setup, tmp_path, capsys):
         cfg, weights, _ = head_setup
@@ -447,6 +471,18 @@ class TestExplore:
             "--space", str(doc), "--out", str(tmp_path / "o.cfg"),
         ])
         assert rc == 2
+
+    def test_slot_value_above_bound_exits_2(self, tmp_path, capsys):
+        """A slot value past 2**31 - 1 is a parse error on its line, not an
+        overflow in the cost totals."""
+        doc = tmp_path / "space.txt"
+        doc.write_text("# huge\nslot n0.out values 8,1" + "0" * 305 + "\n")
+        rc = cli.main([
+            "explore", "--config", bundled("explore-proto.cfg"), "--space", str(doc),
+            "--log", str(tmp_path / "log.txt"),
+        ])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
 
 
 class TestBench:

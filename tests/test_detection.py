@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from compactdet.arch_graph import SCALE_TAGS, WeightStore, execute, load_bundled_config
 from compactdet.detection import (
-    Anchor,
     BBox,
     DEFAULT_CONF_THRESHOLD,
     Detection,
@@ -79,8 +78,8 @@ def decode_reference(raw, anchors, conf_threshold):
                             bbox=BBox(
                                 cx=(j + sigmoid(float(maps[a, 0, i, j]))) / grid_w,
                                 cy=(i + sigmoid(float(maps[a, 1, i, j]))) / grid_h,
-                                w=anchors[a].w * math.exp(float(maps[a, 2, i, j])),
-                                h=anchors[a].h * math.exp(float(maps[a, 3, i, j])),
+                                w=anchors[a][0] * math.exp(float(maps[a, 2, i, j])),
+                                h=anchors[a][1] * math.exp(float(maps[a, 3, i, j])),
                             ),
                             class_id=best_c,
                             score=score,
@@ -153,7 +152,7 @@ class TestDecode:
         num_classes = int(rng.integers(1, 6))
         s = int(rng.choice([1, 2, 4]))
         raw = rng.standard_normal((1, n_anchors * (5 + num_classes), s, s)) * 2
-        anchors = [Anchor(float(w), float(h)) for w, h in rng.uniform(0.05, 0.8, (n_anchors, 2))]
+        anchors = [(float(w), float(h)) for w, h in rng.uniform(0.05, 0.8, (n_anchors, 2))]
         return raw.astype(np.float64), anchors
 
     def test_matches_scalar_reference(self):
@@ -189,7 +188,7 @@ class TestDecode:
     def test_zero_logits_decode(self):
         """All-zero grid: center of each cell, anchor-sized box, score 0.25."""
         raw = np.zeros((1, 1 * (5 + 3), 2, 2))
-        dets = decode_predictions(raw, [Anchor(0.3, 0.4)], conf_threshold=0.2)
+        dets = decode_predictions(raw, [(0.3, 0.4)], conf_threshold=0.2)
         assert len(dets) == 4
         centers = sorted((d.bbox.cx, d.bbox.cy) for d in dets)
         assert centers == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
@@ -207,9 +206,12 @@ class TestDecode:
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ConfigError):
-            decode_predictions(np.zeros((2, 24, 4, 4)), [Anchor(0.5, 0.5)])
+            decode_predictions(np.zeros((2, 24, 4, 4)), [(0.5, 0.5)])
         with pytest.raises(ConfigError):
-            decode_predictions(np.zeros((1, 25, 4, 4)), [Anchor(0.5, 0.5), Anchor(0.2, 0.2)])
+            decode_predictions(np.zeros((1, 25, 4, 4)), [(0.5, 0.5), (0.2, 0.2)])
+        for anchors in ([(0.3,)], [(0.3, 0.4, 0.5)], [(0.3, 0.4), (0.5,)], []):
+            with pytest.raises(ConfigError, match="anchors must be"):
+                decode_predictions(np.zeros((1, 8, 4, 4)), anchors)
 
     def test_hostile_logits_saturate(self):
         """Untrained weights can emit huge logits; decode must stay finite
@@ -218,7 +220,7 @@ class TestDecode:
         raw[0, 2:4, 0, 0] = (5000.0, -5000.0)   # tw, th
         raw[0, 4:7, 0, 0] = (1000.0, 1000.0, -1000.0)  # objectness, class logits
         with np.errstate(over="raise"):
-            (det,) = decode_predictions(raw, [Anchor(0.3, 0.4)], conf_threshold=0.2)
+            (det,) = decode_predictions(raw, [(0.3, 0.4)], conf_threshold=0.2)
         assert det.bbox.w == pytest.approx(0.3 * np.exp(30.0))
         assert det.bbox.h == pytest.approx(0.4 * np.exp(-30.0))
         assert det.score == pytest.approx(1.0)
@@ -539,7 +541,8 @@ class TestKmeansAnchors:
             [m + rng.normal(0, 0.004, size=(60, 2)) for m in means]
         ).clip(0.01, 0.99)
         anchors = kmeans_anchors(boxes, 3, seed=5)
-        got = np.array([[a.w, a.h] for a in anchors])
+        assert all(type(a) is tuple and len(a) == 2 for a in anchors)
+        got = np.array(anchors)
         areas = got[:, 0] * got[:, 1]
         assert np.all(np.diff(areas) > 0)  # sorted by area
         for m in means:

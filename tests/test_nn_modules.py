@@ -29,14 +29,14 @@ from compactdet.tensor_core import ConfigError
 def pep_reference(x, params, with_residual):
     y = tc.leaky_relu(tc.conv2d(x, params.project_in))
     y = tc.leaky_relu(tc.conv2d(y, params.expand))
-    y = tc.leaky_relu(tc.conv2d(y, params.depthwise))
+    y = tc.leaky_relu(tc.depthwise_conv2d(y, params.depthwise))
     y = tc.conv2d(y, params.project_out)
     return y + x if with_residual else y
 
 
 def ep_reference(x, params, with_residual):
     y = tc.leaky_relu(tc.conv2d(x, params.expand))
-    y = tc.leaky_relu(tc.conv2d(y, params.depthwise))
+    y = tc.leaky_relu(tc.depthwise_conv2d(y, params.depthwise))
     y = tc.conv2d(y, params.project)
     return y + x if with_residual else y
 

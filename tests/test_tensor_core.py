@@ -93,12 +93,15 @@ class TestConv2d:
         np.testing.assert_allclose(out, x, atol=1e-7)
 
     def test_rejects_grouped(self):
-        """Only dense and depthwise weights exist; 1 < groups < c_in and a
-        depthwise multiplier are refused rather than computed."""
+        """conv2d is dense only: 1 < groups < c_in, a depthwise multiplier
+        and plain depthwise weights (depthwise_conv2d's job) are refused
+        rather than computed."""
         x = np.zeros((1, 4, 5, 5), dtype=np.float32)
-        for kernel_shape, groups in [((4, 2, 3, 3), 2), ((6, 2, 1, 1), 2), ((8, 1, 3, 3), 4)]:
+        for kernel_shape, groups in [
+            ((4, 2, 3, 3), 2), ((6, 2, 1, 1), 2), ((8, 1, 3, 3), 4), ((4, 1, 3, 3), 4),
+        ]:
             w = ConvWeights(np.zeros(kernel_shape), np.zeros(kernel_shape[0]), padding=1, groups=groups)
-            with pytest.raises(ConfigError, match="dense .* and depthwise"):
+            with pytest.raises(ConfigError, match="dense .* only.*depthwise_conv2d"):
                 conv2d(x, w)
 
     def test_rejects_channel_mismatch(self):
