@@ -11,7 +11,7 @@ Grammar (one statement per line, `#` starts a comment):
     input <channels> <height> <width>
     classes <count>
     anchors <scale_tag> <w,h> <w,h> ...
-    conv <kernel> <out_channels> <stride>
+    conv <kernel> <out_channels> <stride>    # kernel k odd, padding k // 2
     pep <proj1> <expansion> <out_channels> <stride>
     ep <expansion> <out_channels> <stride>
     fca <reduction>
@@ -114,9 +114,9 @@ class ConvSpec:
     out_channels: int
     stride: int
 
-    @property
-    def padding(self) -> int:
-        return self.kernel // 2
+    def __post_init__(self):
+        if self.kernel % 2 != 1:
+            raise ConfigError(f"conv kernel side must be odd, got {self.kernel}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ class NodeCost:
 # those names (a tracer, a test double) reaches every node.
 
 def _conv_shape(op, in_shape, shape_of, spec) -> tuple:
-    oh, ow = conv_output_hw(in_shape[1], in_shape[2], op.kernel, op.stride, op.padding)
+    oh, ow = conv_output_hw(in_shape[1], in_shape[2], op.kernel, op.stride, op.kernel // 2)
     return (op.out_channels, oh, ow)
 
 
@@ -267,7 +267,7 @@ def _per_output_cost(op, in_shape, out_shape, linear) -> NodeCost:
 
 
 def _conv_forward(op, x, params, outputs, linear):
-    y = conv2d(x, params)
+    y = conv2d(x, params, op.stride)
     return y if linear else leaky_relu(y)
 
 
@@ -290,7 +290,7 @@ class _Kind:
     slots: dict = field(default_factory=dict)  # explorer slot spelling -> field
     params: type = type(None)  # parameter object class
     param_shapes: Callable = lambda op, c_in: ()  # (op, in_channels) -> shapes in `tensors` order
-    build: Callable = lambda op, tensors: None  # (op, tensors in `tensors` order) -> params
+    build: Callable = lambda tensors: None  # (tensors in `tensors` order) -> params
     tensors: tuple = ()  # (stored name, attribute path) in storage order
     draws_biases: bool = False  # random init draws biases too (else zeros)
 
@@ -308,7 +308,7 @@ _KINDS = {
             slots={"out": "out_channels"},
             params=ConvWeights,
             param_shapes=lambda op, c: ((op.out_channels, c, op.kernel, op.kernel), (op.out_channels,)),
-            build=lambda op, t: ConvWeights(t[0], t[1], stride=op.stride, padding=op.padding),
+            build=lambda t: ConvWeights(*t),
             tensors=(("kernel", "kernel"), ("bias", "bias")),
         ),
         _Kind(
@@ -319,7 +319,7 @@ _KINDS = {
             slots={"proj1": "proj1_channels", "expansion": "expansion_channels", "out": "out_channels"},
             params=nn_modules.PepParams,
             param_shapes=lambda op, c: nn_modules.pep_param_shapes(op, c),
-            build=lambda op, tensors: nn_modules.build_pep_params(op, tensors),
+            build=lambda tensors: nn_modules.build_pep_params(tensors),
             tensors=_conv_tensors(
                 ("proj1", "project_in"), ("expand", "expand"), ("depthwise", "depthwise"),
                 ("proj2", "project_out"),
@@ -334,7 +334,7 @@ _KINDS = {
             slots={"expansion": "expansion_channels", "out": "out_channels"},
             params=nn_modules.EpParams,
             param_shapes=lambda op, c: nn_modules.ep_param_shapes(op, c),
-            build=lambda op, tensors: nn_modules.build_ep_params(op, tensors),
+            build=lambda tensors: nn_modules.build_ep_params(tensors),
             tensors=_conv_tensors(("expand", "expand"), ("depthwise", "depthwise"), ("project", "project")),
             draws_biases=True,
         ),
@@ -346,7 +346,7 @@ _KINDS = {
             slots={"reduction": "reduction_ratio"},
             params=nn_modules.FcaParams,
             param_shapes=lambda op, c: nn_modules.fca_param_shapes(op, c),
-            build=lambda op, tensors: nn_modules.FcaParams(*tensors),
+            build=lambda tensors: nn_modules.FcaParams(*tensors),
             tensors=(
                 ("dense1.weight", "reduce_weight"), ("dense1.bias", "reduce_bias"),
                 ("dense2.weight", "restore_weight"), ("dense2.bias", "restore_bias"),
@@ -628,7 +628,7 @@ class WeightStore:
     def _init(cls, spec: NetworkSpec, rng) -> "WeightStore":
         """Draw each node's tensors from its kind's shapes, then build it."""
         return cls([
-            kind.build(node.op, nn_modules.draw_tensors(shapes, rng, kind.draws_biases))
+            kind.build(nn_modules.draw_tensors(shapes, rng, kind.draws_biases))
             for node, kind, shapes in node_param_shapes(spec)
         ])
 

@@ -210,6 +210,8 @@ def cmd_explore(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.iterations < 1:
+        raise ConfigError(f"iterations must be >= 1, got {args.iterations}")
     spec = _load_spec(args.config)
     if args.weights:
         store, _bits = complexity.load_weights(args.weights, spec)

@@ -306,4 +306,4 @@ def _read_params(fh: BinaryIO, spec: NetworkSpec, bits: int):
             if not np.isfinite(arr).all():
                 raise WeightFormatError(f"{where}: non-finite values")
             tensors.append(arr)
-        yield _KINDS[type(node.op)].build(node.op, tensors)
+        yield _KINDS[type(node.op)].build(tensors)

@@ -17,7 +17,7 @@ output is bit-identical to applying the individual kernels by hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Union
 
 import numpy as np
@@ -144,14 +144,6 @@ def draw_tensors(shapes, rng, biases: bool = True) -> list:
     return out
 
 
-def _pointwise(kernel, bias) -> ConvWeights:
-    return ConvWeights(kernel=kernel, bias=bias, stride=1, padding=0)
-
-
-def _depthwise(kernel, bias, stride: int) -> ConvWeights:
-    return ConvWeights(kernel=kernel, bias=bias, stride=stride, padding=1, groups=kernel.shape[0])
-
-
 def ep_param_shapes(cfg: Union[PepConfig, EpConfig], in_channels: int) -> tuple:
     """Expand, depthwise and project kernels, each followed by its bias."""
     e, out = cfg.expansion_channels, cfg.out_channels
@@ -169,62 +161,58 @@ def fca_param_shapes(cfg: FcaConfig, channels: int) -> tuple:
     return ((width, channels), (width,), (channels, width), (channels,))
 
 
-def build_pep_params(cfg: PepConfig, tensors) -> PepParams:
+def build_pep_params(tensors) -> PepParams:
     """Wrap tensors in pep_param_shapes order."""
     pk, pb, ek, eb, dk, db, ok, ob = tensors
     return PepParams(
-        _pointwise(pk, pb), _pointwise(ek, eb), _depthwise(dk, db, cfg.stride), _pointwise(ok, ob)
+        ConvWeights(pk, pb), ConvWeights(ek, eb), ConvWeights(dk, db, groups=len(dk)), ConvWeights(ok, ob)
     )
 
 
-def build_ep_params(cfg: EpConfig, tensors) -> EpParams:
+def build_ep_params(tensors) -> EpParams:
     """Wrap tensors in ep_param_shapes order."""
     ek, eb, dk, db, pk, pb = tensors
-    return EpParams(_pointwise(ek, eb), _depthwise(dk, db, cfg.stride), _pointwise(pk, pb))
+    return EpParams(ConvWeights(ek, eb), ConvWeights(dk, db, groups=len(dk)), ConvWeights(pk, pb))
 
 
 def init_pep_params(cfg: PepConfig, in_channels: int, rng=None) -> PepParams:
     """Zero parameters by default, He-scaled gaussians when an rng is given."""
-    return build_pep_params(cfg, draw_tensors(pep_param_shapes(cfg, in_channels), rng))
+    return build_pep_params(draw_tensors(pep_param_shapes(cfg, in_channels), rng))
 
 
 def init_ep_params(cfg: EpConfig, in_channels: int, rng=None) -> EpParams:
-    return build_ep_params(cfg, draw_tensors(ep_param_shapes(cfg, in_channels), rng))
+    return build_ep_params(draw_tensors(ep_param_shapes(cfg, in_channels), rng))
 
 
 def init_fca_params(cfg: FcaConfig, channels: int, rng=None) -> FcaParams:
     return FcaParams(*draw_tensors(fca_param_shapes(cfg, channels), rng, biases=False))
 
 
-def _check_pointwise(name: str, w: ConvWeights, c_in: int, c_out: int):
-    if w.kernel.shape != (c_out, c_in, 1, 1) or w.stride != 1 or w.padding != 0 or w.groups != 1:
-        raise ConfigError(
-            f"{name} must be a 1x1 stride-1 conv ({c_in} -> {c_out}), got kernel "
-            f"{w.kernel.shape} stride {w.stride} padding {w.padding} groups {w.groups}"
-        )
+def _array_shapes(params) -> tuple:
+    """Shapes of the arrays in a parameter object, in field order; a conv
+    layer gives its kernel's, then its bias's."""
+    if is_dataclass(params):
+        return tuple(s for f in fields(params) for s in _array_shapes(getattr(params, f.name)))
+    return (params.shape,) if isinstance(params, np.ndarray) else ()
 
 
-def _check_depthwise(name: str, w: ConvWeights, channels: int, stride: int):
-    if (
-        w.kernel.shape != (channels, 1, 3, 3)
-        or w.stride != stride
-        or w.padding != 1
-        or w.groups != channels
-    ):
+def _check_params(params, param_shapes, cfg, channels: int):
+    """The one parameter check of each block: every tensor has the shape
+    param_shapes(cfg, channels) gives it."""
+    want = param_shapes(cfg, channels)
+    have = _array_shapes(params)
+    if have != want:
         raise ConfigError(
-            f"{name} must be a 3x3 depthwise conv over {channels} channels at stride "
-            f"{stride}, got kernel {w.kernel.shape} stride {w.stride} groups {w.groups}"
+            f"{type(params).__name__} shapes {have} do not match {want} for {cfg} "
+            f"over {channels} input channels"
         )
 
 
 def _expand_project(y: np.ndarray, x: np.ndarray, cfg, expand, depthwise, project) -> np.ndarray:
     """The tail PEP and EP share: expand 1x1, 3x3 depthwise, linear 1x1
     projection, then the residual from the block input x when it applies."""
-    _check_pointwise("expand", expand, y.shape[1], cfg.expansion_channels)
-    _check_depthwise("depthwise", depthwise, cfg.expansion_channels, cfg.stride)
-    _check_pointwise("project", project, cfg.expansion_channels, cfg.out_channels)
     y = leaky_relu(conv2d(y, expand))
-    y = leaky_relu(depthwise_conv2d(y, depthwise))
+    y = leaky_relu(depthwise_conv2d(y, depthwise, cfg.stride))
     y = conv2d(y, project)
     if residual_active(cfg, x.shape[1]):
         y = add(y, x)
@@ -232,7 +220,7 @@ def _expand_project(y: np.ndarray, x: np.ndarray, cfg, expand, depthwise, projec
 
 
 def pep_forward(x: np.ndarray, cfg: PepConfig, params: PepParams) -> np.ndarray:
-    _check_pointwise("project_in", params.project_in, x.shape[1], cfg.proj1_channels)
+    _check_params(params, pep_param_shapes, cfg, x.shape[1])
     # No local name for the projection, so the tail frees it after the
     # expand; a name here would hold it through the whole tail.
     return _expand_project(
@@ -241,19 +229,13 @@ def pep_forward(x: np.ndarray, cfg: PepConfig, params: PepParams) -> np.ndarray:
 
 
 def ep_forward(x: np.ndarray, cfg: EpConfig, params: EpParams) -> np.ndarray:
+    _check_params(params, ep_param_shapes, cfg, x.shape[1])
     return _expand_project(x, x, cfg, params.expand, params.depthwise, params.project)
 
 
 def fca_forward(x: np.ndarray, cfg: FcaConfig, params: FcaParams) -> np.ndarray:
     channels = x.shape[1]
-    want = fca_param_shapes(cfg, channels)
-    have = tuple(getattr(params, f.name).shape for f in fields(params))
-    if have != want:
-        raise ConfigError(
-            f"FCA parameters {have} do not match {want} for {channels} channels at "
-            f"reduction {cfg.reduction_ratio}"
-        )
-
+    _check_params(params, fca_param_shapes, cfg, channels)
     pooled = global_avg_pool(x)
     gates = np.empty((x.shape[0], channels), dtype=DTYPE)
     for n in range(x.shape[0]):

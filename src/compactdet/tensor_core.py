@@ -6,6 +6,10 @@ mutated, outputs are freshly allocated, and repeated calls on identical
 inputs produce bit-identical results.  Inference arithmetic stays in 32-bit
 floats; reduced-precision weight storage is a serialization concern handled
 elsewhere and never leaks into these routines.
+
+A convolution's stride is an argument of each call: where a layer strides
+belongs to the network, not to its weights.  Every convolution pads k // 2
+zeros on each side, which is "same" padding for the odd k ConvWeights allows.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ def as_tensor(x) -> np.ndarray:
 
 def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int, int]:
     """Spatial dims of a convolution output: floor((d + 2p - k) / s) + 1."""
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
     out_h = (h + 2 * padding - kernel) // stride + 1
     out_w = (w + 2 * padding - kernel) // stride + 1
     if out_h < 1 or out_w < 1:
@@ -45,16 +51,12 @@ def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tu
 
 @dataclass
 class ConvWeights:
-    """Convolution parameters.
-
-    kernel has shape (c_out, c_in // groups, k, k) and bias shape (c_out,).
-    Square kernels with odd side length only; padding is zero-fill.
-    """
+    """Convolution parameters: kernel (c_out, c_in // groups, k, k) with an
+    odd side k, and bias (c_out,).  Geometry is not a weight: the caller
+    passes the stride, and the kernels always zero-pad k // 2 ("same")."""
 
     kernel: np.ndarray
     bias: np.ndarray
-    stride: int = 1
-    padding: int = 0
     groups: int = 1
 
     def __post_init__(self):
@@ -66,9 +68,7 @@ class ConvWeights:
             raise ConfigError(f"kernel side must be odd, got {self.kernel.shape[2]}")
         if self.bias.shape != (self.kernel.shape[0],):
             raise ConfigError(f"bias shape {self.bias.shape} does not match c_out {self.kernel.shape[0]}")
-        if self.stride < 1 or self.padding < 0 or self.groups < 1:
-            raise ConfigError("stride must be >= 1, padding >= 0, groups >= 1")
-        if self.kernel.shape[0] % self.groups != 0:
+        if self.groups < 1 or self.kernel.shape[0] % self.groups != 0:
             raise ConfigError(f"c_out {self.kernel.shape[0]} not divisible by groups {self.groups}")
 
     @property
@@ -104,9 +104,10 @@ def _im2col(x: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.nd
     return windows.reshape(n, c * k * k, out_h * out_w)
 
 
-def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
-    """Dense (groups 1) 2-D cross-correlation with zero padding plus bias;
-    other groupings raise ConfigError (per-channel ones: depthwise_conv2d)."""
+def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
+    """Dense (groups 1) 2-D cross-correlation with "same" zero padding plus
+    bias; other groupings raise ConfigError (per-channel ones:
+    depthwise_conv2d)."""
     x = as_tensor(x)
     n, c_in, h, width = x.shape
     if w.groups != 1:
@@ -116,29 +117,29 @@ def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
         )
     if w.kernel.shape[1] != c_in:
         raise ConfigError(f"kernel expects {w.kernel.shape[1]} input channels, input has {c_in}")
-    out_h, out_w = conv_output_hw(h, width, w.k, w.stride, w.padding)
-    cols = _im2col(_pad_input(x, w.padding), w.k, w.stride, out_h, out_w)
+    out_h, out_w = conv_output_hw(h, width, w.k, stride, w.k // 2)
+    cols = _im2col(_pad_input(x, w.k // 2), w.k, stride, out_h, out_w)
     out = np.matmul(w.kernel.reshape(w.c_out, -1), cols).reshape(n, w.c_out, out_h, out_w)
     out += w.bias.reshape(1, -1, 1, 1)
     return np.ascontiguousarray(out)
 
 
-def depthwise_conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
-    """Per-channel 2-D cross-correlation with zero padding plus bias; groups
-    and c_out must both equal the input channel count."""
+def depthwise_conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
+    """Per-channel 2-D cross-correlation with "same" zero padding plus bias;
+    groups and c_out must both equal the input channel count."""
     x = as_tensor(x)
     n, c, h, width = x.shape
     if w.groups != c:
         raise ConfigError(f"depthwise conv needs groups == c_in == {c}, got groups {w.groups}")
     if w.kernel.shape[1] != 1 or w.c_out != c:
         raise ConfigError(f"depthwise kernel must be (c_in, 1, k, k), got {w.kernel.shape}")
-    out_h, out_w = conv_output_hw(h, width, w.k, w.stride, w.padding)
-    xp = _pad_input(x, w.padding)
+    out_h, out_w = conv_output_hw(h, width, w.k, stride, w.k // 2)
+    xp = _pad_input(x, w.k // 2)
     sn, sc, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp,
         shape=(n, c, out_h, out_w, w.k, w.k),
-        strides=(sn, sc, w.stride * sh, w.stride * sw, sh, sw),
+        strides=(sn, sc, stride * sh, stride * sw, sh, sw),
         writeable=False,
     )
     out = np.einsum("nchwuv,cuv->nchw", windows, w.kernel[:, 0], dtype=DTYPE, casting="same_kind")

@@ -201,7 +201,7 @@ def test_criterion_05_kernel_oracles():
         bias = rng.standard_normal(c_out).astype(np.float32)
         x = rng.standard_normal((1, c_in, h, w)).astype(np.float32)
         kernel_fn = depthwise_conv2d if depthwise else conv2d
-        got = kernel_fn(x, ConvWeights(kernel, bias, stride=stride, padding=padding, groups=groups))
+        got = kernel_fn(x, ConvWeights(kernel, bias, groups=groups), stride=stride)
         want = conv2d_direct(x.astype(np.float64), kernel.astype(np.float64),
                              bias.astype(np.float64), stride, padding, groups)
         err = float(np.max(np.abs(got.astype(np.float64) - want)))
@@ -242,7 +242,7 @@ def test_criterion_06_module_composition():
         p = init_pep_params(cfg, c_in, rng=np.random.default_rng(rng.integers(1 << 30)))
         y = leaky_relu(conv2d(x, p.project_in))
         y = leaky_relu(conv2d(y, p.expand))
-        y = leaky_relu(depthwise_conv2d(y, p.depthwise))
+        y = leaky_relu(depthwise_conv2d(y, p.depthwise, cfg.stride))
         y = conv2d(y, p.project_out)
         if cfg.stride == 1 and cfg.out_channels == c_in:
             y = y + x
@@ -253,7 +253,7 @@ def test_criterion_06_module_composition():
                         stride=int(rng.integers(1, 3)))
         ep = init_ep_params(ecfg, c_in, rng=np.random.default_rng(rng.integers(1 << 30)))
         y = leaky_relu(conv2d(x, ep.expand))
-        y = leaky_relu(depthwise_conv2d(y, ep.depthwise))
+        y = leaky_relu(depthwise_conv2d(y, ep.depthwise, ecfg.stride))
         y = conv2d(y, ep.project)
         if ecfg.stride == 1 and ecfg.out_channels == c_in:
             y = y + x

@@ -109,6 +109,7 @@ class TestParse:
             ("input 3 8 8\nconv 1 1 1\nfrom 0\n", "dangling from"),
             ("input 3 8 8\nconcat 0\n", "before it is defined"),
             ("input 3 8 8\nconv 1 1 0\n", "stride"),
+            ("input 16 16 16\nconv 2 8 1\n", "line 2: conv kernel side must be odd, got 2"),
             ("input 3 8 8\nanchors large 0.5,0.5\nconv 1 1 1\n", "need all"),
             ("input 3 8 8\nanchors huge 0.5,0.5\nconv 1 1 1\n", "unknown scale tag"),
             ("input 3 8 8\nanchors large 0.5\nconv 1 1 1\n", "not w,h"),
@@ -196,7 +197,7 @@ def random_config_text(rng) -> str:
         if (kind == "concat" and not node_id) or (kind == "detect" and not tags):
             kind = "fca"
         if kind == "conv":
-            args = (rng.integers(1, 6), rng.integers(1, 33), rng.integers(1, 4))
+            args = (2 * rng.integers(0, 3) + 1, rng.integers(1, 33), rng.integers(1, 4))
         elif kind == "pep":
             proj1 = rng.integers(1, 9)
             args = (proj1, proj1 + rng.integers(0, 9), rng.integers(1, 33), rng.integers(1, 3))
@@ -383,9 +384,9 @@ def _feed(h, obj):
 
 def params_digest(*params) -> str:
     """sha256 over parameter objects: class and field names, each array's
-    dtype, shape and bytes, and the repr of every other field (stride,
-    padding, groups), so a change to draw order, fan-in scaling, dtype or
-    conv settings shows."""
+    dtype, shape and bytes, and the repr of every other field (a conv's
+    groups), so a change to draw order, fan-in scaling, dtype or grouping
+    shows."""
     h = hashlib.sha256()
     for obj in params:
         _feed(h, obj)
@@ -395,22 +396,22 @@ def params_digest(*params) -> str:
 # Digests of WeightStore.zeros and WeightStore.random at seeds 0, 1, 2.
 STORE_DIGESTS = {
     "reference": (
-        "61a2b4c477e93ca2e7a26fc34667f8b90ebbbb9510589abfa0dea332f808cf97",
-        "82a7d42533ad257eef0f19797175a66a8968a773b5efea3a16b87a243260cd8c",
-        "d68146dd30e1934dd8c7ebead89714aeb667e9d6a32e3503449e63a05977fef8",
-        "53f9cde671a986a39b1b04da338321ec61ace70e6e08ecf0ae39efad98c90432",
+        "eee9149efef2099192cd55d36b1e3fe0ee6c0f00648ae8ca7941f621e7748d25",
+        "9aafe55b73e5098e6b58df346c4b2ecc096b9da48b332c7a00e3331564f6b30a",
+        "f3db9a98890a49e4eb5c0de11cadd2d75f31d5db7bbcddf71d05d9c29abf0a8e",
+        "8432cf6148b92848042c62ef0d401ef372ca4e5d1a1d0f7eb4ff0d7e45a6f188",
     ),
     "tiny-yolov3": (
-        "93b843758a3356d73acf7383c38809dc2917ee60cae318a40c11aac0c86628e0",
-        "7e2787da0a22414cf803bc50f7468f78f07f2e4cc4d6d4ca4f38c086afad3065",
-        "051f01afbbe92daa6c2275f15973b63e33961b225b036dd580a14dc9fe83eb27",
-        "caff798987624c536187b27d59ee357ecd75af3a0e104e44ffcd71b2da762978",
+        "0f7a94fab91a3b653193efdcc26fb0ea0916c2ba573e128ed297b30e51e04cca",
+        "58cb9f168044bb767d5e049ac668015d6395d758aece87f55c5c31ce83b6f461",
+        "052d403236eacf6cb1a16308794bb0a467d65b931e6f09298daee5da3bb22609",
+        "17a13fe4220e81941cac021a904aae3243cf3c39a83ce57abb8fc57d81cb57e9",
     ),
     "explore-proto": (
-        "d568dbf1211d1481a676037ab881fe51399e7b3374f60b57c13bbba414dd3af0",
-        "f524ef8806b64fd43cf95fbb620020967a2ce249bc227c3a06a00d00405dd5d7",
-        "940f508de87374442c8f398ee60870c659830df53c355a30911a1c3e24957fef",
-        "838995ad7540e23081fd86ddbe5554fdc80f22a01e083f9d5d984d45287fa733",
+        "915d1ec1f2db9b0c5c2565d2f003dde58be8621532b4db79332e3f677aa1e1c5",
+        "29f1d8c87673eb13659ceea754f442b9bf7acf5d218b606454194358988f8897",
+        "270094186fe61d5d5768e2e8e97a74194848f485027a81b4c0ea5bf8a4223475",
+        "07c20981c89379957ef5d332fc05b8069660132dae4ef683494f2f2f6c48ddf7",
     ),
 }
 
@@ -418,28 +419,28 @@ STORE_DIGESTS = {
 # default_rng(0), (1) and (2).
 MODULE_DIGESTS = [
     (init_pep_params, PepConfig(3, 7, 9, 2), 5, (
-        "95e3575229072f56247a91b6df33454993da05e8070177d18dfea01674adaa20",
-        "5538f0568bc4cb4d2506b8837ecf44d95ca08a4652752f7cb6dcc2f49f2ecbe1",
-        "59b72368a2c0b98813c99f8beb37e26ca0f7981e9680ef638718c1c19fa3548d",
-        "b94c549e063d85bbd4a96abe48b40c9dfe07ff600c9144eb4d64a49cd7d4a274",
+        "0e3eb27f45eb41de626119bf01b1d559bba2c59d96f98e809006cf10243d66b3",
+        "6c58d86897d0e36c32bfce350c834450854dcff593cc41449702b9bea06ad899",
+        "9868a1f1f7a928f54b94cba19a86a842be5d4749ba6ad8db45467886adce784c",
+        "d51f7c81803a10481ffd7ef68a1060b0ac346fff5351fd16b735e4dd3d4eefd2",
     )),
     (init_pep_params, PepConfig(4, 4, 4, 1), 4, (
-        "5a48c1f6ce15c4e300cc4d483664bcefdf9f96399efbb873f479aba41bc69367",
-        "ae9f93f9648f1b2d91f25422dd2f5dc88d6e78fa81add50083180404a7e8d117",
-        "26efae4b8de979e75c8a62bc47040ed7d172952bbb0d120ffa4c6d2c22503b5c",
-        "bf6ffb07bc87fe2c36092454879656418f1bf935c42bc84173c80718a04217d1",
+        "258d4f88fcdd547551fd9c56c87ebd36fd49eb603da57fafb2deb60c8286ac50",
+        "d0f7b7a5c032877be1b3d2d93c55533852ec8ba671a4f6d6e665982f73b6039a",
+        "9f12d911cc5c86301f93f5bf9c754d5ef17e241169e0897b1a47ba63a90eba65",
+        "d18040c86a31a22fb780af80c4876ff016b102263fd4e984f7c5f8aaacce3f89",
     )),
     (init_ep_params, EpConfig(8, 5, 2), 6, (
-        "3b59ecbab3e41beb5dc2ec05208359a971407338ed0ef8cccfcd469ad0226750",
-        "8200ee7d8e3fc18b9e7dfb29d75bd02c65566672b39d0f9dfabc0304be1e327a",
-        "2010192d3d90b87e77c7254be08d808527615c8a2e1037cdf0f51b8a798dba8b",
-        "54650ab89a523971a3e4fbf20d566b7f6534c442356b0306dad8a185e306bb39",
+        "44925c30215e55b94f13b44201a28bffc123510f9c3e52752550ef406b32db9c",
+        "3bc3531812d1664bf412efe029f8aa7ef085f4cdd3c0a24f167b5360a74c1e3a",
+        "a59d2ad1bf40a28f685570ccf57a4b0076ca2c4416bc2cb79e1f2e0e1b44ce06",
+        "b37d8638d7546a8a8a77980bf873127b142e353985a9c9361a961cd2e70b9fd2",
     )),
     (init_ep_params, EpConfig(3, 3, 1), 3, (
-        "2cfd1a0fcb0f854497c6ef80401355979581953c777257daabc9a3b79bbcdf5e",
-        "53a3ffd97921c4c179e98137197797c2e5f63e6cc35db0e5eb65708174b3f8ab",
-        "1f161d8bc28329275833b67b62f1ca3f20e5fdf5fd15dfd98c2a43bc3ef0dd3b",
-        "5fb440849037513d77fead01f2dfcd1841ab969b1926723aa5ead5c9d64912fe",
+        "a43b6c3a01d0b48dffca433cbec83ab8e61632de6721081b996c3c49621387cb",
+        "823c3b8337521760901985f8c79b5795f39408526b7cd0278afa63815b092284",
+        "3966ad17baba4336933c2c1294e16ce3391f3f16aefcc1e0e0875cd7d78739d7",
+        "6f0ca0ac72b6215305564bf3f6091bf1996eede68b6078d88931d0287cf2725d",
     )),
     (init_fca_params, FcaConfig(2), 6, (
         "1c19cf29251801dc2999de28884e5cf950fe836d225aa18c04248862d1828c61",

