@@ -188,12 +188,12 @@ class NodeCost:
 # those names (a tracer, a test double) reaches every node.
 
 def _conv_shape(op, in_shape, shape_of, spec) -> tuple:
-    oh, ow = conv_output_hw(in_shape[1], in_shape[2], op.kernel, op.stride, op.kernel // 2)
+    oh, ow = conv_output_hw(in_shape[1], in_shape[2], op.kernel, op.stride)
     return (op.out_channels, oh, ow)
 
 
 def _block_shape(op, in_shape, shape_of, spec) -> tuple:
-    oh, ow = conv_output_hw(in_shape[1], in_shape[2], 3, op.stride, 1)
+    oh, ow = conv_output_hw(in_shape[1], in_shape[2], 3, op.stride)
     return (op.out_channels, oh, ow)
 
 
@@ -384,14 +384,19 @@ _KINDS_BY_WORD = {kind.word: kind for kind in _KINDS.values()}
 _KINDS_BY_PARAMS = {kind.params: kind for kind in _KINDS.values()}
 
 
+def _inputs(node: NodeSpec) -> list:
+    """The ids whose outputs node reads: its input, then its refs fields."""
+    ids = [node.input_id]
+    for name in _KINDS[type(node.op)].refs:
+        ids.append(getattr(node.op, name))
+    return ids
+
+
 def _validate_references(spec: NetworkSpec):
     if not spec.nodes:
         raise ParseError("no nodes")
     for node in spec.nodes:
-        refs = [node.input_id]
-        for name in _KINDS[type(node.op)].refs:
-            refs.append(getattr(node.op, name))
-        for ref in refs:
+        for ref in _inputs(node):
             if ref != INPUT_ID and not (0 <= ref < node.id):
                 raise ParseError(
                     f"node {node.id} references node {ref}, which is not an earlier node"
@@ -672,6 +677,10 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
 
     raw_heads = linear_conv_ids(spec)
     outputs: dict[int, np.ndarray] = {INPUT_ID: x}
+    # Each output is freed once its last reader has run (at once if nothing
+    # reads it), except the detect outputs, which are the grids.
+    last_read = {ref: node.id for node in spec.nodes for ref in _inputs(node)}
+    grid_ids = {n.id for n in spec.detect_nodes()}
 
     def fail(err: str, _flag: int):
         raise NonFiniteOutputError(f"node {node.id} ({node.kind}): float32 {err}")
@@ -683,6 +692,9 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
             outputs[node.id] = _KINDS[type(node.op)].forward(
                 node.op, outputs[node.input_id], weights.params[node.id], outputs, node.id in raw_heads
             )
+            for done in {node.id, *_inputs(node)}:
+                if last_read.get(done, node.id) == node.id and done not in grid_ids:
+                    del outputs[done]
     by_tag = {n.op.scale_tag: outputs[n.id] for n in spec.detect_nodes()}
     return tuple(by_tag[tag] for tag in SCALE_TAGS)
 

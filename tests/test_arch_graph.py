@@ -7,6 +7,7 @@ tests run the small bundled prototype so the whole file stays fast.
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -41,7 +42,7 @@ from compactdet.nn_modules import (
     init_fca_params,
     init_pep_params,
 )
-from compactdet.tensor_core import ConfigError
+from compactdet.tensor_core import ConfigError, concat_channels, conv2d, leaky_relu, upsample_nearest
 
 MINI = """\
 input 3 64 64
@@ -523,6 +524,47 @@ class TestExecute:
         store.params[head_id].bias[:] = -3.0
         large, _, _ = execute(self.spec, store, self.x)
         np.testing.assert_array_equal(large, np.full((1, 21, 2, 2), -3.0, dtype=np.float32))
+
+    def test_node_reading_a_detect_output_by_default(self):
+        """Liveness counts every reader: conv 3 reads detect node 2's
+        output as its default input, so that output must still be there
+        when conv 3 runs."""
+        spec = parse_network_spec(
+            "input 3 32 32\nclasses 1\nconv 3 8 2\nconv 1 18 1\ndetect large\n"
+            "conv 1 18 2\ndetect medium\nconv 1 18 2\ndetect small\n"
+        )
+        grids = execute(spec, WeightStore.random(spec, seed=1), self.x[:, :, :32, :32].copy())
+        assert [g.shape for g in grids] == [(1, 18, 16, 16), (1, 18, 8, 8), (1, 18, 4, 4)]
+
+    def test_concat_operand_lives_until_the_concat(self):
+        """Node 0 feeds node 1 and, through with_id, concat node 3: its
+        output must outlive node 1, its last reader by input_id."""
+        spec = parse_network_spec(
+            "input 3 16 16\nclasses 1\nconv 3 4 1\nconv 3 4 2\nupsample 2\nconcat 0\n"
+            "conv 1 18 1\ndetect large\nfrom 4\ndetect medium\nfrom 4\ndetect small\n"
+        )
+        store = WeightStore.random(spec, seed=2)
+        x = self.x[:, :, :16, :16].copy()
+        p = store.params
+        y0 = leaky_relu(conv2d(x, p[0]))
+        y3 = concat_channels(upsample_nearest(leaky_relu(conv2d(y0, p[1], 2)), 2), y0)
+        want = conv2d(y3, p[4]).tobytes()
+        assert [g.tobytes() for g in execute(spec, store, x)] == [want] * 3
+
+    def test_reference_peak_memory(self):
+        """Outputs are freed after their last reader: one reference run
+        peaks below 40 MiB of traced allocations (55.7 MiB when all 48
+        node outputs stayed alive)."""
+        spec = load_bundled_config("reference")
+        store = WeightStore.random(spec, seed=0)
+        x = np.random.default_rng(0).random((1, *spec.input_shape), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            execute(spec, store, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_interior_conv_is_activated(self):
         """A non-head conv with negative bias shows the 0.1 leaky slope."""

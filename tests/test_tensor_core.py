@@ -1,13 +1,20 @@
 """Kernel-level tests against direct, loop-based reference implementations.
 
-The production kernels use strided views and matmul; every reference here
-is the obvious quadruple loop accumulating in float64, so an agreement
+The production kernels use strided views and matmul; most references here
+are the obvious quadruple loop accumulating in float64, so an agreement
 check exercises the layout and ordering logic rather than restating it.
+The depthwise and leaky ReLU kernels also keep the slow forms they
+replaced (an einsum and an np.where) as oracles that they must match byte
+for byte, up to a whole network run.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from compactdet import arch_graph, nn_modules, tensor_core
 from compactdet.tensor_core import (
     ConfigError,
     ConvWeights,
@@ -50,6 +57,62 @@ def conv2d_reference(x, kernel, bias, stride, padding, groups=1):
                     ]
                     out[b, co, oy, ox] = np.sum(window * kernel[co]) + bias[co]
     return out
+
+
+def depthwise_einsum_oracle(x, w, stride=1):
+    """The einsum depthwise kernel that depthwise_conv2d replaced: one 6-D
+    einsum over strided windows of the padded input, then the bias."""
+    x = as_tensor(x)
+    n, c, h, width = x.shape
+    out_h, out_w = conv_output_hw(h, width, w.k, stride)
+    p = w.k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    sn, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, c, out_h, out_w, w.k, w.k),
+        strides=(sn, sc, stride * sh, stride * sw, sh, sw),
+        writeable=False,
+    )
+    out = np.einsum("nchwuv,cuv->nchw", windows, w.kernel[:, 0], dtype=np.float32, casting="same_kind")
+    out += w.bias.reshape(1, -1, 1, 1)
+    return np.ascontiguousarray(out)
+
+
+def leaky_relu_oracle(x):
+    """The np.where leaky ReLU that leaky_relu replaced."""
+    x = np.asarray(x, dtype=np.float32)
+    return np.where(x >= 0, x, np.float32(0.1) * x)
+
+
+def same_bytes(a, b) -> bool:
+    """Equal shapes and bit patterns: -0.0 differs from 0.0 here."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+# Signed zeros, subnormals and large magnitudes mixed into kernel inputs.
+# Large inputs meet weights of magnitude below 10, so no 9-term sum
+# overflows float32.
+SPECIAL_INPUTS = np.array(
+    [0.0, -0.0, 1e-45, -1e-45, 2.5e-39, -2.5e-39, 1e36, -1e36], dtype=np.float32
+)
+SPECIAL_WEIGHTS = np.array([0.0, -0.0, 1e-45, -3e-41, 7.5, -9.0], dtype=np.float32)
+
+
+def hostile(rng, shape, specials, share):
+    """Standard normals with a `share` of entries drawn from `specials`."""
+    a = rng.standard_normal(shape).astype(np.float32)
+    mask = rng.random(shape) < share
+    a[mask] = rng.choice(specials, size=int(mask.sum()))
+    return a
+
+
+def hostile_depthwise_case(rng, n, c, h, w, share):
+    """Input and 3x3 depthwise weights, biases with -0.0 entries."""
+    x = hostile(rng, (n, c, h, w), SPECIAL_INPUTS, share)
+    kernel = hostile(rng, (c, 1, 3, 3), SPECIAL_WEIGHTS, share)
+    bias = hostile(rng, (c,), np.array([-0.0, 0.0], dtype=np.float32), 0.5)
+    return x, ConvWeights(kernel, bias, groups=c)
 
 
 def random_conv_case(rng, depthwise=False):
@@ -153,6 +216,53 @@ class TestDepthwiseConv2d:
             want = conv2d(x, ConvWeights(dense_kernel, bias), stride)
             np.testing.assert_allclose(got, want, atol=1e-6)
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 2),
+        c=st.integers(1, 80),
+        h=st.integers(1, 40),
+        w=st.integers(2, 48),
+        stride=st.sampled_from([1, 2]),
+        share=st.sampled_from([0.0, 0.25, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_einsum_oracle(self, n, c, h, w, stride, share, seed):
+        """k = 3 maps of output width >= 2 give the einsum's exact bytes,
+        signed zeros, subnormals, large magnitudes and -0.0 biases included."""
+        w = max(w, stride + 1)  # output width ceil(w / stride) >= 2
+        x, weights = hostile_depthwise_case(np.random.default_rng(seed), n, c, h, w, share)
+        assert same_bytes(depthwise_conv2d(x, weights, stride), depthwise_einsum_oracle(x, weights, stride))
+
+    @pytest.mark.parametrize("n, h, w, stride, blocks", [
+        (1, 64, 64, 1, 2.5), (2, 30, 40, 2, 3.5), (1, 190, 190, 1, 3), (2, 400, 380, 2, 2),
+    ])
+    def test_bytes_match_einsum_oracle_across_blocks(self, n, h, w, stride, blocks):
+        """Channel counts that end in a partial block, and maps above the
+        scratch size, where each block holds one channel."""
+        out_h, out_w = conv_output_hw(h, w, 3, stride)
+        block = max(1, tensor_core._SCRATCH // (out_h * out_w))
+        c = int(blocks * block)
+        for seed, share in enumerate((0.0, 0.25, 0.9)):
+            x, weights = hostile_depthwise_case(np.random.default_rng(seed), n, c, h, w, share)
+            got = depthwise_conv2d(x, weights, stride)
+            assert same_bytes(got, depthwise_einsum_oracle(x, weights, stride))
+        assert c % block or out_h * out_w > tensor_core._SCRATCH
+
+    def test_width_one_maps_within_tolerance(self):
+        """On maps of output width 1 numpy's einsum sums in another order,
+        so there the two kernels agree to criterion 5's 1e-5 only, not
+        bytewise."""
+        rng = np.random.default_rng(404)
+        for _ in range(100):
+            stride = int(rng.choice([1, 2]))
+            w = int(rng.integers(1, stride + 1))
+            x, weights = hostile_depthwise_case(
+                rng, int(rng.integers(1, 3)), int(rng.integers(1, 9)), int(rng.integers(1, 12)), w, 0.0
+            )
+            got = depthwise_conv2d(x, weights, stride)
+            assert got.shape[3] == 1
+            np.testing.assert_allclose(got, depthwise_einsum_oracle(x, weights, stride), rtol=1e-5, atol=1e-5)
+
     def test_rejects_wrong_groups(self):
         w = ConvWeights(np.zeros((4, 1, 3, 3)), np.zeros(4), groups=2)
         with pytest.raises(ConfigError):
@@ -161,21 +271,22 @@ class TestDepthwiseConv2d:
 
 class TestConvOutputHw:
     @pytest.mark.parametrize(
-        "h, w, k, s, p, want",
+        "h, w, k, s, want",
         [
-            (416, 416, 3, 1, 1, (416, 416)),
-            (416, 416, 3, 2, 1, (208, 208)),
-            (13, 13, 1, 1, 0, (13, 13)),
-            (7, 9, 3, 2, 1, (4, 5)),
-            (5, 5, 5, 1, 0, (1, 1)),
+            (416, 416, 3, 1, (416, 416)),
+            (416, 416, 3, 2, (208, 208)),
+            (13, 13, 1, 1, (13, 13)),
+            (7, 9, 3, 2, (4, 5)),
+            (5, 5, 5, 1, (5, 5)),
         ],
     )
-    def test_formula(self, h, w, k, s, p, want):
-        assert conv_output_hw(h, w, k, s, p) == want
+    def test_formula(self, h, w, k, s, want):
+        assert conv_output_hw(h, w, k, s) == want
 
     def test_too_small_raises(self):
-        with pytest.raises(ConfigError):
-            conv_output_hw(2, 2, 5, 1, 0)
+        """"Same" padding fits any map of side >= 1; a 0-high one has no output."""
+        with pytest.raises(ConfigError, match="does not fit 0x4"):
+            conv_output_hw(0, 4, 3, 1)
 
 
 class TestPointwise:
@@ -188,8 +299,23 @@ class TestPointwise:
     def test_leaky_relu_matches_piecewise(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32) * 10
-        want = np.where(x >= 0, x, np.float32(0.1) * x)
-        np.testing.assert_array_equal(leaky_relu(x), want)
+        assert same_bytes(leaky_relu(x), leaky_relu_oracle(x))
+
+    def test_leaky_relu_special_values_bytewise(self):
+        """Signed zeros, subnormals, the largest finites and infinities."""
+        tiny = np.float32(1e-45)
+        x = np.array(
+            [0.0, -0.0, tiny, -tiny, 1e-40, -1e-40, 1.2e-38, -1.2e-38, 3.4e38, -3.4e38, np.inf, -np.inf],
+            dtype=np.float32,
+        )
+        assert same_bytes(leaky_relu(x), leaky_relu_oracle(x))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(hnp.arrays(np.float32, hnp.array_shapes(max_dims=4, max_side=6), elements=st.floats(width=32, allow_nan=False)))
+    def test_leaky_relu_bytes_match_where_oracle(self, x):
+        before = x.copy()
+        assert same_bytes(leaky_relu(x), leaky_relu_oracle(x))
+        assert same_bytes(x, before)
 
     def test_sigmoid_range_and_symmetry(self):
         rng = np.random.default_rng(6)
@@ -332,3 +458,25 @@ class TestAsTensor:
     def test_c_contiguous_output(self):
         x = np.zeros((1, 3, 4, 4), dtype=np.float32)[:, ::-1]
         assert as_tensor(x).flags["C_CONTIGUOUS"]
+
+
+class TestOracleNetwork:
+    def test_reference_grids_match_oracle_kernels(self, monkeypatch):
+        """execute on the reference network gives the same grid bytes as a
+        run with the einsum depthwise and np.where leaky ReLU patched in at
+        every name the forward pass looks them up under.  Both runs share
+        one process and one BLAS, so this holds on any machine."""
+        spec = arch_graph.load_bundled_config("reference")
+        store = arch_graph.WeightStore.random(spec, seed=0)
+        x = np.random.default_rng(0).random((1, *spec.input_shape), dtype=np.float32)
+        fast = arch_graph.execute(spec, store, x)
+        patched = 0
+        for module in (tensor_core, nn_modules, arch_graph):
+            for name, oracle in (("depthwise_conv2d", depthwise_einsum_oracle), ("leaky_relu", leaky_relu_oracle)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, oracle)
+                    patched += 1
+        assert patched == 5
+        slow = arch_graph.execute(spec, store, x)
+        for a, b in zip(fast, slow):
+            assert same_bytes(a, b)
