@@ -12,9 +12,9 @@ Grammar (one statement per line, `#` starts a comment):
     classes <count>
     anchors <scale_tag> <w,h> <w,h> ...
     conv <kernel> <out_channels> <stride>    # kernel k odd, padding k // 2
-    pep <proj1> <expansion> <out_channels> <stride>
-    ep <expansion> <out_channels> <stride>
-    fca <reduction>
+    pep <proj1_channels> <expansion_channels> <out_channels> <stride>
+    ep <expansion_channels> <out_channels> <stride>
+    fca <reduction_ratio>
     maxpool <kernel> <stride>
     upsample <factor>
     concat <node_id>
@@ -27,12 +27,14 @@ exactly three, tagged large/medium/small from coarse to fine.  Integer
 arguments are ASCII-decimal [0-9]+ tokens of at most MAX_INT (2**31 - 1).
 
 Every node kind is one `_Kind` record in `_KINDS`, keyed by its op class:
-grammar word and arguments, node-reference fields, explorer slot names,
-shape rule, cost rule, parameter shapes, construction and storage order,
-and forward step.  Parsing, serialization, shape inference, weight stores
-and files, execution, cost counting (`complexity`) and design-space
-expansion (`explorer`) all look kinds up in that table instead of testing
-op classes.
+grammar word, node-reference fields, explorer slot names, shape rule, cost
+rule, parameter shapes, construction and forward step.  Parsing,
+serialization, shape inference, weight stores and files, execution, cost
+counting (`complexity`) and design-space expansion (`explorer`) all look
+kinds up in that table instead of testing op classes.  The op dataclass's
+fields are the grammar arguments, in order, and label them in parse
+errors; the parameter dataclass's fields give its tensors' storage order
+and names (`nn_modules.param_tensors`).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
-from operator import attrgetter
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -50,9 +51,9 @@ from . import nn_modules
 from .nn_modules import (
     EpConfig,
     FcaConfig,
-    ModuleParams,
     PepConfig,
     fca_bottleneck_width,
+    param_tensors,  # noqa: F401  re-exported for cli, complexity and callers
     residual_active,
 )
 from .tensor_core import (
@@ -271,27 +272,19 @@ def _conv_forward(op, x, params, outputs, linear):
     return y if linear else leaky_relu(y)
 
 
-def _conv_tensors(*layers) -> tuple:
-    """(stored name, attribute path) of ConvWeights sub-layers, kernel then bias."""
-    return tuple((f"{name}.{t}", f"{attr}.{t}") for name, attr in layers for t in ("kernel", "bias"))
-
-
 @dataclass(frozen=True)
 class _Kind:
     """The rules of one node kind (see the module docstring)."""
 
-    op: type  # the op dataclass; its fields are the grammar arguments, in order
+    op: type  # the op dataclass; its fields are the grammar arguments in order, named in parse errors
     word: str  # grammar word, serialized form and NodeSpec.kind
-    args: tuple  # argument names in parse errors, in field order
     shape: Callable  # (op, in_shape, shape_of, spec) -> out_shape; ConfigError if they do not chain
     cost: Callable  # (op, in_shape, out_shape, linear) -> NodeCost
     forward: Callable  # (op, x, params, outputs, linear) -> y; linear marks a head conv
     refs: tuple = ()  # fields naming earlier nodes, besides the input
     slots: dict = field(default_factory=dict)  # explorer slot spelling -> field
-    params: type = type(None)  # parameter object class
-    param_shapes: Callable = lambda op, c_in: ()  # (op, in_channels) -> shapes in `tensors` order
-    build: Callable = lambda tensors: None  # (tensors in `tensors` order) -> params
-    tensors: tuple = ()  # (stored name, attribute path) in storage order
+    param_shapes: Callable = lambda op, c_in: ()  # (op, in_channels) -> shapes in parameter field order
+    build: Callable = lambda tensors: None  # (tensors in param_shapes order) -> parameter object
     draws_biases: bool = False  # random init draws biases too (else zeros)
 
 
@@ -299,80 +292,66 @@ _KINDS = {
     kind.op: kind
     for kind in (
         _Kind(
-            ConvSpec, "conv", ("kernel", "out_channels", "stride"),
+            ConvSpec, "conv",
             shape=_conv_shape,
             cost=lambda op, i, o, linear: _conv_cost(
                 op.kernel, i[0], op.out_channels, o[1] * o[2], activated=not linear
             ),
             forward=_conv_forward,
             slots={"out": "out_channels"},
-            params=ConvWeights,
             param_shapes=lambda op, c: ((op.out_channels, c, op.kernel, op.kernel), (op.out_channels,)),
             build=lambda t: ConvWeights(*t),
-            tensors=(("kernel", "kernel"), ("bias", "bias")),
         ),
         _Kind(
-            PepConfig, "pep", ("proj1", "expansion", "out_channels", "stride"),
+            PepConfig, "pep",
             shape=_block_shape,
             cost=_pep_cost,
             forward=lambda op, x, params, outputs, linear: nn_modules.pep_forward(x, op, params),
             slots={"proj1": "proj1_channels", "expansion": "expansion_channels", "out": "out_channels"},
-            params=nn_modules.PepParams,
             param_shapes=lambda op, c: nn_modules.pep_param_shapes(op, c),
             build=lambda tensors: nn_modules.build_pep_params(tensors),
-            tensors=_conv_tensors(
-                ("proj1", "project_in"), ("expand", "expand"), ("depthwise", "depthwise"),
-                ("proj2", "project_out"),
-            ),
             draws_biases=True,
         ),
         _Kind(
-            EpConfig, "ep", ("expansion", "out_channels", "stride"),
+            EpConfig, "ep",
             shape=_block_shape,
             cost=_ep_cost,
             forward=lambda op, x, params, outputs, linear: nn_modules.ep_forward(x, op, params),
             slots={"expansion": "expansion_channels", "out": "out_channels"},
-            params=nn_modules.EpParams,
             param_shapes=lambda op, c: nn_modules.ep_param_shapes(op, c),
             build=lambda tensors: nn_modules.build_ep_params(tensors),
-            tensors=_conv_tensors(("expand", "expand"), ("depthwise", "depthwise"), ("project", "project")),
             draws_biases=True,
         ),
         _Kind(
-            FcaConfig, "fca", ("reduction",),
+            FcaConfig, "fca",
             shape=lambda op, i, shape_of, spec: i,
             cost=_fca_cost,
             forward=lambda op, x, params, outputs, linear: nn_modules.fca_forward(x, op, params),
             slots={"reduction": "reduction_ratio"},
-            params=nn_modules.FcaParams,
             param_shapes=lambda op, c: nn_modules.fca_param_shapes(op, c),
             build=lambda tensors: nn_modules.FcaParams(*tensors),
-            tensors=(
-                ("dense1.weight", "reduce_weight"), ("dense1.bias", "reduce_bias"),
-                ("dense2.weight", "restore_weight"), ("dense2.bias", "restore_bias"),
-            ),
         ),
         _Kind(
-            MaxPoolSpec, "maxpool", ("kernel", "stride"),
+            MaxPoolSpec, "maxpool",
             shape=lambda op, i, shape_of, spec: (i[0], -(-i[1] // op.stride), -(-i[2] // op.stride)),
             cost=_per_output_cost,
             forward=lambda op, x, params, outputs, linear: max_pool2d(x, op.kernel, op.stride),
         ),
         _Kind(
-            UpsampleSpec, "upsample", ("factor",),
+            UpsampleSpec, "upsample",
             shape=lambda op, i, shape_of, spec: (i[0], i[1] * op.factor, i[2] * op.factor),
             cost=_per_output_cost,
             forward=lambda op, x, params, outputs, linear: upsample_nearest(x, op.factor),
         ),
         _Kind(
-            ConcatSpec, "concat", ("node reference",),
+            ConcatSpec, "concat",
             shape=_concat_shape,
             cost=lambda op, i, o, linear: NodeCost(),
             forward=lambda op, x, params, outputs, linear: concat_channels(x, outputs[op.with_id]),
             refs=("with_id",),
         ),
         _Kind(
-            DetectSpec, "detect", ("scale tag",),
+            DetectSpec, "detect",
             shape=_detect_shape,
             cost=lambda op, i, o, linear: NodeCost(),
             forward=lambda op, x, params, outputs, linear: x,
@@ -380,8 +359,6 @@ _KINDS = {
     )
 }
 _KINDS_BY_WORD = {kind.word: kind for kind in _KINDS.values()}
-# Weightless kinds all map NoneType to no tensors: param_tensors(None) == [].
-_KINDS_BY_PARAMS = {kind.params: kind for kind in _KINDS.values()}
 
 
 def _inputs(node: NodeSpec) -> list:
@@ -447,12 +424,12 @@ def parse_network_spec(text: str) -> NetworkSpec:
             )
         return ref
 
-    def node_arg(kind: _Kind, name: str, label: str, token: str, line_no: int):
+    def node_arg(kind: _Kind, name: str, token: str, line_no: int):
         if name in kind.refs:
             return node_ref(token, line_no)
         if name == "scale_tag":
             return _scale_tag(token, line_no)
-        return _int_field(token, label, line_no)
+        return _int_field(token, name, line_no)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -506,11 +483,9 @@ def parse_network_spec(text: str) -> NetworkSpec:
                 pending_from = node_ref(args[0], line_no)
             elif word in _KINDS_BY_WORD:
                 kind = _KINDS_BY_WORD[word]
-                need(len(kind.args))
-                op = kind.op(*(
-                    node_arg(kind, f.name, label, token, line_no)
-                    for f, label, token in zip(fields(kind.op), kind.args, args)
-                ))
+                names = [f.name for f in fields(kind.op)]
+                need(len(names))
+                op = kind.op(*(node_arg(kind, name, token, line_no) for name, token in zip(names, args)))
                 node_id = len(nodes)
                 if pending_from is not None:
                     input_id, pending_from = pending_from, None
@@ -607,14 +582,6 @@ def node_param_shapes(spec: NetworkSpec):
         yield node, kind, kind.param_shapes(node.op, table.of(node.input_id)[0])
 
 
-def param_tensors(params: Optional[ModuleParams]) -> list:
-    """Flatten module parameters to (name, array) in fixed storage order."""
-    kind = _KINDS_BY_PARAMS.get(type(params))
-    if kind is None:
-        raise ConfigError(f"unknown parameter object {type(params).__name__}")
-    return [(name, attrgetter(path)(params)) for name, path in kind.tensors]
-
-
 class WeightStore:
     """Per-node parameters aligned with the node list of one NetworkSpec."""
 
@@ -642,19 +609,8 @@ class WeightStore:
             raise ConfigError(
                 f"weight store has {len(self.params)} entries for {len(spec.nodes)} nodes"
             )
-        for (node, kind, expected), params in zip(node_param_shapes(spec), self.params):
-            actual = param_tensors(params)
-            if len(expected) != len(actual):
-                raise ConfigError(
-                    f"node {node.id} ({node.kind}) expects {len(expected)} tensors, "
-                    f"store has {len(actual)}"
-                )
-            for (name, _), want, (_, have) in zip(kind.tensors, expected, actual):
-                if want != have.shape:
-                    raise ConfigError(
-                        f"node {node.id} ({node.kind}) tensor {name}: expected shape "
-                        f"{want}, store has {have.shape}"
-                    )
+        for (node, _, shapes), params in zip(node_param_shapes(spec), self.params):
+            nn_modules._check_params(params, shapes, f"node {node.id} ({node.kind})")
 
 
 def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:

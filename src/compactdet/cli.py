@@ -14,6 +14,7 @@ coordinates of the original image.
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 import time
@@ -120,7 +121,15 @@ def cmd_describe(args) -> int:
     return EXIT_OK
 
 
+def _check_unit_interval(flag: str, value: float):
+    """Refuse a threshold outside [0, 1]; NaN fails the comparison too."""
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{flag} must be in [0, 1], got {value}")
+
+
 def cmd_detect(args) -> int:
+    _check_unit_interval("--conf", args.conf)
+    _check_unit_interval("--nms-iou", args.nms_iou)
     spec = _load_spec(args.config)
     store, _bits = complexity.load_weights(args.weights, spec)
     image = read_ppm(args.image)
@@ -177,6 +186,8 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    if args.min_score is not None and not math.isfinite(args.min_score):
+        raise ConfigError(f"--min-score must be finite, got {args.min_score}")
     space = explorer.parse_design_space(Path(args.space).read_text(), _load_spec(args.config))
     constraints = complexity.ConstraintSet(max_ops=args.max_ops, min_score=args.min_score)
     evaluator = explorer.synthetic_evaluator()
@@ -212,6 +223,8 @@ def cmd_explore(args) -> int:
 def cmd_bench(args) -> int:
     if args.iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {args.iterations}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     spec = _load_spec(args.config)
     if args.weights:
         store, _bits = complexity.load_weights(args.weights, spec)

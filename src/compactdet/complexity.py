@@ -103,17 +103,15 @@ def count_network(spec: NetworkSpec) -> OpsReport:
 
 def _layout(spec: NetworkSpec, bits: int) -> list:
     """The weights-file layout of spec: per node, (node, entries), where each
-    entry is (stored name, shape, stored as f32) in storage order.
+    entry is (shape, stored as f32) in storage order.
 
     Shapes come from each kind's parameter shapes; nothing is allocated.
-    Biases always stay f32; other tensors take `bits` bits per element.
+    Biases (the 1-D tensors) always stay f32; other tensors take `bits` bits
+    per element.
     """
     return [
-        (node, [
-            (name, shape, bits == 32 or name.endswith("bias"))
-            for (name, _), shape in zip(kind.tensors, shapes)
-        ])
-        for node, kind, shapes in node_param_shapes(spec)
+        (node, [(shape, bits == 32 or len(shape) == 1) for shape in shapes])
+        for node, _, shapes in node_param_shapes(spec)
     ]
 
 
@@ -135,7 +133,7 @@ def _stored_bytes(layout: list) -> int:
     return sum(
         4 * math.prod(shape) if as_f32 else math.prod(shape) + 8
         for _, entries in layout
-        for _, shape, as_f32 in entries
+        for shape, as_f32 in entries
     )
 
 
@@ -232,7 +230,7 @@ def save_weights(path, spec: NetworkSpec, store: WeightStore, bits: int = 32):
         fh.write(MAGIC)
         fh.write(struct.pack("<HB", FORMAT_VERSION, bits))
         for node, entries in _layout(spec, bits):
-            for (_, _, as_f32), (_, arr) in zip(entries, param_tensors(store.params[node.id])):
+            for (_, as_f32), (_, arr) in zip(entries, param_tensors(store.params[node.id])):
                 if as_f32:
                     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
                 else:
@@ -289,8 +287,7 @@ def _read_params(fh: BinaryIO, spec: NetworkSpec, bits: int):
         raise WeightFormatError(f"{have - want} trailing bytes after final tensor")
     for node, entries in layout:
         tensors = []
-        for name, shape, as_f32 in entries:
-            where = f"node {node.id} ({node.kind}) tensor {name}"
+        for position, (shape, as_f32) in enumerate(entries):
             if as_f32:
                 arr = _read_into(fh, np.empty(shape, dtype="<f4"))
             else:
@@ -299,11 +296,13 @@ def _read_params(fh: BinaryIO, spec: NetworkSpec, bits: int):
                 try:
                     q = QuantizedWeights(values=values, scale=scale, zero_point=zero_point)
                 except ConfigError as exc:
-                    raise WeightFormatError(f"{where}: {exc}") from None
+                    raise WeightFormatError(f"node {node.id} ({node.kind}) tensor {position}: {exc}") from None
                 # An infinite or huge scale gives inf/NaN here; refused below.
                 with np.errstate(over="ignore", invalid="ignore"):
                     arr = dequantize_tensor(q)
-            if not np.isfinite(arr).all():
-                raise WeightFormatError(f"{where}: non-finite values")
             tensors.append(arr)
-        yield _KINDS[type(node.op)].build(tensors)
+        params = _KINDS[type(node.op)].build(tensors)
+        for name, arr in param_tensors(params):
+            if not np.isfinite(arr).all():
+                raise WeightFormatError(f"node {node.id} ({node.kind}) tensor {name}: non-finite values")
+        yield params

@@ -419,6 +419,8 @@ def explore(
     """
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     gen = 0
     base = space.base_point()

@@ -16,6 +16,7 @@ output is bit-identical to applying the individual kernels by hand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Union
@@ -123,9 +124,6 @@ class FcaParams:
         self.restore_bias = np.asarray(self.restore_bias, dtype=DTYPE)
 
 
-ModuleParams = Union[PepParams, EpParams, FcaParams, ConvWeights]
-
-
 def draw_tensors(shapes, rng, biases: bool = True) -> list:
     """One float32 tensor per shape, in order; all zeros without an rng.
 
@@ -188,23 +186,39 @@ def init_fca_params(cfg: FcaConfig, channels: int, rng=None) -> FcaParams:
     return FcaParams(*draw_tensors(fca_param_shapes(cfg, channels), rng, biases=False))
 
 
-def _array_shapes(params) -> tuple:
-    """Shapes of the arrays in a parameter object, in field order; a conv
-    layer gives its kernel's, then its bias's."""
-    if is_dataclass(params):
-        return tuple(s for f in fields(params) for s in _array_shapes(getattr(params, f.name)))
-    return (params.shape,) if isinstance(params, np.ndarray) else ()
+@functools.cache
+def _field_names(cls) -> tuple:
+    """A dataclass's field names in order; () for any other type.  Cached
+    per class, because fields() dominated the cost of a parameter walk."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else ()
 
 
-def _check_params(params, param_shapes, cfg, channels: int):
-    """The one parameter check of each block: every tensor has the shape
-    param_shapes(cfg, channels) gives it."""
-    want = param_shapes(cfg, channels)
-    have = _array_shapes(params)
+def _add_tensors(tensors: list, prefix: str, obj):
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, np.ndarray):
+            tensors.append((prefix + name, value))
+        else:
+            _add_tensors(tensors, f"{prefix}{name}.", value)
+
+
+def param_tensors(params) -> list:
+    """(name, array) of every tensor of a parameter object, in field order,
+    which is storage order.  A nested layer's tensors get dotted names
+    (project_in.kernel), non-array fields (a conv's groups) are skipped, and
+    None, the parameters of a weightless node, gives []."""
+    tensors = []
+    _add_tensors(tensors, "", params)
+    return tensors
+
+
+def _check_params(params, want: tuple, label: str):
+    """The one parameter shape check: the tensors of params have the shapes
+    want gives, in order.  label names the node or block in the error."""
+    have = tuple(arr.shape for _, arr in param_tensors(params))
     if have != want:
         raise ConfigError(
-            f"{type(params).__name__} shapes {have} do not match {want} for {cfg} "
-            f"over {channels} input channels"
+            f"{label}: {type(params).__name__} shapes {have} do not match expected shapes {want}"
         )
 
 
@@ -220,7 +234,7 @@ def _expand_project(y: np.ndarray, x: np.ndarray, cfg, expand, depthwise, projec
 
 
 def pep_forward(x: np.ndarray, cfg: PepConfig, params: PepParams) -> np.ndarray:
-    _check_params(params, pep_param_shapes, cfg, x.shape[1])
+    _check_params(params, pep_param_shapes(cfg, x.shape[1]), f"{cfg} over {x.shape[1]} input channels")
     # No local name for the projection, so the tail frees it after the
     # expand; a name here would hold it through the whole tail.
     return _expand_project(
@@ -229,13 +243,13 @@ def pep_forward(x: np.ndarray, cfg: PepConfig, params: PepParams) -> np.ndarray:
 
 
 def ep_forward(x: np.ndarray, cfg: EpConfig, params: EpParams) -> np.ndarray:
-    _check_params(params, ep_param_shapes, cfg, x.shape[1])
+    _check_params(params, ep_param_shapes(cfg, x.shape[1]), f"{cfg} over {x.shape[1]} input channels")
     return _expand_project(x, x, cfg, params.expand, params.depthwise, params.project)
 
 
 def fca_forward(x: np.ndarray, cfg: FcaConfig, params: FcaParams) -> np.ndarray:
     channels = x.shape[1]
-    _check_params(params, fca_param_shapes, cfg, channels)
+    _check_params(params, fca_param_shapes(cfg, channels), f"{cfg} over {channels} input channels")
     pooled = global_avg_pool(x)
     gates = np.empty((x.shape[0], channels), dtype=DTYPE)
     for n in range(x.shape[0]):

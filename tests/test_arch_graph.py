@@ -30,6 +30,7 @@ from compactdet.arch_graph import (
     infer_shapes,
     linear_conv_ids,
     load_bundled_config,
+    node_param_shapes,
     param_tensors,
     parse_network_spec,
     serialize_network_spec,
@@ -38,6 +39,7 @@ from compactdet.nn_modules import (
     EpConfig,
     FcaConfig,
     PepConfig,
+    draw_tensors,
     init_ep_params,
     init_fca_params,
     init_pep_params,
@@ -142,6 +144,20 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_network_spec("input 3 8 8\nconv 3 4 1\nconv x 4 1\n")
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize(
+        "line, fragment",
+        [
+            ("pep x 4 4 1", "proj1_channels must be a decimal integer, got 'x'"),
+            ("ep 4 0 1", "out_channels must be >= 1, got 0"),
+            ("fca 0", "reduction_ratio must be >= 1, got 0"),
+            ("upsample 2x", "factor must be a decimal integer"),
+        ],
+    )
+    def test_integer_errors_name_the_op_field(self, line, fragment):
+        """A grammar argument's label is its op dataclass field name."""
+        with pytest.raises(ParseError, match=f"line 2: {fragment}"):
+            parse_network_spec(f"input 3 8 8\n{line}\n")
 
     def test_forward_reference_rejected(self):
         with pytest.raises(ParseError, match="before it is defined"):
@@ -357,17 +373,31 @@ class TestWeightStore:
         spec = parse_network_spec("input 3 8 8\npep 2 4 6 1\nep 4 6 1\nfca 2\nconv 1 5 1\n")
         store = WeightStore.zeros(spec)
         assert [n for n, _ in param_tensors(store.params[0])] == [
-            "proj1.kernel", "proj1.bias", "expand.kernel", "expand.bias",
-            "depthwise.kernel", "depthwise.bias", "proj2.kernel", "proj2.bias",
+            "project_in.kernel", "project_in.bias", "expand.kernel", "expand.bias",
+            "depthwise.kernel", "depthwise.bias", "project_out.kernel", "project_out.bias",
         ]
         assert [n for n, _ in param_tensors(store.params[1])] == [
             "expand.kernel", "expand.bias", "depthwise.kernel", "depthwise.bias",
             "project.kernel", "project.bias",
         ]
         assert [n for n, _ in param_tensors(store.params[2])] == [
-            "dense1.weight", "dense1.bias", "dense2.weight", "dense2.bias",
+            "reduce_weight", "reduce_bias", "restore_weight", "restore_bias",
         ]
         assert [n for n, _ in param_tensors(store.params[3])] == ["kernel", "bias"]
+
+    def test_fields_give_param_shape_order(self):
+        """Each weighted kind builds a parameter object whose field order is
+        its param_shapes order, so param_tensors lists the tensors of a
+        bundled node in the order the weights file stores them."""
+        weighted = set()
+        for name in ("reference", "tiny-yolov3", "explore-proto"):
+            for node, kind, shapes in node_param_shapes(load_bundled_config(name)):
+                if shapes:
+                    params = kind.build(draw_tensors(shapes, None))
+                    assert [a.shape for _, a in param_tensors(params)] == list(shapes), (name, node.id)
+                    weighted.add(kind.word)
+        assert weighted == {"conv", "pep", "ep", "fca"}
+        assert param_tensors(None) == []
 
 
 def _feed(h, obj):

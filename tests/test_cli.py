@@ -194,6 +194,24 @@ class TestDetect:
         assert rc == 0
         assert out.read_text() == ""
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--conf", "nan"), ("--conf", "-0.1"), ("--conf", "1.5"),
+         ("--nms-iou", "nan"), ("--nms-iou", "inf"), ("--nms-iou", "-1")],
+    )
+    def test_bad_threshold_exits_2(self, head_setup, tmp_path, capsys, flag, value):
+        """A threshold that is NaN or outside [0, 1] is refused before any
+        output: NaN would pass no score, and as an IoU it suppresses nothing."""
+        cfg, weights, image = head_setup
+        out = tmp_path / "dets.txt"
+        base = ["detect", "--config", str(cfg), "--weights", str(weights), "--image", str(image), flag, value]
+        for argv in (base, base + ["--out", str(out)]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{flag} must be in [0, 1], got {float(value)}" in captured.err
+        assert not out.exists()
+
     def test_output_parses_as_interchange(self, head_setup, tmp_path):
         cfg, weights, image = head_setup
         out = tmp_path / "dets.txt"
@@ -434,6 +452,21 @@ class TestExplore:
         assert not out.exists()      # no best config written
         assert log.exists()          # the log still documents the attempt
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_min_score_exits_2(self, tmp_path, capsys, value):
+        rc, out, log = self.run(tmp_path, "m", f"--min-score={value}")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and "--min-score must be finite" in captured.err
+        assert not out.exists() and not log.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        rc, out, log = self.run(tmp_path, "s", "--seed", "-1")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and "seed must be >= 0, got -1" in captured.err
+        assert not out.exists() and not log.exists()
+
     def test_best_config_digest(self, tmp_path):
         rc, out, _ = self.run(tmp_path, "d")
         assert rc == 0
@@ -510,6 +543,12 @@ class TestBench:
         rc = cli.main(["bench", "--config", bundled("explore-proto.cfg"), "--iterations", count])
         assert rc == 2
         assert f"iterations must be >= 1, got {count}" in capsys.readouterr().err
+
+    def test_rejects_negative_seed(self, capsys):
+        rc = cli.main(["bench", "--config", bundled("explore-proto.cfg"), "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and "seed must be >= 0, got -1" in captured.err
 
 
 class TestGoldenOutput:

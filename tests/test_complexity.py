@@ -437,6 +437,18 @@ class TestWeightsFile:
         with pytest.raises(WeightFormatError, match="node 0 .* bias"):
             load_weights(path, self.spec)
 
+    def test_non_finite_pep_bias_in_32bit_file(self, tmp_path):
+        """The refusal names the tensor by its parameter field path."""
+        spec = parse_network_spec("input 3 8 8\npep 2 4 6 1\n")
+        path = tmp_path / "pep.bin"
+        save_weights(path, spec, WeightStore.zeros(spec), bits=32)
+        data = bytearray(path.read_bytes())
+        start = 7 + 4 * 2 * 3  # header, then the (2, 3, 1, 1) project_in kernel
+        data[start:start + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(WeightFormatError, match=r"node 0 \(pep\) tensor project_in\.bias: non-finite"):
+            load_weights(path, spec)
+
     @pytest.mark.parametrize("bits", [8, 32])
     def test_loads_writable_float32_arrays(self, tmp_path, bits):
         """Each loaded tensor is its own aligned, writable float32 array, and
