@@ -139,16 +139,11 @@ def cmd_detect(args) -> int:
         tensor, spec, store, conf_threshold=args.conf, nms_iou=args.nms_iou
     )
     image_id = Path(args.image).stem
+    boxes = transform.box_to_original(found)
+    columns = (boxes.class_id, boxes.score, boxes.cx, boxes.cy, boxes.w, boxes.h)
     lines = [
-        detection.format_detection_line(
-            image_id,
-            detection.Detection(
-                bbox=transform.box_to_original(det.bbox),
-                class_id=det.class_id,
-                score=det.score,
-            ),
-        )
-        for det in found
+        detection.format_detection_line(image_id, *row)
+        for row in zip(*(column.tolist() for column in columns))
     ]
     text = "".join(line + "\n" for line in lines)
     if args.out:

@@ -18,7 +18,7 @@ classes that have at least one ground truth box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -85,11 +85,35 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (area_a + area_b - inter)
 
 
+@dataclass(frozen=True)
+class Boxes:
+    """Detections as columns, one row per box: float64 cx, cy, w, h and
+    score, integer class_id.  Decode, NMS and box mapping pass these along,
+    so no per-box object is built on the detect path."""
+
+    cx: np.ndarray
+    cy: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    class_id: np.ndarray
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, rows) -> Boxes:
+        return Boxes(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, parts: Sequence[Boxes]) -> Boxes:
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+
 def decode_predictions(
     raw: np.ndarray, anchors: Sequence, conf_threshold: float = DEFAULT_CONF_THRESHOLD
-) -> list:
-    """Decode one raw grid into Detection candidates (no NMS); anchors are
-    (w, h) pairs, as in NetworkSpec.anchors."""
+) -> Boxes:
+    """Decode one raw grid into candidate Boxes (no NMS), in (anchor, row,
+    col) order; anchors are (w, h) pairs, as in NetworkSpec.anchors."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 4 or raw.shape[0] != 1:
         raise ConfigError(f"expected a (1, c, s, s) prediction grid, got shape {raw.shape}")
@@ -106,76 +130,100 @@ def decode_predictions(
             f"{channels} channels do not split into {n_anchors} anchors of (5 + classes)"
         )
     per_anchor = channels // n_anchors
-    num_classes = per_anchor - 5
     grid_h, grid_w = raw.shape[2], raw.shape[3]
-
     maps = raw[0].reshape(n_anchors, per_anchor, grid_h, grid_w)
-    sig = _sigmoid(maps[:, :2])
-    cols = (np.arange(grid_w, dtype=np.float64) + sig[:, 0]) / grid_w
-    rows = (np.arange(grid_h, dtype=np.float64).reshape(-1, 1) + sig[:, 1]) / grid_h
-    sizes = np.exp(np.clip(maps[:, 2:4], -SIZE_LOGIT_CLIP, SIZE_LOGIT_CLIP))
+
+    # The best class probability is at most 1 and rounding is monotone, so
+    # score = objectness * best_prob >= conf needs objectness >= conf: class
+    # sigmoids are computed only on the cells that pass objectness.
     objectness = _sigmoid(maps[:, 4])
-    class_probs = _sigmoid(maps[:, 5:])
+    a, i, j = np.nonzero(objectness >= conf_threshold)
+    # The argmax runs over sigmoids, not logits: large logits saturate to
+    # 1.0, and a tie goes to the lowest class id.
+    class_probs = _sigmoid(maps[a, 5:, i, j])
     best_class = class_probs.argmax(axis=1)
-    best_prob = np.take_along_axis(class_probs, best_class[:, None], axis=1)[:, 0]
-    scores = objectness * best_prob
-
-    # Candidates in (anchor, row, col) order, gathered in one pass.
-    a, i, j = np.nonzero(scores >= conf_threshold)
-    columns = (
-        cols[a, i, j].tolist(),
-        rows[a, i, j].tolist(),
-        (anchor_wh[a, 0] * sizes[a, 0, i, j]).tolist(),
-        (anchor_wh[a, 1] * sizes[a, 1, i, j]).tolist(),
-        best_class[a, i, j].tolist(),
-        scores[a, i, j].tolist(),
+    scores = objectness[a, i, j] * class_probs[np.arange(len(a)), best_class]
+    passed = scores >= conf_threshold
+    a, i, j = a[passed], i[passed], j[passed]
+    offsets = _sigmoid(maps[a, :2, i, j])
+    sizes = np.exp(np.clip(maps[a, 2:4, i, j], -SIZE_LOGIT_CLIP, SIZE_LOGIT_CLIP))
+    return Boxes(
+        cx=(j + offsets[:, 0]) / grid_w,
+        cy=(i + offsets[:, 1]) / grid_h,
+        w=anchor_wh[a, 0] * sizes[:, 0],
+        h=anchor_wh[a, 1] * sizes[:, 1],
+        class_id=best_class[passed],
+        score=scores[passed],
     )
-    return [
-        Detection(BBox(cx, cy, w, h), class_id, score)
-        for cx, cy, w, h, class_id, score in zip(*columns)
-    ]
 
 
-def nms(detections: list, iou_threshold: float = DEFAULT_NMS_IOU) -> list:
-    """Greedy per-class suppression; result sorted by descending score.
+NMS_TILE = 128  # boxes per tile (see nms)
+NMS_BLOCK = 1 << 15  # pairs per IoU block: 256 KiB per float64 array, so it runs in cache
 
-    Returns the given Detection objects that the pairwise scan keeps: walking
-    in score order (ties in input order), a box is kept unless a kept box of
-    its class overlaps it with IoU > iou_threshold.  The walk runs on arrays,
-    one class at a time: each surviving box computes one row of IoUs against
-    the later boxes of its class and marks those it suppresses.  A row repeats
-    the float64 operations of `iou`, so every IoU, and so the kept set, is the
-    one the scalar scan gives; no pairwise matrix is built.
+
+def nms(boxes: Boxes, iou_threshold: float = DEFAULT_NMS_IOU) -> np.ndarray:
+    """Greedy per-class suppression; returns the kept rows of boxes, by
+    descending score (ties in input order).
+
+    The kept set is the pairwise scan's: walking in score order, a box is
+    kept unless a kept box of its class overlaps it with IoU > iou_threshold.
+    Each class is walked in tiles of NMS_TILE boxes.  A tile is resolved
+    greedily against itself, then its kept boxes suppress the still-alive
+    later boxes of the class, in blocks of at most NMS_BLOCK pairs.  Every
+    IoU repeats the float64 operations of `iou`, so each comparison is the
+    scalar scan's.
     """
-    ordered = sorted(detections, key=lambda d: -d.score)
-    if not ordered:
-        return []
-    cx, cy, w, h = np.array(
-        [(d.bbox.cx, d.bbox.cy, d.bbox.w, d.bbox.h) for d in ordered], dtype=np.float64
-    ).T
-    classes = np.array([d.class_id for d in ordered])
+    order = np.argsort(-boxes.score, kind="stable")
+    cx, cy, w, h = (getattr(boxes, f)[order] for f in ("cx", "cy", "w", "h"))
     edges = np.stack([cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2, w * h])
     # `iou` gives 0 for a box of non-positive area: an empty interval keeps
     # it from overlapping anything, and a positive stand-in area keeps every
     # union it enters positive, so its IoU is exactly 0 too.
     edges[:, ~(edges[4] > 0)] = np.array([[np.inf], [-np.inf], [np.inf], [-np.inf], [1.0]])
-    keep = []
-    for class_id in np.unique(classes):
-        members = np.flatnonzero(classes == class_id)
-        left, right, top, bottom, area = edges[:, members]
-        alive = np.ones(members.size, dtype=bool)
-        for p in range(members.size):
-            if not alive[p]:
-                continue
-            later = slice(p + 1, None)
-            iw = np.minimum(right[p], right[later]) - np.maximum(left[p], left[later])
-            ih = np.minimum(bottom[p], bottom[later]) - np.maximum(top[p], top[later])
-            # Sides clipped at 0: unchanged where both are positive, a zero
-            # intersection (so IoU 0) elsewhere.
-            inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-            alive[later] &= ~(inter / (area[p] + area[later] - inter) > iou_threshold)
-        keep.extend(members[alive].tolist())
-    return [ordered[k] for k in sorted(keep)]
+    # Rows grouped by class, each group still in score order.
+    classes = boxes.class_id[order]
+    by_class = np.argsort(classes, kind="stable")
+    grouped = classes[by_class]
+    starts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(order)]
+    alive = np.ones(len(order), dtype=bool)
+    for start, stop in zip(starts[:-1], starts[1:]):
+        box = edges[:, by_class[start:stop]]
+        live = alive[start:stop]  # a view: suppressing here writes to alive
+        for t0 in range(0, stop - start, NMS_TILE):
+            t1 = min(stop - start, t0 + NMS_TILE)
+            tile = t0 + np.flatnonzero(live[t0:t1])
+            blocked = _overlaps(box, tile, tile, iou_threshold)
+            kept = np.ones(len(tile), dtype=bool)
+            for p in range(len(tile)):
+                if kept[p]:
+                    kept[p + 1:] &= ~blocked[p, p + 1:]
+            live[tile[~kept]] = False
+            rows = tile[kept]
+            later = t1 + np.flatnonzero(live[t1:])
+            width = NMS_BLOCK // max(len(rows), 1)
+            for c0 in range(0, len(later), width):
+                cols = later[c0:c0 + width]
+                live[cols[_overlaps(box, rows, cols, iou_threshold).any(axis=0)]] = False
+    return order[np.sort(by_class[alive])]
+
+
+def _overlaps(box: np.ndarray, rows: np.ndarray, cols: np.ndarray, threshold: float) -> np.ndarray:
+    """IoU > threshold for each (row, col) pair of box's (left, right, top,
+    bottom, area) columns, in `iou`'s float64 operations (in place, so a
+    block makes four full-size arrays)."""
+    left, right, top, bottom, area = box[:, rows, None]
+    col_left, col_right, col_top, col_bottom, col_area = box[:, cols]
+    iw = np.minimum(right, col_right)
+    iw -= np.maximum(left, col_left)
+    ih = np.minimum(bottom, col_bottom)
+    ih -= np.maximum(top, col_top)
+    # Sides clipped at 0: unchanged where both are positive, a zero
+    # intersection (so IoU 0) elsewhere.
+    inter = np.maximum(iw, 0.0, out=iw)
+    inter *= np.maximum(ih, 0.0, out=ih)
+    union = np.add(area, col_area, out=ih)
+    union -= inter
+    return np.divide(inter, union, out=inter) > threshold
 
 
 def detect(
@@ -184,8 +232,9 @@ def detect(
     weights: WeightStore,
     conf_threshold: float = DEFAULT_CONF_THRESHOLD,
     nms_iou: float = DEFAULT_NMS_IOU,
-) -> list:
-    """Full pipeline on a preprocessed input tensor: execute, decode, NMS.
+) -> Boxes:
+    """Full pipeline on a preprocessed input tensor: execute, decode, NMS;
+    returns the kept Boxes by descending score.
 
     Raises NonFiniteOutputError when the forward pass overflows float32
     (see execute) or a prediction grid holds NaN or inf without a float
@@ -193,14 +242,15 @@ def detect(
     undefined.
     """
     grids = execute(spec, weights, image)
-    candidates: list = []
+    parts = []
     for tag, grid in zip(SCALE_TAGS, grids):
         if not np.isfinite(grid).all():
             raise NonFiniteOutputError(f"the {tag} prediction grid has non-finite values")
         if tag not in spec.anchors:
             raise ConfigError(f"spec has no anchors for scale {tag!r}")
-        candidates.extend(decode_predictions(grid, spec.anchors[tag], conf_threshold))
-    return nms(candidates, nms_iou)
+        parts.append(decode_predictions(grid, spec.anchors[tag], conf_threshold))
+    candidates = Boxes.concat(parts)
+    return candidates[nms(candidates, nms_iou)]
 
 
 @dataclass(frozen=True)
@@ -215,16 +265,20 @@ class LetterboxTransform:
     target_w: int
     target_h: int
 
-    def box_to_original(self, box: BBox) -> BBox:
-        return BBox(
+    # Both mappings take a BBox or Boxes and repeat the same float64
+    # operations per box, so a box maps to the same bits either way.
+    def box_to_original(self, box: BBox | Boxes) -> BBox | Boxes:
+        return replace(
+            box,
             cx=(box.cx * self.target_w - self.pad_x) / self.scale / self.orig_w,
             cy=(box.cy * self.target_h - self.pad_y) / self.scale / self.orig_h,
             w=box.w * self.target_w / self.scale / self.orig_w,
             h=box.h * self.target_h / self.scale / self.orig_h,
         )
 
-    def box_to_letterboxed(self, box: BBox) -> BBox:
-        return BBox(
+    def box_to_letterboxed(self, box: BBox | Boxes) -> BBox | Boxes:
+        return replace(
+            box,
             cx=(box.cx * self.orig_w * self.scale + self.pad_x) / self.target_w,
             cy=(box.cy * self.orig_h * self.scale + self.pad_y) / self.target_h,
             w=box.w * self.orig_w * self.scale / self.target_w,
@@ -242,23 +296,24 @@ def letterbox_image(image: np.ndarray, target_hw: tuple) -> tuple:
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ConfigError(f"expected an (h, w, 3) image, got shape {image.shape}")
-    if image.dtype == np.uint8:
-        pixels = image.astype(np.float32) / 255.0
-    else:
-        pixels = image.astype(np.float32)
-    h, w = pixels.shape[:2]
+    h, w = image.shape[:2]
     target_h, target_w = target_hw
     scale = min(target_w / w, target_h / h)
     new_w = max(1, round(w * scale))
     new_h = max(1, round(h * scale))
     src_rows = np.minimum((np.arange(new_h) * h) // new_h, h - 1)
     src_cols = np.minimum((np.arange(new_w) * w) // new_w, w - 1)
-    resized = pixels[src_rows][:, src_cols]
-    canvas = np.full((target_h, target_w, 3), 0.5, dtype=np.float32)
     pad_y = (target_h - new_h) // 2
     pad_x = (target_w - new_w) // 2
-    canvas[pad_y:pad_y + new_h, pad_x:pad_x + new_w] = resized
-    tensor = np.ascontiguousarray(canvas.transpose(2, 0, 1)[None])
+    # Gather the sampled pixels first and convert only those, straight into
+    # the channel-first canvas; each converts as the whole image would.
+    pixels = image.take(src_rows, axis=0).take(src_cols, axis=1).transpose(2, 0, 1)
+    tensor = np.full((1, 3, target_h, target_w), 0.5, dtype=np.float32)
+    content = tensor[0, :, pad_y:pad_y + new_h, pad_x:pad_x + new_w]
+    if image.dtype == np.uint8:
+        np.divide(pixels, np.float32(255.0), out=content)
+    else:
+        content[...] = pixels
     transform = LetterboxTransform(
         scale=scale,
         pad_x=pad_x,
@@ -370,12 +425,11 @@ def kmeans_anchors(box_whs, k: int, seed: int = 0, iters: int = 100) -> list:
     return [(float(w), float(h)) for w, h in centers[order]]
 
 
-def format_detection_line(image_id: str, det: Detection) -> str:
-    b = det.bbox
-    return (
-        f"{image_id} {det.class_id} {det.score:.6f} "
-        f"{b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f}"
-    )
+def format_detection_line(
+    image_id: str, class_id: int, score: float, cx: float, cy: float, w: float, h: float
+) -> str:
+    """One interchange line; the arguments are in the line's field order."""
+    return f"{image_id} {class_id} {score:.6f} {cx:.6f} {cy:.6f} {w:.6f} {h:.6f}"
 
 
 def format_ground_truth_line(image_id: str, truth: GroundTruth) -> str:

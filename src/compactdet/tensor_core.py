@@ -108,6 +108,24 @@ def _im2col(x: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.nd
     return windows.reshape(n, c * k * k, out_h * out_w)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b), ignoring a floating-point status flag (a stray one
+    from the BLAS) when the output is finite.
+
+    For finite operands the output is finite exactly when no overflow or
+    invalid operation happened in the sums, as inf and NaN carry through
+    adds.  So a flag is only recorded, and a flagged product whose output is
+    not finite is recomputed under the caller's error policy, which then
+    sees the real flag (in execute, an error naming the node).
+    """
+    flags = []
+    with np.errstate(over="call", invalid="call", divide="call", call=lambda err, _: flags.append(err)):
+        out = np.matmul(a, b)
+    if flags and not np.isfinite(out).all():
+        out = np.matmul(a, b)
+    return out
+
+
 def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
     """Dense (groups 1) 2-D cross-correlation with "same" zero padding plus
     bias; other groupings raise ConfigError (per-channel ones:
@@ -123,7 +141,7 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
         raise ConfigError(f"kernel expects {w.kernel.shape[1]} input channels, input has {c_in}")
     out_h, out_w = conv_output_hw(h, width, w.k, stride)
     cols = _im2col(_pad_input(x, w.k // 2), w.k, stride, out_h, out_w)
-    out = np.matmul(w.kernel.reshape(w.c_out, -1), cols).reshape(n, w.c_out, out_h, out_w)
+    out = _matmul(w.kernel.reshape(w.c_out, -1), cols).reshape(n, w.c_out, out_h, out_w)
     out += w.bias.reshape(1, -1, 1, 1)
     return np.ascontiguousarray(out)
 
@@ -212,7 +230,7 @@ def dense(v: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
         raise ConfigError(f"dense shapes do not chain: v {v.shape}, weight {weight.shape}")
     if bias.shape != (weight.shape[0],):
         raise ConfigError(f"dense bias shape {bias.shape} does not match {weight.shape[0]} outputs")
-    return weight @ v + bias
+    return _matmul(weight, v) + bias
 
 
 def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:

@@ -36,6 +36,7 @@ from compactdet.complexity import (
 )
 from compactdet.detection import (
     BBox,
+    Boxes,
     Detection,
     GroundTruth,
     decode_predictions,
@@ -315,6 +316,20 @@ def decode_scalar(raw, anchors, conf):
     return out
 
 
+def boxes_to_list(boxes: Boxes) -> list:
+    """decode_predictions' columns as a list of Detection, row by row."""
+    rows = zip(*(getattr(boxes, f).tolist() for f in ("cx", "cy", "w", "h", "class_id", "score")))
+    return [Detection(BBox(cx, cy, w, h), c, score) for cx, cy, w, h, c, score in rows]
+
+
+def list_to_boxes(dets: list) -> Boxes:
+    return Boxes(
+        *(np.array([getattr(d.bbox, f) for d in dets], dtype=np.float64) for f in ("cx", "cy", "w", "h")),
+        class_id=np.array([d.class_id for d in dets], dtype=np.int64),
+        score=np.array([d.score for d in dets], dtype=np.float64),
+    )
+
+
 def iou_scalar(a: BBox, b: BBox) -> float:
     ax0, ax1 = a.cx - a.w / 2, a.cx + a.w / 2
     ay0, ay1 = a.cy - a.h / 2, a.cy + a.h / 2
@@ -351,7 +366,7 @@ def test_criterion_07_detection_suite():
         anchors = [(float(rng.uniform(0.05, 0.8)), float(rng.uniform(0.05, 0.8)))
                    for _ in range(n_anchors)]
         raw = rng.normal(0, 2, size=(1, n_anchors * (5 + n_classes), s, s))
-        got = sorted(decode_predictions(raw, anchors, conf_threshold=0.3), key=key)
+        got = sorted(boxes_to_list(decode_predictions(raw, anchors, conf_threshold=0.3)), key=key)
         want = sorted(decode_scalar(raw, anchors, 0.3), key=key)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -367,7 +382,7 @@ def test_criterion_07_detection_suite():
                           score=float(rng.random()))
                 for _ in range(n)]
         thr = float(rng.uniform(0.2, 0.7))
-        assert nms(dets, thr) == nms_exhaustive(dets, thr)
+        assert [dets[k] for k in nms(list_to_boxes(dets), thr)] == nms_exhaustive(dets, thr)
 
     # Hand-enumerated PR curves.  One truth, a false positive outscoring the
     # hit: ranked points are (P=0, R=0) then (P=0.5, R=1), so all eleven

@@ -296,6 +296,23 @@ class TestDetect:
         assert captured.err == "error: node 1 (conv): float32 overflow\n"
         assert not out.exists()
 
+    def test_stray_blas_flag_keeps_output(self, tmp_path, request):
+        """A status flag on every finite BLAS product (conv2d's and the FCA
+        dense layers') changes nothing: the reference network with seed-0
+        weights on a noise frame, a thousand boxes, gives the same bytes."""
+        spec = load_bundled_config("reference")
+        weights = tmp_path / "ref.w"
+        save_weights(weights, spec, WeightStore.random(spec, seed=0), bits=32)
+        image = tmp_path / "frame0.ppm"
+        write_ppm(image, np.random.default_rng(0).integers(0, 256, size=(416, 416, 3), dtype=np.uint8))
+        argv = ["detect", "--config", bundled("reference.cfg"), "--weights", str(weights),
+                "--image", str(image)]
+        clean = run_quietly(argv)
+        ranks = request.getfixturevalue("stray_blas_flag")
+        assert run_quietly(argv) == clean
+        assert clean[0] == 0 and clean[1].count("\n") > 1000
+        assert {1, 3} <= set(ranks)
+
     def test_non_finite_anchor_exit_2(self, head_setup, tmp_path, capsys):
         cfg, weights, image = head_setup
         bad = tmp_path / "nan.cfg"

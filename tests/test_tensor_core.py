@@ -8,6 +8,8 @@ replaced (an einsum and an np.where) as oracles that they must match byte
 for byte, up to a whole network run.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -406,6 +408,53 @@ class TestReductionsAndReshapes:
         np.testing.assert_array_equal(channel_scale(x, s2.reshape(2, 4, 1, 1)), want2)
         with pytest.raises(ConfigError):
             channel_scale(x, np.zeros(3, dtype=np.float32))
+
+
+class TestStrayBlasFlag:
+    """A product of finite operands with a finite output is the answer, what
+    ever status flag the BLAS left; a real overflow still reaches the
+    caller's error policy."""
+
+    def case(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((1, 4, 9, 9)).astype(np.float32)
+        w = ConvWeights(
+            rng.standard_normal((6, 4, 3, 3)).astype(np.float32),
+            rng.standard_normal(6).astype(np.float32),
+        )
+        weight = rng.standard_normal((5, 7)).astype(np.float32)
+        return x, w, weight, rng.standard_normal(7).astype(np.float32), np.ones(5, np.float32)
+
+    def test_injection_raises_the_flag(self, stray_blas_flag):
+        _x, _w, weight, v, _bias = self.case()
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            np.matmul(weight, v)
+
+    def test_same_bytes_and_no_warning(self, request):
+        x, w, weight, v, bias = self.case()
+        want_conv, want_dense = conv2d(x, w), dense(v, weight, bias)
+        ranks = request.getfixturevalue("stray_blas_flag")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_dense = dense(v, weight, bias)
+        with np.errstate(all="raise"):
+            got_conv = conv2d(x, w)
+        assert got_conv.tobytes() == want_conv.tobytes()
+        assert got_dense.tobytes() == want_dense.tobytes()
+        assert ranks == [1, 3]
+
+    @pytest.mark.parametrize("inject", [False, True])
+    def test_real_overflow_reaches_the_policy(self, request, inject):
+        if inject:
+            request.getfixturevalue("stray_blas_flag")
+        x, w, weight, v, bias = self.case()
+        w.kernel *= np.float32(1e36)
+        # invalid="ignore": the injected flag comes again on the recompute.
+        with np.errstate(over="raise", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                dense(v * np.float32(1e36), weight * np.float32(1e36), bias)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                conv2d(x * np.float32(1e36), w)
 
 
 def max_pool_reference(x, kernel, stride):
