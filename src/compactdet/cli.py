@@ -159,6 +159,7 @@ def cmd_quantize(args) -> int:
     store, bits = complexity.load_weights(args.weights, spec)
     if bits == 8:
         raise ConfigError(f"{args.weights} is already 8-bit; quantize takes 32-bit input")
+    in_size = Path(args.weights).stat().st_size  # before --out may overwrite it
     complexity.save_weights(args.out, spec, store, bits=8)
 
     # Report the round trip from the file just written, one node at a time
@@ -173,7 +174,6 @@ def cmd_quantize(args) -> int:
                 worst_err, worst = err, arr
     # The file keeps the scale as f32; the bound uses its full-precision value.
     worst_bound = complexity.quantize_tensor(worst).scale / 2 if worst is not None else 0.0
-    in_size = Path(args.weights).stat().st_size
     out_size = Path(args.out).stat().st_size
     print(f"wrote {args.out}: {out_size} bytes (8-bit), input {in_size} bytes (32-bit)")
     print(f"max round-trip error {worst_err:.8f} (worst-tensor bound {worst_bound:.8f})")

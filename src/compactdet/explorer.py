@@ -9,9 +9,11 @@ A design space is a prototype network plus a set of named slots:
 
 A point assigns every slot a value from its declared list; expanding a
 point rewrites the prototype's node list (substituting fields, dropping or
-duplicating nodes, and renumbering references) into a NetworkSpec that
-passes shape inference.  Spaces are validated up front so that every point
-in the cross product expands to a valid network.
+duplicating nodes, and renumbering references) into a NetworkSpec.
+parse_design_space reads each statement into its Slot, then checks the
+whole space, so that every point in the cross product expands to a
+runnable detector: detect nodes, and the nodes whose output channels
+reach one, are never slotted or repeated.
 
 Candidates are ranked by NetScore (Wong, arXiv 1806.05512) with
 alpha = 2 and beta = gamma = 0.5:
@@ -45,13 +47,13 @@ import numpy as np
 from .arch_graph import (
     _KINDS,
     _decimal,
+    _inputs,
     INPUT_ID,
     MAX_INT,
     NetworkSpec,
     NodeSpec,
     ParseError,
     infer_shapes,
-    linear_conv_ids,
 )
 from .complexity import ConstraintSet, check_constraints, count_network
 from .tensor_core import ConfigError
@@ -62,16 +64,24 @@ POPULATION = 16  # parents kept and children proposed per generation
 HALF_LIFE = 80.0  # capacity at which the synthetic score is 1 - 1/e of the way up
 
 
+def _pinned_ids(base: NetworkSpec) -> set:
+    """Detect nodes and every node whose output channels reach one."""
+    pinned = {node.id for node in base.nodes if node.kind == "detect"}
+    for node in reversed(base.nodes):  # readers come after what they read
+        if node.id in pinned and "out" not in _KINDS[type(node.op)].slots:
+            pinned.update(_inputs(node))  # a kind with no out field passes channels on
+    return pinned
+
+
 def mutable_fields(base: NetworkSpec) -> dict:
-    """(node_id, short field name) -> current value, for slottable nodes."""
-    pinned = linear_conv_ids(base)
-    out = {}
-    for node in base.nodes:
-        if node.id in pinned:
-            continue  # head conv channels are pinned by the detect contract
-        for short, attr in _KINDS[type(node.op)].slots.items():
-            out[(node.id, short)] = getattr(node.op, attr)
-    return out
+    """(node_id, short field name) -> current value, for nodes outside _pinned_ids."""
+    pinned = _pinned_ids(base)
+    return {
+        (node.id, short): getattr(node.op, attr)
+        for node in base.nodes
+        if node.id not in pinned
+        for short, attr in _KINDS[type(node.op)].slots.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -125,60 +135,6 @@ def _node_token(token: str) -> int:
     raise ConfigError(f"node references look like n<id>, got {token!r}")
 
 
-def build_design_space(
-    base: NetworkSpec,
-    field_values: Optional[dict] = None,
-    optional_fca: tuple = (),
-    repeats: Optional[dict] = None,
-) -> DesignSpace:
-    """Assemble and validate a DesignSpace.
-
-    field_values maps "n<id>.<field>" to candidate values; optional_fca
-    lists fca node ids whose presence becomes a slot; repeats maps node id
-    to (min, max) copy counts.
-    """
-    table = infer_shapes(base)
-    mutable = mutable_fields(base)
-    slots = []
-
-    for name, values in sorted((field_values or {}).items()):
-        head, _, fname = name.partition(".")
-        node_id = _node_token(head)
-        if (node_id, fname) not in mutable:
-            raise ConfigError(f"slot {name!r} does not name a mutable field")
-        values = tuple(sorted(set(int(v) for v in values)))
-        if not values or any(v < 1 for v in values):
-            raise ConfigError(f"slot {name!r} needs positive candidate values")
-        slots.append(Slot(node_id, fname, values))
-
-    for node_id in sorted(set(optional_fca)):
-        node = _checked_node(base, node_id)
-        if node.kind != "fca":
-            raise ConfigError(f"fca_site n{node_id} is a {node.kind} node")
-        slots.append(Slot(node_id, "present", (1, 0)))
-
-    for node_id, (lo, hi) in sorted((repeats or {}).items()):
-        node = _checked_node(base, node_id)
-        if not 0 <= lo <= hi <= MAX_REPEAT:
-            raise ConfigError(
-                f"repeat bounds for n{node_id} must satisfy 0 <= min <= max <= {MAX_REPEAT}"
-            )
-        in_c = table.of(node.input_id)[0]
-        out_shape = table.of(node.id)
-        if out_shape != table.of(node.input_id) or getattr(node.op, "stride", 1) != 1:
-            raise ConfigError(
-                f"repeat target n{node_id} must preserve its input shape "
-                f"(stride 1, {in_c} -> {in_c} channels)"
-            )
-        slots.append(Slot(node_id, "repeat", tuple(range(lo, hi + 1))))
-
-    # Per node: field slots by name, then present, then repeat.
-    slots.sort(key=lambda s: (s.node_id, s.field in ("present", "repeat"), s.field))
-    space = DesignSpace(base=base, slots=tuple(slots))
-    _validate_space(space)
-    return space
-
-
 def _checked_node(base: NetworkSpec, node_id: int) -> NodeSpec:
     if not 0 <= node_id < len(base.nodes):
         raise ConfigError(f"node n{node_id} does not exist")
@@ -187,12 +143,16 @@ def _checked_node(base: NetworkSpec, node_id: int) -> NodeSpec:
 
 def _validate_space(space: DesignSpace):
     """Every point must expand to a valid network; cheap structural checks
-    plus corner-point shape inference keep that true by construction."""
+    plus base-point shape inference keep that true by construction."""
     by_node: dict = {}
     for slot in space.slots:
         by_node.setdefault(slot.node_id, {})[slot.field] = slot.values
     for node_id, fields in by_node.items():
         node = space.base.nodes[node_id]
+        # A repeated node must keep in == out under every out-channel
+        # assignment, which an out slot on it would break.
+        if "repeat" in fields and "out" in fields:
+            raise ConfigError(f"n{node_id} cannot carry both repeat and out slots")
         if node.kind == "pep":
             proj1 = fields.get("proj1", (node.op.proj1_channels,))
             expansion = fields.get("expansion", (node.op.expansion_channels,))
@@ -201,11 +161,6 @@ def _validate_space(space: DesignSpace):
                     f"slot values on n{node_id} allow proj1 {max(proj1)} > "
                     f"expansion {min(expansion)}; every point must be valid"
                 )
-    # A repeated node must keep in == out under every out-channel
-    # assignment, which an out slot on it would break.
-    for node_id, fields in by_node.items():
-        if "repeat" in fields and "out" in fields:
-            raise ConfigError(f"n{node_id} cannot carry both repeat and out slots")
     infer_shapes(expand_point(space, space.base_point()))
 
 
@@ -245,43 +200,66 @@ def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
     return replace(space.base, nodes=tuple(new_nodes))
 
 
+def _read_slot(tokens: list, base: NetworkSpec, table, mutable: dict) -> Slot:
+    """The one Slot a statement declares, checked against the prototype."""
+    if tokens[0] == "slot" and len(tokens) == 4 and tokens[2] == "values":
+        head, _, fname = tokens[1].partition(".")
+        node_id = _node_token(head)
+        if (node_id, fname) not in mutable:
+            raise ConfigError(f"slot {tokens[1]!r} does not name a mutable field")
+        values = tuple(sorted({_decimal(v) for v in tokens[3].split(",")}))
+        if not 1 <= values[0] <= values[-1] <= MAX_INT:
+            raise ConfigError(f"slot {tokens[1]!r} needs positive candidate values <= {MAX_INT}")
+        return Slot(node_id, fname, values)
+    if tokens[0] == "fca_site" and len(tokens) == 3 and tokens[2] == "optional":
+        node = _checked_node(base, _node_token(tokens[1]))
+        if node.kind != "fca":
+            raise ConfigError(f"fca_site n{node.id} is a {node.kind} node")
+        return Slot(node.id, "present", (1, 0))
+    if tokens[0] == "repeat" and len(tokens) == 6 and tokens[2] == "min" and tokens[4] == "max":
+        lo, hi = _decimal(tokens[3]), _decimal(tokens[5])
+        if hi > MAX_REPEAT:
+            raise ConfigError(f"repeat max {hi} exceeds {MAX_REPEAT}")
+        node = _checked_node(base, _node_token(tokens[1]))
+        if lo > hi:
+            raise ConfigError(f"repeat bounds for n{node.id} must satisfy min <= max, got {lo} > {hi}")
+        if node.id in _pinned_ids(base):
+            raise ConfigError(f"repeat target n{node.id} is a detect node or sets one's channels")
+        in_shape = table.of(node.input_id)
+        if table.of(node.id) != in_shape or getattr(node.op, "stride", 1) != 1:
+            raise ConfigError(
+                f"repeat target n{node.id} must preserve its input shape "
+                f"(stride 1, {in_shape[0]} -> {in_shape[0]} channels)"
+            )
+        return Slot(node.id, "repeat", tuple(range(lo, hi + 1)))
+    raise ConfigError(f"unrecognized statement {' '.join(tokens)!r}")
+
+
 def parse_design_space(text: str, base: NetworkSpec) -> DesignSpace:
-    field_values: dict = {}
-    optional_fca: list = []
-    repeats: dict = {}
+    """The DesignSpace a document (module docstring) declares over base; each
+    statement's errors, a duplicate target among them, name its line."""
+    table = infer_shapes(base)
+    mutable = mutable_fields(base)
+    slots: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
-            if tokens[0] == "slot" and len(tokens) == 4 and tokens[2] == "values":
-                values = tuple(_decimal(v) for v in tokens[3].split(",") if v)
-                if any(v > MAX_INT for v in values):
-                    raise ConfigError(f"slot values must be <= {MAX_INT}")
-                field_values[tokens[1]] = values
-            elif tokens[0] == "fca_site" and len(tokens) == 3 and tokens[2] == "optional":
-                optional_fca.append(_node_token(tokens[1]))
-            elif (
-                tokens[0] == "repeat"
-                and len(tokens) == 6
-                and tokens[2] == "min"
-                and tokens[4] == "max"
-            ):
-                lo, hi = _decimal(tokens[3]), _decimal(tokens[5])
-                if hi > MAX_REPEAT:
-                    raise ConfigError(f"repeat max {hi} exceeds {MAX_REPEAT}")
-                repeats[_node_token(tokens[1])] = (lo, hi)
-            else:
-                raise ConfigError(f"unrecognized statement {line!r}")
+            slot = _read_slot(tokens, base, table, mutable)
+            if slot.name in slots:
+                raise ConfigError(f"duplicate {slot.name} statement")
         except (ValueError, ConfigError) as exc:
             raise ParseError(str(exc), line_no) from None
+        slots[slot.name] = slot
+    # Per node: field slots by name, then present, then repeat.
+    order = sorted(slots.values(), key=lambda s: (s.node_id, s.field in ("present", "repeat"), s.field))
+    space = DesignSpace(base=base, slots=tuple(order))
     try:
-        return build_design_space(
-            base, field_values=field_values, optional_fca=tuple(optional_fca), repeats=repeats
-        )
+        _validate_space(space)
     except ConfigError as exc:
         raise ParseError(str(exc)) from None
+    return space
 
 
 def performance(score: float, params: int, ops: int) -> float:

@@ -12,6 +12,7 @@ import io
 import re
 import struct
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compactdet import cli, complexity
-from compactdet.arch_graph import WeightStore, load_bundled_config, param_tensors, parse_network_spec
+from compactdet.arch_graph import (
+    SCALE_TAGS,
+    WeightStore,
+    load_bundled_config,
+    param_tensors,
+    parse_network_spec,
+)
 from compactdet.cli import PpmError, read_ppm, write_ppm
 from compactdet.complexity import load_weights, save_weights
 from compactdet.detection import parse_detections
@@ -35,6 +42,24 @@ conv 3 8 2
 conv 1 18 1
 detect large
 from 1
+conv 1 18 1
+detect medium
+from 0
+conv 1 18 1
+detect small
+"""
+
+
+PROTO_CFG = (resources.files("compactdet.configs") / "explore-proto.cfg").read_text()
+
+# An ep, not a conv, feeds the large detect node.
+EP_HEAD_CFG = """\
+input 3 16 16
+classes 1
+conv 3 8 2
+ep 18 18 2
+detect large
+from 0
 conv 1 18 1
 detect medium
 from 0
@@ -412,6 +437,19 @@ class TestQuantize:
             "51f9b96b18e6791b6a9350459bb9279878baf6996e8d3c5244de3a4b7d4861d8"
         )
 
+    def test_in_place_reports_input_size(self, random_proto_weights, capsys):
+        """--out may name the --weights file: the report gives the size of
+        the 32-bit input, read before the 8-bit file replaces it."""
+        cfg, _ = random_proto_weights
+        in_size = Path("in.w").stat().st_size
+        assert cli.main(["quantize", "--config", cfg, "--weights", "in.w", "--out", "in.w"]) == 0
+        out_size = Path("in.w").stat().st_size
+        assert out_size < in_size
+        assert f"wrote in.w: {out_size} bytes (8-bit), input {in_size} bytes (32-bit)\n" in (
+            capsys.readouterr().out
+        )
+        assert load_weights("in.w", load_bundled_config("explore-proto"))[1] == 8
+
     def test_quantizes_each_weight_tensor_once(self, random_proto_weights, monkeypatch):
         """One call per weight tensor to write the file, one more for the
         worst tensor's bound; the report reads the file back instead."""
@@ -521,6 +559,32 @@ class TestExplore:
             "--space", str(doc), "--out", str(tmp_path / "o.cfg"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "config, doc, line",
+        [
+            (PROTO_CFG, "slot n0.out values 8,12\nslot n0.out values 16\n", 2),
+            (PROTO_CFG, "fca_site n6 optional\nrepeat n11 min 0 max 2\n", 2),
+            (PROTO_CFG, "repeat n11 min 0 max 0\n", 1),
+            (EP_HEAD_CFG, "slot n1.out values 18,20\n", 1),
+        ],
+        ids=["duplicate-slot", "repeat-detect", "repeat-detect-to-0", "slot-on-detect-input"],
+    )
+    def test_refused_statement_exits_2_before_search(self, tmp_path, capsys, config, doc, line):
+        """A duplicate statement, a repeated detect node and a slot on a
+        detect node's input each exit 2 naming their line, and no point is
+        evaluated."""
+        cfg, space, log = tmp_path / "net.cfg", tmp_path / "space.txt", tmp_path / "log.txt"
+        cfg.write_text(config)
+        space.write_text(doc)
+        rc = cli.main([
+            "explore", "--config", str(cfg), "--space", str(space), "--log", str(log),
+            "--out", str(tmp_path / "best.cfg"),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: ")
+        assert not log.exists()
 
     def test_slot_value_above_bound_exits_2(self, tmp_path, capsys):
         """A slot value past 2**31 - 1 is a parse error on its line, not an
@@ -671,11 +735,11 @@ SPACE_LINES = [
     if line.split("#", 1)[0].strip()
 ]
 SPACE_STATEMENT = re.compile(
-    r"slot n[0-9]+\.[a-z0-9]+ values [0-9,]+|fca_site n[0-9]+ optional"
+    r"slot n[0-9]+\.[a-z0-9]+ values [0-9]+(,[0-9]+)*|fca_site n[0-9]+ optional"
     r"|repeat n[0-9]+ min [0-9]+ max ([0-9]|[1-5][0-9]|6[0-4])"
 )
 SPACE_TOKENS = ODD_INTEGERS + [
-    "n5", "n6", "n99", "n+5", "n\u0665", "n-1", "n", "8,12", "8,,16", ",", "1_6,8", "8,+12",
+    "n5", "n6", "n11", "n99", "n+5", "n\u0665", "n-1", "n", "8,12", "8,,16", ",", "1_6,8", "8,+12",
     "64", "65", "5000", "slot", "values", "fca_site", "optional", "repeat", "min", "max",
     "n0.out", "n1.proj1", "n6.present", "n10.out", "n5.out",
 ]
@@ -731,17 +795,25 @@ class TestInputMutations:
     @given(doc=mutated_spaces())
     def test_space_loads_or_exits_2_or_3(self, head_net, doc):
         directory, _, _ = head_net
-        space, log = directory / "space.txt", directory / "explore.log"
+        space, log, best = directory / "space.txt", directory / "explore.log", directory / "best.cfg"
         space.write_bytes(doc)
+        best.unlink(missing_ok=True)
         rc, out, err = run_quietly([
             "explore", "--config", bundled("explore-proto.cfg"), "--space", str(space),
-            "--log", str(log), "--budget", "4",
+            "--log", str(log), "--out", str(best), "--budget", "4",
         ])
         if rc == 0:
             assert out.startswith("best: u ")
-            # What loaded used only [0-9]+ integers and repeat max <= 64.
-            for raw in doc.decode().splitlines():
-                statement = " ".join(raw.split("#", 1)[0].split())
-                assert not statement or SPACE_STATEMENT.fullmatch(statement), statement
+            # What loaded used only [0-9]+ integers, repeat max <= 64 and
+            # each statement target once.
+            statements = [" ".join(raw.split("#", 1)[0].split()) for raw in doc.decode().splitlines()]
+            statements = [statement for statement in statements if statement]
+            for statement in statements:
+                assert SPACE_STATEMENT.fullmatch(statement), statement
+            targets = {tuple(statement.split()[:2]) for statement in statements}
+            assert len(targets) == len(statements)
+            # The best point is a detector the detect command can run.
+            tags = [node.op.scale_tag for node in parse_network_spec(best.read_text()).detect_nodes()]
+            assert sorted(tags) == sorted(SCALE_TAGS)
         else:
             assert rc in (2, 3) and err.startswith("error: ") and not out

@@ -20,7 +20,6 @@ from compactdet.explorer import (
     HistoryEntry,
     Slot,
     brute_force_search,
-    build_design_space,
     evaluate,
     expand_point,
     explore,
@@ -84,53 +83,109 @@ class TestBuildSpace:
         assert expand_point(space, space.base_point()) == base
 
     def test_values_sorted_deduped(self, base):
-        s = build_design_space(base, field_values={"n0.out": (16, 8, 8, 12)})
+        s = parse_design_space("slot n0.out values 16,8,8,12\n", base)
         assert s.slots[0].values == (8, 12, 16)
 
     def test_rejects_unknown_slot(self, base):
-        with pytest.raises(ConfigError, match="mutable field"):
-            build_design_space(base, field_values={"n0.reduction": (2, 4)})
-        with pytest.raises(ConfigError, match="mutable field"):
-            build_design_space(base, field_values={"n99.out": (2, 4)})
+        with pytest.raises(ParseError, match="^line 1: .*mutable field"):
+            parse_design_space("slot n0.reduction values 2,4\n", base)
+        with pytest.raises(ParseError, match="^line 1: .*mutable field"):
+            parse_design_space("slot n99.out values 2,4\n", base)
 
     def test_rejects_head_conv_slot(self, base):
-        with pytest.raises(ConfigError, match="mutable field"):
-            build_design_space(base, field_values={"n10.out": (21, 42)})
+        with pytest.raises(ParseError, match="^line 1: .*mutable field"):
+            parse_design_space("slot n10.out values 21,42\n", base)
 
     def test_rejects_nonpositive_values(self, base):
-        with pytest.raises(ConfigError, match="positive"):
-            build_design_space(base, field_values={"n0.out": (0, 8)})
+        with pytest.raises(ParseError, match="^line 1: .*positive"):
+            parse_design_space("slot n0.out values 0,8\n", base)
 
     def test_rejects_pep_projection_wider_than_expansion(self, base):
-        """proj1 and expansion slots must be jointly valid at every point."""
-        with pytest.raises(ConfigError, match="proj1"):
-            build_design_space(
-                base,
-                field_values={"n1.proj1": (4, 16), "n1.expansion": (8, 12)},
-            )
+        """proj1 and expansion slots must be jointly valid at every point;
+        the check spans two statements, so it names no line."""
+        with pytest.raises(ParseError, match="^slot values on n1 allow proj1"):
+            parse_design_space("slot n1.proj1 values 4,16\nslot n1.expansion values 8,12\n", base)
 
     def test_rejects_non_fca_presence_site(self, base):
-        with pytest.raises(ConfigError, match="fca"):
-            build_design_space(base, optional_fca=(1,))
+        with pytest.raises(ParseError, match="^line 1: .*fca"):
+            parse_design_space("fca_site n1 optional\n", base)
 
     def test_rejects_repeat_on_strided_node(self, base):
-        with pytest.raises(ConfigError, match="preserve"):
-            build_design_space(base, repeats={2: (0, 2)})  # ep stride 2
+        with pytest.raises(ParseError, match="^line 1: .*preserve"):
+            parse_design_space("repeat n2 min 0 max 2\n", base)  # ep stride 2
 
     def test_rejects_repeat_on_channel_changing_node(self):
         base = parse_network_spec("input 3 8 8\nconv 3 5 1\nconv 3 7 1\n")
-        with pytest.raises(ConfigError, match="preserve"):
-            build_design_space(base, repeats={1: (0, 2)})
+        with pytest.raises(ParseError, match="^line 1: .*preserve"):
+            parse_design_space("repeat n1 min 0 max 2\n", base)
 
     def test_rejects_repeat_with_out_slot(self, base):
-        with pytest.raises(ConfigError, match="repeat and out"):
-            build_design_space(
-                base, field_values={"n5.out": (24, 32)}, repeats={5: (1, 2)}
-            )
+        with pytest.raises(ParseError, match="^n5 cannot carry both repeat and out"):
+            parse_design_space("slot n5.out values 24,32\nrepeat n5 min 1 max 2\n", base)
 
     def test_rejects_bad_repeat_bounds(self, base):
-        with pytest.raises(ConfigError, match="bounds"):
-            build_design_space(base, repeats={5: (2, 1)})
+        with pytest.raises(ParseError, match="^line 1: repeat bounds"):
+            parse_design_space("repeat n5 min 2 max 1\n", base)
+
+
+class TestRunnableDetector:
+    """Every point of a loaded space is a runnable detector: detect nodes,
+    and the nodes that set their input channels, are neither slotted nor
+    repeated."""
+
+    # An ep feeds the large detect directly; an fca passes n4's channels
+    # on to the medium one.
+    NET = """\
+input 3 16 16
+classes 1
+conv 3 8 2      # 0
+ep 18 18 2      # 1
+detect large    # 2
+from 0
+pep 8 16 18 1   # 3
+pep 8 16 18 1   # 4
+fca 2           # 5
+detect medium   # 6
+from 0
+conv 1 18 1     # 7
+detect small    # 8
+"""
+
+    @pytest.mark.parametrize("doc", ["repeat n11 min 0 max 2\n", "repeat n11 min 0 max 0\n"])
+    def test_rejects_repeat_on_detect(self, base, doc):
+        with pytest.raises(ParseError, match="^line 1: repeat target n11 is a detect node"):
+            parse_design_space(doc, base)
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return parse_network_spec(self.NET)
+
+    def test_pins_every_node_a_detect_reads(self, net):
+        assert {node_id for node_id, _ in mutable_fields(net)} == {0, 3}
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "slot n1.out values 18,20\n",  # ep read by detect
+            "slot n5.reduction values 2,4\n",  # fca read by detect
+            "slot n4.out values 18,20\n",  # pep read through the fca
+        ],
+    )
+    def test_rejects_slot_on_detect_input(self, net, doc):
+        with pytest.raises(ParseError, match="^line 1: .*mutable field"):
+            parse_design_space(doc, net)
+
+    def test_rejects_repeat_on_detect_input(self, net):
+        """With no copies the fca would pass n3's open out channels on."""
+        with pytest.raises(ParseError, match="^line 2: repeat target n4"):
+            parse_design_space("slot n3.out values 18,20\nrepeat n4 min 0 max 1\n", net)
+
+    def test_every_point_runs(self, net):
+        space = parse_design_space(
+            "slot n0.out values 4,8\nslot n3.out values 12,18\nfca_site n5 optional\n", net
+        )
+        for point in space.enumerate_points():
+            count_network(expand_point(space, point))
 
 
 class TestParseSpaceDoc:
@@ -159,6 +214,17 @@ class TestParseSpaceDoc:
             ("repeat n5 min +0 max 2\n", "^line 1: "),
             ("repeat n5 min 0 max 5000\n", "^line 1: repeat max 5000 exceeds 64"),
             ("repeat n5 min 0 max 65\n", "^line 1: "),
+            # Each statement target is declared once.
+            ("slot n0.out values 8\nslot n0.out values 16\n", "^line 2: duplicate n0.out"),
+            ("fca_site n6 optional\nfca_site n6 optional\n", "^line 2: duplicate n6.present"),
+            ("repeat n5 min 0 max 1\nrepeat n5 min 1 max 2\n", "^line 2: duplicate n5.repeat"),
+            # Every comma-separated value is a [0-9]+ token.
+            ("slot n0.out values 8,,16\n", "^line 1: "),
+            ("slot n0.out values 8,16,\n", "^line 1: "),
+            ("slot n0.out values ,\n", "^line 1: "),
+            # Each statement's check names its own line.
+            ("slot n0.out values 8\n\nslot n0.size values 8\n", "^line 3: .*mutable field"),
+            ("slot n0.out values 8\nfca_site n99 optional\n", "^line 2: node n99 does not exist"),
         ],
     )
     def test_rejects_malformed(self, base, doc, fragment):
@@ -168,8 +234,6 @@ class TestParseSpaceDoc:
     def test_repeat_bound_is_inclusive(self, base):
         s = parse_design_space(f"repeat n5 min 0 max {MAX_REPEAT}\n", base)
         assert s.slots[0].values == tuple(range(MAX_REPEAT + 1))
-        with pytest.raises(ConfigError, match="bounds"):
-            build_design_space(base, repeats={5: (0, MAX_REPEAT + 1)})
 
     def test_semantic_error_still_parse_error(self, base):
         with pytest.raises(ParseError, match="fca"):
@@ -178,14 +242,14 @@ class TestParseSpaceDoc:
 
 class TestExpandPoint:
     def test_field_substitution(self, base):
-        s = build_design_space(base, field_values={"n0.out": (8, 12)})
+        s = parse_design_space("slot n0.out values 8,12\n", base)
         spec = expand_point(s, (12,))
         assert spec.nodes[0].op.out_channels == 12
         # Everything else untouched.
         assert spec.nodes[1:] == base.nodes[1:]
 
     def test_absent_fca_is_removed_and_rewired(self, base):
-        s = build_design_space(base, optional_fca=(6,))
+        s = parse_design_space("fca_site n6 optional\n", base)
         spec = expand_point(s, (0,))
         assert len(spec.nodes) == len(base.nodes) - 1
         assert all(n.kind != "fca" for n in spec.nodes)
@@ -196,7 +260,7 @@ class TestExpandPoint:
 
     def test_absent_node_remaps_branch_references(self, base):
         """`from` references past a dropped node follow its input."""
-        s = build_design_space(base, optional_fca=(6,))
+        s = parse_design_space("fca_site n6 optional\n", base)
         spec = expand_point(s, (0,))
         # Head convs read old nodes 9, 8, 5; after the drop those sit at
         # ids 8, 7, 5.
@@ -204,7 +268,7 @@ class TestExpandPoint:
         assert tap_ids == [8, 7, 5]
 
     def test_repeat_chains_copies(self, base):
-        s = build_design_space(base, repeats={5: (0, 2)})
+        s = parse_design_space("repeat n5 min 0 max 2\n", base)
         base_len = len(base.nodes)
         for copies in (0, 1, 2):
             spec = expand_point(s, (copies,))
@@ -376,9 +440,7 @@ class TestBruteForce:
         """With the fca absent its reduction value is dead weight: the two
         points expand to identical specs, so u ties and the smaller
         reduction value must win."""
-        s = build_design_space(
-            base, field_values={"n6.reduction": (2, 4)}, optional_fca=(6,)
-        )
+        s = parse_design_space("fca_site n6 optional\nslot n6.reduction values 2,4\n", base)
         assert [slot.name for slot in s.slots] == ["n6.reduction", "n6.present"]
         best = brute_force_search(s, ConstraintSet(), synthetic_evaluator())
         present_best = brute_force_search(
