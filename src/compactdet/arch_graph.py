@@ -52,7 +52,6 @@ from .nn_modules import (
     EpConfig,
     FcaConfig,
     PepConfig,
-    fca_bottleneck_width,
     param_tensors,  # noqa: F401  re-exported for cli, complexity and callers
     residual_active,
 )
@@ -216,54 +215,37 @@ def _detect_shape(op, in_shape, shape_of, spec) -> tuple:
     return in_shape
 
 
-def _conv_cost(k: int, c_in: int, c_out: int, out_hw: int, groups: int = 1, activated: bool = True) -> NodeCost:
-    macs = k * k * (c_in // groups) * c_out * out_hw
-    ops = 2 * macs + (c_out * out_hw if activated else 0)
-    params = k * k * (c_in // groups) * c_out + c_out
+def _layer_cost(shapes, areas, activated) -> NodeCost:
+    """Cost of layers given as (kernel, bias) shape pairs, one pair per
+    layer: a layer's MACs are its kernel's size times the output positions
+    (areas) it runs over, an activated layer adds one op per output, and
+    params are the tensors' sizes."""
+    macs = ops = params = 0
+    for kernel, (c_out,), area, act in zip(shapes[::2], shapes[1::2], areas, activated):
+        size = math.prod(kernel)
+        macs += size * area
+        ops += 2 * size * area + (c_out * area if act else 0)
+        params += size + c_out
     return NodeCost(macs, ops, params)
 
 
-def _dense_cost(c_in: int, c_out: int, activated: bool) -> NodeCost:
-    macs = c_in * c_out
-    return NodeCost(macs, 2 * macs + (c_out if activated else 0), c_in * c_out + c_out)
+def _block_cost(op, shapes, in_shape, out_shape, linear) -> NodeCost:
+    """PEP and EP: the layers before the depthwise run at the input area, the
+    depthwise and the linear projection at the output area, and the residual
+    adds one op per output."""
+    a_in, a_out = in_shape[1] * in_shape[2], out_shape[1] * out_shape[2]
+    before = len(shapes) // 2 - 2
+    cost = _layer_cost(shapes, (a_in,) * before + (a_out, a_out), (True,) * (before + 1) + (False,))
+    return cost + NodeCost(0, op.out_channels * a_out if residual_active(op, in_shape[0]) else 0, 0)
 
 
-def _expand_project_cost(op, c_in: int, a_in: int, a_out: int) -> NodeCost:
-    """Expand 1x1, 3x3 depthwise, linear 1x1 projection: the tail PEP and EP share."""
-    e = op.expansion_channels
-    return (
-        _conv_cost(1, c_in, e, a_in)
-        + _conv_cost(3, e, e, a_out, groups=e)
-        + _conv_cost(1, e, op.out_channels, a_out, activated=False)
-    )
-
-
-def _residual_cost(op, c_in: int, a_out: int) -> NodeCost:
-    return NodeCost(0, op.out_channels * a_out if residual_active(op, c_in) else 0, 0)
-
-
-def _pep_cost(op, in_shape, out_shape, linear) -> NodeCost:
-    c_in, a_in, a_out = in_shape[0], in_shape[1] * in_shape[2], out_shape[1] * out_shape[2]
-    return (
-        _conv_cost(1, c_in, op.proj1_channels, a_in)
-        + _expand_project_cost(op, op.proj1_channels, a_in, a_out)
-        + _residual_cost(op, c_in, a_out)
-    )
-
-
-def _ep_cost(op, in_shape, out_shape, linear) -> NodeCost:
-    c_in, a_in, a_out = in_shape[0], in_shape[1] * in_shape[2], out_shape[1] * out_shape[2]
-    return _expand_project_cost(op, c_in, a_in, a_out) + _residual_cost(op, c_in, a_out)
-
-
-def _fca_cost(op, in_shape, out_shape, linear) -> NodeCost:
+def _fca_cost(op, shapes, in_shape, out_shape, linear) -> NodeCost:
     c, h, w = in_shape
-    width = fca_bottleneck_width(c, op.reduction_ratio)
     # Global average pool and sigmoid gate (c each), then the channel rescale.
-    return _dense_cost(c, width, True) + _dense_cost(width, c, False) + NodeCost(0, 2 * c + c * h * w, 0)
+    return _layer_cost(shapes, (1, 1), (True, False)) + NodeCost(0, 2 * c + c * h * w, 0)
 
 
-def _per_output_cost(op, in_shape, out_shape, linear) -> NodeCost:
+def _per_output_cost(op, shapes, in_shape, out_shape, linear) -> NodeCost:
     return NodeCost(0, out_shape[0] * out_shape[1] * out_shape[2], 0)
 
 
@@ -279,11 +261,11 @@ class _Kind:
     op: type  # the op dataclass; its fields are the grammar arguments in order, named in parse errors
     word: str  # grammar word, serialized form and NodeSpec.kind
     shape: Callable  # (op, in_shape, shape_of, spec) -> out_shape; ConfigError if they do not chain
-    cost: Callable  # (op, in_shape, out_shape, linear) -> NodeCost
+    cost: Callable  # (op, shapes, in_shape, out_shape, linear) -> NodeCost: each layer's area, activation
     forward: Callable  # (op, x, params, outputs, linear) -> y; linear marks a head conv
     refs: tuple = ()  # fields naming earlier nodes, besides the input
     slots: dict = field(default_factory=dict)  # explorer slot spelling -> field
-    param_shapes: Callable = lambda op, c_in: ()  # (op, in_channels) -> shapes in parameter field order
+    param_shapes: Callable = lambda op, c_in: ()  # (op, in_channels) -> per layer, a kernel then its bias
     build: Callable = lambda tensors: None  # (tensors in param_shapes order) -> parameter object
     draws_biases: bool = False  # random init draws biases too (else zeros)
 
@@ -294,9 +276,7 @@ _KINDS = {
         _Kind(
             ConvSpec, "conv",
             shape=_conv_shape,
-            cost=lambda op, i, o, linear: _conv_cost(
-                op.kernel, i[0], op.out_channels, o[1] * o[2], activated=not linear
-            ),
+            cost=lambda op, shapes, i, o, linear: _layer_cost(shapes, (o[1] * o[2],), (not linear,)),
             forward=_conv_forward,
             slots={"out": "out_channels"},
             param_shapes=lambda op, c: ((op.out_channels, c, op.kernel, op.kernel), (op.out_channels,)),
@@ -305,7 +285,7 @@ _KINDS = {
         _Kind(
             PepConfig, "pep",
             shape=_block_shape,
-            cost=_pep_cost,
+            cost=_block_cost,
             forward=lambda op, x, params, outputs, linear: nn_modules.pep_forward(x, op, params),
             slots={"proj1": "proj1_channels", "expansion": "expansion_channels", "out": "out_channels"},
             param_shapes=lambda op, c: nn_modules.pep_param_shapes(op, c),
@@ -315,7 +295,7 @@ _KINDS = {
         _Kind(
             EpConfig, "ep",
             shape=_block_shape,
-            cost=_ep_cost,
+            cost=_block_cost,
             forward=lambda op, x, params, outputs, linear: nn_modules.ep_forward(x, op, params),
             slots={"expansion": "expansion_channels", "out": "out_channels"},
             param_shapes=lambda op, c: nn_modules.ep_param_shapes(op, c),
@@ -346,14 +326,14 @@ _KINDS = {
         _Kind(
             ConcatSpec, "concat",
             shape=_concat_shape,
-            cost=lambda op, i, o, linear: NodeCost(),
+            cost=lambda op, shapes, i, o, linear: NodeCost(),
             forward=lambda op, x, params, outputs, linear: concat_channels(x, outputs[op.with_id]),
             refs=("with_id",),
         ),
         _Kind(
             DetectSpec, "detect",
             shape=_detect_shape,
-            cost=lambda op, i, o, linear: NodeCost(),
+            cost=lambda op, shapes, i, o, linear: NodeCost(),
             forward=lambda op, x, params, outputs, linear: x,
         ),
     )
@@ -575,11 +555,19 @@ def linear_conv_ids(spec: NetworkSpec) -> frozenset:
 
 def node_param_shapes(spec: NetworkSpec):
     """Yield (node, kind record, parameter shapes in storage order) for each
-    node of spec; the one walk behind weight stores and weights files."""
+    node of spec; the one walk behind store checks and weights files."""
     table = infer_shapes(spec)
     for node in spec.nodes:
         kind = _KINDS[type(node.op)]
         yield node, kind, kind.param_shapes(node.op, table.of(node.input_id)[0])
+
+
+def init_params(op: NodeOp, in_channels: int, rng=None):
+    """One node's parameters: its kind's shapes drawn (zeros without an rng,
+    He-scaled gaussians with one, biases too where the kind draws them),
+    then built."""
+    kind = _KINDS[type(op)]
+    return kind.build(nn_modules.draw_tensors(kind.param_shapes(op, in_channels), rng, kind.draws_biases))
 
 
 class WeightStore:
@@ -598,11 +586,8 @@ class WeightStore:
 
     @classmethod
     def _init(cls, spec: NetworkSpec, rng) -> "WeightStore":
-        """Draw each node's tensors from its kind's shapes, then build it."""
-        return cls([
-            kind.build(nn_modules.draw_tensors(shapes, rng, kind.draws_biases))
-            for node, kind, shapes in node_param_shapes(spec)
-        ])
+        table = infer_shapes(spec)
+        return cls([init_params(node.op, table.of(node.input_id)[0], rng) for node in spec.nodes])
 
     def validate_against(self, spec: NetworkSpec):
         if len(self.params) != len(spec.nodes):

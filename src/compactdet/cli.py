@@ -183,6 +183,8 @@ def cmd_quantize(args) -> int:
 def cmd_explore(args) -> int:
     if args.min_score is not None and not math.isfinite(args.min_score):
         raise ConfigError(f"--min-score must be finite, got {args.min_score}")
+    if args.max_ops is not None and args.max_ops < 0:
+        raise ConfigError(f"--max-ops must be >= 0, got {args.max_ops}")
     space = explorer.parse_design_space(Path(args.space).read_text(), _load_spec(args.config))
     constraints = complexity.ConstraintSet(max_ops=args.max_ops, min_score=args.min_score)
     evaluator = explorer.synthetic_evaluator()

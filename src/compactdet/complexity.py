@@ -2,8 +2,8 @@
 
 Counting conventions (batch size 1 throughout):
 
-* A convolution or dense layer costs k*k * (c_in/groups) * c_out spatial
-  output positions in multiply-accumulates (MACs); its op count is 2*MACs.
+* A layer's multiply-accumulates (MACs) are its kernel's size times its
+  output positions; its op count is 2*MACs.
 * Activations, residual adds, sigmoids, pooling, channel scaling, and
   upsampling cost 1 op per output element and contribute no MACs/params.
 * Concatenation and detect markers are free.
@@ -51,9 +51,11 @@ def count_node(node: NodeSpec, in_shape: tuple, out_shape: tuple, linear: bool =
     """Cost of one node given its input/output (c, h, w) shapes.
 
     `linear` marks conv nodes that emit raw logits and skip the activation.
-    The rule for each kind is the cost entry of its arch_graph record.
+    The rule for each kind is the cost entry of its arch_graph record, which
+    reads the kind's parameter shapes.
     """
-    return _KINDS[type(node.op)].cost(node.op, in_shape, out_shape, linear)
+    kind = _KINDS[type(node.op)]
+    return kind.cost(node.op, kind.param_shapes(node.op, in_shape[0]), in_shape, out_shape, linear)
 
 
 @dataclass

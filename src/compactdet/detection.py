@@ -406,6 +406,8 @@ def _iou_wh(wh: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def kmeans_anchors(box_whs, k: int, seed: int = 0, iters: int = 100) -> list:
     """Cluster (w, h) pairs under 1 - IoU distance; returns k (w, h) anchor
     tuples by area."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     wh = np.asarray(box_whs, dtype=np.float64).reshape(-1, 2)
     if len(wh) < k:
         raise ConfigError(f"need at least k={k} boxes, got {len(wh)}")

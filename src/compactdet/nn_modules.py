@@ -173,19 +173,6 @@ def build_ep_params(tensors) -> EpParams:
     return EpParams(ConvWeights(ek, eb), ConvWeights(dk, db, groups=len(dk)), ConvWeights(pk, pb))
 
 
-def init_pep_params(cfg: PepConfig, in_channels: int, rng=None) -> PepParams:
-    """Zero parameters by default, He-scaled gaussians when an rng is given."""
-    return build_pep_params(draw_tensors(pep_param_shapes(cfg, in_channels), rng))
-
-
-def init_ep_params(cfg: EpConfig, in_channels: int, rng=None) -> EpParams:
-    return build_ep_params(draw_tensors(ep_param_shapes(cfg, in_channels), rng))
-
-
-def init_fca_params(cfg: FcaConfig, channels: int, rng=None) -> FcaParams:
-    return FcaParams(*draw_tensors(fca_param_shapes(cfg, channels), rng, biases=False))
-
-
 @functools.cache
 def _field_names(cls) -> tuple:
     """A dataclass's field names in order; () for any other type.  Cached

@@ -22,6 +22,7 @@ from compactdet import cli
 from compactdet.arch_graph import (
     WeightStore,
     execute,
+    init_params,
     load_bundled_config,
     param_tensors,
     parse_network_spec,
@@ -56,9 +57,6 @@ from compactdet.nn_modules import (
     ep_forward,
     fca_forward,
     fca_bottleneck_width,
-    init_ep_params,
-    init_fca_params,
-    init_pep_params,
     pep_forward,
 )
 from compactdet.tensor_core import (
@@ -240,7 +238,7 @@ def test_criterion_06_module_composition():
                         expansion_channels=int(rng.integers(4, 10)),
                         out_channels=int(rng.integers(1, 9)),
                         stride=int(rng.integers(1, 3)))
-        p = init_pep_params(cfg, c_in, rng=np.random.default_rng(rng.integers(1 << 30)))
+        p = init_params(cfg, c_in, rng=np.random.default_rng(rng.integers(1 << 30)))
         y = leaky_relu(conv2d(x, p.project_in))
         y = leaky_relu(conv2d(y, p.expand))
         y = leaky_relu(depthwise_conv2d(y, p.depthwise, cfg.stride))
@@ -252,7 +250,7 @@ def test_criterion_06_module_composition():
         ecfg = EpConfig(expansion_channels=int(rng.integers(4, 10)),
                         out_channels=int(rng.integers(1, 9)),
                         stride=int(rng.integers(1, 3)))
-        ep = init_ep_params(ecfg, c_in, rng=np.random.default_rng(rng.integers(1 << 30)))
+        ep = init_params(ecfg, c_in, rng=np.random.default_rng(rng.integers(1 << 30)))
         y = leaky_relu(conv2d(x, ep.expand))
         y = leaky_relu(depthwise_conv2d(y, ep.depthwise, ecfg.stride))
         y = conv2d(y, ep.project)
@@ -261,7 +259,7 @@ def test_criterion_06_module_composition():
         gauge(ep_forward(x, ecfg, ep), y)
 
         fcfg = FcaConfig(reduction_ratio=int(rng.integers(1, 5)))
-        fp = init_fca_params(fcfg, c_in, rng=np.random.default_rng(rng.integers(1 << 30)))
+        fp = init_params(fcfg, c_in, rng=np.random.default_rng(rng.integers(1 << 30)))
         mid = fca_bottleneck_width(c_in, fcfg.reduction_ratio)
         assert mid == max(1, c_in // fcfg.reduction_ratio)
         g = global_avg_pool(x)[0, :, 0, 0]
@@ -276,8 +274,8 @@ def test_criterion_06_module_composition():
         x = np.random.default_rng(c).standard_normal((1, c, h, w)).astype(np.float32)
         pcfg = PepConfig(2, 4, c, stride)
         ecfg = EpConfig(4, c, stride)
-        assert np.array_equal(pep_forward(x, pcfg, init_pep_params(pcfg, c)), x)
-        assert np.array_equal(ep_forward(x, ecfg, init_ep_params(ecfg, c)), x)
+        assert np.array_equal(pep_forward(x, pcfg, init_params(pcfg, c)), x)
+        assert np.array_equal(ep_forward(x, ecfg, init_params(ecfg, c)), x)
 
     elapsed = perf_counter() - t0
     assert elapsed < 30.0

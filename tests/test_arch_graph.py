@@ -28,6 +28,7 @@ from compactdet.arch_graph import (
     WeightStore,
     execute,
     infer_shapes,
+    init_params,
     linear_conv_ids,
     load_bundled_config,
     node_param_shapes,
@@ -40,9 +41,6 @@ from compactdet.nn_modules import (
     FcaConfig,
     PepConfig,
     draw_tensors,
-    init_ep_params,
-    init_fca_params,
-    init_pep_params,
 )
 from compactdet.tensor_core import ConfigError, concat_channels, conv2d, leaky_relu, upsample_nearest
 
@@ -446,40 +444,40 @@ STORE_DIGESTS = {
     ),
 }
 
-# Digests of init_*_params(cfg, channels) without an rng, then with
+# Digests of init_params(cfg, channels) without an rng, then with
 # default_rng(0), (1) and (2).
 MODULE_DIGESTS = [
-    (init_pep_params, PepConfig(3, 7, 9, 2), 5, (
+    (init_params, PepConfig(3, 7, 9, 2), 5, (
         "0e3eb27f45eb41de626119bf01b1d559bba2c59d96f98e809006cf10243d66b3",
         "6c58d86897d0e36c32bfce350c834450854dcff593cc41449702b9bea06ad899",
         "9868a1f1f7a928f54b94cba19a86a842be5d4749ba6ad8db45467886adce784c",
         "d51f7c81803a10481ffd7ef68a1060b0ac346fff5351fd16b735e4dd3d4eefd2",
     )),
-    (init_pep_params, PepConfig(4, 4, 4, 1), 4, (
+    (init_params, PepConfig(4, 4, 4, 1), 4, (
         "258d4f88fcdd547551fd9c56c87ebd36fd49eb603da57fafb2deb60c8286ac50",
         "d0f7b7a5c032877be1b3d2d93c55533852ec8ba671a4f6d6e665982f73b6039a",
         "9f12d911cc5c86301f93f5bf9c754d5ef17e241169e0897b1a47ba63a90eba65",
         "d18040c86a31a22fb780af80c4876ff016b102263fd4e984f7c5f8aaacce3f89",
     )),
-    (init_ep_params, EpConfig(8, 5, 2), 6, (
+    (init_params, EpConfig(8, 5, 2), 6, (
         "44925c30215e55b94f13b44201a28bffc123510f9c3e52752550ef406b32db9c",
         "3bc3531812d1664bf412efe029f8aa7ef085f4cdd3c0a24f167b5360a74c1e3a",
         "a59d2ad1bf40a28f685570ccf57a4b0076ca2c4416bc2cb79e1f2e0e1b44ce06",
         "b37d8638d7546a8a8a77980bf873127b142e353985a9c9361a961cd2e70b9fd2",
     )),
-    (init_ep_params, EpConfig(3, 3, 1), 3, (
+    (init_params, EpConfig(3, 3, 1), 3, (
         "a43b6c3a01d0b48dffca433cbec83ab8e61632de6721081b996c3c49621387cb",
         "823c3b8337521760901985f8c79b5795f39408526b7cd0278afa63815b092284",
         "3966ad17baba4336933c2c1294e16ce3391f3f16aefcc1e0e0875cd7d78739d7",
         "6f0ca0ac72b6215305564bf3f6091bf1996eede68b6078d88931d0287cf2725d",
     )),
-    (init_fca_params, FcaConfig(2), 6, (
+    (init_params, FcaConfig(2), 6, (
         "1c19cf29251801dc2999de28884e5cf950fe836d225aa18c04248862d1828c61",
         "75a769b26b56964b676cb9fc8dc49878bf46c7fd319e07ef6ac567813c002c19",
         "5dd2d4d7a9b6f9bb863f4d1a6f322c8b903e097af045702343183538de951805",
         "e7f80642ffa9313343c5ea0ad25b36e7a538fac7837ddbfa742de4b46283bd20",
     )),
-    (init_fca_params, FcaConfig(8), 20, (
+    (init_params, FcaConfig(8), 20, (
         "a5f103070d5af925310030cc7f998d257028b384cd9e32e529fa6d80b5900ce5",
         "55a3a1db1d93116e5089e9ca1c91c22299250f7687892c23300373d089024c39",
         "b4847bc1018bdf1cc16d9cb59467c01e4ff6c3d033f29795b2f029aa12ad87ab",

@@ -515,6 +515,14 @@ class TestExplore:
         assert captured.out == "" and "--min-score must be finite" in captured.err
         assert not out.exists() and not log.exists()
 
+    @pytest.mark.parametrize("value", ["-1", "-5"])
+    def test_negative_max_ops_exits_2(self, tmp_path, capsys, value):
+        rc, out, log = self.run(tmp_path, "o", f"--max-ops={value}")
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and f"--max-ops must be >= 0, got {value}" in captured.err
+        assert not out.exists() and not log.exists()
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         rc, out, log = self.run(tmp_path, "s", "--seed", "-1")
         captured = capsys.readouterr()

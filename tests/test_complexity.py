@@ -8,8 +8,10 @@ code cannot hide behind a regenerated expectation.
 
 import functools
 import hashlib
+import math
 import struct
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from compactdet.arch_graph import (
+    ConvSpec,
+    MaxPoolSpec,
+    UpsampleSpec,
     WeightStore,
+    infer_shapes,
+    linear_conv_ids,
     load_bundled_config,
+    node_param_shapes,
     param_tensors,
     parse_network_spec,
 )
@@ -30,6 +38,7 @@ from compactdet.complexity import (
     WeightFormatError,
     check_constraints,
     count_network,
+    count_node,
     dequantize_tensor,
     fake_quantize,
     load_weights,
@@ -37,7 +46,11 @@ from compactdet.complexity import (
     quantize_tensor,
     save_weights,
 )
+from compactdet.explorer import expand_point, parse_design_space
+from compactdet.nn_modules import EpConfig, FcaConfig, PepConfig, fca_bottleneck_width, residual_active
 from compactdet.tensor_core import ConfigError, ConvWeights
+
+BUNDLED = ("reference", "tiny-yolov3", "explore-proto")
 
 
 def report_for(text):
@@ -158,6 +171,89 @@ class TestCountingRules:
         assert lines[0] == "node_id\tkind\tmacs\tops\tparams"
         assert lines[1] == "0\tconv\t6912\t14080\t112"
         assert lines[2] == "TOTAL\t-\t6912\t14080\t112"
+
+
+def _conv_oracle(k, c_in, c_out, out_hw, groups=1, activated=True) -> NodeCost:
+    macs = k * k * (c_in // groups) * c_out * out_hw
+    ops = 2 * macs + (c_out * out_hw if activated else 0)
+    return NodeCost(macs, ops, k * k * (c_in // groups) * c_out + c_out)
+
+
+def _dense_oracle(c_in, c_out, activated) -> NodeCost:
+    macs = c_in * c_out
+    return NodeCost(macs, 2 * macs + (c_out if activated else 0), c_in * c_out + c_out)
+
+
+def oracle_cost(op, in_shape, out_shape, linear) -> NodeCost:
+    """The slow per-layer formulas, written out by kind: the oracle for the
+    cost rules, which derive the same counts from each kind's parameter
+    shapes."""
+    c_in, a_in, a_out = in_shape[0], in_shape[1] * in_shape[2], out_shape[1] * out_shape[2]
+    if isinstance(op, ConvSpec):
+        return _conv_oracle(op.kernel, c_in, op.out_channels, a_out, activated=not linear)
+    if isinstance(op, (PepConfig, EpConfig)):
+        cost = NodeCost()
+        if isinstance(op, PepConfig):
+            cost = _conv_oracle(1, c_in, op.proj1_channels, a_in)
+            c_in = op.proj1_channels
+        e = op.expansion_channels
+        cost = (
+            cost
+            + _conv_oracle(1, c_in, e, a_in)
+            + _conv_oracle(3, e, e, a_out, groups=e)
+            + _conv_oracle(1, e, op.out_channels, a_out, activated=False)
+        )
+        return cost + NodeCost(0, op.out_channels * a_out if residual_active(op, in_shape[0]) else 0, 0)
+    if isinstance(op, FcaConfig):
+        width = fca_bottleneck_width(c_in, op.reduction_ratio)
+        return (
+            _dense_oracle(c_in, width, True)
+            + _dense_oracle(width, c_in, False)
+            + NodeCost(0, 2 * c_in + c_in * a_in, 0)
+        )
+    if isinstance(op, (MaxPoolSpec, UpsampleSpec)):
+        return NodeCost(0, out_shape[0] * a_out, 0)
+    return NodeCost()  # concat and detect
+
+
+class TestCostRulesReadParamShapes:
+    """The cost rules count each weighted kind's layers from its parameter
+    shapes: per layer, a kernel and then its 1-D bias."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_shapes_alternate_kernel_and_bias(self, name):
+        weighted = 0
+        for node, _, shapes in node_param_shapes(load_bundled_config(name)):
+            assert len(shapes) % 2 == 0
+            for kernel, bias in zip(shapes[::2], shapes[1::2]):
+                assert len(kernel) >= 2 and bias == (kernel[0],), (node, shapes)
+            weighted += bool(shapes)
+        assert weighted > 0
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_params_are_tensor_sizes(self, name):
+        spec = load_bundled_config(name)
+        table = infer_shapes(spec)
+        heads = linear_conv_ids(spec)
+        for node, _, shapes in node_param_shapes(spec):
+            cost = count_node(node, table.of(node.input_id), table.of(node.id), node.id in heads)
+            assert cost.params == sum(math.prod(shape) for shape in shapes), node
+        assert model_size_bytes(spec, 32) == 4 * count_network(spec).total_params
+
+    def test_matches_per_layer_oracle_over_design_space(self):
+        """Every node of every point of the bundled design space."""
+        text = resources.files("compactdet.configs").joinpath("explore-space.txt").read_text()
+        space = parse_design_space(text, load_bundled_config("explore-proto"))
+        points = 0
+        for point in space.enumerate_points():
+            spec = expand_point(space, point)
+            table = infer_shapes(spec)
+            heads = linear_conv_ids(spec)
+            for node in spec.nodes:
+                args = (table.of(node.input_id), table.of(node.id), node.id in heads)
+                assert count_node(node, *args) == oracle_cost(node.op, *args), (point, node)
+            points += 1
+        assert points == space.size() == 4374
 
 
 class TestReferenceBudgets:

@@ -730,6 +730,11 @@ class TestKmeansAnchors:
         with pytest.raises(ConfigError):
             kmeans_anchors(np.ones((2, 2)) * 0.5, 3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        with pytest.raises(ConfigError, match=f"k must be >= 1, got {k}"):
+            kmeans_anchors(np.ones((4, 2)) * 0.5, k)
+
 
 class TestInterchangeFormat:
     def test_detection_round_trip(self):

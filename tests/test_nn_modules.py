@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from compactdet import tensor_core as tc
+from compactdet.arch_graph import init_params
 from compactdet.nn_modules import (
     EpConfig,
     FcaConfig,
@@ -17,9 +18,6 @@ from compactdet.nn_modules import (
     ep_forward,
     fca_bottleneck_width,
     fca_forward,
-    init_ep_params,
-    init_fca_params,
-    init_pep_params,
     pep_forward,
     residual_active,
 )
@@ -64,7 +62,7 @@ class TestPep:
             out = int(rng.integers(1, 12))
             stride = int(rng.choice([1, 2]))
             cfg = PepConfig(proj1, expansion, out, stride)
-            params = init_pep_params(cfg, c_in, rng)
+            params = init_params(cfg, c_in, rng)
             h = int(rng.integers(4, 9))
             x = rng.standard_normal((1, c_in, h, h)).astype(np.float32)
             want = pep_reference(x, params, stride, residual_active(cfg, c_in))
@@ -78,14 +76,14 @@ class TestPep:
     def test_zero_params_residual_is_identity(self):
         """All-zero weights make the conv stack emit 0, so y == x."""
         cfg = PepConfig(3, 6, 5, 1)
-        params = init_pep_params(cfg, 5)
+        params = init_params(cfg, 5)
         rng = np.random.default_rng(22)
         x = rng.standard_normal((2, 5, 6, 6)).astype(np.float32)
         np.testing.assert_array_equal(pep_forward(x, cfg, params), x)
 
     def test_zero_params_no_residual_is_zero(self):
         cfg = PepConfig(3, 6, 5, 2)
-        params = init_pep_params(cfg, 5)
+        params = init_params(cfg, 5)
         x = np.ones((1, 5, 6, 6), dtype=np.float32)
         np.testing.assert_array_equal(
             pep_forward(x, cfg, params), np.zeros((1, 5, 3, 3), dtype=np.float32)
@@ -93,7 +91,7 @@ class TestPep:
 
     def test_output_shape(self):
         cfg = PepConfig(4, 9, 11, 2)
-        params = init_pep_params(cfg, 7, np.random.default_rng(0))
+        params = init_params(cfg, 7, np.random.default_rng(0))
         y = pep_forward(np.zeros((1, 7, 10, 10), dtype=np.float32), cfg, params)
         assert y.shape == (1, 11, 5, 5)
 
@@ -110,14 +108,14 @@ class TestPep:
         its config gives, so another config's parameters are refused."""
         x = np.zeros((1, 5, 4, 4), dtype=np.float32)
         cfg = PepConfig(3, 6, 5, 1)
-        wrong = init_pep_params(PepConfig(3, 7, 5, 1), 5)
+        wrong = init_params(PepConfig(3, 7, 5, 1), 5)
         with pytest.raises(ConfigError, match="PepParams shapes"):
             pep_forward(x, cfg, wrong)
         ecfg = EpConfig(6, 5, 1)
         with pytest.raises(ConfigError, match="EpParams shapes"):
-            ep_forward(x, ecfg, init_ep_params(EpConfig(6, 4, 1), 5))
+            ep_forward(x, ecfg, init_params(EpConfig(6, 4, 1), 5))
         with pytest.raises(ConfigError, match="EpParams shapes"):
-            ep_forward(x, ecfg, init_ep_params(ecfg, 4))
+            ep_forward(x, ecfg, init_params(ecfg, 4))
 
 
 class TestEp:
@@ -129,7 +127,7 @@ class TestEp:
             out = int(rng.integers(1, 12))
             stride = int(rng.choice([1, 2]))
             cfg = EpConfig(expansion, out, stride)
-            params = init_ep_params(cfg, c_in, rng)
+            params = init_params(cfg, c_in, rng)
             h = int(rng.integers(4, 9))
             x = rng.standard_normal((1, c_in, h, h)).astype(np.float32)
             want = ep_reference(x, params, stride, residual_active(cfg, c_in))
@@ -143,7 +141,7 @@ class TestEp:
         -0.1; linear output must be exactly -1 everywhere.
         """
         cfg = EpConfig(2, 2, 2)  # stride 2 disables the residual
-        params = init_ep_params(cfg, 2)
+        params = init_params(cfg, 2)
         params.expand.kernel[0, 0, 0, 0] = 1.0
         params.expand.kernel[1, 1, 0, 0] = 1.0
         params.depthwise.kernel[:, 0, 1, 1] = 1.0
@@ -158,7 +156,7 @@ class TestEp:
         bites twice (expand output -1 -> -0.1, depthwise keeps sign ->
         -0.01 after its activation), then the linear project negates."""
         cfg = EpConfig(1, 1, 2)
-        params = init_ep_params(cfg, 1)
+        params = init_params(cfg, 1)
         params.expand.kernel[0, 0, 0, 0] = -1.0
         params.depthwise.kernel[0, 0, 1, 1] = 1.0
         params.project.kernel[0, 0, 0, 0] = -1.0
@@ -168,7 +166,7 @@ class TestEp:
 
     def test_residual_applies(self):
         cfg = EpConfig(4, 3, 1)
-        params = init_ep_params(cfg, 3)  # zero weights
+        params = init_params(cfg, 3)  # zero weights
         rng = np.random.default_rng(33)
         x = rng.standard_normal((1, 3, 5, 5)).astype(np.float32)
         np.testing.assert_array_equal(ep_forward(x, cfg, params), x)
@@ -181,7 +179,7 @@ class TestFca:
             c = int(rng.integers(1, 20))
             r = int(rng.choice([1, 2, 4, 8, 16]))
             cfg = FcaConfig(r)
-            params = init_fca_params(cfg, c, rng)
+            params = init_params(cfg, c, rng)
             n = int(rng.integers(1, 3))
             x = rng.standard_normal((n, c, 4, 5)).astype(np.float32)
             np.testing.assert_allclose(
@@ -191,7 +189,7 @@ class TestFca:
     def test_zero_params_halve_the_tensor(self):
         """Zero weights give sigmoid(0) = 0.5 gates on every channel."""
         cfg = FcaConfig(4)
-        params = init_fca_params(cfg, 8)
+        params = init_params(cfg, 8)
         rng = np.random.default_rng(42)
         x = rng.standard_normal((2, 8, 3, 3)).astype(np.float32)
         np.testing.assert_allclose(fca_forward(x, cfg, params), 0.5 * x, rtol=1e-6)
@@ -208,44 +206,44 @@ class TestFca:
         cfg = FcaConfig(2)
         for _ in range(20):
             c = int(rng.integers(1, 12))
-            params = init_fca_params(cfg, c, rng)
+            params = init_params(cfg, c, rng)
             x = rng.standard_normal((1, c, 4, 4)).astype(np.float32)
             y = fca_forward(x, cfg, params)
             assert np.all(np.abs(y) <= np.abs(x) + 1e-7)
 
     def test_shape_preserved(self):
         cfg = FcaConfig(8)
-        params = init_fca_params(cfg, 5, np.random.default_rng(44))
+        params = init_params(cfg, 5, np.random.default_rng(44))
         x = np.zeros((3, 5, 7, 2), dtype=np.float32)
         assert fca_forward(x, cfg, params).shape == x.shape
 
     def test_rejects_mismatched_width(self):
         cfg = FcaConfig(4)
-        params = init_fca_params(cfg, 8)
+        params = init_params(cfg, 8)
         with pytest.raises(ConfigError):
             fca_forward(np.zeros((1, 9, 3, 3), dtype=np.float32), cfg, params)
 
 
 class TestInit:
     def test_zero_by_default(self):
-        params = init_pep_params(PepConfig(2, 4, 6, 1), 3)
+        params = init_params(PepConfig(2, 4, 6, 1), 3)
         assert not params.project_in.kernel.any()
         assert not params.depthwise.kernel.any()
 
     def test_seeded_init_reproducible(self):
         cfg = EpConfig(8, 6, 2)
-        a = init_ep_params(cfg, 4, np.random.default_rng(7))
-        b = init_ep_params(cfg, 4, np.random.default_rng(7))
+        a = init_params(cfg, 4, np.random.default_rng(7))
+        b = init_params(cfg, 4, np.random.default_rng(7))
         np.testing.assert_array_equal(a.expand.kernel, b.expand.kernel)
         np.testing.assert_array_equal(a.project.bias, b.project.bias)
 
     def test_shapes(self):
-        p = init_pep_params(PepConfig(3, 7, 9, 2), 5, np.random.default_rng(1))
+        p = init_params(PepConfig(3, 7, 9, 2), 5, np.random.default_rng(1))
         assert p.project_in.kernel.shape == (3, 5, 1, 1)
         assert p.expand.kernel.shape == (7, 3, 1, 1)
         assert p.depthwise.kernel.shape == (7, 1, 3, 3)
         assert p.depthwise.groups == 7 and p.expand.groups == 1
         assert p.project_out.kernel.shape == (9, 7, 1, 1)
-        f = init_fca_params(FcaConfig(8), 20, np.random.default_rng(2))
+        f = init_params(FcaConfig(8), 20, np.random.default_rng(2))
         assert f.reduce_weight.shape == (2, 20)
         assert f.restore_weight.shape == (20, 2)
