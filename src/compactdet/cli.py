@@ -180,15 +180,41 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
+def _search_summary(history: list, constraints, seconds: float) -> str:
+    """One stderr line: evaluations, time, rate, and each infeasible point
+    counted once, under the first check of check_constraints it fails:
+    --max-ops, else the score floor, split into non-finite and low scores."""
+    over = non_finite = under = 0
+    for entry in history:
+        if entry.feasible:
+            continue
+        if constraints.max_ops is not None and entry.candidate.ops > constraints.max_ops:
+            over += 1
+        elif math.isnan(entry.candidate.score):
+            non_finite += 1
+        else:
+            under += 1
+    rate = len(history) / seconds if seconds > 0 else float("inf")
+    return (
+        f"explore: {len(history)} evaluations in {seconds:.3f} s ({rate:.0f}/s); "
+        f"infeasible: {over} over --max-ops, {under} under --min-score, "
+        f"{non_finite} non-finite score"
+    )
+
+
 def cmd_explore(args) -> int:
     if args.min_score is not None and not math.isfinite(args.min_score):
         raise ConfigError(f"--min-score must be finite, got {args.min_score}")
     if args.max_ops is not None and args.max_ops < 0:
         raise ConfigError(f"--max-ops must be >= 0, got {args.max_ops}")
+    if args.out and args.log and Path(args.out).resolve() == Path(args.log).resolve():
+        raise ConfigError(f"--out and --log name the same file {args.out}")
     space = explorer.parse_design_space(Path(args.space).read_text(), _load_spec(args.config))
     constraints = complexity.ConstraintSet(max_ops=args.max_ops, min_score=args.min_score)
     evaluator = explorer.synthetic_evaluator()
+    start = time.perf_counter()
     result = explorer.explore(space, constraints, evaluator, budget=args.budget, seed=args.seed)
+    print(_search_summary(result.history, constraints, time.perf_counter() - start), file=sys.stderr)
 
     log_lines = [explorer.format_log_header(space)]
     log_lines += [explorer.format_history_line(args.seed, e) for e in result.history]

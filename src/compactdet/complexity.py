@@ -91,14 +91,22 @@ class OpsReport:
         return "\n".join(lines) + "\n"
 
 
-def count_network(spec: NetworkSpec) -> OpsReport:
+def count_network(spec: NetworkSpec, costs: Optional[dict] = None) -> OpsReport:
+    """Per-node costs of spec.  `costs`, when given, is a memo of node costs
+    that the caller shares across the networks of one search."""
     table = infer_shapes(spec)
     raw_heads = linear_conv_ids(spec)
+    costs = {} if costs is None else costs
     rows = []
     for node in spec.nodes:
-        cost = count_node(
-            node, table.of(node.input_id), table.of(node.id), linear=node.id in raw_heads
-        )
+        in_shape, out_shape = table.of(node.input_id), table.of(node.id)
+        linear = node.id in raw_heads
+        # A kind's cost reads only the op and these shapes (its parameter
+        # shapes read the op and in_shape[0]), so this key fixes it.
+        key = (node.op, in_shape, out_shape, linear)
+        cost = costs.get(key)
+        if cost is None:
+            cost = costs[key] = count_node(node, in_shape, out_shape, linear=linear)
         rows.append((node.id, node.kind, cost))
     return OpsReport(rows)
 

@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -124,6 +126,13 @@ class DesignSpace:
         return len(point) == len(self.slots) and all(
             value in slot.values for slot, value in zip(self.slots, point)
         )
+
+    @cached_property
+    def _cdfs(self) -> tuple:
+        """Per slot, the cdf that `Generator.choice(n, p=uniform)` searches,
+        built as it builds it: the cumsum divided by its last element."""
+        cdfs = (np.full(len(slot.values), 1.0 / len(slot.values)).cumsum() for slot in self.slots)
+        return tuple((cdf / cdf[-1]).tolist() for cdf in cdfs)
 
 
 def _node_token(token: str) -> int:
@@ -286,14 +295,15 @@ def evaluate(
     spec: NetworkSpec,
     evaluator: Callable[[NetworkSpec], float],
     point: Optional[tuple] = None,
+    costs: Optional[dict] = None,
 ) -> Candidate:
     """Attach cost metrics and the performance value to one design.
 
     An evaluator that raises or returns a non-finite score yields a
     candidate with score nan and u -inf, which no constraint set with a
-    score floor accepts.
+    score floor accepts.  `costs` is count_network's node-cost memo.
     """
-    report = count_network(spec)
+    report = count_network(spec, costs)
     try:
         score = float(evaluator(spec))
         if not math.isfinite(score):
@@ -330,15 +340,15 @@ class ExploreResult:
 def sample_point(seed: int, generation: int, space: DesignSpace) -> tuple:
     """Draw every slot uniformly from a stream fixed by (seed, generation).
 
-    The explicit uniform p keeps the stream of `choice` with p (a cdf
-    search), not the one it takes without p.
+    Each slot takes one double of the stream and the first cdf entry above
+    it: the draw of `Generator.choice(n, p=uniform)`, whose stream (not the
+    one `choice` takes without p) fixes the points.
     """
     rng = np.random.default_rng([seed & 0xFFFFFFFF, generation])
-    values = []
-    for slot in space.slots:
-        n = len(slot.values)
-        values.append(slot.values[int(rng.choice(n, p=np.full(n, 1.0 / n)))])
-    return tuple(values)
+    draws = rng.random(len(space.slots)).tolist()
+    return tuple(
+        slot.values[bisect_right(cdf, u)] for slot, cdf, u in zip(space.slots, space._cdfs, draws)
+    )
 
 
 def _rank_key(cand: Candidate) -> tuple:
@@ -350,10 +360,12 @@ def _assess(
     point: tuple,
     constraints: ConstraintSet,
     evaluator: Callable[[NetworkSpec], float],
+    costs: dict,
     gen: int = 0,
 ) -> HistoryEntry:
-    """Expand, evaluate and constraint-check one point."""
-    cand = evaluate(expand_point(space, point), evaluator, point=point)
+    """Expand, evaluate and constraint-check one point; `costs` is the
+    search's node-cost memo."""
+    cand = evaluate(expand_point(space, point), evaluator, point=point, costs=costs)
     return HistoryEntry(gen, check_constraints(cand.ops, cand.score, constraints), cand)
 
 
@@ -400,9 +412,10 @@ def explore(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
+    costs: dict = {}  # node-cost memo, dropped with this search
     gen = 0
     base = space.base_point()
-    seen = {base: _assess(space, base, constraints, evaluator, gen)}  # point -> entry, in order
+    seen = {base: _assess(space, base, constraints, evaluator, costs, gen)}  # point -> entry, in order
     while len(seen) < min(budget, space.size()):
         elite = sorted((e.candidate for e in seen.values() if e.feasible), key=_rank_key)
         parents = [c.point for c in elite[:POPULATION]]
@@ -416,7 +429,7 @@ def explore(
                 parent = parents[int(rng.integers(len(parents)))]
                 point = _mutate(parent, space, rng)
             if point not in seen:
-                seen[point] = _assess(space, point, constraints, evaluator, gen)
+                seen[point] = _assess(space, point, constraints, evaluator, costs, gen)
                 produced += 1
         gen += 1
         if produced == 0:
@@ -426,7 +439,7 @@ def explore(
                 if len(seen) >= budget:
                     break
                 if point not in seen:
-                    seen[point] = _assess(space, point, constraints, evaluator, gen)
+                    seen[point] = _assess(space, point, constraints, evaluator, costs, gen)
             break
     # Points are unique, so rank keys are too: the minimum is the one best.
     return ExploreResult(best=_best(seen.values()), history=list(seen.values()))
@@ -445,7 +458,8 @@ def brute_force_search(
     size = space.size()
     if size > BRUTE_FORCE_LIMIT:
         raise ConfigError(f"space has {size} points, brute force caps at {BRUTE_FORCE_LIMIT}")
-    return _best(_assess(space, p, constraints, evaluator) for p in space.enumerate_points())
+    costs: dict = {}  # node-cost memo, dropped with this search
+    return _best(_assess(space, p, constraints, evaluator, costs) for p in space.enumerate_points())
 
 
 # Per-kind capacity terms of the synthetic score; other kinds add nothing.

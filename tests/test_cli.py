@@ -30,6 +30,7 @@ from compactdet.arch_graph import (
 from compactdet.cli import PpmError, read_ppm, write_ppm
 from compactdet.complexity import load_weights, save_weights
 from compactdet.detection import parse_detections
+from compactdet.explorer import Candidate, HistoryEntry
 
 HEAD_CFG = """\
 input 3 16 16
@@ -503,9 +504,67 @@ class TestExplore:
     def test_infeasible_exits_4(self, tmp_path, capsys):
         rc, out, log = self.run(tmp_path, "x", "--min-score", "2.0")
         assert rc == 4
-        assert capsys.readouterr().err == "no feasible candidate in 40 evaluations over 4374 points\n"
+        summary, *rest = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(
+            r"explore: 40 evaluations in \d+\.\d{3} s \(\d+/s\); infeasible: "
+            r"0 over --max-ops, 40 under --min-score, 0 non-finite score",
+            summary,
+        )
+        assert rest == ["no feasible candidate in 40 evaluations over 4374 points"]
         assert not out.exists()      # no best config written
         assert log.exists()          # the log still documents the attempt
+
+    def test_summary_counts_points_over_max_ops(self, tmp_path, capsys):
+        cap = 2500000
+        rc, _, log = self.run(tmp_path, "c", "--max-ops", str(cap))
+        assert rc == 0
+        over = sum(
+            int(line.split()[3]) > cap for line in log.read_text().splitlines()[1:]
+        )
+        summary = capsys.readouterr().err.splitlines()
+        assert len(summary) == 1 and summary[0].startswith("explore: 40 evaluations in ")
+        assert summary[0].endswith(
+            f"infeasible: {over} over --max-ops, 0 under --min-score, 0 non-finite score"
+        )
+        assert over > 0
+
+    def test_summary_counts_each_point_under_its_first_failed_check(self):
+        spec = load_bundled_config("explore-proto")
+
+        def entry(ops, score):
+            cand = Candidate(spec=spec, ops=ops, params=1, score=score, u_value=0.0)
+            feasible = complexity.check_constraints(ops, score, constraints)
+            return HistoryEntry(gen=0, feasible=feasible, candidate=cand)
+
+        constraints = complexity.ConstraintSet(max_ops=100, min_score=0.5)
+        history = [
+            entry(50, 0.9),            # feasible
+            entry(150, 0.9),           # over --max-ops
+            entry(150, float("nan")),  # over --max-ops, checked first
+            entry(50, 0.1),            # under --min-score
+            entry(50, float("nan")),   # non-finite score
+            entry(50, float("nan")),
+        ]
+        assert cli._search_summary(history, constraints, 2.0) == (
+            "explore: 6 evaluations in 2.000 s (3/s); "
+            "infeasible: 2 over --max-ops, 1 under --min-score, 2 non-finite score"
+        )
+
+    @pytest.mark.parametrize("log_name", ["same.cfg", "sub/../same.cfg"])
+    def test_out_equal_to_log_exits_2_before_search(self, tmp_path, capsys, monkeypatch, log_name):
+        """--out and --log naming one file would leave only the best config:
+        refused before any search or output."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        rc = cli.main([
+            "explore", "--config", bundled("explore-proto.cfg"),
+            "--space", bundled("explore-space.txt"),
+            "--out", str(tmp_path / "same.cfg"), "--log", log_name, "--budget", "8",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: --out and --log name the same file")
+        assert not (tmp_path / "same.cfg").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_min_score_exits_2(self, tmp_path, capsys, value):
@@ -671,6 +730,26 @@ class TestGoldenOutput:
         assert cli.main(argv) == 0
         stdout = capsys.readouterr().out
         assert hashlib.sha256(stdout.encode()).hexdigest() == self.DIGESTS[(command, arg)]
+
+    # The benchmark's pinned explore-search digests (bench/workloads.py
+    # PINNED_DIGESTS), copied: sha256 of stdout, best config and log joined
+    # by NUL, at the benchmark's budget and ops cap.
+    BENCHMARK_DEPTH = {
+        "0": "b088d561d576eaebd4f4afb4467c2175b33f9cc46154321e5c918b36729f38cd",
+        "1": "b8fef8dbb372cfd21546cc2aec440804186fbd8abaa29f623c3dfe1ee06be588",
+        "2": "4bb2b408e8454510e291415a70fb57b1361a7b3461504e205d66ad4e6fc22073",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(BENCHMARK_DEPTH))
+    def test_benchmark_depth_explore_digest(self, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(bundled(""))
+        best, log = tmp_path / "best.cfg", tmp_path / "best.log"
+        argv = ["explore", "--config", "explore-proto.cfg", "--space", "explore-space.txt",
+                "--out", str(best), "--log", str(log), "--budget", "1024",
+                "--max-ops", "2500000", "--seed", seed]
+        assert cli.main(argv) == 0
+        joined = "\0".join((capsys.readouterr().out, best.read_text(), log.read_text()))
+        assert hashlib.sha256(joined.encode()).hexdigest() == self.BENCHMARK_DEPTH[seed]
 
 
 def run_quietly(argv) -> tuple:

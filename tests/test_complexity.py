@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from compactdet.arch_graph import (
+    INPUT_ID,
     ConvSpec,
     MaxPoolSpec,
     UpsampleSpec,
@@ -254,6 +255,44 @@ class TestCostRulesReadParamShapes:
                 assert count_node(node, *args) == oracle_cost(node.op, *args), (point, node)
             points += 1
         assert points == space.size() == 4374
+
+
+# One conv op with the same shapes twice: first activated, then a raw head.
+TWIN_CONV_CFG = """\
+input 21 4 4
+classes 2
+conv 1 21 1
+conv 1 21 1
+detect large
+"""
+
+
+class TestNodeCostMemo:
+    def test_shared_memo_matches_fresh_counts_over_design_space(self):
+        text = resources.files("compactdet.configs").joinpath("explore-space.txt").read_text()
+        space = parse_design_space(text, load_bundled_config("explore-proto"))
+        costs = {}
+        points = 0
+        for point in space.enumerate_points():
+            spec = expand_point(space, point)
+            assert count_network(spec, costs).rows == count_network(spec).rows, point
+            points += 1
+        assert points == 4374
+        assert 0 < len(costs) < 200  # a few dozen distinct node costs
+
+    def test_raw_head_and_activated_twin_cost_apart(self):
+        spec = parse_network_spec(TWIN_CONV_CFG)
+        table = infer_shapes(spec)
+        activated, head = spec.nodes[0], spec.nodes[1]
+        assert activated.op == head.op and table.of(0) == table.of(1) == table.of(INPUT_ID)
+        assert linear_conv_ids(spec) == {1}
+        costs = {}
+        rows = count_network(spec, costs).rows
+        assert rows == count_network(spec).rows
+        assert rows[0][2] == count_node(activated, table.of(INPUT_ID), table.of(0))
+        assert rows[1][2] == count_node(head, table.of(0), table.of(1), linear=True)
+        assert rows[0][2].ops - rows[1][2].ops == 21 * 4 * 4  # the activation
+        assert len(costs) == 3
 
 
 class TestReferenceBudgets:

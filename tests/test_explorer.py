@@ -6,10 +6,12 @@ each other; determinism tests compare full histories, not just winners.
 """
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from compactdet import complexity
 from compactdet.arch_graph import ParseError, load_bundled_config, parse_network_spec
 from compactdet.complexity import ConstraintSet, count_network
 from compactdet.explorer import (
@@ -345,7 +347,46 @@ class TestEvaluate:
         assert math.isnan(cand.score)
 
 
+def choice_oracle(seed: int, generation: int, space) -> tuple:
+    """The slow sample_point: one `choice` with an explicit uniform p per slot."""
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, generation])
+    values = []
+    for slot in space.slots:
+        n = len(slot.values)
+        values.append(slot.values[int(rng.choice(n, p=np.full(n, 1.0 / n)))])
+    return tuple(values)
+
+
+# Slots of 1, 2, 3, 7, 10 and 65 values over the bundled prototype.
+WIDE_SPACE_DOC = """\
+slot n0.out values 8
+fca_site n6 optional
+slot n1.expansion values 8,12,16
+slot n3.expansion values 6,7,8,9,10,11,12
+slot n5.expansion values 8,9,10,11,12,13,14,15,16,17
+repeat n5 min 0 max 64
+"""
+
+
 class TestSampling:
+    @pytest.mark.parametrize("doc", ["bundled", WIDE_SPACE_DOC], ids=["bundled", "wide"])
+    def test_matches_choice_oracle(self, base, doc):
+        if doc == "bundled":
+            doc = resources.files("compactdet.configs").joinpath("explore-space.txt").read_text()
+        space = parse_design_space(doc, base)
+        for seed in range(2000):
+            for generation in range(3):
+                want = choice_oracle(seed, generation, space)
+                assert sample_point(seed, generation, space) == want, (seed, generation)
+
+    def test_wide_space_needs_the_normalised_cdf(self, base):
+        """For 7, 10 and 65 values the float cumsum ends below 1.0, so the
+        oracle test above covers the division by its last element."""
+        space = parse_design_space(WIDE_SPACE_DOC, base)
+        assert sorted(len(slot.values) for slot in space.slots) == [1, 2, 3, 7, 10, 65]
+        for n in (7, 10, 65):
+            assert np.full(n, 1.0 / n).cumsum()[-1] < 1.0
+
     def test_same_seed_same_point(self, space):
         assert sample_point(123, 0, space) == sample_point(123, 0, space)
 
@@ -422,6 +463,25 @@ class TestExplore:
         top = max(c.u_value for c in feasible)
         winners = [c for c in feasible if c.u_value == top]
         assert result.best is min(winners, key=lambda c: c.point)
+
+    def test_no_cost_memo_outlives_a_search(self, space, monkeypatch):
+        """Two searches in a row make the same count_node calls and give the
+        same results: each one's node-cost memo goes with it."""
+        calls = []
+        count_node = complexity.count_node
+        monkeypatch.setattr(
+            complexity, "count_node", lambda *a, **k: calls.append(1) or count_node(*a, **k)
+        )
+        small = parse_design_space("fca_site n6 optional\nslot n6.reduction values 2,4\n", space.base)
+        for search in (
+            lambda: run_explore(space, seed=4, budget=100),
+            lambda: brute_force_search(small, ConstraintSet(), synthetic_evaluator()),
+        ):
+            calls.clear()
+            first = search()
+            first_calls = len(calls)
+            assert search() == first
+            assert 0 < first_calls == len(calls) - first_calls
 
     def test_rejects_silly_budget(self, space):
         with pytest.raises(ConfigError, match="budget"):
