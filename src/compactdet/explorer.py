@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -413,12 +413,18 @@ def explore(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     costs: dict = {}  # node-cost memo, dropped with this search
+    seen = {}  # point -> entry, in evaluation order
+    ranked = []  # rank keys of the feasible candidates, ascending
+
+    def visit(point, gen):
+        entry = seen[point] = _assess(space, point, constraints, evaluator, costs, gen)
+        if entry.feasible:
+            insort(ranked, _rank_key(entry.candidate))
+
     gen = 0
-    base = space.base_point()
-    seen = {base: _assess(space, base, constraints, evaluator, costs, gen)}  # point -> entry, in order
+    visit(space.base_point(), gen)
     while len(seen) < min(budget, space.size()):
-        elite = sorted((e.candidate for e in seen.values() if e.feasible), key=_rank_key)
-        parents = [c.point for c in elite[:POPULATION]]
+        parents = [point for _, point in ranked[:POPULATION]]
         produced = 0
         for attempt in range(POPULATION * 10):
             if produced >= POPULATION or len(seen) >= budget:
@@ -429,7 +435,7 @@ def explore(
                 parent = parents[int(rng.integers(len(parents)))]
                 point = _mutate(parent, space, rng)
             if point not in seen:
-                seen[point] = _assess(space, point, constraints, evaluator, costs, gen)
+                visit(point, gen)
                 produced += 1
         gen += 1
         if produced == 0:
@@ -439,7 +445,7 @@ def explore(
                 if len(seen) >= budget:
                     break
                 if point not in seen:
-                    seen[point] = _assess(space, point, constraints, evaluator, costs, gen)
+                    visit(point, gen)
             break
     # Points are unique, so rank keys are too: the minimum is the one best.
     return ExploreResult(best=_best(seen.values()), history=list(seen.values()))

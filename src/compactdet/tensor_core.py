@@ -10,6 +10,9 @@ elsewhere and never leaks into these routines.
 A convolution's stride is an argument of each call: where a layer strides
 belongs to the network, not to its weights.  Every convolution pads k // 2
 zeros on each side, which is "same" padding for the odd k ConvWeights allows.
+The convolutions pad and unfold their input one block at a time (a block of
+output rows, or of channels), never as a whole-input copy, so their working
+memory beyond the output is set by a block, not by the input.
 """
 
 from __future__ import annotations
@@ -26,6 +29,14 @@ LEAKY_SLOPE = 0.1
 # Elements in each of depthwise_conv2d's two per-call scratch buffers
 # (128 KiB of float32), unless one output channel map is larger.
 _SCRATCH = 1 << 15
+# Patch-matrix elements conv2d unfolds per block of output rows (1 MiB of
+# float32), unless one output row needs more.
+_PATCH = 1 << 18
+# Multiply-adds each of conv2d's block products has at least, unless the
+# whole product has fewer.  OpenBLAS multiplies a product of at most 10^6 of
+# them with a separate small-matrix kernel that sums in another order, so a
+# block must stay on the same side of that bound as the whole product would.
+_GEMM_MACS = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -84,12 +95,6 @@ class ConvWeights:
         return self.kernel.shape[2]
 
 
-def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-
 def _im2col(x: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
     """Patch matrix of shape (n, c * k * k, out_h * out_w).
 
@@ -129,7 +134,19 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
     """Dense (groups 1) 2-D cross-correlation with "same" zero padding plus
     bias; other groupings raise ConfigError (per-channel ones:
-    depthwise_conv2d)."""
+    depthwise_conv2d).
+
+    A 1x1 kernel multiplies the input's strided view, with no copy.  A
+    larger kernel runs over blocks of output rows: each block's input rows
+    are copied into one zero-bordered buffer, which is the padding, then
+    unfolded and multiplied into the block's rows of the output, and the
+    bias is added last.  A block unfolds at most _PATCH patch elements,
+    unless that would take its product below _GEMM_MACS multiply-adds or
+    two columns; then the blocks grow, up to one for the whole output.  So
+    the BLAS multiplies every block as it would multiply the whole patch
+    matrix, and each output element has the bytes of one matmul over the
+    whole padded input.
+    """
     x = as_tensor(x)
     n, c_in, h, width = x.shape
     if w.groups != 1:
@@ -139,11 +156,34 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
         )
     if w.kernel.shape[1] != c_in:
         raise ConfigError(f"kernel expects {w.kernel.shape[1]} input channels, input has {c_in}")
-    out_h, out_w = conv_output_hw(h, width, w.k, stride)
-    cols = _im2col(_pad_input(x, w.k // 2), w.k, stride, out_h, out_w)
-    out = _matmul(w.kernel.reshape(w.c_out, -1), cols).reshape(n, w.c_out, out_h, out_w)
+    k = w.k
+    out_h, out_w = conv_output_hw(h, width, k, stride)
+    kernel2d = w.kernel.reshape(w.c_out, -1)
+    if k == 1:
+        out = _matmul(kernel2d, _im2col(x, 1, stride, out_h, out_w)).reshape(n, w.c_out, out_h, out_w)
+        out += w.bias.reshape(1, -1, 1, 1)
+        return out
+    p = k // 2
+    rows = max(1, _PATCH // max(1, n * c_in * k * k * out_w))
+    # numpy multiplies by a one-column operand, or a one-row kernel, as a
+    # matrix-vector product, whose order OpenBLAS picks by its length.
+    columns = max(2, -(-_GEMM_MACS // max(1, kernel2d.size)))
+    least = out_h if w.c_out == 1 else -(-columns // out_w)
+    blocks = max(1, min(-(-out_h // rows), out_h // least))
+    bounds = [out_h * i // blocks for i in range(blocks + 1)]
+    buf = np.zeros((n, c_in, (-(-out_h // blocks) - 1) * stride + k, width + 2 * p), dtype=DTYPE)
+    out = np.empty((n, w.c_out, out_h, out_w), dtype=DTYPE)
+    for r0, r1 in zip(bounds, bounds[1:]):
+        top = r0 * stride - p  # input row of the block's first padded row
+        block = buf[:, :, :(r1 - r0 - 1) * stride + k]
+        lo, hi = max(top, 0) - top, min(top + block.shape[2], h) - top
+        block[:, :, :lo] = 0
+        block[:, :, lo:hi, p:p + width] = x[:, :, top + lo:top + hi]
+        block[:, :, hi:] = 0
+        target = out[:, :, r0:r1]
+        target[...] = _matmul(kernel2d, _im2col(block, k, stride, r1 - r0, out_w)).reshape(target.shape)
     out += w.bias.reshape(1, -1, 1, 1)
-    return np.ascontiguousarray(out)
+    return out
 
 
 def depthwise_conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
@@ -158,7 +198,9 @@ def depthwise_conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarr
     iterates differently and the two can differ by ulps.  The row sums are
     built a block of channels at a time in two scratch buffers of at most
     max(_SCRATCH, out_h * out_w) elements each, so the working set stays in
-    cache instead of streaming a second full-size map per kernel row.
+    cache instead of streaming a second full-size map per kernel row.  Each
+    block's input channels are copied into the interior of one padded
+    buffer, zeroed once, so no padded copy of the whole input is made.
     """
     x = as_tensor(x)
     n, c, h, width = x.shape
@@ -168,13 +210,14 @@ def depthwise_conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarr
         raise ConfigError(f"depthwise kernel must be (c_in, 1, k, k), got {w.kernel.shape}")
     k = w.k
     out_h, out_w = conv_output_hw(h, width, k, stride)
-    xp = _pad_input(x, k // 2)
+    p = k // 2
     taps = w.kernel[:, 0, :, :, None, None]  # (c, k, k, 1, 1): broadcasts over a map
     span_h = (out_h - 1) * stride + 1
     span_w = (out_w - 1) * stride + 1
     block = max(1, _SCRATCH // (out_h * out_w))
     row_buf = np.empty(min(block, c) * out_h * out_w, dtype=DTYPE)
     tap_buf = np.empty_like(row_buf)
+    pad_buf = np.zeros((min(block, c), h + 2 * p, width + 2 * p), dtype=DTYPE)
     out = np.zeros((n, c, out_h, out_w), dtype=DTYPE)
     for b in range(n):
         for c0 in range(0, c, block):
@@ -182,9 +225,11 @@ def depthwise_conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarr
             size = (c1 - c0) * out_h * out_w
             row = row_buf[:size].reshape(c1 - c0, out_h, out_w)
             product = tap_buf[:size].reshape(row.shape)
+            xp = pad_buf[:c1 - c0]
+            xp[:, p:p + h, p:p + width] = x[b, c0:c1]
             for u in range(k):
                 for v in range(k):
-                    window = xp[b, c0:c1, u:u + span_h:stride, v:v + span_w:stride]
+                    window = xp[:, u:u + span_h:stride, v:v + span_w:stride]
                     if v == 0:
                         np.multiply(window, taps[c0:c1, u, v], out=row)
                     else:

@@ -339,6 +339,32 @@ class TestDetect:
         assert clean[0] == 0 and clean[1].count("\n") > 1000
         assert {1, 3} <= set(ranks)
 
+    def test_dense_frame_matches_the_pinned_digest(self, tmp_path, monkeypatch):
+        """The benchmark's detect-dense frame0, rebuilt: reference.cfg,
+        seed-0 random weights saved as float32, the seed-0 416x416 noise
+        frame, --conf 0.25 --nms-iou 0.45.  Its output hashes to a copy of
+        the benchmark's pinned digest, so a kernel change that moves one byte
+        fails here without running the benchmark.  The digest holds only
+        under the BLAS runtime it was measured with."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        if workloads.blas_runtime() != workloads.PINNED_BLAS:
+            pytest.skip(f"digest pinned under {workloads.PINNED_BLAS!r}")
+        spec = load_bundled_config("reference")
+        weights = tmp_path / "model-f32.w"
+        save_weights(weights, spec, WeightStore.random(spec, seed=0), bits=32)
+        image = tmp_path / "frame0.ppm"
+        write_ppm(image, np.random.default_rng(0).integers(0, 256, size=(416, 416, 3), dtype=np.uint8))
+        out = tmp_path / "frame0.txt"
+        rc, _, _ = run_quietly([
+            "detect", "--config", bundled("reference.cfg"), "--weights", str(weights),
+            "--image", str(image), "--out", str(out), "--conf", "0.25", "--nms-iou", "0.45",
+        ])
+        assert rc == 0
+        digest = hashlib.sha256(out.read_text().encode()).hexdigest()
+        assert digest == "9783d2123046d7cf5000101c50aff8bc09e0fb4dc8cd552c294684924fa91342"
+
     def test_non_finite_anchor_exit_2(self, head_setup, tmp_path, capsys):
         cfg, weights, image = head_setup
         bad = tmp_path / "nan.cfg"

@@ -3,11 +3,13 @@
 The production kernels use strided views and matmul; most references here
 are the obvious quadruple loop accumulating in float64, so an agreement
 check exercises the layout and ordering logic rather than restating it.
-The depthwise and leaky ReLU kernels also keep the slow forms they
-replaced (an einsum and an np.where) as oracles that they must match byte
-for byte, up to a whole network run.
+The conv, depthwise and leaky ReLU kernels also keep the slow forms they
+replaced (one product over the whole padded input, an einsum and an
+np.where) as oracles that they must match byte for byte, up to a whole
+network run.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -59,6 +61,42 @@ def conv2d_reference(x, kernel, bias, stride, padding, groups=1):
                     ]
                     out[b, co, oy, ox] = np.sum(window * kernel[co]) + bias[co]
     return out
+
+
+def conv2d_whole_oracle(x, w, stride=1):
+    """The conv2d that the blocked one replaced: one padded copy of the
+    whole input, one patch matrix and one product, then the bias."""
+    x = as_tensor(x)
+    n, _, h, width = x.shape
+    out_h, out_w = conv_output_hw(h, width, w.k, stride)
+    p = w.k // 2
+    cols = tensor_core._im2col(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), w.k, stride, out_h, out_w)
+    out = tensor_core._matmul(w.kernel.reshape(w.c_out, -1), cols).reshape(n, w.c_out, out_h, out_w)
+    out += w.bias.reshape(1, -1, 1, 1)
+    return out
+
+
+def count_products(monkeypatch):
+    """Count tensor_core's _matmul calls from here on; returns the list
+    that collects one entry per call."""
+    real, calls = tensor_core._matmul, []
+
+    def counted(a, b):
+        calls.append(b.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(tensor_core, "_matmul", counted)
+    return calls
+
+
+def traced_peak(fn):
+    """(peak traced bytes while fn runs, fn's result)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
 
 
 def depthwise_einsum_oracle(x, w, stride=1):
@@ -190,6 +228,65 @@ class TestConv2d:
         b = conv2d(x, w, stride)
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("h", [2, 7])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_bytes_match_whole_input_oracle(self, monkeypatch, k, stride, n, h, rows):
+        """Blocks of 1, 2 and 3 output rows give the bytes of one product
+        over the whole padded input: on maps lower than the kernel (h = 2),
+        on out_h 7 and 4, which those blocks do not divide evenly, and on an
+        empty batch.  A row's product is above _GEMM_MACS here, so _PATCH
+        alone sets the blocks; a 1x1 kernel is always one product."""
+        c_in, c_out, width = 16, 32, 460
+        rng = np.random.default_rng(1000 * k + 100 * stride + 10 * n + h)
+        x = rng.standard_normal((n, c_in, h, width)).astype(np.float32)
+        weights = ConvWeights(
+            rng.standard_normal((c_out, c_in, k, k)).astype(np.float32),
+            rng.standard_normal(c_out).astype(np.float32),
+        )
+        out_h, out_w = conv_output_hw(h, width, k, stride)
+        monkeypatch.setattr(tensor_core, "_PATCH", rows * max(1, n * c_in * k * k * out_w))
+        products = count_products(monkeypatch)
+        got = conv2d(x, weights, stride)
+        assert len(products) == (1 if k == 1 else -(-out_h // rows))
+        assert same_bytes(got, conv2d_whole_oracle(x, weights, stride))
+
+    @pytest.mark.parametrize("c_in, c_out, h, w, blocks", [
+        (3, 4, 9, 13, 1),  # whole product below _GEMM_MACS
+        (64, 1, 40, 300, 1),  # one-row kernel: a matrix-vector product
+        (12, 4, 100, 100, 4),  # 25-row blocks reach _GEMM_MACS
+        (400, 300, 3, 1, 1),  # one column reaches _GEMM_MACS, but is a vector
+    ])
+    def test_blocks_keep_the_products_kind(self, monkeypatch, c_in, c_out, h, w, blocks):
+        """However small _PATCH is, each block's product has at least
+        _GEMM_MACS multiply-adds and two columns, and a one-row kernel stays
+        one product, as OpenBLAS and numpy sum smaller and vector products
+        in an order set by their length."""
+        rng = np.random.default_rng(c_in * c_out + h)
+        x = rng.standard_normal((1, c_in, h, w)).astype(np.float32)
+        weights = ConvWeights(
+            rng.standard_normal((c_out, c_in, 3, 3)).astype(np.float32),
+            rng.standard_normal(c_out).astype(np.float32),
+        )
+        monkeypatch.setattr(tensor_core, "_PATCH", 1)
+        products = count_products(monkeypatch)
+        got = conv2d(x, weights)
+        assert len(products) == blocks
+        assert same_bytes(got, conv2d_whole_oracle(x, weights))
+
+    def test_peak_memory_is_output_plus_a_block(self):
+        """The reference stem conv, (1, 3, 416, 416) to 12 channels, peaks
+        below its output's bytes plus 2 MiB of traced allocations (the
+        whole-input form took 17.8 MiB more: a padded copy and a 27-row
+        patch matrix of the whole map)."""
+        rng = np.random.default_rng(7)
+        x = rng.random((1, 3, 416, 416), dtype=np.float32)
+        weights = ConvWeights(rng.standard_normal((12, 3, 3, 3)), rng.standard_normal(12))
+        peak, out = traced_peak(lambda: conv2d(x, weights))
+        assert peak < out.nbytes + 2 * 2**20
+
 
 class TestDepthwiseConv2d:
     def test_matches_direct_convolution(self):
@@ -264,6 +361,17 @@ class TestDepthwiseConv2d:
             got = depthwise_conv2d(x, weights, stride)
             assert got.shape[3] == 1
             np.testing.assert_allclose(got, depthwise_einsum_oracle(x, weights, stride), rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_no_padded_copy_of_the_input(self, stride):
+        """On a (1, 32, 208, 208) map (5.3 MiB) the traced peak stays below
+        the output's bytes plus 2 MiB: each channel block is padded in one
+        reused buffer, so no allocation is the size of the whole input."""
+        rng = np.random.default_rng(8)
+        x = rng.random((1, 32, 208, 208), dtype=np.float32)
+        weights = ConvWeights(rng.standard_normal((32, 1, 3, 3)), rng.standard_normal(32), groups=32)
+        peak, out = traced_peak(lambda: depthwise_conv2d(x, weights, stride))
+        assert peak < out.nbytes + 2 * 2**20 < out.nbytes + x.nbytes
 
     def test_rejects_wrong_groups(self):
         w = ConvWeights(np.zeros((4, 1, 3, 3)), np.zeros(4), groups=2)
@@ -526,6 +634,23 @@ class TestOracleNetwork:
                     monkeypatch.setattr(module, name, oracle)
                     patched += 1
         assert patched == 5
+        slow = arch_graph.execute(spec, store, x)
+        for a, b in zip(fast, slow):
+            assert same_bytes(a, b)
+
+    def test_reference_grids_match_whole_input_conv(self, monkeypatch):
+        """The blocked conv2d gives the same grid bytes as the whole-input
+        one patched in at every name the forward pass looks it up under."""
+        spec = arch_graph.load_bundled_config("reference")
+        store = arch_graph.WeightStore.random(spec, seed=0)
+        x = np.random.default_rng(0).random((1, *spec.input_shape), dtype=np.float32)
+        fast = arch_graph.execute(spec, store, x)
+        patched = 0
+        for module in (tensor_core, nn_modules, arch_graph):
+            if hasattr(module, "conv2d"):
+                monkeypatch.setattr(module, "conv2d", conv2d_whole_oracle)
+                patched += 1
+        assert patched == 3
         slow = arch_graph.execute(spec, store, x)
         for a, b in zip(fast, slow):
             assert same_bytes(a, b)
