@@ -167,7 +167,7 @@ class NetworkSpec:
         return len(next(iter(self.anchors.values())))
 
     def detect_nodes(self) -> list:
-        return [n for n in self.nodes if n.kind == "detect"]
+        return [n for n in self.nodes if type(n.op) is DetectSpec]
 
     def detect_channels(self) -> int:
         return self.anchors_per_scale * (5 + self.num_classes)
@@ -527,6 +527,15 @@ class ShapeTable:
         return self.shapes[node_id]
 
 
+def _node_shape(node: NodeSpec, shape_of: Callable, spec: NetworkSpec) -> tuple:
+    """node's output shape by its kind's rule, given shape_of(id) for the
+    nodes it reads; ShapeError naming node if they do not chain."""
+    try:
+        return _KINDS[type(node.op)].shape(node.op, shape_of(node.input_id), shape_of, spec)
+    except ConfigError as exc:
+        raise ShapeError(str(exc), node.id) from None
+
+
 def infer_shapes(spec: NetworkSpec) -> ShapeTable:
     _validate_references(spec)
     shapes: list[tuple] = []
@@ -536,11 +545,7 @@ def infer_shapes(spec: NetworkSpec) -> ShapeTable:
         return input_shape if node_id == INPUT_ID else shapes[node_id]
 
     for node in spec.nodes:
-        try:
-            shape = _KINDS[type(node.op)].shape(node.op, shape_of(node.input_id), shape_of, spec)
-        except ConfigError as exc:
-            raise ShapeError(str(exc), node.id) from None
-        shapes.append(shape)
+        shapes.append(_node_shape(node, shape_of, spec))
     return ShapeTable(input_shape=input_shape, shapes=tuple(shapes))
 
 
@@ -549,7 +554,8 @@ def linear_conv_ids(spec: NetworkSpec) -> frozenset:
     return frozenset(
         n.input_id
         for n in spec.nodes
-        if n.kind == "detect" and n.input_id != INPUT_ID and spec.nodes[n.input_id].kind == "conv"
+        if type(n.op) is DetectSpec and n.input_id != INPUT_ID
+        and type(spec.nodes[n.input_id].op) is ConvSpec
     )
 
 

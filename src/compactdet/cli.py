@@ -209,6 +209,9 @@ def cmd_explore(args) -> int:
         raise ConfigError(f"--max-ops must be >= 0, got {args.max_ops}")
     if args.out and args.log and Path(args.out).resolve() == Path(args.log).resolve():
         raise ConfigError(f"--out and --log name the same file {args.out}")
+    for path in (args.out, args.log):
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"no directory {Path(path).parent} for {path}")
     space = explorer.parse_design_space(Path(args.space).read_text(), _load_spec(args.config))
     constraints = complexity.ConstraintSet(max_ops=args.max_ops, min_score=args.min_score)
     evaluator = explorer.synthetic_evaluator()

@@ -28,11 +28,14 @@ import numpy as np
 
 from .arch_graph import (
     _KINDS,
+    _inputs,
+    _node_shape,
+    _validate_references,
+    INPUT_ID,
     NetworkSpec,
     NodeCost,
     NodeSpec,
     WeightStore,
-    infer_shapes,
     linear_conv_ids,
     node_param_shapes,
     param_tensors,
@@ -65,10 +68,10 @@ class OpsReport:
     @cached_property
     def total(self) -> NodeCost:
         """Row sum, computed on first read; rows are complete by then."""
-        total = NodeCost()
-        for _, _, cost in self.rows:
-            total = total + cost
-        return total
+        costs = [cost for _, _, cost in self.rows]
+        return NodeCost(
+            sum(c.macs for c in costs), sum(c.ops for c in costs), sum(c.params for c in costs)
+        )
 
     @property
     def total_macs(self) -> int:
@@ -92,22 +95,31 @@ class OpsReport:
 
 
 def count_network(spec: NetworkSpec, costs: Optional[dict] = None) -> OpsReport:
-    """Per-node costs of spec.  `costs`, when given, is a memo of node costs
-    that the caller shares across the networks of one search."""
-    table = infer_shapes(spec)
+    """Per-node costs of spec, in one walk that also chains its shapes.
+
+    `costs`, when given, is a memo that the caller shares across the
+    networks of one search: (op, shapes of the nodes it reads (its input,
+    then a concat's `with_id`), raw head conv or not, the spec's detect
+    channel count) -> (out shape, NodeCost), all that the node's shape and
+    cost rules read.  On a miss the shape rule and count_node run, so their
+    errors raise as in infer_shapes, and a failure is never cached.
+    """
+    _validate_references(spec)
     raw_heads = linear_conv_ids(spec)
+    detect_channels = spec.detect_channels()
     costs = {} if costs is None else costs
+    shapes = {INPUT_ID: tuple(spec.input_shape)}
     rows = []
     for node in spec.nodes:
-        in_shape, out_shape = table.of(node.input_id), table.of(node.id)
+        in_shapes = tuple(map(shapes.__getitem__, _inputs(node)))
         linear = node.id in raw_heads
-        # A kind's cost reads only the op and these shapes (its parameter
-        # shapes read the op and in_shape[0]), so this key fixes it.
-        key = (node.op, in_shape, out_shape, linear)
-        cost = costs.get(key)
-        if cost is None:
-            cost = costs[key] = count_node(node, in_shape, out_shape, linear=linear)
-        rows.append((node.id, node.kind, cost))
+        key = (node.op, in_shapes, linear, detect_channels)
+        hit = costs.get(key)
+        if hit is None:
+            out_shape = _node_shape(node, shapes.__getitem__, spec)
+            hit = costs[key] = (out_shape, count_node(node, in_shapes[0], out_shape, linear=linear))
+        shapes[node.id], cost = hit
+        rows.append((node.id, _KINDS[type(node.op)].word, cost))
     return OpsReport(rows)
 
 

@@ -52,12 +52,14 @@ from .arch_graph import (
     _inputs,
     INPUT_ID,
     MAX_INT,
+    ConvSpec,
     NetworkSpec,
     NodeSpec,
     ParseError,
     infer_shapes,
 )
 from .complexity import ConstraintSet, check_constraints, count_network
+from .nn_modules import EpConfig, FcaConfig, PepConfig
 from .tensor_core import ConfigError
 
 BRUTE_FORCE_LIMIT = 1 << 16
@@ -134,6 +136,22 @@ class DesignSpace:
         cdfs = (np.full(len(slot.values), 1.0 / len(slot.values)).cumsum() for slot in self.slots)
         return tuple((cdf / cdf[-1]).tolist() for cdf in cdfs)
 
+    @cached_property
+    def _mutable(self) -> tuple:
+        """Indexes of the slots with more than one value."""
+        return tuple(i for i, slot in enumerate(self.slots) if len(slot.values) > 1)
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """Per base node: the node, its slots' indexes, its refs' ids, and
+        expand_point's memo for it: (slot values, renumbered refs) ->
+        (op, copies, {(new id, input id): NodeSpec})."""
+        slots = list(enumerate(self.slots))
+        return tuple(
+            (node, tuple(i for i, slot in slots if slot.node_id == node.id), _inputs(node)[1:], {})
+            for node in self.base.nodes
+        )
+
 
 def _node_token(token: str) -> int:
     try:
@@ -174,35 +192,42 @@ def _validate_space(space: DesignSpace):
 
 
 def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
-    """Rewrite the prototype with a slot assignment into a NetworkSpec."""
+    """Rewrite the prototype with a slot assignment into a NetworkSpec.
+
+    Each substituted op is built once per (node, its slot values, its
+    renumbered refs), and each NodeSpec once per (new id, op, input id),
+    in memos that live as long as the space.
+    """
     if not space.contains(point):
         raise ConfigError(f"point {point!r} is not in the design space")
-    per_node: dict = {}
-    for slot, value in zip(space.slots, point):
-        per_node.setdefault(slot.node_id, []).append((slot, value))
-
     new_nodes: list = []
     remap = {INPUT_ID: INPUT_ID}
-    for node in space.base.nodes:
-        op = node.op
-        kind = _KINDS[type(op)]
-        copies = 1
-        present = True
-        for slot, value in per_node.get(node.id, []):
-            if slot.field == "present":
-                present = bool(value)
-            elif slot.field == "repeat":
-                copies = value
-            else:
-                op = replace(op, **{kind.slots[slot.field]: value})
-        if kind.refs:
-            op = replace(op, **{f: remap[getattr(op, f)] for f in kind.refs})
-        if not present or copies == 0:
+    for node, indexes, ref_ids, memo in space._plan:
+        values = tuple(map(point.__getitem__, indexes))
+        refs = tuple(map(remap.__getitem__, ref_ids))
+        hit = memo.get((values, refs))
+        if hit is None:
+            kind = _KINDS[type(node.op)]
+            changes, copies = dict(zip(kind.refs, refs)), 1
+            for i, value in zip(indexes, values):
+                field = space.slots[i].field
+                if field in ("present", "repeat"):
+                    copies *= value  # present is 1 or 0, repeat the copy count
+                else:
+                    changes[kind.slots[field]] = value
+            op = replace(node.op, **changes) if changes else node.op
+            hit = memo[values, refs] = (op, copies, {})
+        op, copies, built = hit
+        if copies == 0:
             remap[node.id] = remap[node.input_id]
             continue
         input_id = remap[node.input_id]
         for _ in range(copies):
-            new_nodes.append(NodeSpec(id=len(new_nodes), op=op, input_id=input_id))
+            at = (len(new_nodes), input_id)
+            spec = built.get(at)
+            if spec is None:
+                spec = built[at] = NodeSpec(id=at[0], op=op, input_id=input_id)
+            new_nodes.append(spec)
             input_id = len(new_nodes) - 1
         remap[node.id] = input_id
 
@@ -376,7 +401,7 @@ def _best(entries) -> Optional[Candidate]:
 
 def _mutate(point: tuple, space: DesignSpace, rng: np.random.Generator) -> tuple:
     """Per-slot categorical mutation at rate 0.1 with >= 1 forced change."""
-    mutable = [i for i, slot in enumerate(space.slots) if len(slot.values) > 1]
+    mutable = space._mutable
     values = list(point)
     changed = False
     for i in mutable:
@@ -468,12 +493,12 @@ def brute_force_search(
     return _best(_assess(space, p, constraints, evaluator, costs) for p in space.enumerate_points())
 
 
-# Per-kind capacity terms of the synthetic score; other kinds add nothing.
+# Per-kind capacity terms of the synthetic score, by op class; others add nothing.
 _CAPACITY = {
-    "conv": lambda op: math.log1p(3 * op.out_channels),
-    "pep": lambda op: 1.3 * math.log1p(op.proj1_channels + op.expansion_channels + op.out_channels),
-    "ep": lambda op: 1.1 * math.log1p(op.expansion_channels + 2 * op.out_channels),
-    "fca": lambda op: 2.0 * math.log1p(64 / op.reduction_ratio),
+    ConvSpec: lambda op: math.log1p(3 * op.out_channels),
+    PepConfig: lambda op: 1.3 * math.log1p(op.proj1_channels + op.expansion_channels + op.out_channels),
+    EpConfig: lambda op: 1.1 * math.log1p(op.expansion_channels + 2 * op.out_channels),
+    FcaConfig: lambda op: 2.0 * math.log1p(64 / op.reduction_ratio),
 }
 
 
@@ -495,7 +520,7 @@ def synthetic_evaluator() -> Callable[[NetworkSpec], float]:
     def score(spec: NetworkSpec) -> float:
         g = 0.0
         for node in spec.nodes:
-            term = _CAPACITY.get(node.kind)
+            term = _CAPACITY.get(type(node.op))
             if term is not None:
                 g += term(node.op)
         return 0.18 + 0.8 * (1.0 - math.exp(-g / HALF_LIFE))

@@ -592,6 +592,22 @@ class TestExplore:
         assert captured.err.startswith("error: --out and --log name the same file")
         assert not (tmp_path / "same.cfg").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_missing_directory_exits_3_before_search(self, tmp_path, capsys, flag):
+        """A best config or log path whose directory does not exist is
+        refused before the search: nothing is evaluated or written."""
+        paths = {"--out": tmp_path / "best.cfg", "--log": tmp_path / "log.txt"}
+        paths[flag] = tmp_path / "missing" / "x"
+        rc = cli.main([
+            "explore", "--config", bundled("explore-proto.cfg"),
+            "--space", bundled("explore-space.txt"),
+            "--out", str(paths["--out"]), "--log", str(paths["--log"]), "--budget", "8",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert captured.err == f"error: no directory {tmp_path / 'missing'} for {paths[flag]}\n"
+        assert sorted(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_min_score_exits_2(self, tmp_path, capsys, value):
         rc, out, log = self.run(tmp_path, "m", f"--min-score={value}")

@@ -6,6 +6,7 @@ biases) and written down as a literal, so a regression in the counting
 code cannot hide behind a regenerated expectation.
 """
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -23,6 +24,10 @@ from compactdet.arch_graph import (
     INPUT_ID,
     ConvSpec,
     MaxPoolSpec,
+    NetworkSpec,
+    NodeSpec,
+    ParseError,
+    ShapeError,
     UpsampleSpec,
     WeightStore,
     infer_shapes,
@@ -293,6 +298,59 @@ class TestNodeCostMemo:
         assert rows[1][2] == count_node(head, table.of(0), table.of(1), linear=True)
         assert rows[0][2].ops - rows[1][2].ops == 21 * 4 * 4  # the activation
         assert len(costs) == 3
+
+
+# Node 2 concatenates a 4x4 map with an 8x8 one.  Its twin's node 2 has the
+# same op and input shape, and reads a 4x4 node 0.
+MISMATCHED_CONCAT_CFG = """\
+input 3 8 8
+conv 3 4 1
+conv 3 4 2
+concat 0
+"""
+MATCHED_CONCAT_CFG = MISMATCHED_CONCAT_CFG.replace("4 1\nconv 3 4 2", "4 2\nconv 3 4 1")
+
+
+class TestMemoHidesNoCheck:
+    """A shared memo never lets a network through that a fresh count refuses."""
+
+    FORWARD_REF = NetworkSpec(
+        nodes=(NodeSpec(0, ConvSpec(1, 4, 1), input_id=1), NodeSpec(1, ConvSpec(1, 4, 1), input_id=0)),
+        input_shape=(3, 8, 8),
+    )
+
+    @pytest.mark.parametrize("costs", [None, {}], ids=["fresh", "memo"])
+    def test_forward_reference_and_mismatched_concat_raise(self, costs):
+        with pytest.raises(ParseError, match="node 0 references node 1"):
+            count_network(self.FORWARD_REF, costs)
+        with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
+            count_network(parse_network_spec(MISMATCHED_CONCAT_CFG), costs)
+
+    def test_failing_node_raises_again_with_the_same_memo(self):
+        """Also when the memo holds the twin's concat, which the key tells
+        apart by the shape of the concatenated node."""
+        costs = {}
+        count_network(parse_network_spec(MATCHED_CONCAT_CFG), costs)
+        spec = parse_network_spec(MISMATCHED_CONCAT_CFG)
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8"):
+                count_network(spec, costs)
+        assert len(costs) == 5  # the twin's three nodes and two convs; no failure
+
+    def test_class_count_is_part_of_the_key(self):
+        """One memo, two networks that differ only in classes: the second
+        network's detect check runs, and fails as a fresh count does."""
+        fits = parse_network_spec(TWIN_CONV_CFG)
+        wider = dataclasses.replace(fits, num_classes=3)  # detect now needs 3 * (5 + 3) = 24
+        costs = {}
+        count_network(fits, costs)
+        with pytest.raises(ShapeError) as fresh:
+            count_network(wider)
+        with pytest.raises(ShapeError) as shared:
+            count_network(wider, costs)
+        assert str(shared.value) == str(fresh.value) == (
+            "node 2: detect 'large' input has 21 channels, needs 3*(5+3) = 24"
+        )
 
 
 class TestReferenceBudgets:

@@ -5,6 +5,7 @@ The evolutionary loop is validated against the brute-force enumerator
 each other; determinism tests compare full histories, not just winners.
 """
 
+import dataclasses
 import math
 from importlib import resources
 
@@ -12,7 +13,16 @@ import numpy as np
 import pytest
 
 from compactdet import complexity
-from compactdet.arch_graph import ParseError, load_bundled_config, parse_network_spec
+from compactdet.arch_graph import (
+    _KINDS,
+    INPUT_ID,
+    NetworkSpec,
+    NodeSpec,
+    ParseError,
+    infer_shapes,
+    load_bundled_config,
+    parse_network_spec,
+)
 from compactdet.complexity import ConstraintSet, count_network
 from compactdet.explorer import (
     BRUTE_FORCE_LIMIT,
@@ -292,6 +302,90 @@ class TestExpandPoint:
     def test_expansion_deterministic(self, space):
         point = space.base_point()
         assert expand_point(space, point) == expand_point(space, point)
+
+
+def expand_point_oracle(space: DesignSpace, point: tuple) -> NetworkSpec:
+    """expand_point's slow form: each field slot and each node's renumbered
+    refs applied with `dataclasses.replace`, every node built anew."""
+    per_node: dict = {}
+    for slot, value in zip(space.slots, point):
+        per_node.setdefault(slot.node_id, []).append((slot, value))
+    new_nodes: list = []
+    remap = {INPUT_ID: INPUT_ID}
+    for node in space.base.nodes:
+        op = node.op
+        kind = _KINDS[type(op)]
+        copies = 1
+        present = True
+        for slot, value in per_node.get(node.id, []):
+            if slot.field == "present":
+                present = bool(value)
+            elif slot.field == "repeat":
+                copies = value
+            else:
+                op = dataclasses.replace(op, **{kind.slots[slot.field]: value})
+        if kind.refs:
+            op = dataclasses.replace(op, **{f: remap[getattr(op, f)] for f in kind.refs})
+        if not present or copies == 0:
+            remap[node.id] = remap[node.input_id]
+            continue
+        input_id = remap[node.input_id]
+        for _ in range(copies):
+            new_nodes.append(NodeSpec(id=len(new_nodes), op=op, input_id=input_id))
+            input_id = len(new_nodes) - 1
+        remap[node.id] = input_id
+    return dataclasses.replace(space.base, nodes=tuple(new_nodes))
+
+
+# A concat reads n2, which an absent fca before it or copies of it renumber.
+CONCAT_NET = """\
+input 3 32 32
+classes 1
+conv 3 8 2      # 0: 16x16
+fca 2           # 1
+pep 4 8 8 1     # 2
+ep 16 16 2      # 3: 8x8
+upsample 2      # 4: 16x16
+concat 2        # 5
+conv 1 18 1     # 6
+detect large    # 7
+"""
+
+
+class TestExpandPointOracle:
+    @pytest.mark.parametrize(
+        "config, doc, size",
+        [
+            (None, None, 4374),  # the bundled space
+            (None, "fca_site n6 optional\n", 2),
+            (None, "repeat n5 min 0 max 2\n", 3),
+            (CONCAT_NET, "slot n0.out values 8,12\nfca_site n1 optional\nrepeat n2 min 0 max 2\n", 12),
+        ],
+        ids=["bundled", "absent-fca", "repeat", "concat"],
+    )
+    def test_every_point_matches_the_replace_form(self, config, doc, size):
+        """Equal specs on every point, each one accepted by infer_shapes."""
+        base = parse_network_spec(config) if config else load_bundled_config("explore-proto")
+        if doc is None:
+            doc = resources.files("compactdet.configs").joinpath("explore-space.txt").read_text()
+        space = parse_design_space(doc, base)
+        points = 0
+        for point in space.enumerate_points():
+            fast = expand_point(space, point)
+            assert fast == expand_point_oracle(space, point), point
+            infer_shapes(fast)
+            points += 1
+        assert points == size
+
+    def test_concat_refs_follow_the_renumbering(self):
+        doc = "fca_site n1 optional\nrepeat n2 min 0 max 2\n"
+        space = parse_design_space(doc, parse_network_spec(CONCAT_NET))
+        concat_refs = {
+            point: next(n.op.with_id for n in expand_point(space, point).nodes if n.kind == "concat")
+            for point in space.enumerate_points()
+        }
+        # n2's last copy, or what it reads (n1, else n0) when it has none.
+        assert concat_refs == {(1, 0): 1, (1, 1): 2, (1, 2): 3, (0, 0): 0, (0, 1): 1, (0, 2): 2}
 
 
 class TestPerformance:

@@ -9,8 +9,10 @@ np.where) as oracles that they must match byte for byte, up to a whole
 network run.
 """
 
+import hashlib
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -654,3 +656,21 @@ class TestOracleNetwork:
         slow = arch_graph.execute(spec, store, x)
         for a, b in zip(fast, slow):
             assert same_bytes(a, b)
+
+    def test_reference_grids_match_the_pinned_digest(self, monkeypatch):
+        """The sha256 of the three reference grids' bytes (seed-0 weights,
+        the seed-0 uniform input) is pinned, so a kernel change that moves
+        one grid byte fails here, whatever the detect text shows; the
+        oracle runs above would share an aliasing bug with the fast run.
+        The digest holds only under the BLAS runtime it was taken with."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        if workloads.blas_runtime() != workloads.PINNED_BLAS:
+            pytest.skip(f"digest pinned under {workloads.PINNED_BLAS!r}")
+        spec = arch_graph.load_bundled_config("reference")
+        store = arch_graph.WeightStore.random(spec, seed=0)
+        x = np.random.default_rng(0).random((1, *spec.input_shape), dtype=np.float32)
+        grids = arch_graph.execute(spec, store, x)
+        digest = hashlib.sha256(b"".join(grid.tobytes() for grid in grids)).hexdigest()
+        assert digest == "5bc66debfa722bcdff0a063acc7c7fcd0ec7d45e56f93d4ffd15cdfd1e0f16a9"
