@@ -251,7 +251,7 @@ def _per_output_cost(op, shapes, in_shape, out_shape, linear) -> NodeCost:
 
 def _conv_forward(op, x, params, outputs, linear):
     y = conv2d(x, params, op.stride)
-    return y if linear else leaky_relu(y)
+    return y if linear else leaky_relu(y, out=y)
 
 
 @dataclass(frozen=True)

@@ -132,9 +132,8 @@ def cmd_detect(args) -> int:
     _check_unit_interval("--nms-iou", args.nms_iou)
     spec = _load_spec(args.config)
     store, _bits = complexity.load_weights(args.weights, spec)
-    image = read_ppm(args.image)
     _c, target_h, target_w = spec.input_shape
-    tensor, transform = detection.letterbox_image(image, (target_h, target_w))
+    tensor, transform = detection.letterbox_image(read_ppm(args.image), (target_h, target_w))
     found = detection.detect(
         tensor, spec, store, conf_threshold=args.conf, nms_iou=args.nms_iou
     )
@@ -209,9 +208,12 @@ def cmd_explore(args) -> int:
         raise ConfigError(f"--max-ops must be >= 0, got {args.max_ops}")
     if args.out and args.log and Path(args.out).resolve() == Path(args.log).resolve():
         raise ConfigError(f"--out and --log name the same file {args.out}")
-    for path in (args.out, args.log):
+    log_path = args.log if args.log else (args.out + ".log" if args.out else None)
+    for path in (args.out, log_path):
         if path and not Path(path).parent.is_dir():
             raise FileNotFoundError(f"no directory {Path(path).parent} for {path}")
+        if path and Path(path).is_dir():
+            raise IsADirectoryError(f"{path} is a directory, not a file")
     space = explorer.parse_design_space(Path(args.space).read_text(), _load_spec(args.config))
     constraints = complexity.ConstraintSet(max_ops=args.max_ops, min_score=args.min_score)
     evaluator = explorer.synthetic_evaluator()
@@ -222,7 +224,6 @@ def cmd_explore(args) -> int:
     log_lines = [explorer.format_log_header(space)]
     log_lines += [explorer.format_history_line(args.seed, e) for e in result.history]
     log_text = "".join(line + "\n" for line in log_lines)
-    log_path = args.log if args.log else (args.out + ".log" if args.out else None)
     if log_path:
         Path(log_path).write_text(log_text)
     else:

@@ -209,29 +209,34 @@ def _check_params(params, want: tuple, label: str):
         )
 
 
-def _expand_project(y: np.ndarray, x: np.ndarray, cfg, expand, depthwise, project) -> np.ndarray:
-    """The tail PEP and EP share: expand 1x1, 3x3 depthwise, linear 1x1
-    projection, then the residual from the block input x when it applies."""
-    y = leaky_relu(conv2d(y, expand))
-    y = leaky_relu(depthwise_conv2d(y, depthwise, cfg.stride))
+def _block_forward(x: np.ndarray, cfg, project_in, expand, depthwise, project) -> np.ndarray:
+    """The body PEP and EP share: PEP's first projection (EP has none),
+    expand 1x1, 3x3 depthwise, linear 1x1 projection, then the residual
+    from the block input x when it applies.  Each kernel output is held by
+    nothing else, so it is activated, and the residual added, where it
+    lies; each rebinding of y frees the layer before."""
+    y = x
+    if project_in is not None:
+        y = conv2d(y, project_in)
+        y = leaky_relu(y, out=y)
+    y = conv2d(y, expand)
+    y = leaky_relu(y, out=y)
+    y = depthwise_conv2d(y, depthwise, cfg.stride)
+    y = leaky_relu(y, out=y)
     y = conv2d(y, project)
     if residual_active(cfg, x.shape[1]):
-        y = add(y, x)
+        y = add(y, x, out=y)
     return y
 
 
 def pep_forward(x: np.ndarray, cfg: PepConfig, params: PepParams) -> np.ndarray:
     _check_params(params, pep_param_shapes(cfg, x.shape[1]), f"{cfg} over {x.shape[1]} input channels")
-    # No local name for the projection, so the tail frees it after the
-    # expand; a name here would hold it through the whole tail.
-    return _expand_project(
-        leaky_relu(conv2d(x, params.project_in)), x, cfg, params.expand, params.depthwise, params.project_out
-    )
+    return _block_forward(x, cfg, params.project_in, params.expand, params.depthwise, params.project_out)
 
 
 def ep_forward(x: np.ndarray, cfg: EpConfig, params: EpParams) -> np.ndarray:
     _check_params(params, ep_param_shapes(cfg, x.shape[1]), f"{cfg} over {x.shape[1]} input channels")
-    return _expand_project(x, x, cfg, params.expand, params.depthwise, params.project)
+    return _block_forward(x, cfg, None, params.expand, params.depthwise, params.project)
 
 
 def fca_forward(x: np.ndarray, cfg: FcaConfig, params: FcaParams) -> np.ndarray:

@@ -3,9 +3,12 @@
 All feature maps are float32 numpy arrays in NCHW layout (batch, channels,
 height, width), C-contiguous.  Every kernel here is pure: inputs are never
 mutated, outputs are freshly allocated, and repeated calls on identical
-inputs produce bit-identical results.  Inference arithmetic stays in 32-bit
-floats; reduced-precision weight storage is a serialization concern handled
-elsewhere and never leaks into these routines.
+inputs produce bit-identical results.  The one exception is an explicit
+``out=`` (leaky_relu, add): the result is written into that array, which
+may be an input, with the same bytes as the fresh result.  Inference
+arithmetic stays in 32-bit floats; reduced-precision weight storage is a
+serialization concern handled elsewhere and never leaks into these
+routines.
 
 A convolution's stride is an argument of each call: where a layer strides
 belongs to the network, not to its weights.  Every convolution pads k // 2
@@ -27,7 +30,8 @@ DTYPE = np.float32
 LEAKY_SLOPE = 0.1
 
 # Elements in each of depthwise_conv2d's two per-call scratch buffers
-# (128 KiB of float32), unless one output channel map is larger.
+# (128 KiB of float32), unless one channel's row sums are more, and in each
+# block leaky_relu activates in place.
 _SCRATCH = 1 << 15
 # Patch-matrix elements conv2d unfolds per block of output rows (1 MiB of
 # float32), unless one output row needs more.
@@ -195,58 +199,101 @@ def depthwise_conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarr
     order into a zero-filled output, then the bias.  For k = 3 and output
     width >= 2 this gives the same bytes as numpy's
     einsum("nchwuv,cuv->nchw") over the strided windows; at width 1 einsum
-    iterates differently and the two can differ by ulps.  The row sums are
-    built a block of channels at a time in two scratch buffers of at most
-    max(_SCRATCH, out_h * out_w) elements each, so the working set stays in
-    cache instead of streaming a second full-size map per kernel row.  Each
-    block's input channels are copied into the interior of one padded
-    buffer, zeroed once, so no padded copy of the whole input is made.
+    iterates differently and the two can differ by ulps.
+
+    A block of channels at a time is copied into the interior of one padded
+    buffer, zeroed once, so no padded copy of the whole input is made.  The
+    buffer keeps each channel's map as rows pitch = w + 2 * (k // 2) apart,
+    with one slack row below.  At stride 1, tap (u, v)'s window is then one
+    run of out_h * pitch elements from u * pitch + v: a kernel row's
+    products are summed along whole padded rows, and the row sum's last
+    2 * (k // 2) columns are cropped as it is added into the output.  At
+    stride 2 the windows are strided views of the same buffer.  The row sums
+    are built in two scratch buffers of at most max(_SCRATCH, one channel's
+    row sum) elements each, so the working set stays in cache instead of
+    streaming a second full-size map per kernel row.
+
+    A cropped column reads into the next row, where a product that no output
+    keeps can overflow.  So, as in _matmul, the pass only records
+    floating-point flags, and a flagged pass whose output is not finite is
+    recomputed with strided windows under the caller's error policy, which
+    then sees only the flags of the kept products.
     """
     x = as_tensor(x)
-    n, c, h, width = x.shape
+    c = x.shape[1]
     if w.groups != c:
         raise ConfigError(f"depthwise conv needs groups == c_in == {c}, got groups {w.groups}")
     if w.kernel.shape[1] != 1 or w.c_out != c:
         raise ConfigError(f"depthwise kernel must be (c_in, 1, k, k), got {w.kernel.shape}")
+    flags = []
+    with np.errstate(over="call", invalid="call", divide="call", call=lambda err, _: flags.append(err)):
+        out = _depthwise(x, w, stride, flat=stride == 1)
+    if flags and not np.isfinite(out).all():
+        out = _depthwise(x, w, stride, flat=False)
+    return out
+
+
+def _depthwise(x: np.ndarray, w: ConvWeights, stride: int, flat: bool) -> np.ndarray:
+    """One depthwise_conv2d pass: each tap's window runs along whole padded
+    rows when flat (stride 1 only), else it is a strided view."""
+    n, c, h, width = x.shape
     k = w.k
     out_h, out_w = conv_output_hw(h, width, k, stride)
     p = k // 2
+    pitch = width + 2 * p
+    row_w = pitch if flat else out_w
     taps = w.kernel[:, 0, :, :, None, None]  # (c, k, k, 1, 1): broadcasts over a map
     span_h = (out_h - 1) * stride + 1
     span_w = (out_w - 1) * stride + 1
-    block = max(1, _SCRATCH // (out_h * out_w))
-    row_buf = np.empty(min(block, c) * out_h * out_w, dtype=DTYPE)
+    block = max(1, _SCRATCH // (out_h * row_w))
+    row_buf = np.empty(min(block, c) * out_h * row_w, dtype=DTYPE)
     tap_buf = np.empty_like(row_buf)
-    pad_buf = np.zeros((min(block, c), h + 2 * p, width + 2 * p), dtype=DTYPE)
+    pad_buf = np.zeros((min(block, c), (h + 2 * p + 1) * pitch), dtype=DTYPE)
     out = np.zeros((n, c, out_h, out_w), dtype=DTYPE)
     for b in range(n):
         for c0 in range(0, c, block):
             c1 = min(c, c0 + block)
-            size = (c1 - c0) * out_h * out_w
-            row = row_buf[:size].reshape(c1 - c0, out_h, out_w)
-            product = tap_buf[:size].reshape(row.shape)
+            shape = (c1 - c0, out_h, row_w)
+            row = row_buf[:(c1 - c0) * out_h * row_w].reshape(shape)
+            product = tap_buf[:row.size].reshape(shape)
             xp = pad_buf[:c1 - c0]
-            xp[:, p:p + h, p:p + width] = x[b, c0:c1]
+            grid = xp.reshape(c1 - c0, h + 2 * p + 1, pitch)
+            grid[:, p:p + h, p:p + width] = x[b, c0:c1]
             for u in range(k):
                 for v in range(k):
-                    window = xp[:, u:u + span_h:stride, v:v + span_w:stride]
+                    if flat:
+                        start = u * pitch + v
+                        window = xp[:, start:start + out_h * pitch].reshape(shape)
+                    else:
+                        window = grid[:, u:u + span_h:stride, v:v + span_w:stride]
                     if v == 0:
                         np.multiply(window, taps[c0:c1, u, v], out=row)
                     else:
                         np.multiply(window, taps[c0:c1, u, v], out=product)
                         row += product
-                out[b, c0:c1] += row
+                out[b, c0:c1] += row[:, :, :out_w]
     out += w.bias.reshape(1, -1, 1, 1)
     return out
 
 
-def leaky_relu(x: np.ndarray) -> np.ndarray:
+def leaky_relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, 0.1 * x): the same bytes as where(x >= 0, x, 0.1 * x) for
     every input, signed zeros, subnormals and infinities included, from one
-    fresh array."""
+    fresh array.  With out=x, x is activated where it lies instead, one
+    block of at most _SCRATCH elements at a time, with the same bytes.  Any
+    other out is refused: it must be x itself, a C-contiguous float32 array,
+    so that no converted copy is written in its place."""
     x = np.asarray(x, dtype=DTYPE)
-    y = DTYPE(LEAKY_SLOPE) * x
-    return np.maximum(x, y, out=y)
+    if out is None:
+        y = DTYPE(LEAKY_SLOPE) * x
+        return np.maximum(x, y, out=y)
+    if out is not x or not x.flags.c_contiguous:
+        raise ConfigError("leaky_relu activates in place only a C-contiguous float32 input passed as out")
+    flat = x.reshape(-1)
+    for i in range(0, flat.size, _SCRATCH):
+        chunk = flat[i:i + _SCRATCH]
+        np.maximum(chunk, DTYPE(LEAKY_SLOPE) * chunk, out=chunk)
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -294,12 +341,13 @@ def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate([a, b], axis=1))
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def add(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a + b; with out= (which may be a), written into out."""
     a = as_tensor(a)
     b = as_tensor(b)
     if a.shape != b.shape:
         raise ConfigError(f"elementwise add needs equal shapes, got {a.shape} vs {b.shape}")
-    return a + b
+    return np.add(a, b, out=out)
 
 
 def channel_scale(x: np.ndarray, scales: np.ndarray) -> np.ndarray:

@@ -608,6 +608,38 @@ class TestExplore:
         assert captured.err == f"error: no directory {tmp_path / 'missing'} for {paths[flag]}\n"
         assert sorted(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_directory_path_exits_3_before_search(self, tmp_path, capsys, flag):
+        """A best config or log path that names an existing directory is
+        refused before the search: nothing is evaluated or written."""
+        paths = {"--out": tmp_path / "best.cfg", "--log": tmp_path / "log.txt"}
+        paths[flag] = tmp_path / "taken"
+        paths[flag].mkdir()
+        rc = cli.main([
+            "explore", "--config", bundled("explore-proto.cfg"),
+            "--space", bundled("explore-space.txt"),
+            "--out", str(paths["--out"]), "--log", str(paths["--log"]), "--budget", "8",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert captured.err == f"error: {paths[flag]} is a directory, not a file\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "taken"]
+        assert list(paths[flag].iterdir()) == []
+
+    def test_directory_default_log_exits_3_before_search(self, tmp_path, capsys):
+        """Without --log the log goes to OUT.log; a directory there is
+        refused before the search as well."""
+        (tmp_path / "best.cfg.log").mkdir()
+        rc = cli.main([
+            "explore", "--config", bundled("explore-proto.cfg"),
+            "--space", bundled("explore-space.txt"),
+            "--out", str(tmp_path / "best.cfg"), "--budget", "8",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert captured.err == f"error: {tmp_path / 'best.cfg.log'} is a directory, not a file\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "best.cfg.log"]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_min_score_exits_2(self, tmp_path, capsys, value):
         rc, out, log = self.run(tmp_path, "m", f"--min-score={value}")

@@ -4,9 +4,9 @@ The production kernels use strided views and matmul; most references here
 are the obvious quadruple loop accumulating in float64, so an agreement
 check exercises the layout and ordering logic rather than restating it.
 The conv, depthwise and leaky ReLU kernels also keep the slow forms they
-replaced (one product over the whole padded input, an einsum and an
-np.where) as oracles that they must match byte for byte, up to a whole
-network run.
+replaced (one product over the whole padded input, an einsum and strided
+windows, and an np.where) as oracles that they must match byte for byte,
+up to a whole network run.
 """
 
 import hashlib
@@ -121,10 +121,39 @@ def depthwise_einsum_oracle(x, w, stride=1):
     return np.ascontiguousarray(out)
 
 
-def leaky_relu_oracle(x):
-    """The np.where leaky ReLU that leaky_relu replaced."""
+def leaky_relu_oracle(x, out=None):
+    """The np.where leaky ReLU that leaky_relu replaced; with out=, its
+    result is written into out and returned, as leaky_relu's is."""
     x = np.asarray(x, dtype=np.float32)
-    return np.where(x >= 0, x, np.float32(0.1) * x)
+    y = np.where(x >= 0, x, np.float32(0.1) * x)
+    if out is None:
+        return y
+    out[...] = y
+    return out
+
+
+def depthwise_strided_oracle(x, w, stride=1):
+    """The depthwise_conv2d that flat-row windows replaced at stride 1: each
+    tap's window a strided view of the whole padded input, summed in the
+    kernel's order (each kernel row left to right, rows added in order into
+    zeros, then the bias)."""
+    x = as_tensor(x)
+    n, c, h, width = x.shape
+    k = w.k
+    out_h, out_w = conv_output_hw(h, width, k, stride)
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    taps = w.kernel[None, :, 0, :, :, None, None]  # (1, c, k, k, 1, 1)
+    out = np.zeros((n, c, out_h, out_w), dtype=np.float32)
+    for u in range(k):
+        windows = [xp[:, :, u:u + (out_h - 1) * stride + 1:stride, v:v + (out_w - 1) * stride + 1:stride]
+                   for v in range(k)]
+        row = windows[0] * taps[:, :, u, 0]
+        for v in range(1, k):
+            row += windows[v] * taps[:, :, u, v]
+        out += row
+    out += w.bias.reshape(1, -1, 1, 1)
+    return out
 
 
 def same_bytes(a, b) -> bool:
@@ -149,10 +178,10 @@ def hostile(rng, shape, specials, share):
     return a
 
 
-def hostile_depthwise_case(rng, n, c, h, w, share):
-    """Input and 3x3 depthwise weights, biases with -0.0 entries."""
+def hostile_depthwise_case(rng, n, c, h, w, share, k=3):
+    """Input and k x k depthwise weights, biases with -0.0 entries."""
     x = hostile(rng, (n, c, h, w), SPECIAL_INPUTS, share)
-    kernel = hostile(rng, (c, 1, 3, 3), SPECIAL_WEIGHTS, share)
+    kernel = hostile(rng, (c, 1, k, k), SPECIAL_WEIGHTS, share)
     bias = hostile(rng, (c,), np.array([-0.0, 0.0], dtype=np.float32), 0.5)
     return x, ConvWeights(kernel, bias, groups=c)
 
@@ -341,13 +370,14 @@ class TestDepthwiseConv2d:
         """Channel counts that end in a partial block, and maps above the
         scratch size, where each block holds one channel."""
         out_h, out_w = conv_output_hw(h, w, 3, stride)
-        block = max(1, tensor_core._SCRATCH // (out_h * out_w))
+        row_w = w + 2 if stride == 1 else out_w  # a stride-1 row sum is a padded row
+        block = max(1, tensor_core._SCRATCH // (out_h * row_w))
         c = int(blocks * block)
         for seed, share in enumerate((0.0, 0.25, 0.9)):
             x, weights = hostile_depthwise_case(np.random.default_rng(seed), n, c, h, w, share)
             got = depthwise_conv2d(x, weights, stride)
             assert same_bytes(got, depthwise_einsum_oracle(x, weights, stride))
-        assert c % block or out_h * out_w > tensor_core._SCRATCH
+        assert c % block or out_h * row_w > tensor_core._SCRATCH
 
     def test_width_one_maps_within_tolerance(self):
         """On maps of output width 1 numpy's einsum sums in another order,
@@ -379,6 +409,69 @@ class TestDepthwiseConv2d:
         w = ConvWeights(np.zeros((4, 1, 3, 3)), np.zeros(4), groups=2)
         with pytest.raises(ConfigError):
             depthwise_conv2d(np.zeros((1, 4, 8, 8), dtype=np.float32), w)
+
+
+class TestDepthwiseFlatRows:
+    """depthwise_conv2d gives the strided-window kernel's exact bytes; at
+    stride 1 its windows run along whole padded rows."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("h, w", [(9, 11), (7, 1), (1, 6), (2, 2), (4, 13)])
+    def test_bytes_match_strided_oracle(self, k, stride, n, h, w):
+        """Width 1 and maps lower than the kernel included."""
+        for seed, share in enumerate((0.0, 0.25, 0.9)):
+            x, weights = hostile_depthwise_case(np.random.default_rng(seed), n, 5, h, w, share, k)
+            assert same_bytes(depthwise_conv2d(x, weights, stride), depthwise_strided_oracle(x, weights, stride))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_bytes_match_strided_oracle_across_blocks(self, stride, k):
+        """Channel counts one below, at and one above a block boundary, and
+        above two blocks.  A stride-1 block holds _SCRATCH // (h * (w + 2p))
+        channels, as its row sums are padded rows wide."""
+        h, w = 40, 37
+        out_h, out_w = conv_output_hw(h, w, k, stride)
+        row_w = w + 2 * (k // 2) if stride == 1 else out_w
+        block = tensor_core._SCRATCH // (out_h * row_w)
+        assert block > 1
+        rng = np.random.default_rng(31)
+        for c in (block - 1, block, block + 1, 2 * block + 1):
+            x, weights = hostile_depthwise_case(rng, 1, c, h, w, 0.25, k)
+            assert same_bytes(depthwise_conv2d(x, weights, stride), depthwise_strided_oracle(x, weights, stride))
+
+    def test_cropped_column_overflow_is_not_an_error(self):
+        """The last cropped column of a stride-1 row sum multiplies the next
+        row's first column by tap (u, 2), a product no output keeps: with
+        3e38 there and that tap 10, it overflows.  The kernel still returns
+        the strided kernel's finite bytes, with no error under a raising
+        policy."""
+        x = np.random.default_rng(5).standard_normal((1, 3, 6, 7)).astype(np.float32)
+        x[..., 0] = 3e38
+        kernel = np.full((3, 1, 3, 3), 1e-3, dtype=np.float32)
+        kernel[..., 2] = 10
+        weights = ConvWeights(kernel, np.zeros(3), groups=3)
+        with np.errstate(over="raise", invalid="raise"):
+            want = depthwise_strided_oracle(x, weights)
+            got = depthwise_conv2d(x, weights)
+        assert np.isfinite(want).all()
+        assert same_bytes(got, want)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_real_overflow_reaches_the_policy(self, stride):
+        """An overflow in a kept product still reaches the caller's policy:
+        an error when it raises, the strided kernel's inf bytes when it
+        ignores."""
+        x = np.full((1, 2, 5, 5), 3e38, dtype=np.float32)
+        weights = ConvWeights(np.full((2, 1, 3, 3), 10, dtype=np.float32), np.zeros(2), groups=2)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                depthwise_conv2d(x, weights, stride)
+        with np.errstate(over="ignore"):
+            got = depthwise_conv2d(x, weights, stride)
+            assert same_bytes(got, depthwise_strided_oracle(x, weights, stride))
+        assert np.isinf(got).all()
 
 
 class TestConvOutputHw:
@@ -428,6 +521,47 @@ class TestPointwise:
         before = x.copy()
         assert same_bytes(leaky_relu(x), leaky_relu_oracle(x))
         assert same_bytes(x, before)
+
+    @pytest.mark.parametrize("size", [
+        0, 1, tensor_core._SCRATCH - 1, tensor_core._SCRATCH, tensor_core._SCRATCH + 1, 3 * tensor_core._SCRATCH + 5,
+    ])
+    def test_leaky_relu_in_place_matches_fresh(self, size):
+        """out=x activates x where it lies, a block at a time, with the fresh
+        form's bytes: signed zeros, subnormals, infinities and NaN included,
+        at sizes around the block length."""
+        rng = np.random.default_rng(size)
+        specials = np.array([0.0, -0.0, 1e-45, -1e-45, 1e-40, -1e-40, np.inf, -np.inf, np.nan, -np.nan],
+                            dtype=np.float32)
+        x = hostile(rng, (size,), specials, 0.3)
+        before = x.copy()
+        want = leaky_relu(x)
+        assert same_bytes(x, before)
+        y = x.copy()
+        got = leaky_relu(y, out=y)
+        assert got is y
+        assert same_bytes(got, want)
+
+    def test_leaky_relu_in_place_on_a_map(self):
+        x = np.random.default_rng(2).standard_normal((2, 3, 5, 7)).astype(np.float32)
+        y = x.copy()
+        assert same_bytes(leaky_relu(y, out=y), leaky_relu_oracle(x))
+
+    def test_leaky_relu_out_must_be_the_input(self):
+        """Only a float32 C-contiguous input activates in place; any other
+        out is refused rather than written through a copy."""
+        x = np.zeros((2, 3), dtype=np.float32)
+        wide, strided = x.astype(np.float64), x.T
+        for arg, out in [(x, np.zeros_like(x)), (wide, wide), (strided, strided)]:
+            with pytest.raises(ConfigError, match="in place"):
+                leaky_relu(arg, out=out)
+
+    def test_add_into_an_operand(self):
+        rng = np.random.default_rng(3)
+        a, b = (hostile(rng, (1, 4, 6, 6), SPECIAL_INPUTS, 0.3) for _ in range(2))
+        want = a + b
+        got = add(a, b, out=a)
+        assert got is a
+        assert same_bytes(got, want)
 
     def test_sigmoid_range_and_symmetry(self):
         rng = np.random.default_rng(6)
