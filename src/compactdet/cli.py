@@ -25,7 +25,6 @@ import numpy as np
 from . import arch_graph, complexity, detection, explorer
 from .arch_graph import NonFiniteOutputError, ParseError, ShapeError, _decimal
 from .complexity import WeightFormatError
-from .detection import DetectionFormatError
 from .tensor_core import ConfigError
 
 EXIT_OK = 0
@@ -127,9 +126,20 @@ def _check_unit_interval(flag: str, value: float):
         raise ConfigError(f"{flag} must be in [0, 1], got {value}")
 
 
+def _check_out_paths(*paths):
+    """Refuse, before any work, an output path whose directory does not
+    exist or that names a directory; None paths are skipped."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"no directory {Path(path).parent} for {path}")
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"{path} is a directory, not a file")
+
+
 def cmd_detect(args) -> int:
     _check_unit_interval("--conf", args.conf)
     _check_unit_interval("--nms-iou", args.nms_iou)
+    _check_out_paths(args.out)
     spec = _load_spec(args.config)
     store, _bits = complexity.load_weights(args.weights, spec)
     _c, target_h, target_w = spec.input_shape
@@ -154,6 +164,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    _check_out_paths(args.out)
     spec = _load_spec(args.config)
     store, bits = complexity.load_weights(args.weights, spec)
     if bits == 8:
@@ -209,11 +220,7 @@ def cmd_explore(args) -> int:
     if args.out and args.log and Path(args.out).resolve() == Path(args.log).resolve():
         raise ConfigError(f"--out and --log name the same file {args.out}")
     log_path = args.log if args.log else (args.out + ".log" if args.out else None)
-    for path in (args.out, log_path):
-        if path and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"no directory {Path(path).parent} for {path}")
-        if path and Path(path).is_dir():
-            raise IsADirectoryError(f"{path} is a directory, not a file")
+    _check_out_paths(args.out, log_path)
     space = explorer.parse_design_space(Path(args.space).read_text(), _load_spec(args.config))
     constraints = complexity.ConstraintSet(max_ops=args.max_ops, min_score=args.min_score)
     evaluator = explorer.synthetic_evaluator()
@@ -327,7 +334,7 @@ def main(argv=None) -> int:
     except (ParseError, ShapeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (WeightFormatError, PpmError, DetectionFormatError, NonFiniteOutputError) as exc:
+    except (WeightFormatError, PpmError, NonFiniteOutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (OSError, UnicodeDecodeError) as exc:

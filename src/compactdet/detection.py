@@ -23,7 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .arch_graph import SCALE_TAGS, NetworkSpec, NonFiniteOutputError, WeightStore, execute
+from .arch_graph import (
+    MAX_INT, SCALE_TAGS, NetworkSpec, NonFiniteOutputError, WeightStore, _decimal, execute,
+)
 from .tensor_core import ConfigError
 
 DEFAULT_CONF_THRESHOLD = 0.25
@@ -49,47 +51,10 @@ class DetectionFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class BBox:
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-
-@dataclass(frozen=True)
-class Detection:
-    bbox: BBox
-    class_id: int
-    score: float
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    bbox: BBox
-    class_id: int
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; degenerate (non-positive area) boxes give 0."""
-    area_a = a.w * a.h
-    area_b = b.w * b.h
-    if area_a <= 0 or area_b <= 0:
-        return 0.0
-    left = max(a.cx - a.w / 2, b.cx - b.w / 2)
-    right = min(a.cx + a.w / 2, b.cx + b.w / 2)
-    top = max(a.cy - a.h / 2, b.cy - b.h / 2)
-    bottom = min(a.cy + a.h / 2, b.cy + b.h / 2)
-    if right <= left or bottom <= top:
-        return 0.0
-    inter = (right - left) * (bottom - top)
-    return inter / (area_a + area_b - inter)
-
-
-@dataclass(frozen=True)
 class Boxes:
-    """Detections as columns, one row per box: float64 cx, cy, w, h and
-    score, integer class_id.  Decode, NMS and box mapping pass these along,
-    so no per-box object is built on the detect path."""
+    """Boxes as columns, one row per box: float64 cx, cy, w, h and score,
+    integer class_id.  The one box record: decode, NMS, box mapping, the
+    interchange parsers and evaluate_map all take or give these."""
 
     cx: np.ndarray
     cy: np.ndarray
@@ -161,25 +126,53 @@ NMS_TILE = 128  # boxes per tile (see nms)
 NMS_BLOCK = 1 << 15  # pairs per IoU block: 256 KiB per float64 array, so it runs in cache
 
 
+def _edges(boxes: Boxes) -> np.ndarray:
+    """(left, right, top, bottom, area) rows, one column per box.
+
+    A box of non-positive area has IoU 0 with everything: an empty
+    interval keeps it from overlapping anything, and a positive stand-in
+    area keeps every union it enters positive, so its IoU is exactly 0.
+    """
+    cx, cy, w, h = boxes.cx, boxes.cy, boxes.w, boxes.h
+    edges = np.stack([cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2, w * h])
+    edges[:, ~(edges[4] > 0)] = np.array([[np.inf], [-np.inf], [np.inf], [-np.inf], [1.0]])
+    return edges
+
+
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each pair of `_edges` columns of a and b, which broadcast
+    against each other (a[:, :, None] against b gives the (len a, len b)
+    table).  The float64 operations are the scalar form's: min and max of
+    edges, sides clipped at 0, inter / (area_a + area_b - inter).  Works in
+    place, so a table makes four full-size arrays."""
+    left, right, top, bottom, area = a
+    b_left, b_right, b_top, b_bottom, b_area = b
+    iw = np.minimum(right, b_right)
+    iw -= np.maximum(left, b_left)
+    ih = np.minimum(bottom, b_bottom)
+    ih -= np.maximum(top, b_top)
+    # Sides clipped at 0: unchanged where both are positive, a zero
+    # intersection (so IoU 0) elsewhere.
+    inter = np.maximum(iw, 0.0, out=iw)
+    inter *= np.maximum(ih, 0.0, out=ih)
+    union = np.add(area, b_area, out=ih)
+    union -= inter
+    return np.divide(inter, union, out=inter)
+
+
 def nms(boxes: Boxes, iou_threshold: float = DEFAULT_NMS_IOU) -> np.ndarray:
     """Greedy per-class suppression; returns the kept rows of boxes, by
     descending score (ties in input order).
 
     The kept set is the pairwise scan's: walking in score order, a box is
-    kept unless a kept box of its class overlaps it with IoU > iou_threshold.
-    Each class is walked in tiles of NMS_TILE boxes.  A tile is resolved
-    greedily against itself, then its kept boxes suppress the still-alive
-    later boxes of the class, in blocks of at most NMS_BLOCK pairs.  Every
-    IoU repeats the float64 operations of `iou`, so each comparison is the
-    scalar scan's.
+    kept unless a kept box of its class overlaps it with `_iou` >
+    iou_threshold.  Each class is walked in tiles of NMS_TILE boxes.  A
+    tile is resolved greedily against itself, then its kept boxes suppress
+    the still-alive later boxes of the class, in blocks of at most
+    NMS_BLOCK pairs.
     """
     order = np.argsort(-boxes.score, kind="stable")
-    cx, cy, w, h = (getattr(boxes, f)[order] for f in ("cx", "cy", "w", "h"))
-    edges = np.stack([cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2, w * h])
-    # `iou` gives 0 for a box of non-positive area: an empty interval keeps
-    # it from overlapping anything, and a positive stand-in area keeps every
-    # union it enters positive, so its IoU is exactly 0 too.
-    edges[:, ~(edges[4] > 0)] = np.array([[np.inf], [-np.inf], [np.inf], [-np.inf], [1.0]])
+    edges = _edges(boxes)[:, order]
     # Rows grouped by class, each group still in score order.
     classes = boxes.class_id[order]
     by_class = np.argsort(classes, kind="stable")
@@ -192,7 +185,7 @@ def nms(boxes: Boxes, iou_threshold: float = DEFAULT_NMS_IOU) -> np.ndarray:
         for t0 in range(0, stop - start, NMS_TILE):
             t1 = min(stop - start, t0 + NMS_TILE)
             tile = t0 + np.flatnonzero(live[t0:t1])
-            blocked = _overlaps(box, tile, tile, iou_threshold)
+            blocked = _iou(box[:, tile, None], box[:, tile]) > iou_threshold
             kept = np.ones(len(tile), dtype=bool)
             for p in range(len(tile)):
                 if kept[p]:
@@ -203,27 +196,9 @@ def nms(boxes: Boxes, iou_threshold: float = DEFAULT_NMS_IOU) -> np.ndarray:
             width = NMS_BLOCK // max(len(rows), 1)
             for c0 in range(0, len(later), width):
                 cols = later[c0:c0 + width]
-                live[cols[_overlaps(box, rows, cols, iou_threshold).any(axis=0)]] = False
+                overlaps = _iou(box[:, rows, None], box[:, cols]) > iou_threshold
+                live[cols[overlaps.any(axis=0)]] = False
     return order[np.sort(by_class[alive])]
-
-
-def _overlaps(box: np.ndarray, rows: np.ndarray, cols: np.ndarray, threshold: float) -> np.ndarray:
-    """IoU > threshold for each (row, col) pair of box's (left, right, top,
-    bottom, area) columns, in `iou`'s float64 operations (in place, so a
-    block makes four full-size arrays)."""
-    left, right, top, bottom, area = box[:, rows, None]
-    col_left, col_right, col_top, col_bottom, col_area = box[:, cols]
-    iw = np.minimum(right, col_right)
-    iw -= np.maximum(left, col_left)
-    ih = np.minimum(bottom, col_bottom)
-    ih -= np.maximum(top, col_top)
-    # Sides clipped at 0: unchanged where both are positive, a zero
-    # intersection (so IoU 0) elsewhere.
-    inter = np.maximum(iw, 0.0, out=iw)
-    inter *= np.maximum(ih, 0.0, out=ih)
-    union = np.add(area, col_area, out=ih)
-    union -= inter
-    return np.divide(inter, union, out=inter) > threshold
 
 
 def detect(
@@ -265,9 +240,7 @@ class LetterboxTransform:
     target_w: int
     target_h: int
 
-    # Both mappings take a BBox or Boxes and repeat the same float64
-    # operations per box, so a box maps to the same bits either way.
-    def box_to_original(self, box: BBox | Boxes) -> BBox | Boxes:
+    def box_to_original(self, box: Boxes) -> Boxes:
         return replace(
             box,
             cx=(box.cx * self.target_w - self.pad_x) / self.scale / self.orig_w,
@@ -276,7 +249,7 @@ class LetterboxTransform:
             h=box.h * self.target_h / self.scale / self.orig_h,
         )
 
-    def box_to_letterboxed(self, box: BBox | Boxes) -> BBox | Boxes:
+    def box_to_letterboxed(self, box: Boxes) -> Boxes:
         return replace(
             box,
             cx=(box.cx * self.orig_w * self.scale + self.pad_x) / self.target_w,
@@ -349,46 +322,49 @@ def evaluate_map(
 ) -> MapResult:
     """VOC2007 11-point mAP over classes that have at least one truth box.
 
-    Scores matter only through their ordering, so any strictly monotone
-    rescoring leaves the result unchanged.
+    Both arguments map image ids to Boxes, as the parsers give them.  A
+    detection's candidate is the truth of its image and class that it
+    overlaps most (the first of equal IoUs), if that IoU is positive and at
+    least iou_threshold.  Walking a class's detections by descending score
+    (ties in image-id, then row order), a detection is a true positive when
+    its candidate is not yet matched, and a false positive otherwise.  Scores
+    matter only through their ordering, so any strictly monotone rescoring
+    leaves the result unchanged.  Raises DetectionFormatError, naming the
+    image, when a score or box field is not finite.
     """
-    class_ids = sorted({t.class_id for truths in truths_by_image.values() for t in truths})
+    for image_id, boxes in (*detections_by_image.items(), *truths_by_image.items()):
+        if not np.isfinite([boxes.cx, boxes.cy, boxes.w, boxes.h, boxes.score]).all():
+            raise DetectionFormatError(f"image {image_id}: a score or box field is not finite")
+    # Per detection, in sorted image-id then row order: class, score, and its
+    # candidate as a truth number across images (-1 for none).
+    classes, scores, candidates = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.int64)]
+    first_truth = 0
+    for image_id in sorted(detections_by_image):
+        dets = detections_by_image[image_id]
+        truths = truths_by_image.get(image_id, dets[:0])
+        candidate = np.full(len(dets), -1)
+        if len(dets) and len(truths):
+            overlaps = _iou(_edges(dets)[:, :, None], _edges(truths))
+            overlaps[dets.class_id[:, None] != truths.class_id] = 0.0
+            best = overlaps.argmax(axis=1)
+            best_iou = overlaps[np.arange(len(dets)), best]
+            candidate = np.where((best_iou > 0) & (best_iou >= iou_threshold), first_truth + best, -1)
+        first_truth += len(truths)
+        classes.append(dets.class_id)
+        scores.append(dets.score)
+        candidates.append(candidate)
+    classes, scores, candidates = map(np.concatenate, (classes, scores, candidates))
+    truth_classes = np.concatenate([np.empty(0, np.int64), *(t.class_id for t in truths_by_image.values())])
     ap_by_class = {}
-    for class_id in class_ids:
-        flat = [
-            (det.score, image_id, det)
-            for image_id in sorted(detections_by_image)
-            for det in detections_by_image[image_id]
-            if det.class_id == class_id
-        ]
-        flat.sort(key=lambda item: -item[0])
-        n_truth = sum(
-            1 for truths in truths_by_image.values() for t in truths if t.class_id == class_id
-        )
-        matched: set = set()
-        tp = np.zeros(len(flat))
-        fp = np.zeros(len(flat))
-        for rank, (_, image_id, det) in enumerate(flat):
-            truths = [
-                (idx, t)
-                for idx, t in enumerate(truths_by_image.get(image_id, []))
-                if t.class_id == class_id
-            ]
-            best_iou, best_idx = 0.0, None
-            for idx, t in truths:
-                overlap = iou(det.bbox, t.bbox)
-                if overlap > best_iou:
-                    best_iou, best_idx = overlap, idx
-            if best_idx is not None and best_iou >= iou_threshold and (image_id, best_idx) not in matched:
-                matched.add((image_id, best_idx))
-                tp[rank] = 1
-            else:
-                fp[rank] = 1
+    for class_id, n_truth in zip(*(c.tolist() for c in np.unique(truth_classes, return_counts=True))):
+        rows = np.flatnonzero(classes == class_id)
+        ranked = candidates[rows[np.argsort(-scores[rows], kind="stable")]]
+        hits = np.flatnonzero(ranked >= 0)
+        tp = np.zeros(len(ranked))
+        tp[hits[np.unique(ranked[hits], return_index=True)[1]]] = 1  # each truth's first hit
         cum_tp = np.cumsum(tp)
-        cum_fp = np.cumsum(fp)
-        recalls = cum_tp / n_truth
-        precisions = cum_tp / np.maximum(cum_tp + cum_fp, 1)
-        ap_by_class[class_id] = _ap_11point(recalls, precisions) if len(flat) else 0.0
+        precisions = cum_tp / np.arange(1, len(ranked) + 1)
+        ap_by_class[class_id] = _ap_11point(cum_tp / n_truth, precisions) if len(ranked) else 0.0
     mean_ap = sum(ap_by_class.values()) / len(ap_by_class) if ap_by_class else 0.0
     return MapResult(mean_ap=mean_ap, ap_by_class=ap_by_class)
 
@@ -434,47 +410,35 @@ def format_detection_line(
     return f"{image_id} {class_id} {score:.6f} {cx:.6f} {cy:.6f} {w:.6f} {h:.6f}"
 
 
-def format_ground_truth_line(image_id: str, truth: GroundTruth) -> str:
-    b = truth.bbox
-    return f"{image_id} {truth.class_id} {b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f}"
-
-
-def _parse_line(line: str, line_no: int, with_score: bool) -> tuple:
-    fields = line.split()
-    expected = 7 if with_score else 6
-    if len(fields) != expected:
-        raise DetectionFormatError(
-            f"line {line_no}: expected {expected} fields, got {len(fields)}"
-        )
-    try:
-        image_id = fields[0]
-        class_id = int(fields[1])
-        numbers = [float(f) for f in fields[2:]]
-    except ValueError:
-        raise DetectionFormatError(f"line {line_no}: non-numeric field in {line!r}") from None
-    if class_id < 0:
-        raise DetectionFormatError(f"line {line_no}: negative class id")
-    return image_id, class_id, numbers
+def _parse(text: str, with_score: bool) -> dict:
+    """{image_id: Boxes} of the interchange lines of text, rows in line
+    order.  Ground-truth lines have no score column; their rows get score
+    1.0, which nothing reads."""
+    rows: dict = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        expected = 7 if with_score else 6
+        if len(fields) != expected:
+            raise DetectionFormatError(f"line {line_no}: expected {expected} fields, got {len(fields)}")
+        try:
+            class_id = _decimal(fields[1])
+            numbers = [float(f) for f in fields[2:]]
+        except ValueError:
+            raise DetectionFormatError(f"line {line_no}: non-numeric field in {line!r}") from None
+        if class_id > MAX_INT:
+            raise DetectionFormatError(f"line {line_no}: class id {class_id} > {MAX_INT}")
+        score = numbers.pop(0) if with_score else 1.0
+        rows.setdefault(fields[0], []).append((*numbers, class_id, score))
+    # Columns in Boxes' field order: Python floats give float64, ints int64.
+    return {image_id: Boxes(*map(np.array, zip(*image_rows))) for image_id, image_rows in rows.items()}
 
 
 def parse_detections(text: str) -> dict:
-    out: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        image_id, class_id, nums = _parse_line(line, line_no, with_score=True)
-        det = Detection(bbox=BBox(*nums[1:]), class_id=class_id, score=nums[0])
-        out.setdefault(image_id, []).append(det)
-    return out
+    return _parse(text, with_score=True)
 
 
 def parse_ground_truths(text: str) -> dict:
-    out: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        image_id, class_id, nums = _parse_line(line, line_no, with_score=False)
-        out.setdefault(image_id, []).append(GroundTruth(bbox=BBox(*nums), class_id=class_id))
-    return out
+    return _parse(text, with_score=False)

@@ -1,0 +1,133 @@
+"""Per-box records and the scalar IoU and mAP, kept as test oracles.
+
+`detection` holds boxes only as `Boxes` columns.  The records here are
+the per-box form the columnar code replaced: `iou` is the scalar IoU that
+`detection._iou` repeats, and `evaluate_map` the per-detection scan that
+`detection.evaluate_map` must reproduce exactly.  `as_boxes` and
+`as_detections` convert between the two forms, and `checked_map` scores
+records with the columnar `evaluate_map`, checked against the scan.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from compactdet import detection
+from compactdet.detection import DEFAULT_MATCH_IOU, Boxes, MapResult, _ap_11point
+
+
+@dataclass(frozen=True)
+class BBox:
+    cx: float
+    cy: float
+    w: float
+    h: float
+
+
+@dataclass(frozen=True)
+class Detection:
+    bbox: BBox
+    class_id: int
+    score: float
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    bbox: BBox
+    class_id: int
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union; degenerate (non-positive area) boxes give 0."""
+    area_a = a.w * a.h
+    area_b = b.w * b.h
+    if area_a <= 0 or area_b <= 0:
+        return 0.0
+    left = max(a.cx - a.w / 2, b.cx - b.w / 2)
+    right = min(a.cx + a.w / 2, b.cx + b.w / 2)
+    top = max(a.cy - a.h / 2, b.cy - b.h / 2)
+    bottom = min(a.cy + a.h / 2, b.cy + b.h / 2)
+    if right <= left or bottom <= top:
+        return 0.0
+    inter = (right - left) * (bottom - top)
+    return inter / (area_a + area_b - inter)
+
+
+def evaluate_map(
+    detections_by_image: dict,
+    truths_by_image: dict,
+    iou_threshold: float = DEFAULT_MATCH_IOU,
+) -> MapResult:
+    """VOC2007 11-point mAP over lists of Detection and GroundTruth, one
+    detection at a time."""
+    class_ids = sorted({t.class_id for truths in truths_by_image.values() for t in truths})
+    ap_by_class = {}
+    for class_id in class_ids:
+        flat = [
+            (det.score, image_id, det)
+            for image_id in sorted(detections_by_image)
+            for det in detections_by_image[image_id]
+            if det.class_id == class_id
+        ]
+        flat.sort(key=lambda item: -item[0])
+        n_truth = sum(
+            1 for truths in truths_by_image.values() for t in truths if t.class_id == class_id
+        )
+        matched: set = set()
+        tp = np.zeros(len(flat))
+        fp = np.zeros(len(flat))
+        for rank, (_, image_id, det) in enumerate(flat):
+            truths = [
+                (idx, t)
+                for idx, t in enumerate(truths_by_image.get(image_id, []))
+                if t.class_id == class_id
+            ]
+            best_iou, best_idx = 0.0, None
+            for idx, t in truths:
+                overlap = iou(det.bbox, t.bbox)
+                if overlap > best_iou:
+                    best_iou, best_idx = overlap, idx
+            if best_idx is not None and best_iou >= iou_threshold and (image_id, best_idx) not in matched:
+                matched.add((image_id, best_idx))
+                tp[rank] = 1
+            else:
+                fp[rank] = 1
+        cum_tp = np.cumsum(tp)
+        cum_fp = np.cumsum(fp)
+        recalls = cum_tp / n_truth
+        precisions = cum_tp / np.maximum(cum_tp + cum_fp, 1)
+        ap_by_class[class_id] = _ap_11point(recalls, precisions) if len(flat) else 0.0
+    mean_ap = sum(ap_by_class.values()) / len(ap_by_class) if ap_by_class else 0.0
+    return MapResult(mean_ap=mean_ap, ap_by_class=ap_by_class)
+
+
+def as_boxes(records) -> Boxes:
+    """List of Detection or GroundTruth -> Boxes, row k from records[k]; a
+    GroundTruth row gets score 1.0, as `parse_ground_truths` gives it."""
+    return Boxes(
+        *(np.array([getattr(r.bbox, f) for r in records], dtype=np.float64) for f in ("cx", "cy", "w", "h")),
+        class_id=np.array([r.class_id for r in records], dtype=np.int64),
+        score=np.array([getattr(r, "score", 1.0) for r in records], dtype=np.float64),
+    )
+
+
+def as_detections(boxes: Boxes) -> list:
+    """Boxes -> list of Detection with Python float and int fields."""
+    rows = zip(*(getattr(boxes, f).tolist() for f in ("cx", "cy", "w", "h", "class_id", "score")))
+    return [Detection(BBox(cx, cy, w, h), class_id, score) for cx, cy, w, h, class_id, score in rows]
+
+
+def as_columns(records_by_image: dict) -> dict:
+    """{image_id: list of records} -> {image_id: Boxes}, the form that
+    `detection.evaluate_map` takes."""
+    return {image_id: as_boxes(records) for image_id, records in records_by_image.items()}
+
+
+def checked_map(dets: dict, truths: dict, **kwargs) -> MapResult:
+    """`detection.evaluate_map` on {image_id: list of records}; the scalar
+    `evaluate_map` must give the same result exactly (`==`)."""
+    got = detection.evaluate_map(as_columns(dets), as_columns(truths), **kwargs)
+    assert got == evaluate_map(dets, truths, **kwargs)
+    return got

@@ -7,7 +7,9 @@ line for a test here is the corresponding criterion failing).
 
 Oracles in this file are written independently of the per-module test
 suites: naive direct convolution in float64, a scalar decoder, a
-quadratic greedy NMS, and hand-enumerated PR curves.
+quadratic greedy NMS, and hand-enumerated PR curves.  The per-box records
+and the scalar mAP come from `box_oracles`, the one copy that
+test_detection.py uses too.
 """
 
 import copy
@@ -18,6 +20,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from box_oracles import BBox, Detection, GroundTruth, as_boxes, as_detections, checked_map
 from compactdet import cli
 from compactdet.arch_graph import (
     WeightStore,
@@ -35,15 +38,7 @@ from compactdet.complexity import (
     quantize_tensor,
     save_weights,
 )
-from compactdet.detection import (
-    BBox,
-    Boxes,
-    Detection,
-    GroundTruth,
-    decode_predictions,
-    evaluate_map,
-    nms,
-)
+from compactdet.detection import decode_predictions, nms
 from compactdet.explorer import (
     brute_force_search,
     explore,
@@ -314,20 +309,6 @@ def decode_scalar(raw, anchors, conf):
     return out
 
 
-def boxes_to_list(boxes: Boxes) -> list:
-    """decode_predictions' columns as a list of Detection, row by row."""
-    rows = zip(*(getattr(boxes, f).tolist() for f in ("cx", "cy", "w", "h", "class_id", "score")))
-    return [Detection(BBox(cx, cy, w, h), c, score) for cx, cy, w, h, c, score in rows]
-
-
-def list_to_boxes(dets: list) -> Boxes:
-    return Boxes(
-        *(np.array([getattr(d.bbox, f) for d in dets], dtype=np.float64) for f in ("cx", "cy", "w", "h")),
-        class_id=np.array([d.class_id for d in dets], dtype=np.int64),
-        score=np.array([d.score for d in dets], dtype=np.float64),
-    )
-
-
 def iou_scalar(a: BBox, b: BBox) -> float:
     ax0, ax1 = a.cx - a.w / 2, a.cx + a.w / 2
     ay0, ay1 = a.cy - a.h / 2, a.cy + a.h / 2
@@ -364,7 +345,7 @@ def test_criterion_07_detection_suite():
         anchors = [(float(rng.uniform(0.05, 0.8)), float(rng.uniform(0.05, 0.8)))
                    for _ in range(n_anchors)]
         raw = rng.normal(0, 2, size=(1, n_anchors * (5 + n_classes), s, s))
-        got = sorted(boxes_to_list(decode_predictions(raw, anchors, conf_threshold=0.3)), key=key)
+        got = sorted(as_detections(decode_predictions(raw, anchors, conf_threshold=0.3)), key=key)
         want = sorted(decode_scalar(raw, anchors, 0.3), key=key)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -380,7 +361,7 @@ def test_criterion_07_detection_suite():
                           score=float(rng.random()))
                 for _ in range(n)]
         thr = float(rng.uniform(0.2, 0.7))
-        assert [dets[k] for k in nms(list_to_boxes(dets), thr)] == nms_exhaustive(dets, thr)
+        assert [dets[k] for k in nms(as_boxes(dets), thr)] == nms_exhaustive(dets, thr)
 
     # Hand-enumerated PR curves.  One truth, a false positive outscoring the
     # hit: ranked points are (P=0, R=0) then (P=0.5, R=1), so all eleven
@@ -389,18 +370,18 @@ def test_criterion_07_detection_suite():
     far = BBox(0.1, 0.1, 0.05, 0.05)
     dets = {"img": [Detection(far, 0, 0.95), Detection(box, 0, 0.90)]}
     truths = {"img": [GroundTruth(box, 0)]}
-    assert evaluate_map(dets, truths).mean_ap == pytest.approx(0.5, abs=1e-6)
+    assert checked_map(dets, truths).mean_ap == pytest.approx(0.5, abs=1e-6)
 
     # With a second, unmatched truth the hit only reaches recall 0.5, so
     # six thresholds (0.0 .. 0.5) see precision 0.5: AP = 6 * 0.5 / 11.
     box2 = BBox(0.8, 0.8, 0.1, 0.1)
     truths2 = {"img": [GroundTruth(box, 0), GroundTruth(box2, 0)]}
-    assert evaluate_map(dets, truths2).mean_ap == pytest.approx(6 * 0.5 / 11, abs=1e-6)
+    assert checked_map(dets, truths2).mean_ap == pytest.approx(6 * 0.5 / 11, abs=1e-6)
 
     # Perfect detections.
     perfect = {"img": [Detection(box, 0, 0.9), Detection(box2, 1, 0.8)]}
     ptruth = {"img": [GroundTruth(box, 0), GroundTruth(box2, 1)]}
-    assert evaluate_map(perfect, ptruth).mean_ap == pytest.approx(1.0, abs=1e-12)
+    assert checked_map(perfect, ptruth).mean_ap == pytest.approx(1.0, abs=1e-12)
 
     elapsed = perf_counter() - t0
     assert elapsed < 60.0

@@ -497,6 +497,34 @@ class TestQuantize:
         assert len(calls) <= weight_tensors + 1
 
 
+class TestOutputPathChecks:
+    """detect and quantize refuse an --out path in a missing directory, or
+    one that names a directory, before they load anything."""
+
+    @pytest.mark.parametrize("command", ["detect", "quantize"])
+    @pytest.mark.parametrize("where", ["directory", "missing"])
+    def test_exits_3_before_loading_weights(self, head_setup, tmp_path, capsys, monkeypatch, command, where):
+        cfg, weights, image = head_setup
+
+        def never(*args, **kwargs):
+            raise AssertionError("load_weights was reached")
+
+        monkeypatch.setattr(complexity, "load_weights", never)
+        if where == "directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+            want = f"error: {out} is a directory, not a file\n"
+        else:
+            out = tmp_path / "missing" / "dets.txt"
+            want = f"error: no directory {tmp_path / 'missing'} for {out}\n"
+        before = sorted(tmp_path.iterdir())
+        argv = [command, "--config", str(cfg), "--weights", str(weights), "--out", str(out)]
+        rc = cli.main(argv + (["--image", str(image)] if command == "detect" else []))
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == "" and captured.err == want
+        assert sorted(tmp_path.iterdir()) == before
+
+
 class TestExplore:
     def run(self, tmp_path, tag, *extra):
         out = tmp_path / f"best-{tag}.cfg"

@@ -7,7 +7,10 @@ and `nms` work on column arrays (`Boxes`); `decode_list` and `nms_objects`
 are the thin list-level wrappers through which they meet the scalar
 oracles.  The tiled `nms` is also checked object for object against
 `nms_scalar`, the pairwise scan it replaced, on hypothesis-drawn scenes, on
-classes larger than a tile and on one dense frame.
+classes larger than a tile and on one dense frame.  The per-box records,
+the scalar `iou` and the per-detection `evaluate_map` it replaced live in
+`box_oracles`: `_edges` + `_iou` and the columnar `evaluate_map` must
+give their values exactly.
 """
 
 import math
@@ -18,23 +21,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from box_oracles import (
+    BBox, Detection, GroundTruth, as_boxes, as_columns, as_detections, checked_map, iou,
+)
 from compactdet.arch_graph import SCALE_TAGS, WeightStore, execute, load_bundled_config
 from compactdet import detection
 from compactdet.detection import (
     NMS_TILE,
-    BBox,
     Boxes,
     DEFAULT_CONF_THRESHOLD,
-    Detection,
     DetectionFormatError,
-    GroundTruth,
     NonFiniteOutputError,
+    _edges,
+    _iou,
     decode_predictions,
     detect,
     evaluate_map,
     format_detection_line,
-    format_ground_truth_line,
-    iou,
     kmeans_anchors,
     letterbox_image,
     nms,
@@ -124,22 +127,6 @@ def nms_scalar(detections, iou_threshold):
     return kept
 
 
-def as_boxes(detections):
-    """List of Detection -> Boxes, row k from detections[k]."""
-    boxes = [d.bbox for d in detections]
-    return Boxes(
-        *(np.array([getattr(b, f) for b in boxes], dtype=np.float64) for f in ("cx", "cy", "w", "h")),
-        class_id=np.array([d.class_id for d in detections], dtype=np.int64),
-        score=np.array([d.score for d in detections], dtype=np.float64),
-    )
-
-
-def as_detections(boxes):
-    """Boxes -> list of Detection with Python float and int fields."""
-    rows = zip(*(getattr(boxes, f).tolist() for f in ("cx", "cy", "w", "h", "class_id", "score")))
-    return [Detection(BBox(cx, cy, w, h), class_id, score) for cx, cy, w, h, class_id, score in rows]
-
-
 def decode_list(raw, anchors, conf_threshold=DEFAULT_CONF_THRESHOLD):
     return as_detections(decode_predictions(raw, anchors, conf_threshold))
 
@@ -154,18 +141,29 @@ def assert_same_objects(got, want):
     assert all(g is w for g, w in zip(got, want))
 
 
+def iou_columns(a, b):
+    """`_edges` + `_iou` on one pair of BBox, as a Python float."""
+    edges = [_edges(as_boxes([Detection(box, 0, 0.5)])) for box in (a, b)]
+    return _iou(edges[0][:, :, None], edges[1]).item()
+
+
 class TestIou:
+    """`_edges` + `_iou` give the scalar oracle `iou`'s value exactly."""
+
     def test_hand_cases(self):
         a = BBox(0.5, 0.5, 0.4, 0.4)
-        assert iou(a, a) == pytest.approx(1.0)
-        assert iou(a, BBox(0.9, 0.9, 0.1, 0.1)) == 0.0
+        assert iou_columns(a, a) == iou(a, a) == pytest.approx(1.0)
+        assert iou_columns(a, BBox(0.9, 0.9, 0.1, 0.1)) == 0.0
         # Shift by half a side: intersection 0.2*0.4, union 2*0.16 - 0.08.
-        assert iou(a, BBox(0.7, 0.5, 0.4, 0.4)) == pytest.approx(1 / 3)
+        shifted = BBox(0.7, 0.5, 0.4, 0.4)
+        assert iou_columns(a, shifted) == iou(a, shifted) == pytest.approx(1 / 3)
 
     def test_degenerate_boxes(self):
+        """Zero or negative sides: IoU 0 with everything, themselves too."""
         a = BBox(0.5, 0.5, 0.0, 0.4)
-        assert iou(a, a) == 0.0
-        assert iou(a, BBox(0.5, 0.5, 0.2, 0.2)) == 0.0
+        for b in (a, BBox(0.5, 0.5, 0.2, 0.2), BBox(0.5, 0.5, -0.2, 0.2), BBox(0.5, 0.5, -0.2, -0.2)):
+            assert iou_columns(a, b) == iou_columns(b, a) == iou(a, b) == 0.0
+            assert iou_columns(b, b) == iou(b, b)
 
     def test_matches_reference_and_symmetry(self):
         rng = np.random.default_rng(81)
@@ -173,9 +171,18 @@ class TestIou:
             a = BBox(*rng.uniform(0.05, 0.95, 2), *rng.uniform(0.01, 0.6, 2))
             b = BBox(*rng.uniform(0.05, 0.95, 2), *rng.uniform(0.01, 0.6, 2))
             want = iou_reference(a, b)
-            assert iou(a, b) == pytest.approx(want, abs=1e-12)
-            assert iou(b, a) == pytest.approx(want, abs=1e-12)
+            assert iou_columns(a, b) == iou(a, b) == pytest.approx(want, abs=1e-12)
+            assert iou_columns(b, a) == iou(b, a) == pytest.approx(want, abs=1e-12)
             assert 0.0 <= want <= 1.0
+
+    def test_table_matches_scalar_pairs(self):
+        """One (n, m) table holds each pair's scalar IoU, degenerate boxes
+        included."""
+        rng = np.random.default_rng(80)
+        boxes = [BBox(*rng.uniform(0.2, 0.8, 2), *rng.uniform(-0.1, 0.5, 2)) for _ in range(40)]
+        edges = _edges(as_boxes([Detection(b, 0, 0.5) for b in boxes]))
+        table = _iou(edges[:, :30, None], edges[:, 30:])
+        assert table.tolist() == [[iou(a, b) for b in boxes[30:]] for a in boxes[:30]]
 
 
 class TestDecode:
@@ -510,6 +517,47 @@ class TestNmsAcrossTiles:
         assert len(nms(boxes[:0], 0.45)) == 0
 
 
+def map_scene(rng):
+    """(detections, truths) by image id, as lists of records.
+
+    Centers and sides come from a coarse grid half of the time, so shared
+    edges and equal IoUs are common; sides may be zero or negative.  Scores
+    come from four values half of the time, so ties within and across
+    images are common.  An image may have truths and no detections, or
+    detections and no truths (absent, or an empty list), and some
+    detections copy a truth box exactly.  Image ids are not in sorted
+    order, so the ranking's image-id tie order is exercised.
+    """
+    n_classes = int(rng.integers(1, 4))
+
+    def box():
+        if rng.random() < 0.5:
+            return BBox(*rng.choice(np.arange(11) / 10, 2), *rng.choice([-0.2, 0.0, 0.1, 0.2, 0.3], 2))
+        return BBox(*rng.uniform(0.0, 1.0, 2), *rng.uniform(-0.1, 0.5, 2))
+
+    def score():
+        return float(rng.choice([0.25, 0.5, 0.75, 1.0]) if rng.random() < 0.5 else rng.random())
+
+    truths, dets = {}, {}
+    for k in rng.permutation(int(rng.integers(0, 5))):  # ids out of sorted order
+        image_id = f"im{k}"
+        if rng.random() < 0.8:
+            truths[image_id] = [
+                GroundTruth(box(), int(rng.integers(0, n_classes))) for _ in range(rng.integers(0, 4))
+            ]
+        if rng.random() < 0.8:
+            pool = [t.bbox for t in truths.get(image_id, [])]
+            dets[image_id] = [
+                Detection(
+                    pool[rng.integers(len(pool))] if pool and rng.random() < 0.5 else box(),
+                    int(rng.integers(0, n_classes)),
+                    score(),
+                )
+                for _ in range(rng.integers(0, 6))
+            ]
+    return dets, truths
+
+
 class TestEvaluateMap:
     def test_false_positive_outscores_the_hit(self):
         """1 truth; a disjoint detection at 0.95 then the true hit at 0.90.
@@ -524,7 +572,7 @@ class TestEvaluateMap:
                 Detection(BBox(0.5, 0.5, 0.2, 0.2), 0, 0.90),
             ]
         }
-        result = evaluate_map(dets, truth)
+        result = checked_map(dets, truth)
         assert result.mean_ap == pytest.approx(0.5)
         assert result.ap_by_class == {0: pytest.approx(0.5)}
 
@@ -546,7 +594,7 @@ class TestEvaluateMap:
                 Detection(BBox(0.5, 0.5, 0.2, 0.2), 0, 0.90),
             ]
         }
-        assert evaluate_map(dets, truth).mean_ap == pytest.approx(3 / 11)
+        assert checked_map(dets, truth).mean_ap == pytest.approx(3 / 11)
 
     def test_perfect_detections(self):
         rng = np.random.default_rng(86)
@@ -561,20 +609,20 @@ class TestEvaluateMap:
                 Detection(t.bbox, t.class_id, float(rng.uniform(0.5, 1.0)))
                 for t in truths[image_id]
             ]
-        result = evaluate_map(dets, truths)
+        result = checked_map(dets, truths)
         assert result.mean_ap == pytest.approx(1.0)
 
     def test_no_detections_scores_zero(self):
         truth = {"img": [GroundTruth(BBox(0.5, 0.5, 0.2, 0.2), 0)]}
-        assert evaluate_map({}, truth).mean_ap == 0.0
+        assert checked_map({}, truth).mean_ap == 0.0
 
     def test_empty_truths_give_zero(self):
-        assert evaluate_map({}, {}).mean_ap == 0.0
+        assert checked_map({}, {}).mean_ap == 0.0
 
     def test_classes_without_truth_ignored(self):
         truth = {"img": [GroundTruth(BBox(0.5, 0.5, 0.2, 0.2), 0)]}
         dets = {"img": [Detection(BBox(0.5, 0.5, 0.2, 0.2), 7, 0.9)]}
-        result = evaluate_map(dets, truth)
+        result = checked_map(dets, truth)
         assert set(result.ap_by_class) == {0}
         assert result.mean_ap == 0.0
 
@@ -590,14 +638,14 @@ class TestEvaluateMap:
         # First detection: TP at precision 1. AP stays 1.0 at every grid
         # point (max precision at recall >= t is taken over later points
         # too, and precision 1.0 occurs at recall 1.0).
-        assert evaluate_map(dets, truth).mean_ap == pytest.approx(1.0)
+        assert checked_map(dets, truth).mean_ap == pytest.approx(1.0)
 
     def test_match_threshold_splits_loose_hit(self):
         """An IoU-1/3 detection matches at threshold 0.3, misses at 0.5."""
         truth = {"img": [GroundTruth(BBox(0.5, 0.5, 0.2, 0.2), 0)]}
         dets = {"img": [Detection(BBox(0.6, 0.5, 0.2, 0.2), 0, 0.9)]}
-        assert evaluate_map(dets, truth, iou_threshold=0.3).mean_ap == pytest.approx(1.0)
-        assert evaluate_map(dets, truth, iou_threshold=0.5).mean_ap == 0.0
+        assert checked_map(dets, truth, iou_threshold=0.3).mean_ap == pytest.approx(1.0)
+        assert checked_map(dets, truth, iou_threshold=0.5).mean_ap == 0.0
 
     def test_monotone_rescore_invariance(self):
         """Any strictly increasing score map leaves the mAP unchanged."""
@@ -619,12 +667,52 @@ class TestEvaluateMap:
                     )
                     for j in range(5)
                 ]
-            base = evaluate_map(dets, truths).mean_ap
+            base = checked_map(dets, truths).mean_ap
             squeezed = {
                 k: [Detection(d.bbox, d.class_id, 0.05 + 0.4 * d.score) for d in v]
                 for k, v in dets.items()
             }
-            assert evaluate_map(squeezed, truths).mean_ap == pytest.approx(base, abs=1e-12)
+            assert checked_map(squeezed, truths).mean_ap == pytest.approx(base, abs=1e-12)
+
+
+    def test_matches_scalar_oracle_on_seeded_scenes(self):
+        """The columnar `evaluate_map` equals the per-detection scan, `==`
+        on every AP, over 1,200 scenes and thresholds that include 0 and 1."""
+        rng = np.random.default_rng(99)
+        seen = dict.fromkeys(("tie across images", "tie within an image", "degenerate box",
+                              "images without truths", "truths without detections", "hit"), 0)
+        for _ in range(1200):
+            dets, truths = map_scene(rng)
+            threshold = float(rng.choice([0.0, 1 / 3, 0.5, 1.0, rng.random()]))
+            result = checked_map(dets, truths, iou_threshold=threshold)
+            scores = [[d.score for d in v] for v in dets.values()]
+            flat = sum(scores, [])
+            seen["tie across images"] += len(set(flat)) < len(flat) and len(flat) > max(map(len, scores))
+            seen["tie within an image"] += any(len(set(v)) < len(v) for v in scores)
+            seen["degenerate box"] += any(d.bbox.w <= 0 for v in dets.values() for d in v)
+            seen["images without truths"] += any(not truths.get(k) for k in dets)
+            seen["truths without detections"] += any(v and not dets.get(k) for k, v in truths.items())
+            seen["hit"] += result.mean_ap > 0
+        assert min(seen.values()) >= 50, seen
+
+    def test_refuses_non_finite_values(self):
+        """A NaN score would make the result depend on input order (this
+        scene gave 0.5 one way round and 1.0 the other); any non-finite
+        score or box field is refused, naming its image."""
+        box, far = BBox(0.5, 0.5, 0.2, 0.2), BBox(0.1, 0.1, 0.05, 0.05)
+        truths = as_columns({"img": [GroundTruth(box, 0)]})
+        scene = [Detection(far, 0, 0.5), Detection(box, 0, math.nan), Detection(box, 0, 0.4)]
+        for dets in (scene, scene[::-1]):
+            with pytest.raises(DetectionFormatError, match="image img: a score or box field is not finite"):
+                evaluate_map(as_columns({"img": dets}), truths)
+        for field in ("cx", "cy", "w", "h"):
+            for value in (math.nan, math.inf, -math.inf):
+                bad = as_columns({"bad": [Detection(box, 0, 0.9)]})
+                getattr(bad["bad"], field)[0] = value
+                with pytest.raises(DetectionFormatError, match="image bad"):
+                    evaluate_map(bad, truths)
+                with pytest.raises(DetectionFormatError, match="image bad"):
+                    evaluate_map(as_columns({"img": [Detection(box, 0, 0.9)]}), bad)
 
 
 class TestLetterbox:
@@ -753,13 +841,19 @@ class TestInterchangeFormat:
                 format_detection_line(image_id, det.class_id, det.score, *astuple(det.bbox))
             )
         parsed = parse_detections("\n".join(lines))
-        assert parsed == originals
+        assert list(parsed) == list(originals)
+        for image_id, boxes in parsed.items():
+            assert boxes.class_id.dtype == np.int64 and boxes.score.dtype == np.float64
+            assert as_detections(boxes) == originals[image_id]
 
     def test_ground_truth_round_trip(self):
-        truth = GroundTruth(BBox(0.5, 0.25, 0.125, 0.0625), 3)
-        line = format_ground_truth_line("img1", truth)
-        assert line == "img1 3 0.500000 0.250000 0.125000 0.062500"
-        assert parse_ground_truths(line) == {"img1": [truth]}
+        """A truth line parses to one row of Boxes columns, score 1.0, and
+        its fields format back to the line."""
+        line = "img1 3 0.500000 0.250000 0.125000 0.062500"
+        (truths,) = parse_ground_truths(line).values()
+        assert as_detections(truths) == [Detection(BBox(0.5, 0.25, 0.125, 0.0625), 3, 1.0)]
+        cx, cy, w, h = (getattr(truths, f)[0] for f in ("cx", "cy", "w", "h"))
+        assert f"img1 {truths.class_id[0]} {cx:.6f} {cy:.6f} {w:.6f} {h:.6f}" == line
 
     def test_line_layout(self):
         line = format_detection_line("x", 4, 0.875, 0.5, 0.25, 0.1, 0.2)
@@ -777,6 +871,10 @@ class TestInterchangeFormat:
             "img x 0.5 0.5 0.5 0.1 0.1",       # class not an int
             "img -1 0.5 0.5 0.5 0.1 0.1",      # negative class
             "img 0 a 0.5 0.5 0.1 0.1",
+            "img 1_0 0.5 0.5 0.5 0.1 0.1",     # class ids are ASCII decimal [0-9]+
+            "img +3 0.5 0.5 0.5 0.1 0.1",
+            "img \u0663 0.5 0.5 0.5 0.1 0.1",
+            "img 2147483648 0.5 0.5 0.5 0.1 0.1",  # above MAX_INT
         ],
     )
     def test_rejects_malformed_detection_lines(self, line):
