@@ -605,7 +605,9 @@ class WeightStore:
 
 
 def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
-    """Run a complete detection network; returns (large, medium, small) maps.
+    """Run a complete detection network; returns (large, medium, small) maps,
+    C-contiguous in NCHW order (the kernels work channels-last, and a
+    float32 reduction over a grid, such as its std, sums in memory order).
 
     Raises NonFiniteOutputError naming the first node whose float32
     arithmetic overflows, divides by zero or gives an invalid value.
@@ -643,7 +645,7 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
                 if last_read.get(done, node.id) == node.id and done not in grid_ids:
                     del outputs[done]
     by_tag = {n.op.scale_tag: outputs[n.id] for n in spec.detect_nodes()}
-    return tuple(by_tag[tag] for tag in SCALE_TAGS)
+    return tuple(np.ascontiguousarray(by_tag[tag]) for tag in SCALE_TAGS)
 
 
 def load_bundled_config(name: str) -> "NetworkSpec":

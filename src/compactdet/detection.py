@@ -410,6 +410,15 @@ def format_detection_line(
     return f"{image_id} {class_id} {score:.6f} {cx:.6f} {cy:.6f} {w:.6f} {h:.6f}"
 
 
+def _float(token: str) -> float:
+    """float(token) for an ASCII token with no "_": Python's float() also
+    reads digit-group underscores (1_0) and non-ASCII digits.  nan and inf
+    still parse; evaluate_map refuses non-finite values."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return float(token)
+
+
 def _parse(text: str, with_score: bool) -> dict:
     """{image_id: Boxes} of the interchange lines of text, rows in line
     order.  Ground-truth lines have no score column; their rows get score
@@ -425,7 +434,7 @@ def _parse(text: str, with_score: bool) -> dict:
             raise DetectionFormatError(f"line {line_no}: expected {expected} fields, got {len(fields)}")
         try:
             class_id = _decimal(fields[1])
-            numbers = [float(f) for f in fields[2:]]
+            numbers = [_float(f) for f in fields[2:]]
         except ValueError:
             raise DetectionFormatError(f"line {line_no}: non-numeric field in {line!r}") from None
         if class_id > MAX_INT:

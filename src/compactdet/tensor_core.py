@@ -1,21 +1,29 @@
 """Dense tensor kernels for small-network inference on the CPU.
 
-All feature maps are float32 numpy arrays in NCHW layout (batch, channels,
-height, width), C-contiguous.  Every kernel here is pure: inputs are never
-mutated, outputs are freshly allocated, and repeated calls on identical
-inputs produce bit-identical results.  The one exception is an explicit
-``out=`` (leaky_relu, add): the result is written into that array, which
-may be an input, with the same bytes as the fresh result.  Inference
-arithmetic stays in 32-bit floats; reduced-precision weight storage is a
-serialization concern handled elsewhere and never leaks into these
-routines.
+All feature maps are float32 numpy arrays of NCHW shape (batch, channels,
+height, width).  That shape is the contract; memory order is not.  A kernel
+takes an array that is C-contiguous in NCHW order or in channels-last
+(NHWC) order, and as_tensor copies any other to NCHW.  The convolutions
+return channels-last arrays, with their products taken pixel-major (see
+_product), and so do upsample_nearest and concat_channels, whatever the
+order of their input; the elementwise kernels keep the memory order of
+their input.  A float32 reduction sums in memory order, so
+global_avg_pool reduces an NCHW-contiguous copy, and arch_graph.execute
+returns NCHW-contiguous grids.  Every kernel here is pure:
+inputs are never mutated, outputs are freshly allocated, and repeated calls
+on identical inputs produce bit-identical results, whatever the memory
+order of the input.  The one exception is an explicit ``out=``
+(leaky_relu, add): the result is written into that array, which may be an
+input, with the same bytes as the fresh result.  Inference arithmetic stays
+in 32-bit floats; reduced-precision weight storage is a serialization
+concern handled elsewhere and never leaks into these routines.
 
 A convolution's stride is an argument of each call: where a layer strides
 belongs to the network, not to its weights.  Every convolution pads k // 2
 zeros on each side, which is "same" padding for the odd k ConvWeights allows.
 The convolutions pad and unfold their input one block at a time (a block of
-output rows, or of channels), never as a whole-input copy, so their working
-memory beyond the output is set by a block, not by the input.
+output rows), never as a whole-input copy, so their working memory beyond
+the output is set by a block, not by the input.
 """
 
 from __future__ import annotations
@@ -30,16 +38,19 @@ DTYPE = np.float32
 LEAKY_SLOPE = 0.1
 
 # Elements in each of depthwise_conv2d's two per-call scratch buffers
-# (128 KiB of float32), unless one channel's row sums are more, and in each
-# block leaky_relu activates in place.
+# (128 KiB of float32), unless one output row is more, and in each block
+# leaky_relu activates in place.
 _SCRATCH = 1 << 15
 # Patch-matrix elements conv2d unfolds per block of output rows (1 MiB of
 # float32), unless one output row needs more.
 _PATCH = 1 << 18
+# OpenBLAS multiplies a product of at most this many multiply-adds with a
+# separate small-matrix kernel, which sums in another order than the large
+# one, and in an order that depends on which way round the product is taken.
+_SMALL_MACS = 10**6
 # Multiply-adds each of conv2d's block products has at least, unless the
-# whole product has fewer.  OpenBLAS multiplies a product of at most 10^6 of
-# them with a separate small-matrix kernel that sums in another order, so a
-# block must stay on the same side of that bound as the whole product would.
+# whole product has fewer: above _SMALL_MACS, so a block stays on the same
+# side of that bound as the whole product would.
 _GEMM_MACS = 1 << 20
 
 
@@ -48,11 +59,30 @@ class ConfigError(ValueError):
 
 
 def as_tensor(x) -> np.ndarray:
-    """Coerce to a 4-D float32 NCHW array, validating rank and dtype."""
+    """Coerce to a 4-D float32 array of NCHW shape, validating rank and
+    dtype.  An array C-contiguous in NCHW or in channels-last order is
+    returned as it is; any other is copied to NCHW order."""
     arr = np.asarray(x, dtype=DTYPE)
     if arr.ndim != 4:
         raise ConfigError(f"expected 4-D NCHW tensor, got {arr.ndim}-D shape {arr.shape}")
+    if arr.flags.c_contiguous or _channels_last(arr):
+        return arr
     return np.ascontiguousarray(arr)
+
+
+def _channels_last(x: np.ndarray) -> bool:
+    """Whether a 4-D x is C-contiguous in channels-last (NHWC) order."""
+    return x.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def _block_rows(r0: int, r1: int, stride: int, k: int, h: int) -> tuple[int, int, int, int]:
+    """The padded input rows that output rows r0 to r1 of a "same"-padded
+    convolution read: the input row of the first one (top), how many there
+    are (span), and the range lo to hi of them that lies inside the input's
+    h rows; the others are padding."""
+    top = r0 * stride - k // 2
+    span = (r1 - r0 - 1) * stride + k
+    return top, span, max(top, 0) - top, min(top + span, h) - top
 
 
 def conv_output_hw(h: int, w: int, kernel: int, stride: int) -> tuple[int, int]:
@@ -117,9 +147,9 @@ def _im2col(x: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.nd
     return windows.reshape(n, c * k * k, out_h * out_w)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.matmul(a, b), ignoring a floating-point status flag (a stray one
-    from the BLAS) when the output is finite.
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.matmul(a, b, out=out), ignoring a floating-point status flag (a
+    stray one from the BLAS) when the output is finite.
 
     For finite operands the output is finite exactly when no overflow or
     invalid operation happened in the sums, as inf and NaN carry through
@@ -129,27 +159,57 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     flags = []
     with np.errstate(over="call", invalid="call", divide="call", call=lambda err, _: flags.append(err)):
-        out = np.matmul(a, b)
-    if flags and not np.isfinite(out).all():
-        out = np.matmul(a, b)
-    return out
+        product = np.matmul(a, b, out=out)
+    if flags and not np.isfinite(product).all():
+        product = np.matmul(a, b, out=out)
+    return product
+
+
+def _product(patches: np.ndarray, kernel2d: np.ndarray, out: np.ndarray):
+    """out[...] = patches @ kernel2d.T: (n, pixels, depth) patch rows times a
+    (c_out, depth) kernel, into the (n, pixels, c_out) rows of a
+    channels-last output.
+
+    Above _SMALL_MACS multiply-adds a matrix product sums each element in
+    the same order whichever way round it is taken, so it is taken
+    pixel-major, straight into out.  A smaller product, or a one-row kernel
+    (a matrix-vector product, whose order follows its orientation), is
+    taken channel-major, kernel2d @ patches^T with a C-contiguous right
+    operand as before, and transposed into out: the same bytes either way.
+    """
+    pixels, depth = patches.shape[1:]
+    c_out = kernel2d.shape[0]
+    if c_out > 1 and pixels * depth * c_out > _SMALL_MACS:
+        _matmul(patches, kernel2d.T, out=out)
+    else:
+        out[...] = _matmul(kernel2d, np.ascontiguousarray(patches.transpose(0, 2, 1))).transpose(0, 2, 1)
+
+
+def _add_bias(out: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Add a per-channel bias to a channels-last (n, h, w, c) out along
+    whole rows, and return out's NCHW view."""
+    n, h, width, c = out.shape
+    rows = out.reshape(n * h, width * c)
+    rows += np.tile(bias, width)
+    return out.transpose(0, 3, 1, 2)
 
 
 def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
     """Dense (groups 1) 2-D cross-correlation with "same" zero padding plus
     bias; other groupings raise ConfigError (per-channel ones:
-    depthwise_conv2d).
+    depthwise_conv2d).  The output is channels-last.
 
-    A 1x1 kernel multiplies the input's strided view, with no copy.  A
-    larger kernel runs over blocks of output rows: each block's input rows
-    are copied into one zero-bordered buffer, which is the padding, then
-    unfolded and multiplied into the block's rows of the output, and the
-    bias is added last.  A block unfolds at most _PATCH patch elements,
-    unless that would take its product below _GEMM_MACS multiply-adds or
-    two columns; then the blocks grow, up to one for the whole output.  So
-    the BLAS multiplies every block as it would multiply the whole patch
-    matrix, and each output element has the bytes of one matmul over the
-    whole padded input.
+    A 1x1 kernel multiplies the input's pixels, with no copy when they are
+    channels-last at stride 1.  A larger kernel runs over blocks of output
+    rows: each block's input rows are copied into one zero-bordered
+    buffer, which is the padding, then unfolded and multiplied into the
+    block's rows of the output, and the bias is added last.  A block
+    unfolds at most _PATCH patch elements, unless that would take its
+    product below _GEMM_MACS multiply-adds or two columns; then the blocks
+    grow, up to one for the whole output.  So the BLAS multiplies every
+    block as it would multiply the whole patch matrix, and each output
+    element has the bytes of one channel-major matmul over the whole padded
+    input (see _product).
     """
     x = as_tensor(x)
     n, c_in, h, width = x.shape
@@ -163,10 +223,11 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
     k = w.k
     out_h, out_w = conv_output_hw(h, width, k, stride)
     kernel2d = w.kernel.reshape(w.c_out, -1)
+    out = np.empty((n, out_h, out_w, w.c_out), dtype=DTYPE)
     if k == 1:
-        out = _matmul(kernel2d, _im2col(x, 1, stride, out_h, out_w)).reshape(n, w.c_out, out_h, out_w)
-        out += w.bias.reshape(1, -1, 1, 1)
-        return out
+        pixels = x.transpose(0, 2, 3, 1)[:, ::stride, ::stride].reshape(n, out_h * out_w, c_in)
+        _product(pixels, kernel2d, out.reshape(n, out_h * out_w, w.c_out))
+        return _add_bias(out, w.bias)
     p = k // 2
     rows = max(1, _PATCH // max(1, n * c_in * k * k * out_w))
     # numpy multiplies by a one-column operand, or a one-row kernel, as a
@@ -176,23 +237,22 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
     blocks = max(1, min(-(-out_h // rows), out_h // least))
     bounds = [out_h * i // blocks for i in range(blocks + 1)]
     buf = np.zeros((n, c_in, (-(-out_h // blocks) - 1) * stride + k, width + 2 * p), dtype=DTYPE)
-    out = np.empty((n, w.c_out, out_h, out_w), dtype=DTYPE)
     for r0, r1 in zip(bounds, bounds[1:]):
-        top = r0 * stride - p  # input row of the block's first padded row
-        block = buf[:, :, :(r1 - r0 - 1) * stride + k]
-        lo, hi = max(top, 0) - top, min(top + block.shape[2], h) - top
+        top, span, lo, hi = _block_rows(r0, r1, stride, k, h)
+        block = buf[:, :, :span]
         block[:, :, :lo] = 0
         block[:, :, lo:hi, p:p + width] = x[:, :, top + lo:top + hi]
         block[:, :, hi:] = 0
-        target = out[:, :, r0:r1]
-        target[...] = _matmul(kernel2d, _im2col(block, k, stride, r1 - r0, out_w)).reshape(target.shape)
-    out += w.bias.reshape(1, -1, 1, 1)
-    return out
+        cols = _im2col(block, k, stride, r1 - r0, out_w).transpose(0, 2, 1)
+        _product(cols, kernel2d, out[:, r0:r1].reshape(n, (r1 - r0) * out_w, w.c_out))
+        del cols  # before the next block's patch matrix is made
+    return _add_bias(out, w.bias)
 
 
 def depthwise_conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
     """Per-channel 2-D cross-correlation with "same" zero padding plus bias;
-    groups and c_out must both equal the input channel count.
+    groups and c_out must both equal the input channel count.  The output is
+    channels-last.
 
     Each output element is summed in one fixed order: for each kernel row u,
     that row's products left to right, ((p_u0 + p_u1) + p_u2), added in u
@@ -201,95 +261,81 @@ def depthwise_conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarr
     einsum("nchwuv,cuv->nchw") over the strided windows; at width 1 einsum
     iterates differently and the two can differ by ulps.
 
-    A block of channels at a time is copied into the interior of one padded
-    buffer, zeroed once, so no padded copy of the whole input is made.  The
-    buffer keeps each channel's map as rows pitch = w + 2 * (k // 2) apart,
-    with one slack row below.  At stride 1, tap (u, v)'s window is then one
-    run of out_h * pitch elements from u * pitch + v: a kernel row's
-    products are summed along whole padded rows, and the row sum's last
-    2 * (k // 2) columns are cropped as it is added into the output.  At
-    stride 2 the windows are strided views of the same buffer.  The row sums
-    are built in two scratch buffers of at most max(_SCRATCH, one channel's
-    row sum) elements each, so the working set stays in cache instead of
-    streaming a second full-size map per kernel row.
-
-    A cropped column reads into the next row, where a product that no output
-    keeps can overflow.  So, as in _matmul, the pass only records
-    floating-point flags, and a flagged pass whose output is not finite is
-    recomputed with strided windows under the caller's error policy, which
-    then sees only the flags of the kept products.
+    One loop serves every stride.  The output is made a block of rows at a
+    time, at most max(_SCRATCH, one output row) elements.  The block's input
+    rows are copied, channels-last, into zero-bordered planes, one per
+    column phase a tap reads: plane f holds the padded columns f,
+    f + stride, f + 2 * stride and so on.  So tap (u, v)'s window over one
+    output row is out_w * c contiguous elements of plane v % stride, and
+    each tap multiplies whole rows by its weights tiled across a row's
+    pixels.  The planes' borders are the padding, so no padded copy of the
+    whole input is made, and every window element is an input of some
+    output: no product is made that no output keeps.
     """
     x = as_tensor(x)
-    c = x.shape[1]
+    n, c, h, width = x.shape
     if w.groups != c:
         raise ConfigError(f"depthwise conv needs groups == c_in == {c}, got groups {w.groups}")
     if w.kernel.shape[1] != 1 or w.c_out != c:
         raise ConfigError(f"depthwise kernel must be (c_in, 1, k, k), got {w.kernel.shape}")
-    flags = []
-    with np.errstate(over="call", invalid="call", divide="call", call=lambda err, _: flags.append(err)):
-        out = _depthwise(x, w, stride, flat=stride == 1)
-    if flags and not np.isfinite(out).all():
-        out = _depthwise(x, w, stride, flat=False)
-    return out
-
-
-def _depthwise(x: np.ndarray, w: ConvWeights, stride: int, flat: bool) -> np.ndarray:
-    """One depthwise_conv2d pass: each tap's window runs along whole padded
-    rows when flat (stride 1 only), else it is a strided view."""
-    n, c, h, width = x.shape
     k = w.k
     out_h, out_w = conv_output_hw(h, width, k, stride)
     p = k // 2
-    pitch = width + 2 * p
-    row_w = pitch if flat else out_w
-    taps = w.kernel[:, 0, :, :, None, None]  # (c, k, k, 1, 1): broadcasts over a map
-    span_h = (out_h - 1) * stride + 1
-    span_w = (out_w - 1) * stride + 1
-    block = max(1, _SCRATCH // (out_h * row_w))
-    row_buf = np.empty(min(block, c) * out_h * row_w, dtype=DTYPE)
+    row_w = out_w * c
+    rows = max(1, min(out_h, _SCRATCH // row_w))
+    taps = np.tile(w.kernel[:, 0].transpose(1, 2, 0), (1, 1, out_w))  # (k, k, row_w)
+    plane_w = out_w + (k - 1) // stride
+    planes = np.zeros((min(stride, k), (rows - 1) * stride + k, plane_w * c), dtype=DTYPE)
+    row_buf = np.empty((rows, row_w), dtype=DTYPE)
     tap_buf = np.empty_like(row_buf)
-    pad_buf = np.zeros((min(block, c), (h + 2 * p + 1) * pitch), dtype=DTYPE)
-    out = np.zeros((n, c, out_h, out_w), dtype=DTYPE)
+    src = x.transpose(0, 2, 3, 1)
+    out = np.zeros((n, out_h, out_w, c), dtype=DTYPE)
     for b in range(n):
-        for c0 in range(0, c, block):
-            c1 = min(c, c0 + block)
-            shape = (c1 - c0, out_h, row_w)
-            row = row_buf[:(c1 - c0) * out_h * row_w].reshape(shape)
-            product = tap_buf[:row.size].reshape(shape)
-            xp = pad_buf[:c1 - c0]
-            grid = xp.reshape(c1 - c0, h + 2 * p + 1, pitch)
-            grid[:, p:p + h, p:p + width] = x[b, c0:c1]
+        for r0 in range(0, out_h, rows):
+            r1 = min(out_h, r0 + rows)
+            top, span, lo, hi = _block_rows(r0, r1, stride, k, h)
+            for f, plane in enumerate(planes):
+                j0 = max(0, -(-(p - f) // stride))  # first plane column inside the input
+                j1 = min(plane_w, (width - 1 + p - f) // stride + 1)
+                first = j0 * stride + f - p  # its input column
+                plane[:lo] = 0
+                pixels = plane.reshape(-1, plane_w, c)[lo:hi, j0:j1]
+                pixels[...] = src[b, top + lo:top + hi, first:first + (j1 - j0 - 1) * stride + 1:stride]
+                plane[hi:span] = 0
+            row = row_buf[:r1 - r0]
+            product = tap_buf[:r1 - r0]
             for u in range(k):
                 for v in range(k):
-                    if flat:
-                        start = u * pitch + v
-                        window = xp[:, start:start + out_h * pitch].reshape(shape)
-                    else:
-                        window = grid[:, u:u + span_h:stride, v:v + span_w:stride]
+                    q = v // stride * c
+                    window = planes[v % stride, u:u + (r1 - r0 - 1) * stride + 1:stride, q:q + row_w]
                     if v == 0:
-                        np.multiply(window, taps[c0:c1, u, v], out=row)
+                        np.multiply(window, taps[u, v], out=row)
                     else:
-                        np.multiply(window, taps[c0:c1, u, v], out=product)
+                        np.multiply(window, taps[u, v], out=product)
                         row += product
-                out[b, c0:c1] += row[:, :, :out_w]
-    out += w.bias.reshape(1, -1, 1, 1)
-    return out
+                acc = out[b, r0:r1].reshape(row.shape)
+                acc += row
+    return _add_bias(out, w.bias)
 
 
 def leaky_relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, 0.1 * x): the same bytes as where(x >= 0, x, 0.1 * x) for
     every input, signed zeros, subnormals and infinities included, from one
     fresh array.  With out=x, x is activated where it lies instead, one
-    block of at most _SCRATCH elements at a time, with the same bytes.  Any
-    other out is refused: it must be x itself, a C-contiguous float32 array,
-    so that no converted copy is written in its place."""
+    block of at most _SCRATCH elements of memory at a time, with the same
+    bytes.  Any other out is refused: it must be x itself, a float32 array
+    C-contiguous in its own order or, 4-D, in channels-last order, so that
+    no converted copy is written in its place."""
     x = np.asarray(x, dtype=DTYPE)
     if out is None:
         y = DTYPE(LEAKY_SLOPE) * x
         return np.maximum(x, y, out=y)
-    if out is not x or not x.flags.c_contiguous:
-        raise ConfigError("leaky_relu activates in place only a C-contiguous float32 input passed as out")
-    flat = x.reshape(-1)
+    if out is not x or not (x.flags.c_contiguous or x.ndim == 4 and _channels_last(x)):
+        raise ConfigError(
+            "leaky_relu activates in place only a float32 input passed as out that is "
+            "C-contiguous, or 4-D and contiguous in NCHW or channels-last order"
+        )
+    flat = x.ravel(order="K")  # a view in either order
     for i in range(0, flat.size, _SCRATCH):
         chunk = flat[i:i + _SCRATCH]
         np.maximum(chunk, DTYPE(LEAKY_SLOPE) * chunk, out=chunk)
@@ -308,8 +354,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """(n, c, h, w) -> (n, c, 1, 1) spatial mean."""
-    x = as_tensor(x)
+    """(n, c, h, w) -> (n, c, 1, 1) spatial mean, summed over each
+    channel's h * w contiguous values: a float32 sum's order follows memory
+    order, so a channels-last x is copied to NCHW order first."""
+    x = np.ascontiguousarray(as_tensor(x))
     return x.mean(axis=(2, 3), keepdims=True, dtype=DTYPE)
 
 
@@ -326,19 +374,24 @@ def dense(v: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
-    """Nearest-neighbour spatial upsampling by an integer factor."""
+    """Nearest-neighbour spatial upsampling by an integer factor; the
+    output is channels-last."""
     x = as_tensor(x)
     if factor < 1:
         raise ConfigError(f"upsample factor must be >= 1, got {factor}")
-    return np.ascontiguousarray(np.repeat(np.repeat(x, factor, axis=2), factor, axis=3))
+    nhwc = x.transpose(0, 2, 3, 1)
+    return np.repeat(np.repeat(nhwc, factor, axis=1), factor, axis=2).transpose(0, 3, 1, 2)
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a's channels, then b's; the output is channels-last."""
     a = as_tensor(a)
     b = as_tensor(b)
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ConfigError(f"concat needs matching batch and spatial dims, got {a.shape} vs {b.shape}")
-    return np.ascontiguousarray(np.concatenate([a, b], axis=1))
+    out = np.empty((a.shape[0], *a.shape[2:], a.shape[1] + b.shape[1]), dtype=DTYPE)
+    np.concatenate([a.transpose(0, 2, 3, 1), b.transpose(0, 2, 3, 1)], axis=3, out=out)
+    return out.transpose(0, 3, 1, 2)
 
 
 def add(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -529,6 +529,15 @@ class TestExecute:
         for out in execute(self.spec, self.store, self.x):
             assert out.dtype == np.float32
 
+    def test_grids_are_c_contiguous(self):
+        """The kernels work channels-last, but the grids come back
+        C-contiguous in NCHW order: a float32 reduction over a grid (the
+        benchmark scales its sparse heads by grid.std()) sums in memory
+        order, so channels-last grids would move it with the same values."""
+        for grid in execute(self.spec, self.store, self.x):
+            assert grid.shape[1] > 1 and grid.shape[2] * grid.shape[3] > 1
+            assert grid.flags.c_contiguous
+
     def test_rejects_wrong_input_shape(self):
         with pytest.raises(ConfigError, match="input shape"):
             execute(self.spec, self.store, np.zeros((1, 3, 32, 32), dtype=np.float32))
@@ -583,11 +592,13 @@ class TestExecute:
         """Outputs are freed after their last reader, convolutions pad and
         unfold one block at a time, and kernel outputs are activated in
         place: one reference run peaks below 13.6 MiB of traced allocations.
-        The 13.49 MiB peak is in node 1, the second stem conv: its 7.9 MiB
+        The 13.28 MiB peak is in node 1, the second stem conv: its 7.9 MiB
         input (node 0's output), its 4.0 MiB output, and one row block's
-        padded rows, patch matrix and product (1.6 MiB).  It was 55.7 MiB when all 48 node
-        outputs stayed alive, 33.7 MiB with whole-input padded copies and
-        patch matrices, and 15.9 MiB with fresh leaky ReLU outputs."""
+        padded rows and patch matrix, whose product goes straight into the
+        output.  It was 55.7 MiB when all 48 node outputs stayed alive,
+        33.7 MiB with whole-input padded copies and patch matrices,
+        15.9 MiB with fresh leaky ReLU outputs, and 13.49 MiB while each
+        block's product was a temporary."""
         spec = load_bundled_config("reference")
         store = WeightStore.random(spec, seed=0)
         x = np.random.default_rng(0).random((1, *spec.input_shape), dtype=np.float32)

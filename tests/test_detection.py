@@ -875,11 +875,26 @@ class TestInterchangeFormat:
             "img +3 0.5 0.5 0.5 0.1 0.1",
             "img \u0663 0.5 0.5 0.5 0.1 0.1",
             "img 2147483648 0.5 0.5 0.5 0.1 0.1",  # above MAX_INT
+            "img 0 1_0 0.5 0.5 0.1 0.1",       # float fields: no digit-group underscores
+            "img 0 0.5 0.5 0.5 0.1 0_1",
+            "img 0 0.5 \u0663 0.5 0.1 0.1",     # float fields are ASCII
+            "img 0 \u0660.5 0.5 0.5 0.1 0.1",
         ],
     )
     def test_rejects_malformed_detection_lines(self, line):
         with pytest.raises(DetectionFormatError):
             parse_detections(line)
+
+    @pytest.mark.parametrize("line", ["img 0 1_0 0.5 0.1 0.1", "img 0 0.5 0.5 0.1 \u0663"])
+    def test_rejects_non_ascii_and_underscored_ground_truth_floats(self, line):
+        with pytest.raises(DetectionFormatError, match="line 1: non-numeric"):
+            parse_ground_truths(line)
+
+    def test_nan_and_inf_still_parse(self):
+        """The reader takes nan and inf (evaluate_map refuses them), so a
+        checker downstream can see and count a non-finite score."""
+        boxes = parse_detections("img 0 nan 0.5 0.5 0.1 0.1\nimg 0 0.5 inf 0.5 0.1 -inf\n")["img"]
+        assert np.isnan(boxes.score[0]) and np.isinf(boxes.cx[1]) and boxes.h[1] == -np.inf
 
     def test_error_names_line(self):
         with pytest.raises(DetectionFormatError, match="line 2"):

@@ -83,9 +83,9 @@ def count_products(monkeypatch):
     that collects one entry per call."""
     real, calls = tensor_core._matmul, []
 
-    def counted(a, b):
+    def counted(a, b, out=None):
         calls.append(b.shape)
-        return real(a, b)
+        return real(a, b, out=out)
 
     monkeypatch.setattr(tensor_core, "_matmul", counted)
     return calls
@@ -159,6 +159,16 @@ def depthwise_strided_oracle(x, w, stride=1):
 def same_bytes(a, b) -> bool:
     """Equal shapes and bit patterns: -0.0 differs from 0.0 here."""
     return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def channels_last(x):
+    """A copy of x with its NCHW shape and values, in channels-last memory
+    order."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def is_channels_last(x) -> bool:
+    return x.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
 # Signed zeros, subnormals and large magnitudes mixed into kernel inputs.
@@ -367,17 +377,16 @@ class TestDepthwiseConv2d:
         (1, 64, 64, 1, 2.5), (2, 30, 40, 2, 3.5), (1, 190, 190, 1, 3), (2, 400, 380, 2, 2),
     ])
     def test_bytes_match_einsum_oracle_across_blocks(self, n, h, w, stride, blocks):
-        """Channel counts that end in a partial block, and maps above the
-        scratch size, where each block holds one channel."""
+        """Channel counts that cut the output into about `blocks` blocks of
+        rows (a block holds _SCRATCH // (out_w * c) of them), the last one
+        partial where they do not divide out_h."""
         out_h, out_w = conv_output_hw(h, w, 3, stride)
-        row_w = w + 2 if stride == 1 else out_w  # a stride-1 row sum is a padded row
-        block = max(1, tensor_core._SCRATCH // (out_h * row_w))
-        c = int(blocks * block)
+        c = max(1, tensor_core._SCRATCH // (out_w * int(np.ceil(out_h / blocks))))
         for seed, share in enumerate((0.0, 0.25, 0.9)):
             x, weights = hostile_depthwise_case(np.random.default_rng(seed), n, c, h, w, share)
             got = depthwise_conv2d(x, weights, stride)
             assert same_bytes(got, depthwise_einsum_oracle(x, weights, stride))
-        assert c % block or out_h * row_w > tensor_core._SCRATCH
+        assert tensor_core._SCRATCH // (out_w * c) < out_h
 
     def test_width_one_maps_within_tolerance(self):
         """On maps of output width 1 numpy's einsum sums in another order,
@@ -397,8 +406,9 @@ class TestDepthwiseConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_no_padded_copy_of_the_input(self, stride):
         """On a (1, 32, 208, 208) map (5.3 MiB) the traced peak stays below
-        the output's bytes plus 2 MiB: each channel block is padded in one
-        reused buffer, so no allocation is the size of the whole input."""
+        the output's bytes plus 2 MiB: each block of rows is padded in the
+        same reused planes, so no allocation is the size of the whole
+        input."""
         rng = np.random.default_rng(8)
         x = rng.random((1, 32, 208, 208), dtype=np.float32)
         weights = ConvWeights(rng.standard_normal((32, 1, 3, 3)), rng.standard_normal(32), groups=32)
@@ -412,8 +422,8 @@ class TestDepthwiseConv2d:
 
 
 class TestDepthwiseFlatRows:
-    """depthwise_conv2d gives the strided-window kernel's exact bytes; at
-    stride 1 its windows run along whole padded rows."""
+    """depthwise_conv2d gives the strided-window kernel's exact bytes; its
+    windows run along whole channels-last rows of column-phase planes."""
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -428,16 +438,15 @@ class TestDepthwiseFlatRows:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [3, 5])
     def test_bytes_match_strided_oracle_across_blocks(self, stride, k):
-        """Channel counts one below, at and one above a block boundary, and
-        above two blocks.  A stride-1 block holds _SCRATCH // (h * (w + 2p))
-        channels, as its row sums are padded rows wide."""
+        """Channel counts one below, at and one above those where a block
+        of _SCRATCH // (out_w * c) output rows holds 4 and 1 rows, and one
+        where a single row is above _SCRATCH."""
         h, w = 40, 37
         out_h, out_w = conv_output_hw(h, w, k, stride)
-        row_w = w + 2 * (k // 2) if stride == 1 else out_w
-        block = tensor_core._SCRATCH // (out_h * row_w)
-        assert block > 1
+        four, one = tensor_core._SCRATCH // (4 * out_w), tensor_core._SCRATCH // out_w
+        assert 4 < out_h
         rng = np.random.default_rng(31)
-        for c in (block - 1, block, block + 1, 2 * block + 1):
+        for c in (four - 1, four, four + 1, one - 1, one, one + 1, 2 * one + 1):
             x, weights = hostile_depthwise_case(rng, 1, c, h, w, 0.25, k)
             assert same_bytes(depthwise_conv2d(x, weights, stride), depthwise_strided_oracle(x, weights, stride))
 
@@ -685,7 +694,7 @@ class TestStrayBlasFlag:
             got_conv = conv2d(x, w)
         assert got_conv.tobytes() == want_conv.tobytes()
         assert got_dense.tobytes() == want_dense.tobytes()
-        assert ranks == [1, 3]
+        assert ranks == [3, 5]
 
     @pytest.mark.parametrize("inject", [False, True])
     def test_real_overflow_reaches_the_policy(self, request, inject):
@@ -751,6 +760,125 @@ class TestAsTensor:
     def test_c_contiguous_output(self):
         x = np.zeros((1, 3, 4, 4), dtype=np.float32)[:, ::-1]
         assert as_tensor(x).flags["C_CONTIGUOUS"]
+
+    def test_channels_last_kept_without_a_copy(self):
+        x = channels_last(np.zeros((2, 3, 4, 5), dtype=np.float32))
+        assert as_tensor(x) is x
+
+
+# Signed zeros and subnormals, but no magnitude that a conv sum could
+# overflow from.
+SMALL_SPECIAL_INPUTS = SPECIAL_INPUTS[np.abs(SPECIAL_INPUTS) < 1]
+
+
+class TestChannelsLast:
+    """Each kernel gives the same bytes for an input and for its
+    channels-last copy, and matches its oracle: the memory order of an
+    input is not part of a kernel's contract, its NCHW shape is."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 2),
+        big=st.booleans(),
+        c_in=st.sampled_from([1, 3, 16]),
+        c_out=st.sampled_from([1, 2, 12]),
+        k=st.sampled_from([1, 3, 5]),
+        stride=st.sampled_from([1, 2]),
+        h=st.integers(1, 24),
+        w=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conv2d(self, n, big, c_in, c_out, k, stride, h, w, seed):
+        """Products below and above _SMALL_MACS (all of a big case's are
+        above), one-row kernels and one-pixel maps: the bytes of one
+        channel-major product over the whole padded input, whichever way
+        round each product is taken."""
+        if big:
+            c_in, c_out, h, w = c_in + 48, c_out + 36, h + 32, w + 48
+            out_h, out_w = conv_output_hw(h, w, k, stride)
+            assert out_h * out_w * c_in * k * k * c_out > tensor_core._SMALL_MACS
+        rng = np.random.default_rng(seed)
+        x = hostile(rng, (n, c_in, h, w), SMALL_SPECIAL_INPUTS, 0.2)
+        weights = ConvWeights(
+            hostile(rng, (c_out, c_in, k, k), SPECIAL_WEIGHTS[:4], 0.2),
+            hostile(rng, (c_out,), np.array([-0.0, 0.0], dtype=np.float32), 0.5),
+        )
+        want = conv2d_whole_oracle(x, weights, stride)
+        for arg in (x, channels_last(x)):
+            got = conv2d(arg, weights, stride)
+            assert is_channels_last(got)
+            assert same_bytes(got, want)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 2),
+        k=st.sampled_from([1, 3, 5]),
+        stride=st.sampled_from([1, 2]),
+        h=st.integers(1, 12),
+        w=st.integers(1, 12),
+        channels=st.one_of(
+            st.tuples(st.just(0), st.integers(1, 12)),
+            st.tuples(st.integers(1, 3), st.integers(-1, 1)),
+        ),
+        share=st.sampled_from([0.0, 0.25, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_depthwise_conv2d(self, n, k, stride, h, w, channels, share, seed):
+        """Width 1, maps lower than the kernel, empty batches, and channel
+        counts one below, at and one above those where a block holds 1, 2
+        and 3 output rows of out_w * c elements."""
+        out_w = conv_output_hw(h, w, k, stride)[1]
+        rows, c = channels
+        if rows:
+            c += tensor_core._SCRATCH // (rows * out_w)
+        x, weights = hostile_depthwise_case(np.random.default_rng(seed), n, c, h, w, share, k)
+        want = depthwise_strided_oracle(x, weights, stride)
+        for arg in (x, channels_last(x)):
+            got = depthwise_conv2d(arg, weights, stride)
+            assert is_channels_last(got)
+            assert same_bytes(got, want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 2),
+        c=st.integers(1, 40),
+        h=st.integers(1, 30),
+        w=st.integers(1, 30),
+        factor=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_elementwise_and_reshaping_kernels(self, n, c, h, w, factor, seed):
+        """In-place leaky_relu and add(out=), upsample_nearest,
+        concat_channels, channel_scale and global_avg_pool: the same bytes
+        from a channels-last input as from its NCHW original.  The first
+        four return channels-last arrays (upsample_nearest and
+        concat_channels from an NCHW input too); global_avg_pool, whose float32
+        sum follows memory order, reduces in NCHW order."""
+        rng = np.random.default_rng(seed)
+        specials = np.array([0.0, -0.0, 1e-45, -1e-45, 2.5e-39, np.inf, -np.inf], dtype=np.float32)
+        x, y = (hostile(rng, (n, c, h, w), specials, 0.2) for _ in range(2))
+        xl, yl = channels_last(x), channels_last(y)
+
+        got = xl.copy(order="K")
+        assert leaky_relu(got, out=got) is got
+        assert is_channels_last(got) and same_bytes(got, leaky_relu_oracle(x))
+
+        got = xl.copy(order="K")
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            assert add(got, yl, out=got) is got
+            want = x + y
+        assert is_channels_last(got) and same_bytes(got, want)
+
+        for fn in (lambda a, b: upsample_nearest(a, factor), concat_channels):
+            got, want = fn(xl, yl), fn(x, y)
+            assert is_channels_last(got) and is_channels_last(want) and same_bytes(got, want)
+
+        finite = np.nan_to_num(x, posinf=3.0, neginf=-3.0)
+        scales = rng.standard_normal((n, c)).astype(np.float32)
+        assert same_bytes(channel_scale(channels_last(finite), scales), finite * scales[:, :, None, None])
+        pooled = global_avg_pool(channels_last(finite))
+        assert same_bytes(pooled, global_avg_pool(finite))
+        np.testing.assert_allclose(pooled[..., 0, 0], finite.astype(np.float64).mean(axis=(2, 3)), rtol=1e-5, atol=1e-6)
 
 
 class TestOracleNetwork:
