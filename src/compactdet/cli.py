@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: describe, detect, quantize, explore, bench.  Exit codes:
-0 success, 2 config/parse problems, 3 I/O or file-format problems (and
-weights whose network output is not finite), 4 exploration found no
-feasible candidate.
+0 success, 2 config/parse problems (and a network whose tensors are too
+big to allocate: the config's dims set their sizes), 3 I/O or file-format
+problems (and weights whose network output is not finite), 4 exploration
+found no feasible candidate.
 
 Images come in as binary PPM (P6, 8-bit RGB, maxval 255); reports are
 plain text with stable columns, detections use the interchange line format
@@ -333,6 +334,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, ShapeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's message names the failed allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except (WeightFormatError, PpmError, NonFiniteOutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

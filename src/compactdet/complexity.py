@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import BinaryIO, Optional
 
 import numpy as np
@@ -63,15 +62,8 @@ def count_node(node: NodeSpec, in_shape: tuple, out_shape: tuple, linear: bool =
 
 @dataclass
 class OpsReport:
-    rows: list = field(default_factory=list)  # (node_id, kind, NodeCost)
-
-    @cached_property
-    def total(self) -> NodeCost:
-        """Row sum, computed on first read; rows are complete by then."""
-        costs = [cost for _, _, cost in self.rows]
-        return NodeCost(
-            sum(c.macs for c in costs), sum(c.ops for c in costs), sum(c.params for c in costs)
-        )
+    rows: list  # (node_id, kind, NodeCost)
+    total: NodeCost  # the rows' sum
 
     @property
     def total_macs(self) -> int:
@@ -110,6 +102,7 @@ def count_network(spec: NetworkSpec, costs: Optional[dict] = None) -> OpsReport:
     costs = {} if costs is None else costs
     shapes = {INPUT_ID: tuple(spec.input_shape)}
     rows = []
+    macs = ops = params = 0
     for node in spec.nodes:
         in_shapes = tuple(map(shapes.__getitem__, _inputs(node)))
         linear = node.id in raw_heads
@@ -120,7 +113,8 @@ def count_network(spec: NetworkSpec, costs: Optional[dict] = None) -> OpsReport:
             hit = costs[key] = (out_shape, count_node(node, in_shapes[0], out_shape, linear=linear))
         shapes[node.id], cost = hit
         rows.append((node.id, _KINDS[type(node.op)].word, cost))
-    return OpsReport(rows)
+        macs, ops, params = macs + cost.macs, ops + cost.ops, params + cost.params
+    return OpsReport(rows, NodeCost(macs, ops, params))
 
 
 def _layout(spec: NetworkSpec, bits: int) -> list:

@@ -380,11 +380,13 @@ def _iou_wh(wh: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def kmeans_anchors(box_whs, k: int, seed: int = 0, iters: int = 100) -> list:
-    """Cluster (w, h) pairs under 1 - IoU distance; returns k (w, h) anchor
-    tuples by area."""
+    """Cluster finite, positive (w, h) pairs, as an `anchors` line takes,
+    under 1 - IoU distance; returns k (w, h) anchor tuples by area."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     wh = np.asarray(box_whs, dtype=np.float64).reshape(-1, 2)
+    if not (np.isfinite(wh) & (wh > 0)).all():
+        raise ConfigError("box sizes must be positive and finite")
     if len(wh) < k:
         raise ConfigError(f"need at least k={k} boxes, got {len(wh)}")
     rng = np.random.default_rng(seed)

@@ -23,7 +23,9 @@ belongs to the network, not to its weights.  Every convolution pads k // 2
 zeros on each side, which is "same" padding for the odd k ConvWeights allows.
 The convolutions pad and unfold their input one block at a time (a block of
 output rows), never as a whole-input copy, so their working memory beyond
-the output is set by a block, not by the input.
+the output is set by a block, not by the input.  conv2d's unfold is a
+sliding_window_view of its padded rows, and so are max_pool2d's windows:
+no strides are computed by hand.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPE = np.float32
 
@@ -129,24 +132,6 @@ class ConvWeights:
         return self.kernel.shape[2]
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    """Patch matrix of shape (n, c * k * k, out_h * out_w).
-
-    Column ordering is channel-major, then kernel row, then kernel column,
-    so a plain matmul against kernel.reshape(c_out, -1) accumulates in that
-    fixed order.
-    """
-    n, c, _, _ = x.shape
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, k, k, out_h, out_w),
-        strides=(sn, sc, sh, sw, stride * sh, stride * sw),
-        writeable=False,
-    )
-    return windows.reshape(n, c * k * k, out_h * out_w)
-
-
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.matmul(a, b, out=out), ignoring a floating-point status flag (a
     stray one from the BLAS) when the output is finite.
@@ -202,11 +187,14 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
     A 1x1 kernel multiplies the input's pixels, with no copy when they are
     channels-last at stride 1.  A larger kernel runs over blocks of output
     rows: each block's input rows are copied into one zero-bordered
-    buffer, which is the padding, then unfolded and multiplied into the
-    block's rows of the output, and the bias is added last.  A block
-    unfolds at most _PATCH patch elements, unless that would take its
-    product below _GEMM_MACS multiply-adds or two columns; then the blocks
-    grow, up to one for the whole output.  So the BLAS multiplies every
+    buffer, which is the padding.  One sliding_window_view of that buffer,
+    taken once per call, holds every block's k x k windows; a block's
+    windows are copied into its patch matrix, depth in (channel, kernel
+    row, kernel column) order, and multiplied into the block's rows of the
+    output.  The bias is added last.  A block unfolds at most _PATCH patch
+    elements, unless that would take its product below _GEMM_MACS
+    multiply-adds or two columns; then the blocks grow, up to one for the
+    whole output.  So the BLAS multiplies every
     block as it would multiply the whole patch matrix, and each output
     element has the bytes of one channel-major matmul over the whole padded
     input (see _product).
@@ -237,13 +225,15 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
     blocks = max(1, min(-(-out_h // rows), out_h // least))
     bounds = [out_h * i // blocks for i in range(blocks + 1)]
     buf = np.zeros((n, c_in, (-(-out_h // blocks) - 1) * stride + k, width + 2 * p), dtype=DTYPE)
+    # (n, c_in, out row, out column, kernel row, kernel column)
+    windows = sliding_window_view(buf, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     for r0, r1 in zip(bounds, bounds[1:]):
         top, span, lo, hi = _block_rows(r0, r1, stride, k, h)
-        block = buf[:, :, :span]
-        block[:, :, :lo] = 0
-        block[:, :, lo:hi, p:p + width] = x[:, :, top + lo:top + hi]
-        block[:, :, hi:] = 0
-        cols = _im2col(block, k, stride, r1 - r0, out_w).transpose(0, 2, 1)
+        buf[:, :, :lo] = 0
+        buf[:, :, lo:hi, p:p + width] = x[:, :, top + lo:top + hi]
+        buf[:, :, hi:span] = 0
+        cols = windows[:, :, :r1 - r0, :out_w].transpose(0, 1, 4, 5, 2, 3)
+        cols = cols.reshape(n, c_in * k * k, (r1 - r0) * out_w).transpose(0, 2, 1)
         _product(cols, kernel2d, out[:, r0:r1].reshape(n, (r1 - r0) * out_w, w.c_out))
         del cols  # before the next block's patch matrix is made
     return _add_bias(out, w.bias)
@@ -344,13 +334,9 @@ def leaky_relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=DTYPE)
-    # Split by sign so exp never overflows; both branches are exact sigmoids.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows, and both branches are exact sigmoids.
+    e, one = np.exp(-np.abs(x)), DTYPE(1)
+    return np.where(x >= 0, one / (one + e), e / (one + e))
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -428,7 +414,7 @@ def max_pool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     x = as_tensor(x)
     if kernel < 1 or stride < 1:
         raise ConfigError("pool kernel and stride must be >= 1")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     out_h = -(-h // stride)
     out_w = -(-w // stride)
     pad_h = (out_h - 1) * stride + kernel - h
@@ -438,11 +424,5 @@ def max_pool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
         ((0, 0), (0, 0), (0, max(pad_h, 0)), (0, max(pad_w, 0))),
         constant_values=-np.inf,
     )
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(sn, sc, stride * sh, stride * sw, sh, sw),
-        writeable=False,
-    )
+    windows = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
     return np.ascontiguousarray(windows.max(axis=(4, 5)))

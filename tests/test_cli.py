@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compactdet import cli, complexity
+from compactdet import arch_graph, cli, complexity
 from compactdet.arch_graph import (
     SCALE_TAGS,
     WeightStore,
@@ -799,6 +799,49 @@ class TestBench:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == "" and "seed must be >= 0, got -1" in captured.err
+
+
+class TestOutOfMemory:
+    """A network too big to allocate exits 2 with one error line.  The
+    kernel that would allocate is patched to raise, so no test allocates
+    for real: a real allocation that size can be granted and then written."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise MemoryError(
+            "Unable to allocate 6.98 TiB for an array with shape "
+            "(1, 3, 800000, 800000) and data type float32"
+        )
+
+    def test_bench_names_the_failed_allocation(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(HEAD_CFG.replace("input 3 16 16", "input 3 8 8\nupsample 100000", 1))
+        monkeypatch.setattr(arch_graph, "upsample_nearest", self.refuse)
+        rc = cli.main(["bench", "--config", str(cfg), "--iterations", "1"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Unable to allocate 6.98 TiB for an array with shape "
+            "(1, 3, 800000, 800000) and data type float32\n"
+        )
+
+    def test_detect_without_numpy_message(self, head_setup, tmp_path, capsys, monkeypatch):
+        cfg, weights, image = head_setup
+
+        def refuse(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(arch_graph, "conv2d", refuse)
+        out = tmp_path / "dets.txt"
+        rc = cli.main([
+            "detect", "--config", str(cfg), "--weights", str(weights), "--image", str(image),
+            "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert captured.err == "error: out of memory\n"
+        assert not out.exists()
 
 
 class TestGoldenOutput:

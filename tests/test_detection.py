@@ -823,6 +823,12 @@ class TestKmeansAnchors:
         with pytest.raises(ConfigError, match=f"k must be >= 1, got {k}"):
             kmeans_anchors(np.ones((4, 2)) * 0.5, k)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.3])
+    def test_refuses_sizes_an_anchors_line_refuses(self, bad):
+        """Such a size would come back as an anchor that no config takes."""
+        with pytest.raises(ConfigError, match="positive and finite"):
+            kmeans_anchors([[0.1, 0.2], [bad, 0.3], [0.4, 0.5], [0.2, 0.2]], 2)
+
 
 class TestInterchangeFormat:
     def test_detection_round_trip(self):

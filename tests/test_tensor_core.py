@@ -3,10 +3,10 @@
 The production kernels use strided views and matmul; most references here
 are the obvious quadruple loop accumulating in float64, so an agreement
 check exercises the layout and ordering logic rather than restating it.
-The conv, depthwise and leaky ReLU kernels also keep the slow forms they
-replaced (one product over the whole padded input, an einsum and strided
-windows, and an np.where) as oracles that they must match byte for byte,
-up to a whole network run.
+The conv, depthwise, leaky ReLU and sigmoid kernels also keep the forms
+they replaced (one product over the whole padded input, an einsum and
+strided windows, an np.where, and a sign split through masks) as oracles
+that they must match byte for byte, up to a whole network run.
 """
 
 import hashlib
@@ -65,14 +65,34 @@ def conv2d_reference(x, kernel, bias, stride, padding, groups=1):
     return out
 
 
+def _im2col(x: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
+    """Patch matrix of shape (n, c * k * k, out_h * out_w).
+
+    Column ordering is channel-major, then kernel row, then kernel column,
+    so a plain matmul against kernel.reshape(c_out, -1) accumulates in that
+    fixed order.
+    """
+    n, c, _, _ = x.shape
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, k, k, out_h, out_w),
+        strides=(sn, sc, sh, sw, stride * sh, stride * sw),
+        writeable=False,
+    )
+    return windows.reshape(n, c * k * k, out_h * out_w)
+
+
 def conv2d_whole_oracle(x, w, stride=1):
     """The conv2d that the blocked one replaced: one padded copy of the
-    whole input, one patch matrix and one product, then the bias."""
+    whole input, one patch matrix and one product, then the bias.  Its
+    unfold, _im2col, computes its strides by hand, so it shares no code
+    with conv2d's window view."""
     x = as_tensor(x)
     n, _, h, width = x.shape
     out_h, out_w = conv_output_hw(h, width, w.k, stride)
     p = w.k // 2
-    cols = tensor_core._im2col(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), w.k, stride, out_h, out_w)
+    cols = _im2col(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), w.k, stride, out_h, out_w)
     out = tensor_core._matmul(w.kernel.reshape(w.c_out, -1), cols).reshape(n, w.c_out, out_h, out_w)
     out += w.bias.reshape(1, -1, 1, 1)
     return out
@@ -129,6 +149,18 @@ def leaky_relu_oracle(x, out=None):
     if out is None:
         return y
     out[...] = y
+    return out
+
+
+def sigmoid_mask_oracle(x):
+    """The sigmoid that the one np.where expression replaced: split by
+    sign, so exp never overflows, and fill each half through a mask."""
+    x = np.asarray(x, dtype=np.float32)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
     return out
 
 
@@ -578,6 +610,22 @@ class TestPointwise:
         s = sigmoid(x)
         assert np.all((s >= 0) & (s <= 1))
         np.testing.assert_allclose(s + sigmoid(-x), 1.0, atol=1e-6)
+
+    def test_sigmoid_matches_mask_oracle(self):
+        """Signed zeros, subnormals, the float32 extremes, infinities, the
+        points where exp(x) and exp(-x) leave float32, and random draws:
+        the same bytes as the sign-split form, and no floating-point flag."""
+        rng = np.random.default_rng(16)
+        edges = np.array([0.0, 1e-45, 1e-40, 3.4e38, np.inf, 88.7, 103.9, 200.0], dtype=np.float32)
+        for x in (
+            np.concatenate([edges, -edges]),
+            rng.uniform(-120, 120, size=10**5).astype(np.float32),
+            (rng.standard_normal(10**5) * 30).astype(np.float32),
+        ):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got, want = sigmoid(x), sigmoid_mask_oracle(x)
+            assert got.dtype == np.float32
+            assert same_bytes(got, want)
 
     def test_sigmoid_extremes_finite(self):
         s = sigmoid(np.array([-1e4, 0.0, 1e4], dtype=np.float32))
