@@ -52,7 +52,6 @@ from .nn_modules import (
     EpConfig,
     FcaConfig,
     PepConfig,
-    param_tensors,  # noqa: F401  re-exported for cli, complexity and callers
     residual_active,
 )
 from .tensor_core import (
@@ -74,8 +73,8 @@ MAX_INT = 2**31 - 1
 SCALE_TAGS = ("large", "medium", "small")
 
 # Normalized prior box sizes (fractions of the input side), widest grid
-# last.  Obtained with kmeans_anchors on VOC-style ground truth boxes at
-# 416x416; override per network with `anchors` lines.
+# last.  Obtained by k-means under 1 - IoU distance on VOC-style ground
+# truth boxes at 416x416; override per network with `anchors` lines.
 DEFAULT_ANCHORS = {
     "large": ((0.279, 0.216), (0.375, 0.476), (0.897, 0.784)),
     "medium": ((0.072, 0.147), (0.149, 0.108), (0.142, 0.286)),

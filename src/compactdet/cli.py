@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: describe, detect, quantize, explore, bench.  Exit codes:
-0 success, 2 config/parse problems (and a network whose tensors are too
-big to allocate: the config's dims set their sizes), 3 I/O or file-format
-problems (and weights whose network output is not finite), 4 exploration
-found no feasible candidate.
+Subcommands: describe, detect, evaluate, quantize, explore, bench.  Exit
+codes: 0 success, 2 config/parse problems (and a network whose tensors are
+too big to allocate: the config's dims set their sizes), 3 I/O or
+file-format problems (and weights whose network output is not finite),
+4 exploration found no feasible candidate.
 
 Images come in as binary PPM (P6, 8-bit RGB, maxval 255); reports are
 plain text with stable columns, detections use the interchange line format
@@ -26,6 +26,8 @@ import numpy as np
 from . import arch_graph, complexity, detection, explorer
 from .arch_graph import NonFiniteOutputError, ParseError, ShapeError, _decimal
 from .complexity import WeightFormatError
+from .detection import DetectionFormatError
+from .nn_modules import param_tensors
 from .tensor_core import ConfigError
 
 EXIT_OK = 0
@@ -141,6 +143,13 @@ def cmd_detect(args) -> int:
     _check_unit_interval("--conf", args.conf)
     _check_unit_interval("--nms-iou", args.nms_iou)
     _check_out_paths(args.out)
+    image_id = Path(args.image).stem
+    # The id leads each output line, which parse_detections splits on
+    # whitespace and skips when it starts with "#".
+    if image_id.startswith("#") or image_id.split() != [image_id]:
+        raise ConfigError(
+            f"image id {image_id!r} (the --image file stem) must be one token not starting with '#'"
+        )
     spec = _load_spec(args.config)
     store, _bits = complexity.load_weights(args.weights, spec)
     _c, target_h, target_w = spec.input_shape
@@ -148,7 +157,6 @@ def cmd_detect(args) -> int:
     found = detection.detect(
         tensor, spec, store, conf_threshold=args.conf, nms_iou=args.nms_iou
     )
-    image_id = Path(args.image).stem
     boxes = transform.box_to_original(found)
     columns = (boxes.class_id, boxes.score, boxes.cx, boxes.cy, boxes.w, boxes.h)
     lines = [
@@ -161,6 +169,17 @@ def cmd_detect(args) -> int:
     else:
         sys.stdout.write(text)
     print(f"{len(lines)} detection(s)", file=sys.stderr)
+    return EXIT_OK
+
+
+def cmd_evaluate(args) -> int:
+    detections = detection.parse_detections(Path(args.detections).read_text())
+    truths = detection.parse_ground_truths(Path(args.truths).read_text())
+    result = detection.evaluate_map(detections, truths)
+    print("class\tap")
+    for class_id, ap in result.ap_by_class.items():
+        print(f"{class_id}\t{ap:.6f}")
+    print(f"mAP\t{result.mean_ap:.6f}")
     return EXIT_OK
 
 
@@ -179,7 +198,7 @@ def cmd_quantize(args) -> int:
     worst_err = 0.0
     worst = None
     for after, before in zip(complexity.iter_weights(args.out, spec), store.params, strict=True):
-        for (_, back), (_, arr) in zip(arch_graph.param_tensors(after), arch_graph.param_tensors(before)):
+        for (_, back), (_, arr) in zip(param_tensors(after), param_tensors(before)):
             err = float(np.abs(back - arr).max()) if arr.size else 0.0
             if err > worst_err:
                 worst_err, worst = err, arr
@@ -301,6 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--nms-iou", type=float, default=detection.DEFAULT_NMS_IOU)
     det.set_defaults(func=cmd_detect)
 
+    evaluate = sub.add_parser("evaluate", help="VOC2007 11-point mAP of detections against truths")
+    evaluate.add_argument("--detections", required=True, help="interchange lines with scores")
+    evaluate.add_argument("--truths", required=True, help="interchange lines without scores")
+    evaluate.set_defaults(func=cmd_evaluate)
+
     quant = sub.add_parser("quantize", help="convert a 32-bit weights file to 8-bit")
     quant.add_argument("--config", required=True)
     quant.add_argument("--weights", required=True)
@@ -338,7 +362,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's message names the failed allocation
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
-    except (WeightFormatError, PpmError, NonFiniteOutputError) as exc:
+    except (WeightFormatError, PpmError, NonFiniteOutputError, DetectionFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (OSError, UnicodeDecodeError) as exc:

@@ -37,8 +37,8 @@ from .arch_graph import (
     WeightStore,
     linear_conv_ids,
     node_param_shapes,
-    param_tensors,
 )
+from .nn_modules import param_tensors
 from .tensor_core import ConfigError
 
 MAGIC = b"YNWF"
@@ -64,10 +64,6 @@ def count_node(node: NodeSpec, in_shape: tuple, out_shape: tuple, linear: bool =
 class OpsReport:
     rows: list  # (node_id, kind, NodeCost)
     total: NodeCost  # the rows' sum
-
-    @property
-    def total_macs(self) -> int:
-        return self.total.macs
 
     @property
     def total_ops(self) -> int:
@@ -196,14 +192,6 @@ def dequantize_tensor(q: QuantizedWeights) -> np.ndarray:
     real -= np.float32(q.zero_point)
     real *= np.float32(q.scale)
     return real
-
-
-def fake_quantize(w: np.ndarray, bits: int) -> np.ndarray:
-    """Round-trip w through a bits-wide affine grid (analysis helper)."""
-    if bits < 2 or bits > 16:
-        raise ConfigError(f"fake_quantize supports 2..16 bits, got {bits}")
-    q, scale, zero_point = _affine_grid(w, (1 << bits) - 1)
-    return (np.float32(scale) * (q.astype(np.float32) - np.float32(zero_point))).astype(np.float32)
 
 
 @dataclass

@@ -249,15 +249,6 @@ class LetterboxTransform:
             h=box.h * self.target_h / self.scale / self.orig_h,
         )
 
-    def box_to_letterboxed(self, box: Boxes) -> Boxes:
-        return replace(
-            box,
-            cx=(box.cx * self.orig_w * self.scale + self.pad_x) / self.target_w,
-            cy=(box.cy * self.orig_h * self.scale + self.pad_y) / self.target_h,
-            w=box.w * self.orig_w * self.scale / self.target_w,
-            h=box.h * self.orig_h * self.scale / self.target_h,
-        )
-
 
 def letterbox_image(image: np.ndarray, target_hw: tuple) -> tuple:
     """Aspect-preserving resize onto a gray canvas.
@@ -330,7 +321,8 @@ def evaluate_map(
     its candidate is not yet matched, and a false positive otherwise.  Scores
     matter only through their ordering, so any strictly monotone rescoring
     leaves the result unchanged.  Raises DetectionFormatError, naming the
-    image, when a score or box field is not finite.
+    image, when a score or box field is not finite, or when the IoU of its
+    detections and truths overflows float64 (huge but finite boxes).
     """
     for image_id, boxes in (*detections_by_image.items(), *truths_by_image.items()):
         if not np.isfinite([boxes.cx, boxes.cy, boxes.w, boxes.h, boxes.score]).all():
@@ -344,7 +336,11 @@ def evaluate_map(
         truths = truths_by_image.get(image_id, dets[:0])
         candidate = np.full(len(dets), -1)
         if len(dets) and len(truths):
-            overlaps = _iou(_edges(dets)[:, :, None], _edges(truths))
+            try:
+                with np.errstate(over="raise"):
+                    overlaps = _iou(_edges(dets)[:, :, None], _edges(truths))
+            except FloatingPointError:
+                raise DetectionFormatError(f"image {image_id}: box IoU overflows float64") from None
             overlaps[dets.class_id[:, None] != truths.class_id] = 0.0
             best = overlaps.argmax(axis=1)
             best_iou = overlaps[np.arange(len(dets)), best]
@@ -367,42 +363,6 @@ def evaluate_map(
         ap_by_class[class_id] = _ap_11point(cum_tp / n_truth, precisions) if len(ranked) else 0.0
     mean_ap = sum(ap_by_class.values()) / len(ap_by_class) if ap_by_class else 0.0
     return MapResult(mean_ap=mean_ap, ap_by_class=ap_by_class)
-
-
-def _iou_wh(wh: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """IoU of width/height pairs anchored at a common corner: (n, k)."""
-    inter = np.minimum(wh[:, None, 0], centers[None, :, 0]) * np.minimum(
-        wh[:, None, 1], centers[None, :, 1]
-    )
-    union = wh[:, 0] * wh[:, 1]
-    union = union[:, None] + centers[None, :, 0] * centers[None, :, 1] - inter
-    return inter / np.maximum(union, 1e-12)
-
-
-def kmeans_anchors(box_whs, k: int, seed: int = 0, iters: int = 100) -> list:
-    """Cluster finite, positive (w, h) pairs, as an `anchors` line takes,
-    under 1 - IoU distance; returns k (w, h) anchor tuples by area."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    wh = np.asarray(box_whs, dtype=np.float64).reshape(-1, 2)
-    if not (np.isfinite(wh) & (wh > 0)).all():
-        raise ConfigError("box sizes must be positive and finite")
-    if len(wh) < k:
-        raise ConfigError(f"need at least k={k} boxes, got {len(wh)}")
-    rng = np.random.default_rng(seed)
-    centers = wh[rng.choice(len(wh), size=k, replace=False)].copy()
-    assign = np.full(len(wh), -1)
-    for _ in range(iters):
-        new_assign = _iou_wh(wh, centers).argmax(axis=1)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for j in range(k):
-            members = wh[assign == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-    order = np.argsort(centers[:, 0] * centers[:, 1])
-    return [(float(w), float(h)) for w, h in centers[order]]
 
 
 def format_detection_line(

@@ -21,9 +21,7 @@ alpha = 2 and beta = gamma = 0.5:
     u = 20 * log10(score^2 / (params_millions^0.5 * ops_billions^0.5))
 
 with u = -inf when the score is not positive.  Search is an elitist
-(mu + lambda) evolutionary loop with per-slot categorical mutation; a
-brute-force enumerator over the same comparator serves as the exact
-reference for small spaces.
+(mu + lambda) evolutionary loop with per-slot categorical mutation.
 
 Design-space document grammar (one statement per line, `#` comments):
 
@@ -62,7 +60,6 @@ from .complexity import ConstraintSet, check_constraints, count_network
 from .nn_modules import EpConfig, FcaConfig, PepConfig
 from .tensor_core import ConfigError
 
-BRUTE_FORCE_LIMIT = 1 << 16
 MAX_REPEAT = 64  # largest copy count a repeat slot may offer
 POPULATION = 16  # parents kept and children proposed per generation
 HALF_LIFE = 80.0  # capacity at which the synthetic score is 1 - 1/e of the way up
@@ -386,7 +383,7 @@ def _assess(
     constraints: ConstraintSet,
     evaluator: Callable[[NetworkSpec], float],
     costs: dict,
-    gen: int = 0,
+    gen: int,
 ) -> HistoryEntry:
     """Expand, evaluate and constraint-check one point; `costs` is the
     search's node-cost memo."""
@@ -474,23 +471,6 @@ def explore(
             break
     # Points are unique, so rank keys are too: the minimum is the one best.
     return ExploreResult(best=_best(seen.values()), history=list(seen.values()))
-
-
-def brute_force_search(
-    space: DesignSpace,
-    constraints: ConstraintSet,
-    evaluator: Callable[[NetworkSpec], float],
-) -> Optional[Candidate]:
-    """Exact constrained argmax of u over the whole space.
-
-    Ties break toward the lexicographically smallest slot-value tuple.
-    Refuses spaces larger than 2^16 points.
-    """
-    size = space.size()
-    if size > BRUTE_FORCE_LIMIT:
-        raise ConfigError(f"space has {size} points, brute force caps at {BRUTE_FORCE_LIMIT}")
-    costs: dict = {}  # node-cost memo, dropped with this search
-    return _best(_assess(space, p, constraints, evaluator, costs) for p in space.enumerate_points())
 
 
 # Per-kind capacity terms of the synthetic score, by op class; others add nothing.

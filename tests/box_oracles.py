@@ -1,4 +1,5 @@
-"""Per-box records and the scalar IoU and mAP, kept as test oracles.
+"""Per-box records, the scalar IoU and mAP, and box helpers that only
+tests run, kept as test oracles.
 
 `detection` holds boxes only as `Boxes` columns.  The records here are
 the per-box form the columnar code replaced: `iou` is the scalar IoU that
@@ -6,16 +7,19 @@ the per-box form the columnar code replaced: `iou` is the scalar IoU that
 `detection.evaluate_map` must reproduce exactly.  `as_boxes` and
 `as_detections` convert between the two forms, and `checked_map` scores
 records with the columnar `evaluate_map`, checked against the scan.
+`box_to_letterboxed` is the inverse of `LetterboxTransform.box_to_original`,
+and `kmeans_anchors` derives anchors of the form an `anchors` line takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from compactdet import detection
-from compactdet.detection import DEFAULT_MATCH_IOU, Boxes, MapResult, _ap_11point
+from compactdet.detection import DEFAULT_MATCH_IOU, Boxes, LetterboxTransform, MapResult, _ap_11point
+from compactdet.tensor_core import ConfigError
 
 
 @dataclass(frozen=True)
@@ -131,3 +135,51 @@ def checked_map(dets: dict, truths: dict, **kwargs) -> MapResult:
     got = detection.evaluate_map(as_columns(dets), as_columns(truths), **kwargs)
     assert got == evaluate_map(dets, truths, **kwargs)
     return got
+
+
+def box_to_letterboxed(t: LetterboxTransform, box):
+    """Map a box (any dataclass with cx, cy, w, h) from original-image to
+    letterboxed coordinates: the inverse of `t.box_to_original`."""
+    return replace(
+        box,
+        cx=(box.cx * t.orig_w * t.scale + t.pad_x) / t.target_w,
+        cy=(box.cy * t.orig_h * t.scale + t.pad_y) / t.target_h,
+        w=box.w * t.orig_w * t.scale / t.target_w,
+        h=box.h * t.orig_h * t.scale / t.target_h,
+    )
+
+
+def _iou_wh(wh: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """IoU of width/height pairs anchored at a common corner: (n, k)."""
+    inter = np.minimum(wh[:, None, 0], centers[None, :, 0]) * np.minimum(
+        wh[:, None, 1], centers[None, :, 1]
+    )
+    union = wh[:, 0] * wh[:, 1]
+    union = union[:, None] + centers[None, :, 0] * centers[None, :, 1] - inter
+    return inter / np.maximum(union, 1e-12)
+
+
+def kmeans_anchors(box_whs, k: int, seed: int = 0, iters: int = 100) -> list:
+    """Cluster finite, positive (w, h) pairs, as an `anchors` line takes,
+    under 1 - IoU distance; returns k (w, h) anchor tuples by area."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    wh = np.asarray(box_whs, dtype=np.float64).reshape(-1, 2)
+    if not (np.isfinite(wh) & (wh > 0)).all():
+        raise ConfigError("box sizes must be positive and finite")
+    if len(wh) < k:
+        raise ConfigError(f"need at least k={k} boxes, got {len(wh)}")
+    rng = np.random.default_rng(seed)
+    centers = wh[rng.choice(len(wh), size=k, replace=False)].copy()
+    assign = np.full(len(wh), -1)
+    for _ in range(iters):
+        new_assign = _iou_wh(wh, centers).argmax(axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = wh[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    order = np.argsort(centers[:, 0] * centers[:, 1])
+    return [(float(w), float(h)) for w, h in centers[order]]

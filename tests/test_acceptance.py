@@ -9,7 +9,9 @@ Oracles in this file are written independently of the per-module test
 suites: naive direct convolution in float64, a scalar decoder, a
 quadratic greedy NMS, and hand-enumerated PR curves.  The per-box records
 and the scalar mAP come from `box_oracles`, the one copy that
-test_detection.py uses too.
+test_detection.py uses too.  Criterion 9's `fake_quantize` and criterion
+10's `brute_force_search` come from `references`, as test_complexity.py
+and test_explorer.py take them.
 """
 
 import copy
@@ -27,24 +29,17 @@ from compactdet.arch_graph import (
     execute,
     init_params,
     load_bundled_config,
-    param_tensors,
     parse_network_spec,
 )
 from compactdet.complexity import (
     ConstraintSet,
     count_network,
-    fake_quantize,
     model_size_bytes,
     quantize_tensor,
     save_weights,
 )
 from compactdet.detection import decode_predictions, nms
-from compactdet.explorer import (
-    brute_force_search,
-    explore,
-    parse_design_space,
-    synthetic_evaluator,
-)
+from compactdet.explorer import explore, parse_design_space, synthetic_evaluator
 from compactdet.nn_modules import (
     EpConfig,
     FcaConfig,
@@ -52,6 +47,7 @@ from compactdet.nn_modules import (
     ep_forward,
     fca_forward,
     fca_bottleneck_width,
+    param_tensors,
     pep_forward,
 )
 from compactdet.tensor_core import (
@@ -64,6 +60,7 @@ from compactdet.tensor_core import (
     leaky_relu,
     sigmoid,
 )
+from references import brute_force_search, fake_quantize
 
 # Calibration targets for the shipped reference design and the third-party
 # tiny-yolov3 counting anchor, under the ops = 2 * MACs convention.

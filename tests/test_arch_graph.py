@@ -32,7 +32,6 @@ from compactdet.arch_graph import (
     linear_conv_ids,
     load_bundled_config,
     node_param_shapes,
-    param_tensors,
     parse_network_spec,
     serialize_network_spec,
 )
@@ -41,6 +40,7 @@ from compactdet.nn_modules import (
     FcaConfig,
     PepConfig,
     draw_tensors,
+    param_tensors,
 )
 from compactdet.tensor_core import ConfigError, concat_channels, conv2d, leaky_relu, upsample_nearest
 

@@ -24,13 +24,13 @@ from compactdet.arch_graph import (
     SCALE_TAGS,
     WeightStore,
     load_bundled_config,
-    param_tensors,
     parse_network_spec,
 )
 from compactdet.cli import PpmError, read_ppm, write_ppm
 from compactdet.complexity import load_weights, save_weights
 from compactdet.detection import parse_detections
 from compactdet.explorer import Candidate, HistoryEntry
+from compactdet.nn_modules import param_tensors
 
 HEAD_CFG = """\
 input 3 16 16
@@ -399,6 +399,97 @@ class TestDetect:
             "detect", "--config", str(cfg), "--weights", str(weights), "--image", str(bad),
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("stem", ["#frame", "a b"])
+    def test_unparsable_image_id_exits_2_before_loading(self, head_setup, tmp_path, capsys, monkeypatch, stem):
+        """The image id is the file stem and leads every output line:
+        parse_detections would skip "#frame ..." lines as comments and
+        split "a b ..." into 8 fields, so such a stem is refused before
+        the spec or the weights are loaded."""
+        cfg, weights, image = head_setup
+
+        def never(*args, **kwargs):
+            raise AssertionError("the spec or the weights were loaded")
+
+        monkeypatch.setattr(arch_graph, "parse_network_spec", never)
+        monkeypatch.setattr(complexity, "load_weights", never)
+        named = tmp_path / f"{stem}.ppm"
+        named.write_bytes(image.read_bytes())
+        rc = cli.main(["detect", "--config", str(cfg), "--weights", str(weights), "--image", str(named)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: image id {stem!r} (the --image file stem) must be one token not starting with '#'\n"
+        )
+
+
+BOX, FAR, BOX2 = "0.5 0.5 0.2 0.2", "0.1 0.1 0.05 0.05", "0.8 0.8 0.1 0.1"
+
+
+class TestEvaluate:
+    def run(self, tmp_path, dets: str, truths) -> tuple:
+        """evaluate on the two texts written to files; truths None leaves
+        its file missing."""
+        dets_path, truths_path = tmp_path / "dets.txt", tmp_path / "truths.txt"
+        dets_path.write_text(dets)
+        if truths is not None:
+            truths_path.write_text(truths)
+        return run_quietly(["evaluate", "--detections", str(dets_path), "--truths", str(truths_path)])
+
+    def test_detect_output_scores_one_against_itself(self, head_setup, tmp_path):
+        """Truths are detect's own lines with the score column dropped.  Its
+        16 anchor-sized boxes overlap each other at IoU <= 1/3, so each box
+        matches only its own truth."""
+        cfg, weights, image = head_setup
+        out = tmp_path / "frame.txt"
+        assert cli.main([
+            "detect", "--config", str(cfg), "--weights", str(weights), "--image", str(image), "--out", str(out),
+        ]) == 0
+        rows = [line.split() for line in out.read_text().splitlines()]
+        assert len(rows) == 16
+        truths = "".join(" ".join(row[:2] + row[3:]) + "\n" for row in rows)
+        assert self.run(tmp_path, out.read_text(), truths) == (0, "class\tap\n0\t1.000000\nmAP\t1.000000\n", "")
+
+    @pytest.mark.parametrize(
+        "dets, truths, table",
+        [
+            # A false positive outscores the hit: AP = 0.5 at all eleven points.
+            (f"img 0 0.95 {FAR}\nimg 0 0.90 {BOX}\n", f"img 0 {BOX}\n", "0\t0.500000\nmAP\t0.500000\n"),
+            # A second, unmatched truth: six points see precision 0.5, 6 * 0.5 / 11.
+            (f"img 0 0.95 {FAR}\nimg 0 0.90 {BOX}\n", f"img 0 {BOX}\nimg 0 {BOX2}\n",
+             "0\t0.272727\nmAP\t0.272727\n"),
+            # Perfect detections in two classes.
+            (f"img 0 0.9 {BOX}\nimg 1 0.8 {BOX2}\n", f"img 0 {BOX}\nimg 1 {BOX2}\n",
+             "0\t1.000000\n1\t1.000000\nmAP\t1.000000\n"),
+        ],
+        ids=["false-positive-first", "unmatched-truth", "perfect"],
+    )
+    def test_hand_enumerated_curves(self, tmp_path, dets, truths, table):
+        """Criterion 7's hand-computed cases, written to files."""
+        assert self.run(tmp_path, dets, truths) == (0, "class\tap\n" + table, "")
+
+    @pytest.mark.parametrize(
+        "dets, truths, message",
+        [
+            (f"img 0 0.9 {BOX}\n", f"img 0 0.9 {BOX}\n", "line 1: expected 6 fields, got 7"),
+            (f"img 0 nan {BOX}\n", f"img 0 {BOX}\n", "image img: a score or box field is not finite"),
+            # Finite, but w * h and the edges overflow: the IoU would be NaN.
+            ("img 0 0.9 0.5 0.5 1e308 1e308\n", "img 0 0.5 0.5 1e308 1e308\n", "image img: box IoU overflows float64"),
+            (f"img 0 0.9 {BOX}\n", None, "No such file"),
+        ],
+        ids=["score-in-truths", "nan", "overflow", "missing-file"],
+    )
+    def test_bad_file_exits_3(self, tmp_path, dets, truths, message):
+        rc, out, err = self.run(tmp_path, dets, truths)
+        assert rc == 3 and out == "" and err.startswith("error: ") and message in err
+
+    def test_missing_truths_flag_exits_2(self, tmp_path, capsys):
+        dets = tmp_path / "dets.txt"
+        dets.write_text(f"img 0 0.9 {BOX}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--detections", str(dets)])
+        assert exc.value.code == 2
+        assert "--truths" in capsys.readouterr().err
 
 
 class TestQuantize:
@@ -977,19 +1068,10 @@ SPACE_TOKENS = ODD_INTEGERS + [
 ]
 
 
-@st.composite
-def mutated_spaces(draw):
-    """The bundled design-space document, as bytes, with tokens replaced
-    (also by raw bytes) or dropped, lines dropped or doubled."""
-    lines = [[token.encode() for token in line] for line in SPACE_LINES]
-    tokens = st.one_of(
-        st.sampled_from(SPACE_TOKENS).map(str.encode),
-        st.integers(-2, 100).map(lambda v: str(v).encode()),
-        st.lists(st.integers(-1, 70), min_size=1, max_size=4).map(
-            lambda v: ",".join(map(str, v)).encode()
-        ),
-        st.binary(min_size=1, max_size=3),
-    )
+def mutate_lines(draw, lines: list, tokens) -> bytes:
+    """lines (lists of str tokens) as bytes, with 1-3 changes: a token
+    replaced by a draw from tokens or dropped, a line dropped or doubled."""
+    lines = [[token.encode() for token in line] for line in lines]
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         action = draw(st.sampled_from(["replace", "replace", "drop token", "drop line", "double line"]))
@@ -1004,9 +1086,49 @@ def mutated_spaces(draw):
     return b"\n".join(b" ".join(line) for line in lines) + b"\n"
 
 
+@st.composite
+def mutated_spaces(draw):
+    """The bundled design-space document, as bytes, with tokens replaced
+    (also by raw bytes) or dropped, lines dropped or doubled."""
+    tokens = st.one_of(
+        st.sampled_from(SPACE_TOKENS).map(str.encode),
+        st.integers(-2, 100).map(lambda v: str(v).encode()),
+        st.lists(st.integers(-1, 70), min_size=1, max_size=4).map(
+            lambda v: ",".join(map(str, v)).encode()
+        ),
+        st.binary(min_size=1, max_size=3),
+    )
+    return mutate_lines(draw, SPACE_LINES, tokens)
+
+
+DETECTION_LINES = [
+    f"img0 0 0.900000 {BOX}", f"img0 1 0.800000 {BOX2}", f"img0 0 0.700000 {FAR}", f"img1 1 0.600000 {BOX}",
+]
+INTERCHANGE_TOKENS = ODD_INTEGERS + [
+    "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e308", "-1e308", "1e400", "1e-320", "-0.0", "-0.5",
+    ".5", "5.", "1e", "0x1p3", "1_0.5", "\u0660.5", "img0", "img1", "#img0", "0.900000",
+]
+
+
+@st.composite
+def mutated_interchange(draw):
+    """(detections, truths) files as bytes: a few detection lines, and
+    truths made from them with the score column dropped, each mutated as
+    mutate_lines does, also to any float."""
+    tokens = st.one_of(
+        st.sampled_from(INTERCHANGE_TOKENS).map(str.encode),
+        st.floats().map(lambda v: repr(v).encode()),
+        st.binary(min_size=1, max_size=3),
+    )
+    detections = [line.split() for line in DETECTION_LINES]
+    truths = [fields[:2] + fields[3:] for fields in detections]
+    return mutate_lines(draw, detections, tokens), mutate_lines(draw, truths, tokens)
+
+
 class TestInputMutations:
-    """Whatever the bytes, a PPM image or design-space document either
-    loads or ends in its documented exit code, never in an exception."""
+    """Whatever the bytes, a PPM image, design-space document or
+    interchange file either loads or ends in its documented exit code,
+    never in an exception."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(case=mutated_ppms())
@@ -1049,3 +1171,18 @@ class TestInputMutations:
             assert sorted(tags) == sorted(SCALE_TAGS)
         else:
             assert rc in (2, 3) and err.startswith("error: ") and not out
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=mutated_interchange())
+    def test_interchange_scores_or_exits_3(self, head_net, case):
+        directory, _, _ = head_net
+        dets, truths = directory / "dets.txt", directory / "truths.txt"
+        dets.write_bytes(case[0])
+        truths.write_bytes(case[1])
+        rc, out, err = run_quietly(["evaluate", "--detections", str(dets), "--truths", str(truths)])
+        if rc == 0:
+            header, *rows = out.splitlines()
+            assert header == "class\tap" and rows[-1].startswith("mAP\t") and not err
+            assert all(0.0 <= float(row.split("\t")[1]) <= 1.0 for row in rows)
+        else:
+            assert rc == 3 and err.startswith("error: ") and not out

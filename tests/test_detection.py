@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from box_oracles import (
-    BBox, Detection, GroundTruth, as_boxes, as_columns, as_detections, checked_map, iou,
+    BBox, Detection, GroundTruth, as_boxes, as_columns, as_detections, box_to_letterboxed, checked_map,
+    iou, kmeans_anchors,
 )
 from compactdet.arch_graph import SCALE_TAGS, WeightStore, execute, load_bundled_config
 from compactdet import detection
@@ -38,7 +39,6 @@ from compactdet.detection import (
     detect,
     evaluate_map,
     format_detection_line,
-    kmeans_anchors,
     letterbox_image,
     nms,
     parse_detections,
@@ -734,7 +734,7 @@ class TestLetterbox:
             h, w = int(rng.integers(10, 200)), int(rng.integers(10, 200))
             _, t = letterbox_image(np.zeros((h, w, 3), dtype=np.uint8), (96, 96))
             box = BBox(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.05, 0.4, 2))
-            back = t.box_to_original(t.box_to_letterboxed(box))
+            back = t.box_to_original(box_to_letterboxed(t, box))
             for field in ("cx", "cy", "w", "h"):
                 assert getattr(back, field) == pytest.approx(getattr(box, field), abs=1e-9)
 

@@ -1,7 +1,7 @@
 """Design-space construction, point expansion, and search-loop tests.
 
 The evolutionary loop is validated against the brute-force enumerator
-(same comparator, exact argmax), so the two code paths stay honest about
+(`references.brute_force_search`: same comparator, exact argmax), so the two code paths stay honest about
 each other; determinism tests compare full histories, not just winners.
 """
 
@@ -25,13 +25,11 @@ from compactdet.arch_graph import (
 )
 from compactdet.complexity import ConstraintSet, count_network
 from compactdet.explorer import (
-    BRUTE_FORCE_LIMIT,
     MAX_REPEAT,
     Candidate,
     DesignSpace,
     HistoryEntry,
     Slot,
-    brute_force_search,
     evaluate,
     expand_point,
     explore,
@@ -44,6 +42,7 @@ from compactdet.explorer import (
     synthetic_evaluator,
 )
 from compactdet.tensor_core import ConfigError
+from references import BRUTE_FORCE_LIMIT, brute_force_search
 
 SPACE_DOC = """\
 slot n0.out values 8,12,16
