@@ -268,7 +268,7 @@ def cmd_explore(args) -> int:
         Path(args.out).write_text(arch_graph.serialize_network_spec(best.spec))
     print(
         f"best: u {best.u_value:.6f} score {best.score:.6f} ops {best.ops} "
-        f"params {best.params} point {' '.join(str(v) for v in best.point)}"
+        f"params {best.params} point {' '.join(str(v) for v in best.point)}".rstrip()
     )
     print(f"evaluated {len(result.history)} of {space.size()} points")
     return EXIT_OK

@@ -27,14 +27,11 @@ import numpy as np
 
 from .arch_graph import (
     _KINDS,
-    _inputs,
-    _node_shape,
-    _validate_references,
-    INPUT_ID,
     NetworkSpec,
     NodeCost,
     NodeSpec,
     WeightStore,
+    infer_shapes,
     linear_conv_ids,
     node_param_shapes,
 )
@@ -82,35 +79,18 @@ class OpsReport:
         return "\n".join(lines) + "\n"
 
 
-def count_network(spec: NetworkSpec, costs: Optional[dict] = None) -> OpsReport:
-    """Per-node costs of spec, in one walk that also chains its shapes.
-
-    `costs`, when given, is a memo that the caller shares across the
-    networks of one search: (op, shapes of the nodes it reads (its input,
-    then a concat's `with_id`), raw head conv or not, the spec's detect
-    channel count) -> (out shape, NodeCost), all that the node's shape and
-    cost rules read.  On a miss the shape rule and count_node run, so their
-    errors raise as in infer_shapes, and a failure is never cached.
-    """
-    _validate_references(spec)
+def count_network(spec: NetworkSpec) -> OpsReport:
+    """Per-node costs of spec, after infer_shapes checks its references and
+    chains its shapes.  This is the one general rule: `describe`, `bench`
+    and the explorer's check of its best point call it, and the explorer's
+    per-point walk must give its totals."""
+    table = infer_shapes(spec)
     raw_heads = linear_conv_ids(spec)
-    detect_channels = spec.detect_channels()
-    costs = {} if costs is None else costs
-    shapes = {INPUT_ID: tuple(spec.input_shape)}
     rows = []
-    macs = ops = params = 0
     for node in spec.nodes:
-        in_shapes = tuple(map(shapes.__getitem__, _inputs(node)))
-        linear = node.id in raw_heads
-        key = (node.op, in_shapes, linear, detect_channels)
-        hit = costs.get(key)
-        if hit is None:
-            out_shape = _node_shape(node, shapes.__getitem__, spec)
-            hit = costs[key] = (out_shape, count_node(node, in_shapes[0], out_shape, linear=linear))
-        shapes[node.id], cost = hit
-        rows.append((node.id, _KINDS[type(node.op)].word, cost))
-        macs, ops, params = macs + cost.macs, ops + cost.ops, params + cost.params
-    return OpsReport(rows, NodeCost(macs, ops, params))
+        cost = count_node(node, table.of(node.input_id), table.of(node.id), linear=node.id in raw_heads)
+        rows.append((node.id, node.kind, cost))
+    return OpsReport(rows, sum((cost for _, _, cost in rows), NodeCost()))
 
 
 def _layout(spec: NetworkSpec, bits: int) -> list:

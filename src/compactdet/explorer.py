@@ -44,10 +44,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import complexity
 from .arch_graph import (
     _KINDS,
     _decimal,
     _inputs,
+    _node_shape,
     INPUT_ID,
     MAX_INT,
     ConvSpec,
@@ -56,7 +58,7 @@ from .arch_graph import (
     ParseError,
     infer_shapes,
 )
-from .complexity import ConstraintSet, check_constraints, count_network
+from .complexity import ConstraintSet, check_constraints
 from .nn_modules import EpConfig, FcaConfig, PepConfig
 from .tensor_core import ConfigError
 
@@ -140,14 +142,43 @@ class DesignSpace:
 
     @cached_property
     def _plan(self) -> tuple:
-        """Per base node: the node, its slots' indexes, its refs' ids, and
-        expand_point's memo for it: (slot values, renumbered refs) ->
-        (op, copies, {(new id, input id): NodeSpec})."""
+        """Per base node: the node, its slots' indexes, its refs' ids, its
+        raw-head paths (_head_paths), and _walk's memo for it: (slot values,
+        renumbered refs) -> (op, copies, {(new id, input id): NodeSpec})."""
         slots = list(enumerate(self.slots))
+        heads = self._head_paths()
         return tuple(
-            (node, tuple(i for i, slot in slots if slot.node_id == node.id), _inputs(node)[1:], {})
+            (node, tuple(i for i, slot in slots if slot.node_id == node.id), _inputs(node)[1:],
+             heads.get(node.id, ()), {})
             for node in self.base.nodes
         )
+
+    @cached_property
+    def _ops(self) -> dict:
+        """Every op _walk has built, by value, so that equal ops are one object."""
+        return {}
+
+    def _head_paths(self) -> dict:
+        """Conv id -> per detect that can read it, the present slots of the
+        nodes between them: on a point where all of one path's are 0, the
+        conv feeds the detect and emits raw logits (linear_conv_ids).
+
+        Those nodes pass the detect its channels, so _pinned_ids keeps every
+        slot but an fca_site off them, and the conv is never repeated.
+        """
+        present = {slot.node_id: i for i, slot in enumerate(self.slots) if slot.field == "present"}
+        paths: dict = {}
+        for detect in self.base.detect_nodes():
+            path, at = (), detect.input_id
+            while at != INPUT_ID:
+                node = self.base.nodes[at]
+                if type(node.op) is ConvSpec:
+                    paths.setdefault(at, []).append(path)
+                    break
+                if at not in present:
+                    break
+                path, at = path + (present[at],), node.input_id
+        return {conv_id: tuple(conv_paths) for conv_id, conv_paths in paths.items()}
 
 
 def _node_token(token: str) -> int:
@@ -189,17 +220,37 @@ def _validate_space(space: DesignSpace):
 
 
 def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
-    """Rewrite the prototype with a slot assignment into a NetworkSpec.
-
-    Each substituted op is built once per (node, its slot values, its
-    renumbered refs), and each NodeSpec once per (new id, op, input id),
-    in memos that live as long as the space.
-    """
+    """Rewrite the prototype with a slot assignment into a NetworkSpec."""
     if not space.contains(point):
         raise ConfigError(f"point {point!r} is not in the design space")
+    return _walk(space, point)[0]
+
+
+def _walk(space: DesignSpace, point: tuple, costs: Optional[dict] = None) -> tuple:
+    """(spec, ops, params) of a point of space, in one walk over its plan.
+
+    Each substituted op is built once per (node, its slot values, its
+    renumbered refs), and each NodeSpec once per (new id, op, input id), in
+    memos that live as long as the space.  With a node-cost memo `costs`,
+    the walk also chains each node's shape and sums the ops and params of
+    count_network: costs maps (op's id, raw head conv or not, shapes of the
+    nodes it reads: its input, then a concat's `with_id`) -> (op, out shape,
+    NodeCost), which is all that the node's shape and cost rules read for
+    one space.  Equal ops are one object (DesignSpace._ops), and the value
+    holds the op so that no other object takes its id.  On a miss the shape
+    rule and complexity.count_node run, so their errors raise as in
+    infer_shapes, and a failure is never cached.  Without `costs`, ops and
+    params are 0.
+
+    A point of a parsed space needs no reference check: renumbering maps
+    each ref to an earlier node, and detect nodes are never dropped or
+    repeated, so their scale tags stay distinct.
+    """
     new_nodes: list = []
     remap = {INPUT_ID: INPUT_ID}
-    for node, indexes, ref_ids, memo in space._plan:
+    shapes = {INPUT_ID: tuple(space.base.input_shape)}
+    ops = params = 0
+    for node, indexes, ref_ids, heads, memo in space._plan:
         values = tuple(map(point.__getitem__, indexes))
         refs = tuple(map(remap.__getitem__, ref_ids))
         hit = memo.get((values, refs))
@@ -213,22 +264,37 @@ def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
                 else:
                     changes[kind.slots[field]] = value
             op = replace(node.op, **changes) if changes else node.op
-            hit = memo[values, refs] = (op, copies, {})
+            hit = memo[values, refs] = (space._ops.setdefault(op, op), copies, {})
         op, copies, built = hit
         if copies == 0:
             remap[node.id] = remap[node.input_id]
             continue
         input_id = remap[node.input_id]
+        linear = any(not any(map(point.__getitem__, path)) for path in heads) if heads else False
         for _ in range(copies):
-            at = (len(new_nodes), input_id)
-            spec = built.get(at)
+            new_id = len(new_nodes)
+            spec = built.get((new_id, input_id))
             if spec is None:
-                spec = built[at] = NodeSpec(id=at[0], op=op, input_id=input_id)
+                spec = built[new_id, input_id] = NodeSpec(id=new_id, op=op, input_id=input_id)
             new_nodes.append(spec)
-            input_id = len(new_nodes) - 1
+            if costs is not None:
+                in_shape = shapes[input_id]
+                key = (id(op), linear, in_shape)
+                if refs:  # a concat also reads its with_id node
+                    key += tuple(map(shapes.__getitem__, refs))
+                known = costs.get(key)
+                if known is None:
+                    out_shape = _node_shape(spec, shapes.__getitem__, space.base)
+                    cost = complexity.count_node(spec, in_shape, out_shape, linear=linear)
+                    known = costs[key] = (op, out_shape, cost)
+                _, shapes[new_id], cost = known
+                ops += cost.ops
+                params += cost.params
+            input_id = new_id
         remap[node.id] = input_id
 
-    return replace(space.base, nodes=tuple(new_nodes))
+    base = space.base  # replace() would read every field's metadata, per point
+    return NetworkSpec(tuple(new_nodes), base.input_shape, base.num_classes, base.anchors), ops, params
 
 
 def _read_slot(tokens: list, base: NetworkSpec, table, mutable: dict) -> Slot:
@@ -316,16 +382,17 @@ class Candidate:
 def evaluate(
     spec: NetworkSpec,
     evaluator: Callable[[NetworkSpec], float],
+    ops: int,
+    params: int,
     point: Optional[tuple] = None,
-    costs: Optional[dict] = None,
 ) -> Candidate:
-    """Attach cost metrics and the performance value to one design.
+    """Score one design whose total ops and params are counted, and attach
+    its performance value.
 
     An evaluator that raises or returns a non-finite score yields a
     candidate with score nan and u -inf, which no constraint set with a
-    score floor accepts.  `costs` is count_network's node-cost memo.
+    score floor accepts.
     """
-    report = count_network(spec, costs)
     try:
         score = float(evaluator(spec))
         if not math.isfinite(score):
@@ -333,12 +400,8 @@ def evaluate(
     except Exception:
         score = float("nan")
     return Candidate(
-        spec=spec,
-        ops=report.total_ops,
-        params=report.total_params,
-        score=score,
-        u_value=performance(score, report.total_params, report.total_ops),
-        point=point,
+        spec=spec, ops=ops, params=params, score=score,
+        u_value=performance(score, params, ops), point=point,
     )
 
 
@@ -385,9 +448,10 @@ def _assess(
     costs: dict,
     gen: int,
 ) -> HistoryEntry:
-    """Expand, evaluate and constraint-check one point; `costs` is the
-    search's node-cost memo."""
-    cand = evaluate(expand_point(space, point), evaluator, point=point, costs=costs)
+    """Expand and cost one point in one walk over the search's node-cost
+    memo `costs` (_walk), then evaluate and constraint-check it."""
+    spec, ops, params = _walk(space, point, costs)
+    cand = evaluate(spec, evaluator, ops, params, point=point)
     return HistoryEntry(gen, check_constraints(cand.ops, cand.score, constraints), cand)
 
 
@@ -470,7 +534,21 @@ def explore(
                     visit(point, gen)
             break
     # Points are unique, so rank keys are too: the minimum is the one best.
-    return ExploreResult(best=_best(seen.values()), history=list(seen.values()))
+    best = _best(seen.values())
+    if best is not None:
+        _recount(best)
+    return ExploreResult(best=best, history=list(seen.values()))
+
+
+def _recount(cand: Candidate):
+    """Check the walk's totals for cand against a fresh count_network, so
+    that a fault in the node-cost memo fails the search."""
+    report = complexity.count_network(cand.spec)
+    if (report.total_ops, report.total_params) != (cand.ops, cand.params):
+        raise RuntimeError(
+            f"point {cand.point!r} was costed at {cand.ops} ops and {cand.params} params; "
+            f"count_network gives {report.total_ops} and {report.total_params}"
+        )
 
 
 # Per-kind capacity terms of the synthetic score, by op class; others add nothing.

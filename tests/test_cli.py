@@ -803,6 +803,22 @@ class TestExplore:
         assert "evaluated 1 of 1 points" in captured.out
         assert "Traceback" not in captured.err
 
+    def test_slotless_space_best_line_has_no_trailing_space(self, tmp_path, capsys):
+        """A space with no slots has one empty point: the best line ends at
+        `point`, as the log's header and lines end at their last field."""
+        space = tmp_path / "space.txt"
+        space.write_text("")
+        out = tmp_path / "best.cfg"
+        argv = ["explore", "--config", bundled("explore-proto.cfg"), "--space", str(space)]
+        rc = cli.main(argv + ["--out", str(out), "--budget", "4"])
+        best, evaluated = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert re.fullmatch(r"best: u \S+ score \S+ ops \d+ params \d+ point", best)
+        assert evaluated == "evaluated 1 of 1 points"
+        assert (tmp_path / "best.cfg.log").read_text().splitlines()[0] == (
+            "# gen seed feasible ops params score u"
+        )
+
     def test_constraint_respected(self, tmp_path, capsys):
         cap = 2500000
         rc, out, _ = self.run(tmp_path, "c", "--max-ops", str(cap))

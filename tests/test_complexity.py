@@ -6,7 +6,6 @@ biases) and written down as a literal, so a regression in the counting
 code cannot hide behind a regenerated expectation.
 """
 
-import dataclasses
 import functools
 import hashlib
 import math
@@ -50,7 +49,7 @@ from compactdet.complexity import (
     quantize_tensor,
     save_weights,
 )
-from compactdet.explorer import expand_point, parse_design_space
+from compactdet.explorer import DesignSpace, _walk, expand_point, parse_design_space
 from compactdet.nn_modules import (
     EpConfig, FcaConfig, PepConfig, fca_bottleneck_width, param_tensors, residual_active,
 )
@@ -272,31 +271,69 @@ conv 1 21 1
 detect large
 """
 
+# A concat reads n12, whose out channels a slot sets.
+REFERENCE_CONCAT_DOC = "slot n12.out values 140,150,160\nfca_site n9 optional\n"
+FCA_HEAD_DOC = "slot n0.out values 8,12\nfca_site n2 optional\n"
+
+# n1 feeds the detect through an optional fca: without the fca it is a raw head.
+FCA_HEAD_NET = """\
+input 3 16 16
+classes 2
+conv 3 8 2      # 0
+conv 1 21 1     # 1
+fca 3           # 2
+detect large    # 3
+"""
+
+
+def walk_every_point(space, costs) -> int:
+    """Walk each point of space over one node-cost memo: each gives
+    expand_point's spec, and its totals are a fresh count_network's."""
+    points = 0
+    for point in space.enumerate_points():
+        spec, ops, params = _walk(space, point, costs)
+        assert spec == expand_point(space, point), point
+        report = count_network(spec)
+        assert (ops, params) == (report.total_ops, report.total_params), point
+        points += 1
+    return points
+
 
 class TestNodeCostMemo:
+    """explorer._walk's memo: expanding a point also chains and costs it."""
+
     def test_shared_memo_matches_fresh_counts_over_design_space(self):
         text = resources.files("compactdet.configs").joinpath("explore-space.txt").read_text()
         space = parse_design_space(text, load_bundled_config("explore-proto"))
         costs = {}
-        points = 0
-        for point in space.enumerate_points():
-            spec = expand_point(space, point)
-            assert count_network(spec, costs).rows == count_network(spec).rows, point
-            points += 1
-        assert points == 4374
+        assert walk_every_point(space, costs) == 4374
         assert 0 < len(costs) < 200  # a few dozen distinct node costs
 
+    @pytest.mark.parametrize(
+        "config, doc, size",
+        [("reference", REFERENCE_CONCAT_DOC, 6), (FCA_HEAD_NET, FCA_HEAD_DOC, 4)],
+        ids=["concat-of-a-slotted-node", "fca-before-a-head"],
+    )
+    def test_shared_memo_matches_fresh_counts_where_shapes_and_heads_vary(self, config, doc, size):
+        """The concat's key holds the shape of the node it concatenates;
+        a conv is a raw head on exactly the points that drop the fca."""
+        base = load_bundled_config(config) if config == "reference" else parse_network_spec(config)
+        assert walk_every_point(parse_design_space(doc, base), {}) == size
+
     def test_raw_head_and_activated_twin_cost_apart(self):
-        spec = parse_network_spec(TWIN_CONV_CFG)
+        space = parse_design_space("", parse_network_spec(TWIN_CONV_CFG))
+        spec = expand_point(space, ())
         table = infer_shapes(spec)
         activated, head = spec.nodes[0], spec.nodes[1]
         assert activated.op == head.op and table.of(0) == table.of(1) == table.of(INPUT_ID)
         assert linear_conv_ids(spec) == {1}
         costs = {}
-        rows = count_network(spec, costs).rows
-        assert rows == count_network(spec).rows
-        assert rows[0][2] == count_node(activated, table.of(INPUT_ID), table.of(0))
-        assert rows[1][2] == count_node(head, table.of(0), table.of(1), linear=True)
+        _, ops, params = _walk(space, (), costs)
+        rows = count_network(spec).rows
+        assert (ops, params) == (sum(c.ops for *_, c in rows), sum(c.params for *_, c in rows))
+        by_linear = {key[1]: cost for key, (op, _, cost) in costs.items() if op == head.op}
+        assert rows[0][2] == by_linear[False] == count_node(activated, table.of(INPUT_ID), table.of(0))
+        assert rows[1][2] == by_linear[True] == count_node(head, table.of(0), table.of(1), linear=True)
         assert rows[0][2].ops - rows[1][2].ops == 21 * 4 * 4  # the activation
         assert len(costs) == 3
 
@@ -312,6 +349,12 @@ concat 0
 MATCHED_CONCAT_CFG = MISMATCHED_CONCAT_CFG.replace("4 1\nconv 3 4 2", "4 2\nconv 3 4 1")
 
 
+def slotless(text: str) -> DesignSpace:
+    """A space with no slots over a network, left unchecked, so that its one
+    point can reach what a parsed space refuses."""
+    return DesignSpace(base=parse_network_spec(text), slots=())
+
+
 class TestMemoHidesNoCheck:
     """A shared memo never lets a network through that a fresh count refuses."""
 
@@ -322,36 +365,30 @@ class TestMemoHidesNoCheck:
 
     @pytest.mark.parametrize("costs", [None, {}], ids=["fresh", "memo"])
     def test_forward_reference_and_mismatched_concat_raise(self, costs):
+        """Fresh: count_network.  Memo: the explorer's path, a space parsed
+        over the network and its point walked over a node-cost memo."""
+
+        def count(spec):
+            if costs is None:
+                return count_network(spec)
+            return _walk(parse_design_space("", spec), (), costs)
+
         with pytest.raises(ParseError, match="node 0 references node 1"):
-            count_network(self.FORWARD_REF, costs)
+            count(self.FORWARD_REF)
         with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
-            count_network(parse_network_spec(MISMATCHED_CONCAT_CFG), costs)
+            count(parse_network_spec(MISMATCHED_CONCAT_CFG))
+        assert not costs  # no failure is cached
 
     def test_failing_node_raises_again_with_the_same_memo(self):
-        """Also when the memo holds the twin's concat, which the key tells
-        apart by the shape of the concatenated node."""
+        """As infer_shapes raises, and also when the memo holds the twin's
+        concat."""
         costs = {}
-        count_network(parse_network_spec(MATCHED_CONCAT_CFG), costs)
-        spec = parse_network_spec(MISMATCHED_CONCAT_CFG)
+        _walk(slotless(MATCHED_CONCAT_CFG), (), costs)
+        space = slotless(MISMATCHED_CONCAT_CFG)
         for _ in range(2):
-            with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8"):
-                count_network(spec, costs)
+            with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
+                _walk(space, (), costs)
         assert len(costs) == 5  # the twin's three nodes and two convs; no failure
-
-    def test_class_count_is_part_of_the_key(self):
-        """One memo, two networks that differ only in classes: the second
-        network's detect check runs, and fails as a fresh count does."""
-        fits = parse_network_spec(TWIN_CONV_CFG)
-        wider = dataclasses.replace(fits, num_classes=3)  # detect now needs 3 * (5 + 3) = 24
-        costs = {}
-        count_network(fits, costs)
-        with pytest.raises(ShapeError) as fresh:
-            count_network(wider)
-        with pytest.raises(ShapeError) as shared:
-            count_network(wider, costs)
-        assert str(shared.value) == str(fresh.value) == (
-            "node 2: detect 'large' input has 21 channels, needs 3*(5+3) = 24"
-        )
 
 
 class TestReferenceBudgets:

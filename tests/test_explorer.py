@@ -12,14 +12,16 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from compactdet import complexity
+from compactdet import complexity, explorer
 from compactdet.arch_graph import (
     _KINDS,
+    _inputs,
     INPUT_ID,
     NetworkSpec,
     NodeSpec,
     ParseError,
     infer_shapes,
+    linear_conv_ids,
     load_bundled_config,
     parse_network_spec,
 )
@@ -30,6 +32,7 @@ from compactdet.explorer import (
     DesignSpace,
     HistoryEntry,
     Slot,
+    _assess,
     evaluate,
     expand_point,
     explore,
@@ -418,11 +421,16 @@ class TestPerformance:
         assert performance(0.5, 10**6, 2 * 10**9) < base
 
 
+def assessed(space, point) -> Candidate:
+    """The candidate a search builds for point, costed by its walk."""
+    return _assess(space, point, ConstraintSet(), synthetic_evaluator(), {}, 0).candidate
+
+
 class TestEvaluate:
     def test_metrics_match_count_network(self, base, space):
-        spec = expand_point(space, space.base_point())
-        cand = evaluate(spec, synthetic_evaluator())
-        report = count_network(spec)
+        cand = assessed(space, space.base_point())
+        report = count_network(cand.spec)
+        assert cand.spec == expand_point(space, space.base_point())
         assert cand.ops == report.total_ops
         assert cand.params == report.total_params
         assert cand.u_value == performance(cand.score, cand.params, cand.ops)
@@ -431,12 +439,12 @@ class TestEvaluate:
         def boom(spec):
             raise RuntimeError("no score available")
 
-        cand = evaluate(expand_point(space, space.base_point()), boom)
+        cand = evaluate(expand_point(space, space.base_point()), boom, 10**6, 10**4)
         assert math.isnan(cand.score)
         assert cand.u_value == float("-inf")
 
     def test_nonfinite_score_becomes_nan(self, base, space):
-        cand = evaluate(expand_point(space, space.base_point()), lambda s: float("inf"))
+        cand = evaluate(expand_point(space, space.base_point()), lambda s: float("inf"), 10**6, 10**4)
         assert math.isnan(cand.score)
 
 
@@ -499,6 +507,18 @@ def run_explore(space, seed=3, budget=None, **constraint_kwargs):
         budget=budget if budget is not None else space.size(),
         seed=seed,
     )
+
+
+# Each activated conv but the last reads a 21x4x4 map; the last one feeds
+# detect and emits raw logits.
+EQUAL_CONVS_CFG = """\
+input 21 4 4
+classes 2
+conv 1 21 1
+conv 1 21 1
+conv 1 21 1
+detect large
+"""
 
 
 class TestExplore:
@@ -576,6 +596,43 @@ class TestExplore:
             assert search() == first
             assert 0 < first_calls == len(calls) - first_calls
 
+    @pytest.mark.parametrize("doc", [SPACE_DOC, ""], ids=["demo", "equal-convs"])
+    def test_one_count_network_call_and_one_count_node_call_per_node_key(self, doc, monkeypatch):
+        """count_network runs once, on the best point; the walks call
+        count_node once per distinct (op, raw head or not, shapes read).
+        In the slotless space two equal activated convs read equal shapes
+        and share one call."""
+        base = load_bundled_config("explore-proto") if doc else parse_network_spec(EQUAL_CONVS_CFG)
+        space = parse_design_space(doc, base)
+        counted, node_calls = [], []
+        count_network, count_node = complexity.count_network, complexity.count_node
+        monkeypatch.setattr(
+            complexity, "count_network", lambda spec: counted.append(spec) or count_network(spec)
+        )
+        monkeypatch.setattr(
+            complexity, "count_node", lambda *a, **k: node_calls.append(1) or count_node(*a, **k)
+        )
+        result = run_explore(space, seed=4, budget=100)
+        assert counted == [result.best.spec]
+        keys = set()
+        for entry in result.history:
+            spec = entry.candidate.spec
+            table, heads = infer_shapes(spec), linear_conv_ids(spec)
+            keys.update((n.op, n.id in heads, tuple(map(table.of, _inputs(n)))) for n in spec.nodes)
+        assert len(node_calls) == len(keys) + len(result.best.spec.nodes)
+        assert len(keys) == (34 if doc else 3)
+
+    def test_walk_totals_that_count_network_refutes_fail_the_search(self, space, monkeypatch):
+        walk = explorer._walk
+
+        def off_by_one(*args):
+            spec, ops, params = walk(*args)
+            return spec, ops + 1, params
+
+        monkeypatch.setattr(explorer, "_walk", off_by_one)
+        with pytest.raises(RuntimeError, match=r"costed at \d+ ops .*; count_network gives"):
+            run_explore(space, budget=20)
+
     def test_rejects_silly_budget(self, space):
         with pytest.raises(ConfigError, match="budget"):
             run_explore(space, budget=0)
@@ -600,10 +657,7 @@ class TestBruteForce:
             s, ConstraintSet(max_ops=None), synthetic_evaluator()
         )
         assert best == present_best
-        absent = [
-            evaluate(expand_point(s, p), synthetic_evaluator(), point=p)
-            for p in [(2, 0), (4, 0)]
-        ]
+        absent = [assessed(s, p) for p in [(2, 0), (4, 0)]]
         assert absent[0].u_value == absent[1].u_value
         if best.point[1] == 0:  # ties only matter if absent wins overall
             assert best.point == (2, 0)
