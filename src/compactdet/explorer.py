@@ -98,8 +98,30 @@ class Slot:
         return f"n{self.node_id}.{self.field}"
 
 
+@dataclass(frozen=True, eq=False)
+class _Segment:
+    """A maximal run of base nodes in which only the first carries slots.
+
+    It hashes by identity, so a memo key that holds it names one space's run.
+    """
+
+    nodes: tuple  # the base nodes, in order
+    indexes: tuple  # indexes of the first node's slots
+    reads: tuple  # ids of the earlier base nodes (or INPUT_ID) that its nodes read
+    heads: tuple  # (conv id, raw-head paths) of its convs that feed a detect on some points
+    raw: frozenset  # ids of its convs that feed a detect on every point
+
+
 @dataclass(frozen=True)
 class DesignSpace:
+    """A prototype network and its slots (module docstring).
+
+    _walk expands a point one _Segment at a time (_segments): only a
+    segment's first node carries slots, so its nodes, their shapes and
+    their costs follow from its first node's slot values, what it reads
+    from earlier segments, its first new id and its raw-head flags.
+    """
+
     base: NetworkSpec
     slots: tuple
 
@@ -141,22 +163,26 @@ class DesignSpace:
         return tuple(i for i, slot in enumerate(self.slots) if len(slot.values) > 1)
 
     @cached_property
-    def _plan(self) -> tuple:
-        """Per base node: the node, its slots' indexes, its refs' ids, its
-        raw-head paths (_head_paths), and _walk's memo for it: (slot values,
-        renumbered refs) -> (op, copies, {(new id, input id): NodeSpec})."""
-        slots = list(enumerate(self.slots))
+    def _segments(self) -> tuple:
+        """The base nodes cut into _Segments, in order: _walk's plan."""
+        slotted = {slot.node_id for slot in self.slots}
+        runs: list = []
+        for node in self.base.nodes:
+            if not runs or node.id in slotted:
+                runs.append([])
+            runs[-1].append(node)
         heads = self._head_paths()
-        return tuple(
-            (node, tuple(i for i, slot in slots if slot.node_id == node.id), _inputs(node)[1:],
-             heads.get(node.id, ()), {})
-            for node in self.base.nodes
-        )
-
-    @cached_property
-    def _ops(self) -> dict:
-        """Every op _walk has built, by value, so that equal ops are one object."""
-        return {}
+        segments = []
+        for run in runs:
+            paths = [(node.id, heads[node.id]) for node in run if node.id in heads]
+            segments.append(_Segment(
+                nodes=tuple(run),
+                indexes=tuple(i for i, slot in enumerate(self.slots) if slot.node_id == run[0].id),
+                reads=tuple(dict.fromkeys(i for node in run for i in _inputs(node) if i < run[0].id)),
+                heads=tuple((conv, p) for conv, p in paths if () not in p),
+                raw=frozenset(conv for conv, p in paths if () in p),
+            ))
+        return tuple(segments)
 
     def _head_paths(self) -> dict:
         """Conv id -> per detect that can read it, the present slots of the
@@ -223,78 +249,90 @@ def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
     """Rewrite the prototype with a slot assignment into a NetworkSpec."""
     if not space.contains(point):
         raise ConfigError(f"point {point!r} is not in the design space")
-    return _walk(space, point)[0]
+    return _walk(space, point, {}, {})[0]
 
 
-def _walk(space: DesignSpace, point: tuple, costs: Optional[dict] = None) -> tuple:
-    """(spec, ops, params) of a point of space, in one walk over its plan.
+def _walk(space: DesignSpace, point: tuple, segments: dict, costs: dict) -> tuple:
+    """(spec, ops, params) of a point of space, one memo lookup per segment.
 
-    Each substituted op is built once per (node, its slot values, its
-    renumbered refs), and each NodeSpec once per (new id, op, input id), in
-    memos that live as long as the space.  With a node-cost memo `costs`,
-    the walk also chains each node's shape and sums the ops and params of
-    count_network: costs maps (op's id, raw head conv or not, shapes of the
-    nodes it reads: its input, then a concat's `with_id`) -> (op, out shape,
-    NodeCost), which is all that the node's shape and cost rules read for
-    one space.  Equal ops are one object (DesignSpace._ops), and the value
-    holds the op so that no other object takes its id.  On a miss the shape
-    rule and complexity.count_node run, so their errors raise as in
-    infer_shapes, and a failure is never cached.  Without `costs`, ops and
-    params are 0.
+    `segments` maps (segment, its slot values, the (new id, shape) of each
+    earlier node it reads, its first new id, its raw-head flags) to _build's
+    value, which that key fixes; `costs` is _build's node-cost memo.  Both
+    serve one search over one space.  A raw-head flag is True on the points
+    where all of one of the conv's paths' present slots are 0
+    (DesignSpace._head_paths).
 
     A point of a parsed space needs no reference check: renumbering maps
     each ref to an earlier node, and detect nodes are never dropped or
     repeated, so their scale tags stay distinct.
     """
-    new_nodes: list = []
-    remap = {INPUT_ID: INPUT_ID}
-    shapes = {INPUT_ID: tuple(space.base.input_shape)}
+    nodes: list = []
+    remap = {INPUT_ID: (INPUT_ID, tuple(space.base.input_shape))}  # base id -> (new id, shape)
     ops = params = 0
-    for node, indexes, ref_ids, heads, memo in space._plan:
-        values = tuple(map(point.__getitem__, indexes))
-        refs = tuple(map(remap.__getitem__, ref_ids))
-        hit = memo.get((values, refs))
+    value, read, lookup = point.__getitem__, remap.__getitem__, segments.get
+    for seg in space._segments:
+        flags = () if not seg.heads else tuple(
+            any(not any(map(value, path)) for path in paths) for _, paths in seg.heads
+        )
+        key = (seg, tuple(map(value, seg.indexes)), tuple(map(read, seg.reads)), len(nodes), flags)
+        hit = lookup(key)
         if hit is None:
-            kind = _KINDS[type(node.op)]
-            changes, copies = dict(zip(kind.refs, refs)), 1
-            for i, value in zip(indexes, values):
-                field = space.slots[i].field
-                if field in ("present", "repeat"):
-                    copies *= value  # present is 1 or 0, repeat the copy count
-                else:
-                    changes[kind.slots[field]] = value
-            op = replace(node.op, **changes) if changes else node.op
-            hit = memo[values, refs] = (space._ops.setdefault(op, op), copies, {})
-        op, copies, built = hit
-        if copies == 0:
-            remap[node.id] = remap[node.input_id]
-            continue
-        input_id = remap[node.input_id]
-        linear = any(not any(map(point.__getitem__, path)) for path in heads) if heads else False
-        for _ in range(copies):
-            new_id = len(new_nodes)
-            spec = built.get((new_id, input_id))
-            if spec is None:
-                spec = built[new_id, input_id] = NodeSpec(id=new_id, op=op, input_id=input_id)
-            new_nodes.append(spec)
-            if costs is not None:
-                in_shape = shapes[input_id]
-                key = (id(op), linear, in_shape)
-                if refs:  # a concat also reads its with_id node
-                    key += tuple(map(shapes.__getitem__, refs))
-                known = costs.get(key)
-                if known is None:
-                    out_shape = _node_shape(spec, shapes.__getitem__, space.base)
-                    cost = complexity.count_node(spec, in_shape, out_shape, linear=linear)
-                    known = costs[key] = (op, out_shape, cost)
-                _, shapes[new_id], cost = known
-                ops += cost.ops
-                params += cost.params
-            input_id = new_id
-        remap[node.id] = input_id
+            hit = segments[key] = _build(space, *key, costs)
+        built, marks, seg_ops, seg_params = hit
+        nodes += built
+        remap.update(marks)
+        ops += seg_ops
+        params += seg_params
 
     base = space.base  # replace() would read every field's metadata, per point
-    return NetworkSpec(tuple(new_nodes), base.input_shape, base.num_classes, base.anchors), ops, params
+    return NetworkSpec(tuple(nodes), base.input_shape, base.num_classes, base.anchors), ops, params
+
+
+def _build(
+    space: DesignSpace, seg: _Segment, values: tuple, reads: tuple, offset: int, flags: tuple, costs: dict
+) -> tuple:
+    """A segment's memo entry, from its _walk key: its NodeSpecs, the (new
+    id, shape) of each of its base nodes, and its ops and params.
+
+    Each node's (out shape, NodeCost) comes from `costs`, keyed by (op, raw
+    head conv or not, shapes of the nodes it reads: its input, then a
+    concat's `with_id`), which is all that its shape and cost rules read in
+    one space.  On a miss the shape rule and complexity.count_node run, so
+    their errors raise as in infer_shapes, and a failure is never cached.
+    """
+    remap = dict(zip(seg.reads, reads))  # base id -> (new id, shape)
+    shapes = dict(reads)  # new id -> shape
+    raw = seg.raw.union(conv for (conv, _), flag in zip(seg.heads, flags) if flag)
+    nodes: list = []
+    ops = params = 0
+    for at, node in enumerate(seg.nodes):
+        kind = _KINDS[type(node.op)]
+        changes = {ref: remap[getattr(node.op, ref)][0] for ref in kind.refs}
+        copies = 1
+        for i, value in zip(seg.indexes, values) if at == 0 else ():
+            field = space.slots[i].field
+            if field in ("present", "repeat"):
+                copies *= value  # present is 1 or 0, repeat the copy count
+            else:
+                changes[kind.slots[field]] = value
+        op = replace(node.op, **changes) if changes else node.op
+        linear = node.id in raw
+        input_id = remap[node.input_id][0]
+        for _ in range(copies):
+            spec = NodeSpec(id=offset + len(nodes), op=op, input_id=input_id)
+            key = (op, linear, *map(shapes.__getitem__, _inputs(spec)))
+            known = costs.get(key)
+            if known is None:
+                out_shape = _node_shape(spec, shapes.__getitem__, space.base)
+                cost = complexity.count_node(spec, shapes[input_id], out_shape, linear=linear)
+                known = costs[key] = (out_shape, cost)
+            shapes[spec.id], cost = known
+            ops += cost.ops
+            params += cost.params
+            nodes.append(spec)
+            input_id = spec.id
+        remap[node.id] = (input_id, shapes[input_id])
+    return tuple(nodes), {node.id: remap[node.id] for node in seg.nodes}, ops, params
 
 
 def _read_slot(tokens: list, base: NetworkSpec, table, mutable: dict) -> Slot:
@@ -445,12 +483,13 @@ def _assess(
     point: tuple,
     constraints: ConstraintSet,
     evaluator: Callable[[NetworkSpec], float],
+    segments: dict,
     costs: dict,
     gen: int,
 ) -> HistoryEntry:
-    """Expand and cost one point in one walk over the search's node-cost
-    memo `costs` (_walk), then evaluate and constraint-check it."""
-    spec, ops, params = _walk(space, point, costs)
+    """Expand and cost one point in one walk over the search's memos
+    (_walk), then evaluate and constraint-check it."""
+    spec, ops, params = _walk(space, point, segments, costs)
     cand = evaluate(spec, evaluator, ops, params, point=point)
     return HistoryEntry(gen, check_constraints(cand.ops, cand.score, constraints), cand)
 
@@ -498,12 +537,13 @@ def explore(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    costs: dict = {}  # node-cost memo, dropped with this search
+    segments: dict = {}  # _walk's memos, dropped with this search
+    costs: dict = {}
     seen = {}  # point -> entry, in evaluation order
     ranked = []  # rank keys of the feasible candidates, ascending
 
     def visit(point, gen):
-        entry = seen[point] = _assess(space, point, constraints, evaluator, costs, gen)
+        entry = seen[point] = _assess(space, point, constraints, evaluator, segments, costs, gen)
         if entry.feasible:
             insort(ranked, _rank_key(entry.candidate))
 
@@ -542,7 +582,7 @@ def explore(
 
 def _recount(cand: Candidate):
     """Check the walk's totals for cand against a fresh count_network, so
-    that a fault in the node-cost memo fails the search."""
+    that a fault in the walk's memos fails the search."""
     report = complexity.count_network(cand.spec)
     if (report.total_ops, report.total_params) != (cand.ops, cand.params):
         raise RuntimeError(

@@ -42,7 +42,9 @@ def brute_force_search(
     size = space.size()
     if size > BRUTE_FORCE_LIMIT:
         raise ConfigError(f"space has {size} points, brute force caps at {BRUTE_FORCE_LIMIT}")
-    costs: dict = {}  # node-cost memo, dropped with this search
+    segments: dict = {}  # explorer._walk's memos, dropped with this search
+    costs: dict = {}
     return explorer._best(
-        explorer._assess(space, p, constraints, evaluator, costs, 0) for p in space.enumerate_points()
+        explorer._assess(space, p, constraints, evaluator, segments, costs, 0)
+        for p in space.enumerate_points()
     )

@@ -286,12 +286,12 @@ detect large    # 3
 """
 
 
-def walk_every_point(space, costs) -> int:
-    """Walk each point of space over one node-cost memo: each gives
+def walk_every_point(space, segments, costs) -> int:
+    """Walk each point of space over one pair of memos: each gives
     expand_point's spec, and its totals are a fresh count_network's."""
     points = 0
     for point in space.enumerate_points():
-        spec, ops, params = _walk(space, point, costs)
+        spec, ops, params = _walk(space, point, segments, costs)
         assert spec == expand_point(space, point), point
         report = count_network(spec)
         assert (ops, params) == (report.total_ops, report.total_params), point
@@ -300,13 +300,13 @@ def walk_every_point(space, costs) -> int:
 
 
 class TestNodeCostMemo:
-    """explorer._walk's memo: expanding a point also chains and costs it."""
+    """explorer._walk's memos: expanding a point also chains and costs it."""
 
     def test_shared_memo_matches_fresh_counts_over_design_space(self):
         text = resources.files("compactdet.configs").joinpath("explore-space.txt").read_text()
         space = parse_design_space(text, load_bundled_config("explore-proto"))
         costs = {}
-        assert walk_every_point(space, costs) == 4374
+        assert walk_every_point(space, {}, costs) == 4374
         assert 0 < len(costs) < 200  # a few dozen distinct node costs
 
     @pytest.mark.parametrize(
@@ -318,7 +318,7 @@ class TestNodeCostMemo:
         """The concat's key holds the shape of the node it concatenates;
         a conv is a raw head on exactly the points that drop the fca."""
         base = load_bundled_config(config) if config == "reference" else parse_network_spec(config)
-        assert walk_every_point(parse_design_space(doc, base), {}) == size
+        assert walk_every_point(parse_design_space(doc, base), {}, {}) == size
 
     def test_raw_head_and_activated_twin_cost_apart(self):
         space = parse_design_space("", parse_network_spec(TWIN_CONV_CFG))
@@ -328,10 +328,10 @@ class TestNodeCostMemo:
         assert activated.op == head.op and table.of(0) == table.of(1) == table.of(INPUT_ID)
         assert linear_conv_ids(spec) == {1}
         costs = {}
-        _, ops, params = _walk(space, (), costs)
+        _, ops, params = _walk(space, (), {}, costs)
         rows = count_network(spec).rows
         assert (ops, params) == (sum(c.ops for *_, c in rows), sum(c.params for *_, c in rows))
-        by_linear = {key[1]: cost for key, (op, _, cost) in costs.items() if op == head.op}
+        by_linear = {key[1]: cost for key, (_, cost) in costs.items() if key[0] == head.op}
         assert rows[0][2] == by_linear[False] == count_node(activated, table.of(INPUT_ID), table.of(0))
         assert rows[1][2] == by_linear[True] == count_node(head, table.of(0), table.of(1), linear=True)
         assert rows[0][2].ops - rows[1][2].ops == 21 * 4 * 4  # the activation
@@ -356,39 +356,40 @@ def slotless(text: str) -> DesignSpace:
 
 
 class TestMemoHidesNoCheck:
-    """A shared memo never lets a network through that a fresh count refuses."""
+    """Shared memos never let a network through that a fresh count refuses."""
 
     FORWARD_REF = NetworkSpec(
         nodes=(NodeSpec(0, ConvSpec(1, 4, 1), input_id=1), NodeSpec(1, ConvSpec(1, 4, 1), input_id=0)),
         input_shape=(3, 8, 8),
     )
 
-    @pytest.mark.parametrize("costs", [None, {}], ids=["fresh", "memo"])
-    def test_forward_reference_and_mismatched_concat_raise(self, costs):
+    @pytest.mark.parametrize("memos", [None, ({}, {})], ids=["fresh", "memo"])
+    def test_forward_reference_and_mismatched_concat_raise(self, memos):
         """Fresh: count_network.  Memo: the explorer's path, a space parsed
-        over the network and its point walked over a node-cost memo."""
+        over the network and its point walked over a search's memos."""
 
         def count(spec):
-            if costs is None:
+            if memos is None:
                 return count_network(spec)
-            return _walk(parse_design_space("", spec), (), costs)
+            return _walk(parse_design_space("", spec), (), *memos)
 
         with pytest.raises(ParseError, match="node 0 references node 1"):
             count(self.FORWARD_REF)
         with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
             count(parse_network_spec(MISMATCHED_CONCAT_CFG))
-        assert not costs  # no failure is cached
+        assert memos in (None, ({}, {}))  # no failure is cached
 
     def test_failing_node_raises_again_with_the_same_memo(self):
-        """As infer_shapes raises, and also when the memo holds the twin's
-        concat."""
-        costs = {}
-        _walk(slotless(MATCHED_CONCAT_CFG), (), costs)
+        """As infer_shapes raises, and also when the memos hold the twin's
+        segment and concat."""
+        segments, costs = {}, {}
+        _walk(slotless(MATCHED_CONCAT_CFG), (), segments, costs)
         space = slotless(MISMATCHED_CONCAT_CFG)
         for _ in range(2):
             with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
-                _walk(space, (), costs)
+                _walk(space, (), segments, costs)
         assert len(costs) == 5  # the twin's three nodes and two convs; no failure
+        assert len(segments) == 1  # the twin's one segment
 
 
 class TestReferenceBudgets:

@@ -6,11 +6,14 @@ each other; determinism tests compare full histories, not just winners.
 """
 
 import dataclasses
+import functools
 import math
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from compactdet import complexity, explorer
 from compactdet.arch_graph import (
@@ -33,6 +36,7 @@ from compactdet.explorer import (
     HistoryEntry,
     Slot,
     _assess,
+    _walk,
     evaluate,
     expand_point,
     explore,
@@ -354,6 +358,76 @@ detect large    # 7
 """
 
 
+# A `from` starts the second branch, so the new id it reads does not fix the
+# first new id of the nodes after it; conv 2 is a raw head when the fca is absent.
+BRANCH_NET = """\
+input 3 32 32
+classes 1
+conv 3 8 2      # 0: 16x16
+pep 4 8 8 1     # 1
+conv 1 18 1     # 2
+fca 3           # 3
+detect large    # 4
+from 0
+ep 16 16 2      # 5: 8x8
+conv 1 18 1     # 6
+detect medium   # 7
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def network(name: str) -> NetworkSpec:
+    texts = {"concat": CONCAT_NET, "branch": BRANCH_NET}
+    return parse_network_spec(texts[name]) if name in texts else load_bundled_config(name)
+
+
+@functools.lru_cache(maxsize=None)
+def repeat_targets(name: str) -> tuple:
+    """The nodes of a network that a `repeat` statement may name."""
+    targets = []
+    for node in network(name).nodes:
+        try:
+            parse_design_space(f"repeat n{node.id} min 0 max 2\n", network(name))
+        except ParseError:
+            continue
+        targets.append(node.id)
+    return tuple(targets)
+
+
+@st.composite
+def space_documents(draw) -> tuple:
+    """(network name, design-space document): up to three two-valued slots
+    drawn from mutable_fields, optional fca sites, and up to two repeats
+    0..2.  A proj1 value only falls and an expansion only rises, so that
+    every point keeps proj1 <= expansion."""
+    name = draw(st.sampled_from(["concat", "reference", "branch"]))
+    base = network(name)
+    lines = []
+    fields = draw(st.lists(st.sampled_from(sorted(mutable_fields(base).items())), max_size=3, unique=True))
+    for (node_id, short), value in fields:
+        low = 1 if short == "proj1" else value if short == "expansion" else max(1, value // 2)
+        high = value if short == "proj1" else 2 * value
+        lines.append(f"slot n{node_id}.{short} values {value},{draw(st.integers(low, high))}")
+    lines += [f"fca_site n{n.id} optional" for n in base.nodes if n.kind == "fca" and draw(st.booleans())]
+    out_slotted = {node_id for (node_id, short), _ in fields if short == "out"}
+    targets = [i for i in repeat_targets(name) if i not in out_slotted]  # repeat and out never share a node
+    repeats = draw(st.lists(st.sampled_from(targets), max_size=2, unique=True)) if targets else []
+    lines += [f"repeat n{i} min 0 max 2" for i in repeats]
+    return name, "".join(line + "\n" for line in lines)
+
+
+# Over reference.cfg, slots between each cross-branch reader and the node it
+# reads put them in different segments: concat 30 reads n21, concat 36 n12,
+# n42 (`from 33`) n33 and n45 (`from 27`) n27.
+CROSS_SEGMENT_DOCS = (
+    "slot n24.out values 230,240\nslot n37.expansion values 66,72\nfca_site n9 optional\n"
+    "repeat n5 min 0 max 2\n",
+    "slot n22.expansion values 480,500\nslot n42.expansion values 120,130\n"
+    "slot n45.expansion values 360,400\nfca_site n9 optional\n",
+)
+CROSS_SEGMENT_READS = ((30, 21), (36, 12), (42, 33), (45, 27))
+
+
 class TestExpandPointOracle:
     @pytest.mark.parametrize(
         "config, doc, size",
@@ -389,6 +463,29 @@ class TestExpandPointOracle:
         # n2's last copy, or what it reads (n1, else n0) when it has none.
         assert concat_refs == {(1, 0): 1, (1, 1): 2, (1, 2): 3, (0, 0): 0, (0, 1): 1, (0, 2): 2}
 
+    @pytest.mark.parametrize("doc", CROSS_SEGMENT_DOCS)
+    def test_reference_cases_read_across_segments(self, doc):
+        space = parse_design_space(doc, network("reference"))
+        segment_of = {node.id: seg for seg in space._segments for node in seg.nodes}
+        for reader, read in CROSS_SEGMENT_READS:
+            assert read in segment_of[reader].reads, (reader, read)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(space_documents())
+    @example(("reference", CROSS_SEGMENT_DOCS[0]))
+    @example(("reference", CROSS_SEGMENT_DOCS[1]))
+    def test_walk_matches_the_oracle_and_a_fresh_count(self, case):
+        """Every point of a drawn space, walked over one search's memos,
+        gives the replace form's spec and a fresh count_network's totals."""
+        name, doc = case
+        space = parse_design_space(doc, network(name))
+        segments, costs = {}, {}
+        for point in space.enumerate_points():
+            spec, ops, params = _walk(space, point, segments, costs)
+            assert spec == expand_point_oracle(space, point), point
+            report = count_network(spec)
+            assert (ops, params) == (report.total_ops, report.total_params), point
+
 
 class TestPerformance:
     def test_hand_value(self):
@@ -423,7 +520,7 @@ class TestPerformance:
 
 def assessed(space, point) -> Candidate:
     """The candidate a search builds for point, costed by its walk."""
-    return _assess(space, point, ConstraintSet(), synthetic_evaluator(), {}, 0).candidate
+    return _assess(space, point, ConstraintSet(), synthetic_evaluator(), {}, {}, 0).candidate
 
 
 class TestEvaluate:
@@ -622,6 +719,27 @@ class TestExplore:
         assert len(node_calls) == len(keys) + len(result.best.spec.nodes)
         assert len(keys) == (34 if doc else 3)
 
+    def test_one_segment_lookup_per_segment_of_each_point(self, space, monkeypatch):
+        """A search looks each point up once per segment, never per node,
+        and looks node costs up only to build a segment it has not seen."""
+
+        class Counting(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+        want = run_explore(space, seed=4, budget=100)
+        segments, costs = Counting(), Counting()
+        walk = explorer._walk
+        monkeypatch.setattr(explorer, "_walk", lambda space, point, *_: walk(space, point, segments, costs))
+        result = run_explore(space, seed=4, budget=100)
+        assert result == want
+        assert len(space._segments) == 6 < len(space.base.nodes) == 16
+        assert segments.lookups == len(result.history) * len(space._segments)
+        assert costs.lookups == sum(len(nodes) for nodes, *_ in segments.values())
+
     def test_walk_totals_that_count_network_refutes_fail_the_search(self, space, monkeypatch):
         walk = explorer._walk
 
@@ -649,18 +767,17 @@ class TestBruteForce:
     def test_tie_breaks_lexicographically(self, base):
         """With the fca absent its reduction value is dead weight: the two
         points expand to identical specs, so u ties and the smaller
-        reduction value must win."""
+        reduction value must win.  An ops cap at the absent total keeps
+        the fca-present points out, so the tie decides the best point."""
         s = parse_design_space("fca_site n6 optional\nslot n6.reduction values 2,4\n", base)
         assert [slot.name for slot in s.slots] == ["n6.reduction", "n6.present"]
-        best = brute_force_search(s, ConstraintSet(), synthetic_evaluator())
-        present_best = brute_force_search(
-            s, ConstraintSet(max_ops=None), synthetic_evaluator()
-        )
-        assert best == present_best
         absent = [assessed(s, p) for p in [(2, 0), (4, 0)]]
-        assert absent[0].u_value == absent[1].u_value
-        if best.point[1] == 0:  # ties only matter if absent wins overall
-            assert best.point == (2, 0)
+        assert absent[0].spec == absent[1].spec and absent[0].u_value == absent[1].u_value
+        cap = absent[0].ops
+        assert all(assessed(s, p).ops > cap for p in [(2, 1), (4, 1)])
+        best = brute_force_search(s, ConstraintSet(max_ops=cap), synthetic_evaluator())
+        assert best.point == (2, 0)
+        assert run_explore(s, max_ops=cap).best.point == (2, 0)
 
     def test_matches_explore_across_seeds(self, space):
         exact = brute_force_search(space, ConstraintSet(), synthetic_evaluator())
