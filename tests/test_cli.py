@@ -322,6 +322,36 @@ class TestDetect:
         assert captured.err == "error: node 1 (conv): float32 overflow\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("bits", [32, 8], ids=["nan-f32-bias", "zero-8bit-scale"])
+    def test_bad_last_node_exits_3_with_nothing_written(self, head_setup, tmp_path, capsys, bits):
+        """Tensors are checked when the forward pass reads them, and a bad
+        tensor in the last weighted node (node 6, the small head: an
+        (18, 8, 1, 1) kernel, then 18 biases) still ends detect before any
+        output: exit 3, one error line, empty stdout and no --out file."""
+        cfg, weights, image = head_setup
+        spec = parse_network_spec(cfg.read_text())
+        bad = tmp_path / "bad.w"
+        save_weights(bad, spec, load_weights(weights, spec)[0], bits=bits)
+        data = bytearray(bad.read_bytes())
+        if bits == 32:
+            data[-4:] = struct.pack("<f", float("nan"))  # the last bias
+            want = "error: node 6 (conv) tensor bias: non-finite values\n"
+        else:
+            start = len(data) - 4 * 18 - 18 * 8 - 8  # the kernel's scale
+            data[start:start + 4] = struct.pack("<f", 0.0)
+            want = "error: node 6 (conv) tensor 0: scale must be positive, got 0.0\n"
+        bad.write_bytes(bytes(data))
+        out = tmp_path / "dets.txt"
+        rc = cli.main([
+            "detect", "--config", str(cfg), "--weights", str(bad), "--image", str(image),
+            "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == want
+        assert not out.exists()
+
     def test_stray_blas_flag_keeps_output(self, tmp_path, request):
         """A status flag on every finite BLAS product (conv2d's and the FCA
         dense layers') changes nothing: the reference network with seed-0
@@ -892,6 +922,24 @@ class TestBench:
             "bench", "--config", str(cfg), "--weights", str(weights), "--iterations", "2",
         ])
         assert rc == 0
+
+    def test_reads_weights_once_before_timing(self, head_setup, monkeypatch, capsys):
+        """The store is read from the file once, before the warm-up, so the
+        timed passes time the forward pass and not the file."""
+        cfg, weights, _ = head_setup
+        reads = []
+        real = complexity._read_node
+
+        def reading(fh, node, entries):
+            reads.append(node.id)
+            return real(fh, node, entries)
+
+        monkeypatch.setattr(complexity, "_read_node", reading)
+        rc = cli.main([
+            "bench", "--config", str(cfg), "--weights", str(weights), "--iterations", "3",
+        ])
+        assert rc == 0
+        assert reads == list(range(len(parse_network_spec(HEAD_CFG).nodes)))
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_rejects_no_iterations(self, count, capsys):

@@ -6,11 +6,14 @@ biases) and written down as a literal, so a regression in the counting
 code cannot hide behind a regenerated expectation.
 """
 
+import dataclasses
 import functools
 import hashlib
 import math
 import struct
 import tempfile
+import tracemalloc
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from compactdet import arch_graph, complexity, detection
 from compactdet.arch_graph import (
     INPUT_ID,
     ConvSpec,
@@ -29,6 +33,7 @@ from compactdet.arch_graph import (
     ShapeError,
     UpsampleSpec,
     WeightStore,
+    execute,
     infer_shapes,
     linear_conv_ids,
     load_bundled_config,
@@ -648,14 +653,16 @@ class TestWeightsFile:
     )
     def test_bad_quantization_fields(self, tmp_path, scale, zero_point):
         """Scale finite and > 0, zero point in [0, 255], finite dequantized
-        values; a scale of 3e38 passes the first check but overflows."""
+        values; a scale of 3e38 passes the first check but overflows.  The
+        file is refused when the tensor is read."""
         path = tmp_path / "w8.bin"
         save_weights(path, self.spec, self.store, bits=8)
         data = bytearray(path.read_bytes())
         data[7:15] = struct.pack("<fi", scale, zero_point)
         path.write_bytes(bytes(data))
+        loaded, _ = load_weights(path, self.spec)
         with pytest.raises(WeightFormatError, match="node 0"):
-            load_weights(path, self.spec)
+            list(loaded.params)
 
     def test_non_finite_bias_in_8bit_file(self, tmp_path):
         """Biases stay f32 in 8-bit files and are checked too."""
@@ -666,8 +673,9 @@ class TestWeightsFile:
         start = 7 + 8 + kernel_bytes
         data[start:start + 4] = struct.pack("<f", float("inf"))
         path.write_bytes(bytes(data))
+        loaded, _ = load_weights(path, self.spec)
         with pytest.raises(WeightFormatError, match="node 0 .* bias"):
-            load_weights(path, self.spec)
+            list(loaded.params)
 
     def test_non_finite_pep_bias_in_32bit_file(self, tmp_path):
         """The refusal names the tensor by its parameter field path."""
@@ -678,8 +686,9 @@ class TestWeightsFile:
         start = 7 + 4 * 2 * 3  # header, then the (2, 3, 1, 1) project_in kernel
         data[start:start + 4] = struct.pack("<f", float("nan"))
         path.write_bytes(bytes(data))
+        loaded, _ = load_weights(path, spec)
         with pytest.raises(WeightFormatError, match=r"node 0 \(pep\) tensor project_in\.bias: non-finite"):
-            load_weights(path, spec)
+            list(loaded.params)
 
     @pytest.mark.parametrize("bits", [8, 32])
     def test_loads_writable_float32_arrays(self, tmp_path, bits):
@@ -738,6 +747,124 @@ FILE_DIGESTS = {
 }
 
 
+# A runnable network with a node of every weighted kind.
+STREAM_CFG = """\
+input 3 16 16
+classes 1
+conv 3 8 2
+pep 4 8 8 1
+ep 12 8 2
+fca 2
+conv 1 18 1
+detect large
+from 1
+conv 1 18 1
+detect medium
+from 0
+conv 1 18 1
+detect small
+"""
+
+
+class TestStreamedStore:
+    """A loaded store reads each node's tensors from its file when a pass
+    over its params reaches that node, and keeps none of them after."""
+
+    def setup_method(self):
+        self.spec = parse_network_spec(STREAM_CFG)
+        self.x = np.random.default_rng(5).random((1, 3, 16, 16), dtype=np.float32)
+
+    def saved(self, tmp_path, bits=32):
+        path = tmp_path / f"w{bits}.bin"
+        save_weights(path, self.spec, WeightStore.random(self.spec, seed=3), bits=bits)
+        return path
+
+    @pytest.mark.parametrize("bits", [8, 32])
+    def test_reads_each_node_after_the_one_before_has_run(self, tmp_path, monkeypatch, bits):
+        """execute reads node k + 1's tensors only after node k has run, and
+        when it reads them no earlier node's tensors are alive."""
+        store, _ = load_weights(self.saved(tmp_path, bits), self.spec)
+        events, alive = [], {}
+        real_read = complexity._read_node
+
+        def reading(fh, node, entries):
+            events.append(("read", node.id))
+            assert all(ref() is None for earlier in range(node.id) for ref in alive[earlier])
+            params = real_read(fh, node, entries)
+            alive[node.id] = [weakref.ref(arr) for _, arr in param_tensors(params)]
+            return params
+
+        def running(forward):
+            def run(op, x, params, outputs, linear):
+                events.append(("run", sum(kind == "run" for kind, _ in events)))
+                return forward(op, x, params, outputs, linear)
+            return run
+
+        monkeypatch.setattr(complexity, "_read_node", reading)
+        for op, kind in list(arch_graph._KINDS.items()):
+            monkeypatch.setitem(arch_graph._KINDS, op, dataclasses.replace(kind, forward=running(kind.forward)))
+        execute(self.spec, store, self.x)
+        assert events == [(what, i) for i in range(len(self.spec.nodes)) for what in ("read", "run")]
+        assert sum(len(refs) for refs in alive.values()) > 0
+
+    @pytest.mark.parametrize("bits", [8, 32])
+    def test_runs_twice_with_identical_grids(self, tmp_path, bits):
+        """One loaded store serves two forward passes, as the benchmark's
+        reference_grids runs it, with the bytes of the store read whole."""
+        path = self.saved(tmp_path, bits)
+        store, _ = load_weights(path, self.spec)
+        first = [g.tobytes() for g in execute(self.spec, store, self.x)]
+        second = [g.tobytes() for g in execute(self.spec, store, self.x)]
+        whole = WeightStore(load_weights(path, self.spec)[0].params)
+        assert first == second == [g.tobytes() for g in execute(self.spec, whole, self.x)]
+
+    def test_validate_against_reads_no_tensor(self, tmp_path, monkeypatch):
+        """The shapes come from the file's layout: a matching spec passes and
+        a spec with other shapes is refused, and neither reads a tensor."""
+        store, _ = load_weights(self.saved(tmp_path), self.spec)
+
+        def never(*args):
+            raise AssertionError("a tensor was read")
+
+        monkeypatch.setattr(complexity, "_read_node", never)
+        store.validate_against(self.spec)
+        other = parse_network_spec(STREAM_CFG.replace("conv 3 8 2", "conv 3 9 2"))
+        with pytest.raises(ConfigError, match=r"node 0 \(conv\): file tensor shapes"):
+            store.validate_against(other)
+        fewer = parse_network_spec(STREAM_CFG.rsplit("from 0", 1)[0])
+        with pytest.raises(ConfigError, match="entries"):
+            store.validate_against(fewer)
+
+    def test_rewritten_file_is_refused_when_read(self, tmp_path):
+        """A file replaced after it was opened is checked again on each pass,
+        so an 8-bit file in place of the f32 one is refused, not misread."""
+        path = self.saved(tmp_path, 32)
+        store, _ = load_weights(path, self.spec)
+        save_weights(path, self.spec, WeightStore.random(self.spec, seed=3), bits=8)
+        with pytest.raises(WeightFormatError, match="no longer a 32-bit"):
+            list(store.params)
+
+    def test_reference_detect_peaks_below_the_f32_store(self, tmp_path):
+        """Opening reference weights and one detect on a noise frame, a
+        thousand boxes, peak below the f32 payload's size, about 13.3 MiB of
+        activations and one node's parameters.  Holding the whole store
+        peaked at about 29 MiB: 15.4 MiB of tensors beside the activations."""
+        spec = load_bundled_config("reference")
+        path = tmp_path / "ref.w"
+        save_weights(path, spec, WeightStore.random(spec, seed=0), bits=32)
+        frame = np.random.default_rng(0).integers(0, 256, size=(416, 416, 3), dtype=np.uint8)
+        tensor, _ = detection.letterbox_image(frame, spec.input_shape[1:])
+        tracemalloc.start()
+        try:
+            store, _ = load_weights(path, spec)
+            boxes = detection.detect(tensor, spec, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(boxes) > 1000
+        assert peak < model_size_bytes(spec, 32)
+
+
 class TestWeightsFileDigests:
     @pytest.mark.parametrize("name", list(FILE_DIGESTS))
     def test_saved_bytes_and_loaded_tensors(self, tmp_path, name):
@@ -782,7 +909,8 @@ def mutated_weights(draw):
 
 class TestWeightsFileMutations:
     """Whatever the bytes, load_weights gives a finite store or refuses the
-    file with WeightFormatError; nothing else escapes."""
+    file with WeightFormatError, when it opens the file or when the store's
+    tensors are read; nothing else escapes."""
 
     @settings(
         max_examples=300,
@@ -801,6 +929,10 @@ class TestWeightsFileMutations:
             return
         assert bits in (8, 32)
         store.validate_against(MUTATION_SPEC)
-        for params in store.params:
+        try:
+            nodes = list(store.params)
+        except WeightFormatError:
+            return
+        for params in nodes:
             for _, arr in param_tensors(params):
                 assert arr.dtype == np.float32 and np.isfinite(arr).all()
