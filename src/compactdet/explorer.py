@@ -65,6 +65,7 @@ from .tensor_core import ConfigError
 MAX_REPEAT = 64  # largest copy count a repeat slot may offer
 POPULATION = 16  # parents kept and children proposed per generation
 HALF_LIFE = 80.0  # capacity at which the synthetic score is 1 - 1/e of the way up
+RAW_BLOCK = 256  # raw 64-bit outputs a search reads from its bit generator at a time
 
 
 def _pinned_ids(base: NetworkSpec) -> set:
@@ -463,11 +464,16 @@ class ExploreResult:
 def sample_point(seed: int, generation: int, space: DesignSpace) -> tuple:
     """Draw every slot uniformly from a stream fixed by (seed, generation).
 
-    Each slot takes one double of the stream and the first cdf entry above
-    it: the draw of `Generator.choice(n, p=uniform)`, whose stream (not the
-    one `choice` takes without p) fixes the points.
+    The stream's seed is the two 32-bit words [seed mod 2**32, generation]
+    (the list form `default_rng([s, g])` seeds the same stream); a
+    generation of 2**32 or more is refused.  Each slot takes one double of
+    the stream and the first cdf entry above it: the draw of
+    `Generator.choice(n, p=uniform)`, whose stream (not the one `choice`
+    takes without p) fixes the points.
     """
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, generation])
+    if not 0 <= generation <= 0xFFFFFFFF:
+        raise ConfigError(f"generation must be in [0, 2**32), got {generation}")
+    rng = np.random.default_rng(np.array([seed & 0xFFFFFFFF, generation], dtype=np.uint32))
     draws = rng.random(len(space.slots)).tolist()
     return tuple(
         slot.values[bisect_right(cdf, u)] for slot, cdf, u in zip(space.slots, space._cdfs, draws)
@@ -499,8 +505,62 @@ def _best(entries) -> Optional[Candidate]:
     return min((e.candidate for e in entries if e.feasible), key=_rank_key, default=None)
 
 
-def _mutate(point: tuple, space: DesignSpace, rng: np.random.Generator) -> tuple:
-    """Per-slot categorical mutation at rate 0.1 with >= 1 forced change."""
+class _Stream:
+    """The draws of `np.random.default_rng(seed)`, formed from its bit
+    generator's raw 64-bit outputs, read RAW_BLOCK at a time.
+
+    A Generator spends most of a scalar draw on per-call overhead; this
+    class forms the same values as it does, from the same PCG64 outputs:
+
+    * random() is (raw >> 11) * 2**-53;
+    * integers(n) draws nothing for n = 1, returns one 32-bit half for
+      n = 2**32, and otherwise runs Lemire's rejection loop (arXiv
+      1805.10941) on 32-bit halves.  The halves follow PCG64's
+      next_uint32: an output's low half first, its high half kept for the
+      next call.  random() never touches that half.
+
+    Outputs read ahead and not used are dropped with the stream.
+    """
+
+    __slots__ = ("_next", "_high")
+
+    def __init__(self, seed: int):
+        bits = np.random.default_rng(seed).bit_generator
+        blocks = iter(lambda: bits.random_raw(RAW_BLOCK).tolist(), None)  # never None: endless
+        self._next = itertools.chain.from_iterable(blocks).__next__
+        self._high = None  # the kept high half, if any
+
+    def random(self) -> float:
+        return (self._next() >> 11) * 2**-53
+
+    def _uint32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        raw = self._next()
+        self._high = raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        """Uniform on [0, n), for 1 <= n <= 2**32."""
+        if 1 < n < 1 << 32:
+            m = self._uint32() * n
+            if m & 0xFFFFFFFF < n:
+                threshold = (1 << 32) % n
+                while m & 0xFFFFFFFF < threshold:
+                    m = self._uint32() * n
+            return m >> 32
+        if n == 1:
+            return 0
+        if n == 1 << 32:
+            return self._uint32()
+        raise ValueError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
+
+
+def _mutate(point: tuple, space: DesignSpace, rng: _Stream) -> tuple:
+    """Per-slot categorical mutation at rate 0.1 with >= 1 forced change,
+    drawn from the search's stream."""
     mutable = space._mutable
     values = list(point)
     changed = False
@@ -509,14 +569,14 @@ def _mutate(point: tuple, space: DesignSpace, rng: np.random.Generator) -> tuple
             values[i] = _draw_other(space.slots[i], values[i], rng)
             changed = True
     if not changed and mutable:
-        i = mutable[int(rng.integers(len(mutable)))]
+        i = mutable[rng.integers(len(mutable))]
         values[i] = _draw_other(space.slots[i], values[i], rng)
     return tuple(values)
 
 
-def _draw_other(slot: Slot, current, rng: np.random.Generator):
+def _draw_other(slot: Slot, current, rng: _Stream):
     options = [v for v in slot.values if v != current]
-    return options[int(rng.integers(len(options)))] if options else current
+    return options[rng.integers(len(options))] if options else current
 
 
 def explore(
@@ -530,13 +590,15 @@ def explore(
 
     The budget counts evaluator invocations; already-visited points are
     skipped without charge.  Infeasible candidates never become parents.
-    The best feasible u value is monotone over the history.
+    The best feasible u value is monotone over the history.  Parents,
+    mutations and sample_point seeds are the draws of
+    `np.random.default_rng(seed)`, as _Stream forms them.
     """
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = _Stream(seed)
     segments: dict = {}  # _walk's memos, dropped with this search
     costs: dict = {}
     seen = {}  # point -> entry, in evaluation order
@@ -556,9 +618,9 @@ def explore(
             if produced >= POPULATION or len(seen) >= budget:
                 break
             if not parents or attempt % 4 == 3:
-                point = sample_point(int(rng.integers(1 << 32)), gen, space)
+                point = sample_point(rng.integers(1 << 32), gen, space)
             else:
-                parent = parents[int(rng.integers(len(parents)))]
+                parent = parents[rng.integers(len(parents))]
                 point = _mutate(parent, space, rng)
             if point not in seen:
                 visit(point, gen)

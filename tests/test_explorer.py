@@ -31,11 +31,13 @@ from compactdet.arch_graph import (
 from compactdet.complexity import ConstraintSet, count_network
 from compactdet.explorer import (
     MAX_REPEAT,
+    RAW_BLOCK,
     Candidate,
     DesignSpace,
     HistoryEntry,
     Slot,
     _assess,
+    _Stream,
     _walk,
     evaluate,
     expand_point,
@@ -585,6 +587,16 @@ class TestSampling:
         for n in (7, 10, 65):
             assert np.full(n, 1.0 / n).cumsum()[-1] < 1.0
 
+    @pytest.mark.parametrize("seed", [0, 123, 2**32 - 1])
+    @pytest.mark.parametrize("generation", [0, 1, 2**32 - 1])
+    def test_word_seeding_matches_the_list_form(self, base, seed, generation):
+        space = parse_design_space(WIDE_SPACE_DOC, base)
+        assert sample_point(seed, generation, space) == choice_oracle(seed, generation, space)
+
+    def test_refuses_a_generation_past_one_word(self, space):
+        with pytest.raises(ConfigError, match="generation"):
+            sample_point(0, 2**32, space)
+
     def test_same_seed_same_point(self, space):
         assert sample_point(123, 0, space) == sample_point(123, 0, space)
 
@@ -593,6 +605,62 @@ class TestSampling:
         b = sample_point(123, 1, space)
         assert space.contains(a) and space.contains(b)
         assert a != b  # fixed seeds chosen so the streams differ
+
+
+# Bounds that reach each branch of _Stream.integers: no draw (1), Lemire's
+# loop with rare (2, 3, 7) and frequent (2**31 + 1, 3 * 2**30, 2**32 - 1)
+# rejections, and one bare 32-bit half (2**32).
+STREAM_BOUNDS = (1, 2, 3, 7, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
+
+stream_draws = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.sampled_from(STREAM_BOUNDS), st.integers(1, 2**32)),
+        st.integers(1, 3 * RAW_BLOCK),  # run length: one run can span blocks
+    ),
+    max_size=12,
+)
+
+
+class TestStream:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64), draws=stream_draws)
+    @example(seed=0, draws=[(None, 1), (7, 1), (None, 1), (7, 1)])  # a half kept across random()
+    @example(seed=0, draws=[(2**32, 2 * RAW_BLOCK + 1)])
+    @example(seed=5, draws=[(n, 40) for n in STREAM_BOUNDS] + [(None, 40)])
+    def test_matches_the_generator(self, seed, draws):
+        """Run (bound, or None for random(), count) draws on _Stream and on
+        the Generator it stands in for: every value must be equal."""
+        fast, slow = _Stream(seed), np.random.default_rng(seed)
+        for n, count in draws:
+            for k in range(count):
+                if n is None:
+                    got, want = fast.random(), slow.random()
+                else:
+                    got, want = fast.integers(n), int(slow.integers(n))
+                assert got == want and type(got) is type(want), (n, k, got, want)
+
+    def test_refuses_bounds_outside_one_word(self):
+        stream = _Stream(0)
+        for n in (0, -1, 2**32 + 1):
+            with pytest.raises(ValueError, match="integers"):
+                stream.integers(n)
+
+    def test_reads_raw_outputs_a_block_at_a_time(self, monkeypatch):
+        """Nothing is read until the first draw, then whole blocks."""
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+        stream = _Stream(7)
+
+        def read(outputs):
+            return made[0].bit_generator.state == np.random.PCG64(7).advance(outputs).state
+
+        assert read(0)
+        stream.random()
+        assert read(RAW_BLOCK)
+        for _ in range(RAW_BLOCK):
+            stream.random()
+        assert read(2 * RAW_BLOCK)
 
 
 def run_explore(space, seed=3, budget=None, **constraint_kwargs):
@@ -750,6 +818,34 @@ class TestExplore:
         monkeypatch.setattr(explorer, "_walk", off_by_one)
         with pytest.raises(RuntimeError, match=r"costed at \d+ ops .*; count_network gives"):
             run_explore(space, budget=20)
+
+    @pytest.mark.parametrize("doc", ["bundled", WIDE_SPACE_DOC], ids=["bundled", "wide"])
+    def test_stream_matches_the_generator_search(self, base, doc, monkeypatch):
+        """The whole result is the one a search drawing straight from
+        `np.random.default_rng(seed)` gives (its slow form, patched in)."""
+        if doc == "bundled":
+            doc = resources.files("compactdet.configs").joinpath("explore-space.txt").read_text()
+        space = parse_design_space(doc, base)
+        for budget in (1, 64, 1024):
+            for seed in range(5):
+                fast = run_explore(space, seed=seed, budget=budget, max_ops=2_500_000)
+                with monkeypatch.context() as patch:
+                    patch.setattr(explorer, "_Stream", np.random.default_rng)
+                    assert run_explore(space, seed=seed, budget=budget, max_ops=2_500_000) == fast
+
+    def test_stream_matches_the_generator_through_the_sweep(self, space, monkeypatch):
+        """A space smaller than its budget can end in the enumeration sweep."""
+        small = parse_design_space("repeat n5 min 0 max 64\nfca_site n6 optional\n", space.base)
+        swept = []
+        enumerate_points = DesignSpace.enumerate_points
+        monkeypatch.setattr(DesignSpace, "enumerate_points", lambda s: swept.append(seed) or enumerate_points(s))
+        for seed in range(5):
+            fast = run_explore(small, seed=seed, budget=1024)
+            with monkeypatch.context() as patch:
+                patch.setattr(explorer, "_Stream", np.random.default_rng)
+                assert run_explore(small, seed=seed, budget=1024) == fast
+            assert len(fast.history) == small.size() == 130
+        assert swept == [0, 0, 2, 2, 3, 3]  # the seeds whose proposals stall
 
     def test_rejects_silly_budget(self, space):
         with pytest.raises(ConfigError, match="budget"):
