@@ -13,7 +13,7 @@ duplicating nodes, and renumbering references) into a NetworkSpec.
 parse_design_space reads each statement into its Slot, then checks the
 whole space, so that every point in the cross product expands to a
 runnable detector: detect nodes, and the nodes whose output channels
-reach one, are never slotted or repeated.
+reach one, take no slot (an fca_site included) and no repeat.
 
 Candidates are ranked by NetScore (Wong, arXiv 1806.05512) with
 alpha = 2 and beta = gamma = 0.5:
@@ -57,6 +57,7 @@ from .arch_graph import (
     NodeSpec,
     ParseError,
     infer_shapes,
+    linear_conv_ids,
 )
 from .complexity import ConstraintSet, check_constraints
 from .nn_modules import EpConfig, FcaConfig, PepConfig
@@ -109,8 +110,7 @@ class _Segment:
     nodes: tuple  # the base nodes, in order
     indexes: tuple  # indexes of the first node's slots
     reads: tuple  # ids of the earlier base nodes (or INPUT_ID) that its nodes read
-    heads: tuple  # (conv id, raw-head paths) of its convs that feed a detect on some points
-    raw: frozenset  # ids of its convs that feed a detect on every point
+    raw: frozenset  # ids of its convs that feed a detect (linear_conv_ids)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,9 @@ class DesignSpace:
     _walk expands a point one _Segment at a time (_segments): only a
     segment's first node carries slots, so its nodes, their shapes and
     their costs follow from its first node's slot values, what it reads
-    from earlier segments, its first new id and its raw-head flags.
+    from earlier segments and its first new id.  No slot touches a node
+    whose channels reach a detect (_pinned_ids), so every point's raw heads
+    are the prototype's.
     """
 
     base: NetworkSpec
@@ -137,7 +139,9 @@ class DesignSpace:
             yield combo
 
     def base_point(self) -> tuple:
-        """The point whose expansion equals the prototype itself."""
+        """Per slot, the prototype's value (1 for present and repeat) if the
+        slot offers it, else the slot's smallest value; so the point expands
+        to the prototype itself when every slot offers its value."""
         values = []
         current = mutable_fields(self.base)
         for slot in self.slots:
@@ -172,40 +176,16 @@ class DesignSpace:
             if not runs or node.id in slotted:
                 runs.append([])
             runs[-1].append(node)
-        heads = self._head_paths()
-        segments = []
-        for run in runs:
-            paths = [(node.id, heads[node.id]) for node in run if node.id in heads]
-            segments.append(_Segment(
+        raw = linear_conv_ids(self.base)
+        return tuple(
+            _Segment(
                 nodes=tuple(run),
                 indexes=tuple(i for i, slot in enumerate(self.slots) if slot.node_id == run[0].id),
                 reads=tuple(dict.fromkeys(i for node in run for i in _inputs(node) if i < run[0].id)),
-                heads=tuple((conv, p) for conv, p in paths if () not in p),
-                raw=frozenset(conv for conv, p in paths if () in p),
-            ))
-        return tuple(segments)
-
-    def _head_paths(self) -> dict:
-        """Conv id -> per detect that can read it, the present slots of the
-        nodes between them: on a point where all of one path's are 0, the
-        conv feeds the detect and emits raw logits (linear_conv_ids).
-
-        Those nodes pass the detect its channels, so _pinned_ids keeps every
-        slot but an fca_site off them, and the conv is never repeated.
-        """
-        present = {slot.node_id: i for i, slot in enumerate(self.slots) if slot.field == "present"}
-        paths: dict = {}
-        for detect in self.base.detect_nodes():
-            path, at = (), detect.input_id
-            while at != INPUT_ID:
-                node = self.base.nodes[at]
-                if type(node.op) is ConvSpec:
-                    paths.setdefault(at, []).append(path)
-                    break
-                if at not in present:
-                    break
-                path, at = path + (present[at],), node.input_id
-        return {conv_id: tuple(conv_paths) for conv_id, conv_paths in paths.items()}
+                raw=raw.intersection(node.id for node in run),
+            )
+            for run in runs
+        )
 
 
 def _node_token(token: str) -> int:
@@ -225,7 +205,8 @@ def _checked_node(base: NetworkSpec, node_id: int) -> NodeSpec:
 
 def _validate_space(space: DesignSpace):
     """Every point must expand to a valid network; cheap structural checks
-    plus base-point shape inference keep that true by construction."""
+    plus the base point's walk, which applies every node's shape rule, keep
+    that true by construction."""
     by_node: dict = {}
     for slot in space.slots:
         by_node.setdefault(slot.node_id, {})[slot.field] = slot.values
@@ -243,7 +224,7 @@ def _validate_space(space: DesignSpace):
                     f"slot values on n{node_id} allow proj1 {max(proj1)} > "
                     f"expansion {min(expansion)}; every point must be valid"
                 )
-    infer_shapes(expand_point(space, space.base_point()))
+    expand_point(space, space.base_point())
 
 
 def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
@@ -257,11 +238,9 @@ def _walk(space: DesignSpace, point: tuple, segments: dict, costs: dict) -> tupl
     """(spec, ops, params) of a point of space, one memo lookup per segment.
 
     `segments` maps (segment, its slot values, the (new id, shape) of each
-    earlier node it reads, its first new id, its raw-head flags) to _build's
-    value, which that key fixes; `costs` is _build's node-cost memo.  Both
-    serve one search over one space.  A raw-head flag is True on the points
-    where all of one of the conv's paths' present slots are 0
-    (DesignSpace._head_paths).
+    earlier node it reads, its first new id) to _build's value, which that
+    key fixes; `costs` is _build's node-cost memo.  Both serve one search
+    over one space.
 
     A point of a parsed space needs no reference check: renumbering maps
     each ref to an earlier node, and detect nodes are never dropped or
@@ -272,10 +251,7 @@ def _walk(space: DesignSpace, point: tuple, segments: dict, costs: dict) -> tupl
     ops = params = 0
     value, read, lookup = point.__getitem__, remap.__getitem__, segments.get
     for seg in space._segments:
-        flags = () if not seg.heads else tuple(
-            any(not any(map(value, path)) for path in paths) for _, paths in seg.heads
-        )
-        key = (seg, tuple(map(value, seg.indexes)), tuple(map(read, seg.reads)), len(nodes), flags)
+        key = (seg, tuple(map(value, seg.indexes)), tuple(map(read, seg.reads)), len(nodes))
         hit = lookup(key)
         if hit is None:
             hit = segments[key] = _build(space, *key, costs)
@@ -289,9 +265,7 @@ def _walk(space: DesignSpace, point: tuple, segments: dict, costs: dict) -> tupl
     return NetworkSpec(tuple(nodes), base.input_shape, base.num_classes, base.anchors), ops, params
 
 
-def _build(
-    space: DesignSpace, seg: _Segment, values: tuple, reads: tuple, offset: int, flags: tuple, costs: dict
-) -> tuple:
+def _build(space: DesignSpace, seg: _Segment, values: tuple, reads: tuple, offset: int, costs: dict) -> tuple:
     """A segment's memo entry, from its _walk key: its NodeSpecs, the (new
     id, shape) of each of its base nodes, and its ops and params.
 
@@ -303,7 +277,6 @@ def _build(
     """
     remap = dict(zip(seg.reads, reads))  # base id -> (new id, shape)
     shapes = dict(reads)  # new id -> shape
-    raw = seg.raw.union(conv for (conv, _), flag in zip(seg.heads, flags) if flag)
     nodes: list = []
     ops = params = 0
     for at, node in enumerate(seg.nodes):
@@ -317,7 +290,7 @@ def _build(
             else:
                 changes[kind.slots[field]] = value
         op = replace(node.op, **changes) if changes else node.op
-        linear = node.id in raw
+        linear = node.id in seg.raw
         input_id = remap[node.input_id][0]
         for _ in range(copies):
             spec = NodeSpec(id=offset + len(nodes), op=op, input_id=input_id)
@@ -351,6 +324,8 @@ def _read_slot(tokens: list, base: NetworkSpec, table, mutable: dict) -> Slot:
         node = _checked_node(base, _node_token(tokens[1]))
         if node.kind != "fca":
             raise ConfigError(f"fca_site n{node.id} is a {node.kind} node")
+        if node.id in _pinned_ids(base):
+            raise ConfigError(f"fca_site n{node.id} passes a detect node its channels")
         return Slot(node.id, "present", (1, 0))
     if tokens[0] == "repeat" and len(tokens) == 6 and tokens[2] == "min" and tokens[4] == "max":
         lo, hi = _decimal(tokens[3]), _decimal(tokens[5])

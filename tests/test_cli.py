@@ -873,13 +873,16 @@ class TestExplore:
             (PROTO_CFG, "fca_site n6 optional\nrepeat n11 min 0 max 2\n", 2),
             (PROTO_CFG, "repeat n11 min 0 max 0\n", 1),
             (EP_HEAD_CFG, "slot n1.out values 18,20\n", 1),
+            (EP_HEAD_CFG.replace("ep 18 18 2\n", "ep 18 18 2\nfca 2\n"), "fca_site n2 optional\n", 1),
         ],
-        ids=["duplicate-slot", "repeat-detect", "repeat-detect-to-0", "slot-on-detect-input"],
+        ids=["duplicate-slot", "repeat-detect", "repeat-detect-to-0", "slot-on-detect-input",
+             "fca-site-on-detect-input"],
     )
     def test_refused_statement_exits_2_before_search(self, tmp_path, capsys, config, doc, line):
-        """A duplicate statement, a repeated detect node and a slot on a
-        detect node's input each exit 2 naming their line, and no point is
-        evaluated."""
+        """A duplicate statement, a repeated detect node, and a slot or an
+        fca_site on a detect node's input each exit 2 naming their line; no
+        point is evaluated, and neither the best config nor the log is
+        written."""
         cfg, space, log = tmp_path / "net.cfg", tmp_path / "space.txt", tmp_path / "log.txt"
         cfg.write_text(config)
         space.write_text(doc)
@@ -890,7 +893,7 @@ class TestExplore:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err.startswith(f"error: line {line}: ")
-        assert not log.exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["net.cfg", "space.txt"]
 
     def test_slot_value_above_bound_exits_2(self, tmp_path, capsys):
         """A slot value past 2**31 - 1 is a parse error on its line, not an

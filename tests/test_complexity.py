@@ -280,7 +280,7 @@ detect large
 REFERENCE_CONCAT_DOC = "slot n12.out values 140,150,160\nfca_site n9 optional\n"
 FCA_HEAD_DOC = "slot n0.out values 8,12\nfca_site n2 optional\n"
 
-# n1 feeds the detect through an optional fca: without the fca it is a raw head.
+# n1 feeds the detect through the fca: without the fca it would be a raw head.
 FCA_HEAD_NET = """\
 input 3 16 16
 classes 2
@@ -315,15 +315,18 @@ class TestNodeCostMemo:
         assert 0 < len(costs) < 200  # a few dozen distinct node costs
 
     @pytest.mark.parametrize(
-        "config, doc, size",
-        [("reference", REFERENCE_CONCAT_DOC, 6), (FCA_HEAD_NET, FCA_HEAD_DOC, 4)],
-        ids=["concat-of-a-slotted-node", "fca-before-a-head"],
+        "config, doc, size", [("reference", REFERENCE_CONCAT_DOC, 6)], ids=["concat-of-a-slotted-node"]
     )
     def test_shared_memo_matches_fresh_counts_where_shapes_and_heads_vary(self, config, doc, size):
-        """The concat's key holds the shape of the node it concatenates;
-        a conv is a raw head on exactly the points that drop the fca."""
-        base = load_bundled_config(config) if config == "reference" else parse_network_spec(config)
-        assert walk_every_point(parse_design_space(doc, base), {}, {}) == size
+        """The concat's key holds the shape of the node it concatenates.
+        Raw heads are the prototype's on every point (next test)."""
+        assert walk_every_point(parse_design_space(doc, load_bundled_config(config)), {}, {}) == size
+
+    def test_no_point_changes_the_raw_heads(self):
+        """An fca between a conv and its detect takes no fca_site, so the
+        walk's raw heads are linear_conv_ids of the prototype."""
+        with pytest.raises(ParseError, match="^line 2: fca_site n2 passes a detect node its channels"):
+            parse_design_space(FCA_HEAD_DOC, parse_network_spec(FCA_HEAD_NET))
 
     def test_raw_head_and_activated_twin_cost_apart(self):
         space = parse_design_space("", parse_network_spec(TWIN_CONV_CFG))

@@ -102,6 +102,27 @@ class TestBuildSpace:
     def test_base_point_reproduces_prototype(self, base, space):
         assert expand_point(space, space.base_point()) == base
 
+    def test_base_point_takes_a_slots_smallest_value_if_it_lacks_the_prototypes(self, base):
+        """The prototype has n0.out 8, one n5 and n6.reduction 4: the point
+        keeps 4, and takes 12 and two copies, which the slots offer instead."""
+        s = parse_design_space(
+            "slot n0.out values 16,12\nslot n6.reduction values 2,4\nrepeat n5 min 2 max 3\n", base
+        )
+        assert s.base_point() == (12, 2, 4)
+        spec = expand_point(s, s.base_point())
+        assert spec.nodes[0].op.out_channels == 12
+        assert len(spec.nodes) == len(base.nodes) + 1
+
+    def test_one_parse_runs_one_shape_pass(self, base, monkeypatch):
+        """The base point's walk applies every node's shape rule, so parsing
+        shapes only the prototype (for the repeat checks) with infer_shapes."""
+        calls = []
+        infer_shapes = explorer.infer_shapes
+        monkeypatch.setattr(explorer, "infer_shapes", lambda spec: calls.append(spec) or infer_shapes(spec))
+        doc = resources.files("compactdet.configs").joinpath("explore-space.txt").read_text()
+        parse_design_space(doc, base)
+        assert calls == [base]
+
     def test_values_sorted_deduped(self, base):
         s = parse_design_space("slot n0.out values 16,8,8,12\n", base)
         assert s.slots[0].values == (8, 12, 16)
@@ -200,10 +221,13 @@ detect small    # 8
         with pytest.raises(ParseError, match="^line 2: repeat target n4"):
             parse_design_space("slot n3.out values 18,20\nrepeat n4 min 0 max 1\n", net)
 
+    def test_rejects_fca_site_on_detect_input(self, net):
+        """Without the fca, n4 would feed the medium detect directly."""
+        with pytest.raises(ParseError, match="^line 1: fca_site n5"):
+            parse_design_space("fca_site n5 optional\n", net)
+
     def test_every_point_runs(self, net):
-        space = parse_design_space(
-            "slot n0.out values 4,8\nslot n3.out values 12,18\nfca_site n5 optional\n", net
-        )
+        space = parse_design_space("slot n0.out values 4,8\nslot n3.out values 12,18\n", net)
         for point in space.enumerate_points():
             count_network(expand_point(space, point))
 
@@ -361,14 +385,14 @@ detect large    # 7
 
 
 # A `from` starts the second branch, so the new id it reads does not fix the
-# first new id of the nodes after it; conv 2 is a raw head when the fca is absent.
+# first new id of the nodes after it, which the optional fca before it shifts.
 BRANCH_NET = """\
 input 3 32 32
 classes 1
 conv 3 8 2      # 0: 16x16
-pep 4 8 8 1     # 1
-conv 1 18 1     # 2
-fca 3           # 3
+fca 3           # 1
+pep 4 8 8 1     # 2
+conv 1 18 1     # 3
 detect large    # 4
 from 0
 ep 16 16 2      # 5: 8x8
@@ -384,16 +408,25 @@ def network(name: str) -> NetworkSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def repeat_targets(name: str) -> tuple:
-    """The nodes of a network that a `repeat` statement may name."""
+def accepted_targets(name: str, statement: str) -> tuple:
+    """The nodes of a network that a statement (a format string taking the
+    node id) may name."""
     targets = []
     for node in network(name).nodes:
         try:
-            parse_design_space(f"repeat n{node.id} min 0 max 2\n", network(name))
+            parse_design_space(statement.format(node.id), network(name))
         except ParseError:
             continue
         targets.append(node.id)
     return tuple(targets)
+
+
+def repeat_targets(name: str) -> tuple:
+    return accepted_targets(name, "repeat n{} min 0 max 2\n")
+
+
+def fca_site_targets(name: str) -> tuple:
+    return accepted_targets(name, "fca_site n{} optional\n")
 
 
 @st.composite
@@ -410,7 +443,7 @@ def space_documents(draw) -> tuple:
         low = 1 if short == "proj1" else value if short == "expansion" else max(1, value // 2)
         high = value if short == "proj1" else 2 * value
         lines.append(f"slot n{node_id}.{short} values {value},{draw(st.integers(low, high))}")
-    lines += [f"fca_site n{n.id} optional" for n in base.nodes if n.kind == "fca" and draw(st.booleans())]
+    lines += [f"fca_site n{i} optional" for i in fca_site_targets(name) if draw(st.booleans())]
     out_slotted = {node_id for (node_id, short), _ in fields if short == "out"}
     targets = [i for i in repeat_targets(name) if i not in out_slotted]  # repeat and out never share a node
     repeats = draw(st.lists(st.sampled_from(targets), max_size=2, unique=True)) if targets else []
