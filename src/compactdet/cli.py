@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -189,25 +191,33 @@ def cmd_quantize(args) -> int:
     store, bits = complexity.load_weights(args.weights, spec)
     if bits == 8:
         raise ConfigError(f"{args.weights} is already 8-bit; quantize takes 32-bit input")
-    in_size = Path(args.weights).stat().st_size  # before --out may overwrite it
-    # Read the input whole first: --out may name it.
-    store = arch_graph.WeightStore(store.params)
-    complexity.save_weights(args.out, spec, store, bits=8)
-
-    # Report the round trip from the file just written, read back one node
-    # at a time so a second whole store is never held.  Biases come back
-    # exact, so the worst tensor is always a quantized one.
-    written, _bits = complexity.load_weights(args.out, spec)
-    worst_err = 0.0
-    worst = None
-    for after, before in zip(written.params, store.params, strict=True):
-        for (_, back), (_, arr) in zip(param_tensors(after), param_tensors(before)):
-            err = float(np.abs(back - arr).max()) if arr.size else 0.0
-            if err > worst_err:
-                worst_err, worst = err, arr
-    # The file keeps the scale as f32; the bound uses its full-precision value.
-    worst_bound = complexity.quantize_tensor(worst).scale / 2 if worst is not None else 0.0
-    out_size = Path(args.out).stat().st_size
+    in_size = Path(args.weights).stat().st_size  # before --out may replace it
+    # The 8-bit file is written beside --out, which may name the input, and
+    # replaces it only once the report is made: a failure leaves --out as it
+    # was.  An existing --out keeps its mode; a new one gets open()'s.
+    fd, tmp = tempfile.mkstemp(dir=Path(args.out).parent, prefix=".quantize-")
+    os.close(fd)
+    os.umask(umask := os.umask(0))
+    os.chmod(tmp, os.stat(args.out).st_mode & 0o7777 if os.path.exists(args.out) else 0o666 & ~umask)
+    try:
+        complexity.save_weights(tmp, spec, store, bits=8)
+        # Report the round trip from the file just written, read back one
+        # node at a time, as the input is.  Biases come back exact, so the
+        # worst tensor is always a quantized one.
+        written, _bits = complexity.load_weights(tmp, spec)
+        worst_err, worst = 0.0, None
+        for after, before in zip(written.params, store.params, strict=True):
+            for (_, back), (_, arr) in zip(param_tensors(after), param_tensors(before)):
+                err = float(np.abs(back - arr).max()) if arr.size else 0.0
+                if err > worst_err:
+                    worst_err, worst = err, arr
+        # The file keeps the scale as f32; the bound uses its full-precision value.
+        worst_bound = complexity.quantize_tensor(worst).scale / 2 if worst is not None else 0.0
+        out_size = Path(tmp).stat().st_size
+        os.replace(tmp, args.out)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     print(f"wrote {args.out}: {out_size} bytes (8-bit), input {in_size} bytes (32-bit)")
     print(f"max round-trip error {worst_err:.8f} (worst-tensor bound {worst_bound:.8f})")
     return EXIT_OK

@@ -244,26 +244,36 @@ def load_weights(path, spec: NetworkSpec) -> tuple:
         bits = _read_header(fh)
         layout = _layout(spec, bits)
         _check_length(fh, layout)
+        stamp = _stamp(fh)
     shapes = [tuple(shape for shape, _ in entries) for _, entries in layout]
-    return WeightStore(_FileParams(os.path.abspath(path), bits, layout), shapes), bits
+    return WeightStore(_FileParams(os.path.abspath(path), bits, layout, stamp), shapes), bits
+
+
+def _stamp(fh: BinaryIO) -> tuple:
+    """The open file's device, inode, size and modification time."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 class _FileParams:
     """The node parameters of a weights file that load_weights checked,
     read from the file node by node on each iteration."""
 
-    def __init__(self, path: str, bits: int, layout: list):
+    def __init__(self, path: str, bits: int, layout: list, stamp: tuple):
         self.path = path
         self.bits = bits
         self.layout = layout
+        self.stamp = stamp
 
     def __iter__(self):
         # The file is checked again, so one rewritten since it was loaded is
-        # refused rather than misread.
+        # refused rather than misread: its device, inode, size and mtime (as
+        # fine as the file system's clock) must be those load_weights saw.
         with open(self.path, "rb") as fh:
             if _read_header(fh) != self.bits:
                 raise WeightFormatError(f"{self.path} is no longer a {self.bits}-bit weights file")
-            _check_length(fh, self.layout)
+            if _stamp(fh) != self.stamp:
+                raise WeightFormatError(f"{self.path} changed since it was opened")
             for node, entries in self.layout:
                 yield _read_node(fh, node, entries)
 

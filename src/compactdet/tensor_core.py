@@ -4,9 +4,9 @@ All feature maps are float32 numpy arrays of NCHW shape (batch, channels,
 height, width).  That shape is the contract; memory order is not.  A kernel
 takes an array that is C-contiguous in NCHW order or in channels-last
 (NHWC) order, and as_tensor copies any other to NCHW.  The convolutions
-return channels-last arrays, with their products taken pixel-major (see
-_product), and so do upsample_nearest and concat_channels, whatever the
-order of their input; the elementwise kernels keep the memory order of
+return channels-last arrays, with their products taken pixel-major, and
+so do upsample_nearest and concat_channels, whatever the order of their
+input; the elementwise kernels keep the memory order of
 their input.  A float32 reduction sums in memory order, so
 global_avg_pool reduces an NCHW-contiguous copy, and arch_graph.execute
 returns NCHW-contiguous grids.  Every kernel here is pure:
@@ -47,13 +47,10 @@ _SCRATCH = 1 << 15
 # Patch-matrix elements conv2d unfolds per block of output rows (1 MiB of
 # float32), unless one output row needs more.
 _PATCH = 1 << 18
-# OpenBLAS multiplies a product of at most this many multiply-adds with a
-# separate small-matrix kernel, which sums in another order than the large
-# one, and in an order that depends on which way round the product is taken.
-_SMALL_MACS = 10**6
 # Multiply-adds each of conv2d's block products has at least, unless the
-# whole product has fewer: above _SMALL_MACS, so a block stays on the same
-# side of that bound as the whole product would.
+# whole product has fewer: above OpenBLAS's small-matrix bound of 10**6,
+# under which it sums in another order, so a block stays on the same side
+# of that bound as the whole product would.
 _GEMM_MACS = 1 << 20
 
 
@@ -150,26 +147,6 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     return product
 
 
-def _product(patches: np.ndarray, kernel2d: np.ndarray, out: np.ndarray):
-    """out[...] = patches @ kernel2d.T: (n, pixels, depth) patch rows times a
-    (c_out, depth) kernel, into the (n, pixels, c_out) rows of a
-    channels-last output.
-
-    Above _SMALL_MACS multiply-adds a matrix product sums each element in
-    the same order whichever way round it is taken, so it is taken
-    pixel-major, straight into out.  A smaller product, or a one-row kernel
-    (a matrix-vector product, whose order follows its orientation), is
-    taken channel-major, kernel2d @ patches^T with a C-contiguous right
-    operand as before, and transposed into out: the same bytes either way.
-    """
-    pixels, depth = patches.shape[1:]
-    c_out = kernel2d.shape[0]
-    if c_out > 1 and pixels * depth * c_out > _SMALL_MACS:
-        _matmul(patches, kernel2d.T, out=out)
-    else:
-        out[...] = _matmul(kernel2d, np.ascontiguousarray(patches.transpose(0, 2, 1))).transpose(0, 2, 1)
-
-
 def _add_bias(out: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Add a per-channel bias to a channels-last (n, h, w, c) out along
     whole rows, and return out's NCHW view."""
@@ -184,20 +161,22 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
     bias; other groupings raise ConfigError (per-channel ones:
     depthwise_conv2d).  The output is channels-last.
 
-    A 1x1 kernel multiplies the input's pixels, with no copy when they are
-    channels-last at stride 1.  A larger kernel runs over blocks of output
-    rows: each block's input rows are copied into one zero-bordered
-    buffer, which is the padding.  One sliding_window_view of that buffer,
-    taken once per call, holds every block's k x k windows; a block's
-    windows are copied into its patch matrix, depth in (channel, kernel
-    row, kernel column) order, and multiplied into the block's rows of the
-    output.  The bias is added last.  A block unfolds at most _PATCH patch
-    elements, unless that would take its product below _GEMM_MACS
-    multiply-adds or two columns; then the blocks grow, up to one for the
-    whole output.  So the BLAS multiplies every
-    block as it would multiply the whole patch matrix, and each output
-    element has the bytes of one channel-major matmul over the whole padded
-    input (see _product).
+    Every product is taken pixel-major, patches @ kernel^T, into the output's
+    rows; a product below OpenBLAS's small-matrix bound, or by a one-row
+    kernel, sums in an order set by its operands' memory layout, so each path
+    fixes that layout.  A 1x1 kernel multiplies the input's pixels as
+    C-contiguous rows, copied unless they are channels-last at stride 1.  A
+    larger kernel runs over blocks of output rows: each block's input rows are
+    copied into one zero-bordered buffer, which is the padding.  One
+    sliding_window_view of that buffer, taken once per call, holds every
+    block's k x k windows; a block's windows are copied into a (depth, pixels)
+    C-contiguous matrix, depth in (channel, kernel row, kernel column) order,
+    whose transpose is multiplied into the block's rows of the output.  The
+    bias is added last.  A block unfolds at most _PATCH patch elements, unless
+    that would take its product below _GEMM_MACS multiply-adds or two columns;
+    then the blocks grow, up to one for the whole output.  So the BLAS
+    multiplies every block as it would multiply the whole patch matrix, and
+    each output element has the bytes of one product over the padded input.
     """
     x = as_tensor(x)
     n, c_in, h, width = x.shape
@@ -213,8 +192,9 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
     kernel2d = w.kernel.reshape(w.c_out, -1)
     out = np.empty((n, out_h, out_w, w.c_out), dtype=DTYPE)
     if k == 1:
-        pixels = x.transpose(0, 2, 3, 1)[:, ::stride, ::stride].reshape(n, out_h * out_w, c_in)
-        _product(pixels, kernel2d, out.reshape(n, out_h * out_w, w.c_out))
+        pixels = np.ascontiguousarray(x.transpose(0, 2, 3, 1)[:, ::stride, ::stride])
+        pixels = pixels.reshape(n, out_h * out_w, c_in)
+        _matmul(pixels, kernel2d.T, out=out.reshape(n, out_h * out_w, w.c_out))
         return _add_bias(out, w.bias)
     p = k // 2
     rows = max(1, _PATCH // max(1, n * c_in * k * k * out_w))
@@ -234,7 +214,7 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1) -> np.ndarray:
         buf[:, :, hi:span] = 0
         cols = windows[:, :, :r1 - r0, :out_w].transpose(0, 1, 4, 5, 2, 3)
         cols = cols.reshape(n, c_in * k * k, (r1 - r0) * out_w).transpose(0, 2, 1)
-        _product(cols, kernel2d, out[:, r0:r1].reshape(n, (r1 - r0) * out_w, w.c_out))
+        _matmul(cols, kernel2d.T, out=out[:, r0:r1].reshape(n, (r1 - r0) * out_w, w.c_out))
         del cols  # before the next block's patch matrix is made
     return _add_bias(out, w.bias)
 

@@ -10,8 +10,7 @@ def stray_blas_flag(monkeypatch):
     float32), then returns the true product: the stray status flag that some
     BLAS builds leave on finite products.  Yields the list of the two
     operands' summed ranks, one per product: 5 for conv2d (a 3-D stack of
-    patches and a 2-D kernel, whichever way round the product is taken),
-    3 for dense (a matrix and a vector)."""
+    patches times a 2-D kernel), 3 for dense (a matrix and a vector)."""
     real = np.matmul
     ranks = []
 

@@ -598,6 +598,50 @@ class TestQuantize:
         )
         assert load_weights("in.w", load_bundled_config("explore-proto"))[1] == 8
 
+    @pytest.mark.parametrize("failing", ["writing", "report"])
+    @pytest.mark.parametrize("out", ["in.w", "out.w"])
+    def test_failure_leaves_out_as_it_was(self, random_proto_weights, monkeypatch, capsys, out, failing):
+        """An OSError while the 8-bit file is written (at the 5th tensor) or
+        while its report is made (at the worst tensor's bound, after the
+        file is read back) exits 3 and leaves --out, the input itself or an
+        existing file, byte for byte as it was, with no file beside it."""
+        cfg, store = random_proto_weights
+        if out == "out.w":
+            Path("out.w").write_bytes(b"an older output")
+        before = {path.name: path.read_bytes() for path in Path().iterdir()}
+        weight_tensors = sum(
+            not name.endswith("bias") for params in store.params for name, _ in param_tensors(params)
+        )
+        fail_at = 5 if failing == "writing" else weight_tensors + 1
+        calls = []
+        real = complexity.quantize_tensor
+
+        def failing_call(w):
+            calls.append(w.shape)
+            if len(calls) == fail_at:
+                raise OSError("injected write failure")
+            return real(w)
+
+        monkeypatch.setattr(complexity, "quantize_tensor", failing_call)
+        assert cli.main(["quantize", "--config", cfg, "--weights", "in.w", "--out", out]) == 3
+        assert len(calls) == fail_at
+        assert "injected write failure" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in Path().iterdir()} == before
+
+    def test_replaced_out_keeps_its_mode(self, random_proto_weights):
+        """An existing --out is replaced whole and keeps its mode; a new one
+        gets the mode open() gives a new file, and no other file is left."""
+        cfg, _ = random_proto_weights
+        Path("old.w").write_bytes(b"an older output")
+        Path("old.w").chmod(0o640)
+        for out in ("old.w", "new.w"):
+            assert cli.main(["quantize", "--config", cfg, "--weights", "in.w", "--out", out]) == 0
+        assert Path("old.w").read_bytes() == Path("new.w").read_bytes()
+        assert Path("old.w").stat().st_mode & 0o7777 == 0o640
+        Path("umask.w").write_bytes(b"")
+        assert Path("new.w").stat().st_mode & 0o7777 == Path("umask.w").stat().st_mode & 0o7777
+        assert sorted(path.name for path in Path().iterdir()) == ["in.w", "new.w", "old.w", "umask.w"]
+
     def test_quantizes_each_weight_tensor_once(self, random_proto_weights, monkeypatch):
         """One call per weight tensor to write the file, one more for the
         worst tensor's bound; the report reads the file back instead."""

@@ -12,6 +12,7 @@ import hashlib
 import math
 import struct
 import tempfile
+import time
 import tracemalloc
 import weakref
 from importlib import resources
@@ -846,6 +847,20 @@ class TestStreamedStore:
         save_weights(path, self.spec, WeightStore.random(self.spec, seed=3), bits=8)
         with pytest.raises(WeightFormatError, match="no longer a 32-bit"):
             list(store.params)
+
+    def test_same_length_rewrite_is_refused_when_read(self, tmp_path):
+        """A file rewritten after a pass with other weights of the same
+        length and precision is refused on the next pass, not read as the
+        new file."""
+        path = self.saved(tmp_path, 32)
+        store, _ = load_weights(path, self.spec)
+        execute(self.spec, store, self.x)
+        size = path.stat().st_size
+        time.sleep(0.02)  # some file systems stamp times from a clock that ticks every few ms
+        save_weights(path, self.spec, WeightStore.random(self.spec, seed=1), bits=32)
+        assert path.stat().st_size == size
+        with pytest.raises(WeightFormatError, match="changed since it was opened"):
+            execute(self.spec, store, self.x)
 
     def test_reference_detect_peaks_below_the_f32_store(self, tmp_path):
         """Opening reference weights and one detect on a noise frame, a

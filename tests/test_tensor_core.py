@@ -85,15 +85,23 @@ def _im2col(x: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.nd
 
 def conv2d_whole_oracle(x, w, stride=1):
     """The conv2d that the blocked one replaced: one padded copy of the
-    whole input, one patch matrix and one product, then the bias.  Its
-    unfold, _im2col, computes its strides by hand, so it shares no code
-    with conv2d's window view."""
+    whole input, one patch matrix and one pixel-major product, patches @
+    kernel^T, then the bias.  Its unfold, _im2col, computes its strides by
+    hand, so it shares no code with conv2d's window view.  A product below
+    OpenBLAS's small-matrix bound, or by a one-row kernel, sums in an order
+    set by its operands' memory layout, so the patches have conv2d's:
+    C-contiguous pixel rows for a 1x1 kernel, else the transpose of the
+    C-contiguous unfold."""
     x = as_tensor(x)
     n, _, h, width = x.shape
     out_h, out_w = conv_output_hw(h, width, w.k, stride)
     p = w.k // 2
     cols = _im2col(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), w.k, stride, out_h, out_w)
-    out = tensor_core._matmul(w.kernel.reshape(w.c_out, -1), cols).reshape(n, w.c_out, out_h, out_w)
+    patches = cols.transpose(0, 2, 1)
+    if w.k == 1:
+        patches = np.ascontiguousarray(patches)
+    out = tensor_core._matmul(patches, w.kernel.reshape(w.c_out, -1).T)
+    out = out.reshape(n, out_h, out_w, w.c_out).transpose(0, 3, 1, 2)
     out += w.bias.reshape(1, -1, 1, 1)
     return out
 
@@ -837,14 +845,14 @@ class TestChannelsLast:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_conv2d(self, n, big, c_in, c_out, k, stride, h, w, seed):
-        """Products below and above _SMALL_MACS (all of a big case's are
-        above), one-row kernels and one-pixel maps: the bytes of one
-        channel-major product over the whole padded input, whichever way
-        round each product is taken."""
+        """Products below and above OpenBLAS's small-matrix bound of 10**6
+        multiply-adds (all of a big case's are above), one-row kernels and
+        one-pixel maps: the bytes of one pixel-major product over the whole
+        padded input."""
         if big:
-            c_in, c_out, h, w = c_in + 48, c_out + 36, h + 32, w + 48
+            c_in, c_out, h, w = c_in + 48, c_out + 48, h + 32, w + 48
             out_h, out_w = conv_output_hw(h, w, k, stride)
-            assert out_h * out_w * c_in * k * k * c_out > tensor_core._SMALL_MACS
+            assert out_h * out_w * c_in * k * k * c_out > 10**6
         rng = np.random.default_rng(seed)
         x = hostile(rng, (n, c_in, h, w), SMALL_SPECIAL_INPUTS, 0.2)
         weights = ConvWeights(
@@ -856,6 +864,23 @@ class TestChannelsLast:
             got = conv2d(arg, weights, stride)
             assert is_channels_last(got)
             assert same_bytes(got, want)
+
+    @pytest.mark.parametrize("c_in, c_out, h, w", [(16, 1, 5, 13), (49, 1, 24, 40), (49, 2, 5, 13), (49, 12, 1, 40)])
+    def test_conv2d_1x1_small_products(self, c_in, c_out, h, w):
+        """A 1x1 product below OpenBLAS's small-matrix bound, or by a
+        one-row kernel, sums in an order set by its operands' memory layout.
+        On the OpenBLAS these shapes were picked with, an NCHW view of the
+        pixels sums them otherwise than C-contiguous rows do; both memory
+        orders of the input give the oracle's bytes."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, c_in, h, w)).astype(np.float32)
+        weights = ConvWeights(
+            rng.standard_normal((c_out, c_in, 1, 1)).astype(np.float32),
+            rng.standard_normal(c_out).astype(np.float32),
+        )
+        want = conv2d_whole_oracle(x, weights)
+        for arg in (x, channels_last(x)):
+            assert same_bytes(conv2d(arg, weights), want)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
