@@ -124,6 +124,7 @@ def decode_predictions(
 
 NMS_TILE = 128  # boxes per tile (see nms)
 NMS_BLOCK = 1 << 15  # pairs per IoU block: 256 KiB per float64 array, so it runs in cache
+_NMS_MARGIN = 1e-6  # δ in nms: sound above 12 * 2**-53, and widens a range by only 1e-6
 
 
 def _edges(boxes: Boxes) -> np.ndarray:
@@ -168,11 +169,41 @@ def nms(boxes: Boxes, iou_threshold: float = DEFAULT_NMS_IOU) -> np.ndarray:
     kept unless a kept box of its class overlaps it with `_iou` >
     iou_threshold.  Each class is walked in tiles of NMS_TILE boxes.  A
     tile is resolved greedily against itself, then its kept boxes suppress
-    the still-alive later boxes of the class, in blocks of at most
-    NMS_BLOCK pairs.
+    the still-alive later boxes of the class that lie in their area
+    ranges, in blocks of at most NMS_BLOCK pairs.
+
+    A pair outside the range has `_iou` <= t = iou_threshold.  Let
+    u = 2**-53, fl(x) be x rounded to float64, a be a box's area (`_edges`
+    row 4, so a > 0) and E its edge area
+    fl(max(right - left, 0) * max(bottom - top, 0)), edges as computed.
+    (1) `_iou`'s intersection I is at most min(E_p, E_q): each of its sides
+    is the rounded difference of two edges no farther apart than one box's,
+    and rounding is monotone.  (2) If I <= k * S over the reals, with
+    S = a_p + a_q and k <= t / (1 + t) * (1 - 2u), the union
+    fl(fl(S) - I) is at least S * (1 - u - k) * (1 - u) > 0, so
+    I / union <= k / ((1 - u - k) * (1 - u)) <= t, and so is its rounding,
+    t being a float.  (3) For t >= δ = _NMS_MARGIN,
+    c = fl(t / (1 + t) * (1 - δ)) is normal, and k = c * (1 + 4u) meets
+    (2): c's four roundings and the 4u cost under 12u, far less than δ.
+    (4) Each class is sorted by area, and each box reaches r = fl(E / c).
+    A later box q is outside p's range when a_q >= r_p, or when every box
+    up to q in area order has r <= a_p.  In the first case
+    E_p <= c * (a_q + 2**-1075) / (1 - u) <= k * S, as the quotient errs
+    by at most u relative or 2**-1075 absolute, and a_p >= 2**-1074; the
+    second case gives E_q <= k * S alike.  By (1) and (2), `_iou` <= t.
+    An infinite area makes the union infinite, so its pairs never
+    suppress.  A threshold below δ, NaN or infinite gives every box its
+    whole class as its range.
     """
     order = np.argsort(-boxes.score, kind="stable")
     edges = _edges(boxes)[:, order]
+    # Per box: the key its class is sorted by, and its reach r.  Keys 0 and
+    # reaches inf make every range the whole class.
+    sort_keys, reaches = np.zeros(len(order)), np.full(len(order), np.inf)
+    if _NMS_MARGIN <= iou_threshold < np.inf:
+        c = iou_threshold / (1 + iou_threshold) * (1 - _NMS_MARGIN)
+        sort_keys = edges[4]
+        reaches = np.maximum(edges[1] - edges[0], 0) * np.maximum(edges[3] - edges[2], 0) / c
     # Rows grouped by class, each group still in score order.
     classes = boxes.class_id[order]
     by_class = np.argsort(classes, kind="stable")
@@ -180,8 +211,10 @@ def nms(boxes: Boxes, iou_threshold: float = DEFAULT_NMS_IOU) -> np.ndarray:
     starts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(order)]
     alive = np.ones(len(order), dtype=bool)
     for start, stop in zip(starts[:-1], starts[1:]):
-        box = edges[:, by_class[start:stop]]
+        members = by_class[start:stop]
+        box, key, reach = edges[:, members], sort_keys[members], reaches[members]
         live = alive[start:stop]  # a view: suppressing here writes to alive
+        by_area = np.argsort(key, kind="stable")
         for t0 in range(0, stop - start, NMS_TILE):
             t1 = min(stop - start, t0 + NMS_TILE)
             tile = t0 + np.flatnonzero(live[t0:t1])
@@ -192,12 +225,17 @@ def nms(boxes: Boxes, iou_threshold: float = DEFAULT_NMS_IOU) -> np.ndarray:
                     kept[p + 1:] &= ~blocked[p, p + 1:]
             live[tile[~kept]] = False
             rows = tile[kept]
-            later = t1 + np.flatnonzero(live[t1:])
-            width = NMS_BLOCK // max(len(rows), 1)
-            for c0 in range(0, len(later), width):
-                cols = later[c0:c0 + width]
-                overlaps = _iou(box[:, rows, None], box[:, cols]) > iou_threshold
-                live[cols[overlaps.any(axis=0)]] = False
+            later = by_area[(by_area >= t1) & live[by_area]]  # live later boxes, by area
+            first = np.searchsorted(np.maximum.accumulate(reach[later]), key[rows], "right")
+            counts = np.maximum(np.searchsorted(key[later], reach[rows]) - first, 0)
+            ends = np.cumsum(counts)
+            shift = first - ends + counts  # pair k of row i is later[k + shift[i]]
+            for k0 in range(0, counts.sum(), NMS_BLOCK):
+                k = np.arange(k0, min(k0 + NMS_BLOCK, ends[-1]))
+                row = np.searchsorted(ends, k, "right")
+                cols = later[k + shift[row]]
+                overlaps = _iou(box.take(rows[row], axis=1), box.take(cols, axis=1)) > iou_threshold
+                live[cols[overlaps]] = False
     return order[np.sort(by_class[alive])]
 
 

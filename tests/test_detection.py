@@ -28,6 +28,7 @@ from box_oracles import (
 from compactdet.arch_graph import SCALE_TAGS, WeightStore, execute, load_bundled_config
 from compactdet import detection
 from compactdet.detection import (
+    NMS_BLOCK,
     NMS_TILE,
     Boxes,
     DEFAULT_CONF_THRESHOLD,
@@ -396,6 +397,19 @@ def nms_scenes(draw):
     return dets, threshold
 
 
+def dense_frame_candidates():
+    """The candidates of `TestNmsAgainstScalarScan.test_dense_frame`: raw
+    random weights on the reference config, one noise frame."""
+    spec = load_bundled_config("reference")
+    store = WeightStore.random(spec, seed=0)
+    image = np.random.default_rng(0).integers(0, 256, size=(416, 416, 3), dtype=np.uint8)
+    x, _ = letterbox_image(image, spec.input_shape[1:])
+    return Boxes.concat([
+        decode_predictions(grid, spec.anchors[tag])
+        for tag, grid in zip(SCALE_TAGS, execute(spec, store, x))
+    ])
+
+
 class TestNmsAgainstScalarScan:
     """`nms` returns the very objects `nms_scalar` keeps, in the same order.
 
@@ -447,6 +461,29 @@ class TestNmsAgainstScalarScan:
         assert max(np.bincount(candidates.class_id)) > 10 * NMS_TILE
         dets = as_detections(candidates)
         assert_same_objects([dets[k] for k in nms(candidates, 0.45)], nms_scalar(dets, 0.45))
+
+    def test_dense_frame_iou_blocks(self, monkeypatch):
+        """Every `_iou` call on the dense frame returns at most NMS_BLOCK
+        values, so the working set stays in cache.  A smaller block splits
+        a tile's pairs, and single rows, across calls and keeps the same rows."""
+        candidates = dense_frame_candidates()
+        want = nms(candidates, 0.45)
+        shapes = []
+        real_iou = detection._iou
+
+        def recorded(a, b):
+            overlaps = real_iou(a, b)
+            shapes.append(overlaps.shape)
+            return overlaps
+
+        monkeypatch.setattr(detection, "_iou", recorded)
+        assert np.array_equal(nms(candidates, 0.45), want)
+        assert max(math.prod(shape) for shape in shapes) <= NMS_BLOCK
+        monkeypatch.setattr(detection, "NMS_BLOCK", 1000)
+        shapes.clear()
+        assert np.array_equal(nms(candidates, 0.45), want)
+        pair_blocks = [shape[0] for shape in shapes if len(shape) == 1]
+        assert max(pair_blocks) == 1000 and len(pair_blocks) > 50
 
 
 class TestNmsAcrossTiles:
@@ -515,6 +552,43 @@ class TestNmsAcrossTiles:
         assert (np.diff(boxes.score[keep]) <= 0).all()
         assert len(boxes[keep]) == len(keep)
         assert len(nms(boxes[:0], 0.45)) == 0
+
+    def rounded_pairs(self, rng, n_pairs, smaller_first):
+        """n_pairs same-centre squares of sides w and 1.5 * w, w about
+        1e-15, all of class 0.  Each pair's true IoU is 1 / 2.25 = 0.444,
+        but sides this near their centres' ulp round, and the computed IoU
+        exceeds 0.45 for about half of the pairs.  One box of each pair
+        scores above every box of the other kind, so a pair spans tiles."""
+        dets = []
+        for k in range(n_pairs):
+            cx, cy = rng.uniform(0.5, 0.99, 2)
+            w = rng.uniform(0.8e-15, 1.2e-15)
+            small, big = BBox(cx, cy, w, w), BBox(cx, cy, 1.5 * w, 1.5 * w)
+            first, second = (small, big) if smaller_first else (big, small)
+            dets += [Detection(first, 0, 0.9 - k * 1e-4), Detection(second, 0, 0.5 - k * 1e-4)]
+        return dets
+
+    @pytest.mark.parametrize("smaller_first", [True, False])
+    def test_rounded_edges_across_tiles(self, smaller_first):
+        """Computed IoUs above the threshold between areas 2.25 apart: a
+        range on true areas alone, [t * a, a / t], would leave these pairs
+        out and keep boxes that the scalar scan drops."""
+        rng = np.random.default_rng(99)
+        dets = self.rounded_pairs(rng, NMS_TILE, smaller_first)
+        assert sum(iou(a.bbox, b.bbox) > 0.45 for a, b in zip(dets[::2], dets[1::2])) > NMS_TILE // 4
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = nms_objects(dets, 0.45)
+        assert_same_objects(got, nms_scalar(dets, 0.45))
+
+    @pytest.mark.parametrize("threshold", [-0.1, 0.0, 0.45, 1.0, 1.5, math.nan])
+    def test_every_threshold_on_a_class_larger_than_a_tile(self, threshold):
+        """Thresholds with no area range (at most 0, NaN) and with one give
+        the scalar scan's rows, and no float error."""
+        rng = np.random.default_rng(100)
+        dets = self.crowded_scene(rng, 3 * NMS_TILE, n_scores=7) + self.rounded_pairs(rng, NMS_TILE, True)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = nms_objects(dets, threshold)
+        assert_same_objects(got, nms_scalar(dets, threshold))
 
 
 def map_scene(rng):
