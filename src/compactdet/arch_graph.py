@@ -186,25 +186,25 @@ class NodeCost:
 # or module attribute when it runs, never at import, so a caller that rebinds
 # those names (a tracer, a test double) reaches every node.
 
-def _conv_shape(op, in_shape, shape_of, spec) -> tuple:
+def _conv_shape(op, in_shape, shapes, spec) -> tuple:
     oh, ow = conv_output_hw(in_shape[1], in_shape[2], op.kernel, op.stride)
     return (op.out_channels, oh, ow)
 
 
-def _block_shape(op, in_shape, shape_of, spec) -> tuple:
+def _block_shape(op, in_shape, shapes, spec) -> tuple:
     oh, ow = conv_output_hw(in_shape[1], in_shape[2], 3, op.stride)
     return (op.out_channels, oh, ow)
 
 
-def _concat_shape(op, in_shape, shape_of, spec) -> tuple:
+def _concat_shape(op, in_shape, shapes, spec) -> tuple:
     c, h, w = in_shape
-    c2, h2, w2 = shape_of(op.with_id)
+    c2, h2, w2 = shapes[op.with_id]
     if (h, w) != (h2, w2):
         raise ConfigError(f"concat inputs {h}x{w} and {h2}x{w2} differ spatially")
     return (c + c2, h, w)
 
 
-def _detect_shape(op, in_shape, shape_of, spec) -> tuple:
+def _detect_shape(op, in_shape, shapes, spec) -> tuple:
     expected = spec.detect_channels()
     if in_shape[0] != expected:
         raise ConfigError(
@@ -259,7 +259,7 @@ class _Kind:
 
     op: type  # the op dataclass; its fields are the grammar arguments in order, named in parse errors
     word: str  # grammar word, serialized form and NodeSpec.kind
-    shape: Callable  # (op, in_shape, shape_of, spec) -> out_shape; ConfigError if they do not chain
+    shape: Callable  # (op, in_shape, shapes by node id, spec) -> out_shape; ConfigError if they do not chain
     cost: Callable  # (op, shapes, in_shape, out_shape, linear) -> NodeCost: each layer's area, activation
     forward: Callable  # (op, x, params, outputs, linear) -> y; linear marks a head conv
     refs: tuple = ()  # fields naming earlier nodes, besides the input
@@ -303,7 +303,7 @@ _KINDS = {
         ),
         _Kind(
             FcaConfig, "fca",
-            shape=lambda op, i, shape_of, spec: i,
+            shape=lambda op, i, shapes, spec: i,
             cost=_fca_cost,
             forward=lambda op, x, params, outputs, linear: nn_modules.fca_forward(x, op, params),
             slots={"reduction": "reduction_ratio"},
@@ -312,13 +312,13 @@ _KINDS = {
         ),
         _Kind(
             MaxPoolSpec, "maxpool",
-            shape=lambda op, i, shape_of, spec: (i[0], -(-i[1] // op.stride), -(-i[2] // op.stride)),
+            shape=lambda op, i, shapes, spec: (i[0], -(-i[1] // op.stride), -(-i[2] // op.stride)),
             cost=_per_output_cost,
             forward=lambda op, x, params, outputs, linear: max_pool2d(x, op.kernel, op.stride),
         ),
         _Kind(
             UpsampleSpec, "upsample",
-            shape=lambda op, i, shape_of, spec: (i[0], i[1] * op.factor, i[2] * op.factor),
+            shape=lambda op, i, shapes, spec: (i[0], i[1] * op.factor, i[2] * op.factor),
             cost=_per_output_cost,
             forward=lambda op, x, params, outputs, linear: upsample_nearest(x, op.factor),
         ),
@@ -368,6 +368,15 @@ def _decimal(token):
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"expected a decimal integer, got {token!r}")
     return int(token)
+
+
+def _float(token: str) -> float:
+    """float(token) for an ASCII token with no "_": Python's float() also
+    reads digit-group underscores (1_0) and non-ASCII digits.  nan and inf
+    still parse; callers refuse non-finite values."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return float(token)
 
 
 def _int_field(token: str, what: str, line_no: int, minimum: int = 1) -> int:
@@ -446,7 +455,7 @@ def parse_network_spec(text: str) -> NetworkSpec:
                     if len(parts) != 2:
                         raise ParseError(f"anchor {token!r} is not w,h", line_no)
                     try:
-                        pair = (float(parts[0]), float(parts[1]))
+                        pair = (_float(parts[0]), _float(parts[1]))
                     except ValueError:
                         raise ParseError(f"anchor {token!r} is not numeric", line_no) from None
                     if not all(0 < v < math.inf for v in pair):
@@ -513,39 +522,28 @@ def serialize_network_spec(spec: NetworkSpec) -> str:
     return out.getvalue()
 
 
-@dataclass
-class ShapeTable:
-    """Per-node output shapes as (channels, height, width) tuples."""
+class ShapeTable(dict):
+    """Output shapes as (channels, height, width) tuples keyed by node id,
+    the input's under INPUT_ID."""
 
-    input_shape: tuple
-    shapes: tuple
-
-    def of(self, node_id: int) -> tuple:
-        if node_id == INPUT_ID:
-            return self.input_shape
-        return self.shapes[node_id]
+    of = dict.__getitem__
 
 
-def _node_shape(node: NodeSpec, shape_of: Callable, spec: NetworkSpec) -> tuple:
-    """node's output shape by its kind's rule, given shape_of(id) for the
-    nodes it reads; ShapeError naming node if they do not chain."""
+def _node_shape(node: NodeSpec, shapes: dict, spec: NetworkSpec) -> tuple:
+    """node's output shape by its kind's rule, given the shapes of the nodes
+    it reads by id; ShapeError naming node if they do not chain."""
     try:
-        return _KINDS[type(node.op)].shape(node.op, shape_of(node.input_id), shape_of, spec)
+        return _KINDS[type(node.op)].shape(node.op, shapes[node.input_id], shapes, spec)
     except ConfigError as exc:
         raise ShapeError(str(exc), node.id) from None
 
 
 def infer_shapes(spec: NetworkSpec) -> ShapeTable:
     _validate_references(spec)
-    shapes: list[tuple] = []
-    input_shape = tuple(spec.input_shape)
-
-    def shape_of(node_id: int) -> tuple:
-        return input_shape if node_id == INPUT_ID else shapes[node_id]
-
+    shapes = ShapeTable({INPUT_ID: tuple(spec.input_shape)})
     for node in spec.nodes:
-        shapes.append(_node_shape(node, shape_of, spec))
-    return ShapeTable(input_shape=input_shape, shapes=tuple(shapes))
+        shapes[node.id] = _node_shape(node, shapes, spec)
+    return shapes
 
 
 def linear_conv_ids(spec: NetworkSpec) -> frozenset:
@@ -604,17 +602,14 @@ class WeightStore:
         return cls([init_params(node.op, table.of(node.input_id)[0], rng) for node in spec.nodes])
 
     def validate_against(self, spec: NetworkSpec):
-        entries = self.params if self.shapes is None else self.shapes
-        if len(entries) != len(spec.nodes):
-            raise ConfigError(
-                f"weight store has {len(entries)} entries for {len(spec.nodes)} nodes"
-            )
-        for (node, _, shapes), entry in zip(node_param_shapes(spec), entries):
-            label = f"node {node.id} ({node.kind})"
-            if self.shapes is None:
-                nn_modules._check_params(entry, shapes, label)
-            elif entry != shapes:
-                raise ConfigError(f"{label}: file tensor shapes {entry} do not match expected shapes {shapes}")
+        have = self.shapes or [tuple(arr.shape for _, arr in nn_modules.param_tensors(p)) for p in self.params]
+        if len(have) != len(spec.nodes):
+            raise ConfigError(f"weight store has {len(have)} entries for {len(spec.nodes)} nodes")
+        for (node, _, want), shapes in zip(node_param_shapes(spec), have):
+            if shapes != want:
+                raise ConfigError(
+                    f"node {node.id} ({node.kind}): tensor shapes {shapes} do not match expected shapes {want}"
+                )
 
 
 def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:

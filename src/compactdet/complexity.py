@@ -206,12 +206,15 @@ def save_weights(path, spec: NetworkSpec, store: WeightStore, bits: int = 32):
     Tensors appear in node order and, within a node, in the fixed sub-layer
     order of param_tensors().  In 8-bit files each weight tensor is prefixed
     by its f32 scale and i32 zero point; biases stay raw f32.  A store
-    loaded from path itself must be read whole first (WeightStore(store.params)),
-    since path is truncated before its tensors would be read.
+    that load_weights opened on path itself is refused (ConfigError): path
+    is truncated before its tensors would be read.
     """
     if bits not in (8, 32):
         raise ConfigError(f"storable precisions are 8 and 32 bits, got {bits}")
     store.validate_against(spec)
+    source = store.params
+    if isinstance(source, _FileParams) and os.path.exists(path) and os.path.samefile(source.path, path):
+        raise ConfigError(f"{path} is the file this store reads: read it whole first, WeightStore(store.params)")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HB", FORMAT_VERSION, bits))

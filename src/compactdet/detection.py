@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .arch_graph import (
-    MAX_INT, SCALE_TAGS, NetworkSpec, NonFiniteOutputError, WeightStore, _decimal, execute,
+    MAX_INT, SCALE_TAGS, NetworkSpec, NonFiniteOutputError, WeightStore, _decimal, _float, execute,
 )
 from .tensor_core import ConfigError
 
@@ -408,15 +408,6 @@ def format_detection_line(
 ) -> str:
     """One interchange line; the arguments are in the line's field order."""
     return f"{image_id} {class_id} {score:.6f} {cx:.6f} {cy:.6f} {w:.6f} {h:.6f}"
-
-
-def _float(token: str) -> float:
-    """float(token) for an ASCII token with no "_": Python's float() also
-    reads digit-group underscores (1_0) and non-ASCII digits.  nan and inf
-    still parse; evaluate_map refuses non-finite values."""
-    if not token.isascii() or "_" in token:
-        raise ValueError(token)
-    return float(token)
 
 
 def _parse(text: str, with_score: bool) -> dict:

@@ -297,7 +297,7 @@ def _build(space: DesignSpace, seg: _Segment, values: tuple, reads: tuple, offse
             key = (op, linear, *map(shapes.__getitem__, _inputs(spec)))
             known = costs.get(key)
             if known is None:
-                out_shape = _node_shape(spec, shapes.__getitem__, space.base)
+                out_shape = _node_shape(spec, shapes, space.base)
                 cost = complexity.count_node(spec, shapes[input_id], out_shape, linear=linear)
                 known = costs[key] = (out_shape, cost)
             shapes[spec.id], cost = known

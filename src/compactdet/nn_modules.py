@@ -200,8 +200,8 @@ def param_tensors(params) -> list:
 
 
 def _check_params(params, want: tuple, label: str):
-    """The one parameter shape check: the tensors of params have the shapes
-    want gives, in order.  label names the node or block in the error."""
+    """The blocks' parameter shape check: the tensors of params have the
+    shapes want gives, in order.  label names the block in the error."""
     have = tuple(arr.shape for _, arr in param_tensors(params))
     if have != want:
         raise ConfigError(

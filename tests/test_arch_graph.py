@@ -109,6 +109,9 @@ class TestParse:
             ("input 3 8 8\nwibble 1\n", "unknown statement"),
             ("input 3 8 8\nconv 1 1 1\nfrom 0\n", "dangling from"),
             ("input 3 8 8\nconcat 0\n", "before it is defined"),
+            ("conv 1 1 1\ninput 3 8 8\n", "line 2: input line must precede node lines"),
+            ("input 3 8 8\nanchors large\nconv 1 1 1\n", "line 2: anchors needs a scale tag and at least one w,h pair"),
+            ("input 3 8 8\nconv 1 1 1\nfrom 0\nfrom 0\nconv 1 1 1\n", "line 4: two from lines in a row"),
             ("input 3 8 8\nconv 1 1 0\n", "stride"),
             ("input 16 16 16\nconv 2 8 1\n", "line 2: conv kernel side must be odd, got 2"),
             ("input 3 8 8\nanchors large 0.5,0.5\nconv 1 1 1\n", "need all"),
@@ -184,7 +187,7 @@ class TestBuilder:
         spec = parse_network_spec("input 3 16 16\nconv 3 4 1\npep 2 4 4 1\nconcat 0\n")
         assert [(n.id, n.kind) for n in spec.nodes] == [(0, "conv"), (1, "pep"), (2, "concat")]
         assert spec.nodes[2].op == ConcatSpec(0)
-        assert infer_shapes(spec).shapes[2] == (8, 16, 16)
+        assert infer_shapes(spec).of(2) == (8, 16, 16)
 
     def test_empty_graph_rejected(self):
         # A spec built in code, not parsed, still gets the check from shape inference.

@@ -166,6 +166,17 @@ class TestDescribe:
         cfg.write_text("input 3 8 8\nconv 3 2147483647 1\n")
         assert cli.main(["describe", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("dims", ["0.2_79,0.216", "\u0660.\u0662\u0667\u0669,0.216", "x,0.216"])
+    def test_non_numeric_anchor_exits_2(self, tmp_path, capsys, dims):
+        """Anchor dims take the interchange's number rule: no digit-group
+        underscore and no non-ASCII digit (Arabic-Indic 0.279 here)."""
+        text = (resources.files("compactdet.configs") / "reference.cfg").read_text()
+        line_no = text.splitlines().index("anchors large 0.279,0.216 0.375,0.476 0.897,0.784") + 1
+        cfg = tmp_path / "anchors.cfg"
+        cfg.write_text(text.replace("0.279,0.216", dims), encoding="utf-8")
+        assert cli.main(["describe", "--config", str(cfg)]) == 2
+        assert f"line {line_no}: anchor {dims!r} is not numeric" in capsys.readouterr().err
+
     def test_missing_file_exits_3(self, capsys):
         rc = cli.main(["describe", "--config", "/nonexistent/net.cfg"])
         assert rc == 3

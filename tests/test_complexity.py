@@ -612,6 +612,13 @@ class TestWeightsFile:
             save_weights(path, self.spec, self.store, bits=bits)
             assert path.stat().st_size == 7 + model_size_bytes(self.spec, bits)
 
+    @pytest.mark.parametrize("bits", [0, 16])
+    def test_unstorable_precision_refused(self, tmp_path, bits):
+        path = tmp_path / "w.bin"
+        with pytest.raises(ConfigError, match=f"^storable precisions are 8 and 32 bits, got {bits}$"):
+            save_weights(path, self.spec, self.store, bits=bits)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"XXXX" + bytes(100))
@@ -833,11 +840,28 @@ class TestStreamedStore:
         monkeypatch.setattr(complexity, "_read_node", never)
         store.validate_against(self.spec)
         other = parse_network_spec(STREAM_CFG.replace("conv 3 8 2", "conv 3 9 2"))
-        with pytest.raises(ConfigError, match=r"node 0 \(conv\): file tensor shapes"):
+        with pytest.raises(ConfigError, match=r"node 0 \(conv\): tensor shapes"):
             store.validate_against(other)
         fewer = parse_network_spec(STREAM_CFG.rsplit("from 0", 1)[0])
         with pytest.raises(ConfigError, match="entries"):
             store.validate_against(fewer)
+
+    def test_saving_over_its_own_file_is_refused(self, tmp_path):
+        """A loaded store saved back to its own file, under any spelling of
+        the path, is refused and the file kept; read whole first, or saved
+        elsewhere, it is written."""
+        path = self.saved(tmp_path, 32)
+        before = path.read_bytes()
+        store, _ = load_weights(path, self.spec)
+        for same in (path, str(path), tmp_path / "." / path.name):
+            with pytest.raises(ConfigError, match=r"is the file this store reads: read it whole first"):
+                save_weights(same, self.spec, store, bits=8)
+            assert path.read_bytes() == before
+        other = tmp_path / "other.bin"
+        save_weights(other, self.spec, store, bits=8)
+        assert load_weights(other, self.spec)[1] == 8
+        save_weights(path, self.spec, WeightStore(store.params), bits=8)
+        assert path.read_bytes() == other.read_bytes()
 
     def test_rewritten_file_is_refused_when_read(self, tmp_path):
         """A file replaced after it was opened is checked again on each pass,

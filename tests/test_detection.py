@@ -1022,6 +1022,14 @@ class TestDetectPipeline:
             detect(x, spec, store)
 
     @pytest.mark.parametrize("tag", SCALE_TAGS)
+    def test_refuses_a_tag_without_anchors(self, tag):
+        spec = load_bundled_config("explore-proto")
+        spec.anchors = {t: pairs for t, pairs in spec.anchors.items() if t != tag}
+        x = np.zeros((1, 3, 64, 64), dtype=np.float32)
+        with pytest.raises(ConfigError, match=f"^spec has no anchors for scale '{tag}'$"):
+            detect(x, spec, WeightStore.zeros(spec))
+
+    @pytest.mark.parametrize("tag", SCALE_TAGS)
     def test_error_names_the_non_finite_grid(self, tag):
         spec = load_bundled_config("explore-proto")
         store = WeightStore.zeros(spec)

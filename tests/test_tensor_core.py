@@ -10,6 +10,7 @@ that they must match byte for byte, up to a whole network run.
 """
 
 import hashlib
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -820,6 +821,31 @@ class TestAsTensor:
     def test_channels_last_kept_without_a_copy(self):
         x = channels_last(np.zeros((2, 3, 4, 5), dtype=np.float32))
         assert as_tensor(x) is x
+
+
+def _zeros(*shape):
+    return np.zeros(shape, dtype=np.float32)
+
+
+class TestArgumentRefusals:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ConvWeights(_zeros(2, 1, 3), _zeros(2)), "kernel must be (c_out, c_in/groups, k, k), got (2, 1, 3)"),
+        (lambda: ConvWeights(_zeros(2, 1, 3, 1), _zeros(2)), "kernel must be (c_out, c_in/groups, k, k), got (2, 1, 3, 1)"),
+        (lambda: ConvWeights(_zeros(2, 1, 2, 2), _zeros(2)), "kernel side must be odd, got 2"),
+        (lambda: ConvWeights(_zeros(2, 1, 3, 3), _zeros(3)), "bias shape (3,) does not match c_out 2"),
+        (lambda: ConvWeights(_zeros(3, 1, 3, 3), _zeros(3), groups=2), "c_out 3 not divisible by groups 2"),
+        (
+            lambda: depthwise_conv2d(_zeros(1, 2, 4, 4), ConvWeights(_zeros(2, 2, 3, 3), _zeros(2), groups=2)),
+            "depthwise kernel must be (c_in, 1, k, k), got (2, 2, 3, 3)",
+        ),
+        (lambda: dense(_zeros(3), _zeros(2, 3), _zeros(3)), "dense bias shape (3,) does not match 2 outputs"),
+        (lambda: upsample_nearest(_zeros(1, 1, 2, 2), 0), "upsample factor must be >= 1, got 0"),
+        (lambda: max_pool2d(_zeros(1, 1, 2, 2), 0, 1), "pool kernel and stride must be >= 1"),
+        (lambda: max_pool2d(_zeros(1, 1, 2, 2), 1, 0), "pool kernel and stride must be >= 1"),
+    ])
+    def test_refuses(self, call, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 # Signed zeros and subnormals, but no magnitude that a conv sum could
