@@ -231,16 +231,15 @@ def expand_point(space: DesignSpace, point: tuple) -> NetworkSpec:
     """Rewrite the prototype with a slot assignment into a NetworkSpec."""
     if not space.contains(point):
         raise ConfigError(f"point {point!r} is not in the design space")
-    return _walk(space, point, {}, {})[0]
+    return _walk(space, point, {})[0]
 
 
-def _walk(space: DesignSpace, point: tuple, segments: dict, costs: dict) -> tuple:
+def _walk(space: DesignSpace, point: tuple, segments: dict) -> tuple:
     """(spec, ops, params) of a point of space, one memo lookup per segment.
 
     `segments` maps (segment, its slot values, the (new id, shape) of each
     earlier node it reads, its first new id) to _build's value, which that
-    key fixes; `costs` is _build's node-cost memo.  Both serve one search
-    over one space.
+    key fixes.  It serves one search over one space.
 
     A point of a parsed space needs no reference check: renumbering maps
     each ref to an earlier node, and detect nodes are never dropped or
@@ -254,7 +253,7 @@ def _walk(space: DesignSpace, point: tuple, segments: dict, costs: dict) -> tupl
         key = (seg, tuple(map(value, seg.indexes)), tuple(map(read, seg.reads)), len(nodes))
         hit = lookup(key)
         if hit is None:
-            hit = segments[key] = _build(space, *key, costs)
+            hit = segments[key] = _build(space, *key)
         built, marks, seg_ops, seg_params = hit
         nodes += built
         remap.update(marks)
@@ -265,15 +264,12 @@ def _walk(space: DesignSpace, point: tuple, segments: dict, costs: dict) -> tupl
     return NetworkSpec(tuple(nodes), base.input_shape, base.num_classes, base.anchors), ops, params
 
 
-def _build(space: DesignSpace, seg: _Segment, values: tuple, reads: tuple, offset: int, costs: dict) -> tuple:
+def _build(space: DesignSpace, seg: _Segment, values: tuple, reads: tuple, offset: int) -> tuple:
     """A segment's memo entry, from its _walk key: its NodeSpecs, the (new
     id, shape) of each of its base nodes, and its ops and params.
 
-    Each node's (out shape, NodeCost) comes from `costs`, keyed by (op, raw
-    head conv or not, shapes of the nodes it reads: its input, then a
-    concat's `with_id`), which is all that its shape and cost rules read in
-    one space.  On a miss the shape rule and complexity.count_node run, so
-    their errors raise as in infer_shapes, and a failure is never cached.
+    Each node's shape rule and complexity.count_node run once, so their
+    errors raise as in infer_shapes, and a failure is never cached.
     """
     remap = dict(zip(seg.reads, reads))  # base id -> (new id, shape)
     shapes = dict(reads)  # new id -> shape
@@ -294,13 +290,8 @@ def _build(space: DesignSpace, seg: _Segment, values: tuple, reads: tuple, offse
         input_id = remap[node.input_id][0]
         for _ in range(copies):
             spec = NodeSpec(id=offset + len(nodes), op=op, input_id=input_id)
-            key = (op, linear, *map(shapes.__getitem__, _inputs(spec)))
-            known = costs.get(key)
-            if known is None:
-                out_shape = _node_shape(spec, shapes, space.base)
-                cost = complexity.count_node(spec, shapes[input_id], out_shape, linear=linear)
-                known = costs[key] = (out_shape, cost)
-            shapes[spec.id], cost = known
+            shapes[spec.id] = _node_shape(spec, shapes, space.base)
+            cost = complexity.count_node(spec, shapes[input_id], shapes[spec.id], linear=linear)
             ops += cost.ops
             params += cost.params
             nodes.append(spec)
@@ -455,31 +446,6 @@ def sample_point(seed: int, generation: int, space: DesignSpace) -> tuple:
     )
 
 
-def _rank_key(cand: Candidate) -> tuple:
-    return (-cand.u_value, cand.point)
-
-
-def _assess(
-    space: DesignSpace,
-    point: tuple,
-    constraints: ConstraintSet,
-    evaluator: Callable[[NetworkSpec], float],
-    segments: dict,
-    costs: dict,
-    gen: int,
-) -> HistoryEntry:
-    """Expand and cost one point in one walk over the search's memos
-    (_walk), then evaluate and constraint-check it."""
-    spec, ops, params = _walk(space, point, segments, costs)
-    cand = evaluate(spec, evaluator, ops, params, point=point)
-    return HistoryEntry(gen, check_constraints(cand.ops, cand.score, constraints), cand)
-
-
-def _best(entries) -> Optional[Candidate]:
-    """The feasible candidate of smallest rank key, or None."""
-    return min((e.candidate for e in entries if e.feasible), key=_rank_key, default=None)
-
-
 class _Stream:
     """The draws of `np.random.default_rng(seed)`, formed from its bit
     generator's raw 64-bit outputs, read RAW_BLOCK at a time.
@@ -574,15 +540,18 @@ def explore(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = _Stream(seed)
-    segments: dict = {}  # _walk's memos, dropped with this search
-    costs: dict = {}
+    segments: dict = {}  # _walk's memo, dropped with this search
     seen = {}  # point -> entry, in evaluation order
-    ranked = []  # rank keys of the feasible candidates, ascending
+    ranked = []  # rank keys (-u, point) of the feasible candidates, ascending
 
     def visit(point, gen):
-        entry = seen[point] = _assess(space, point, constraints, evaluator, segments, costs, gen)
-        if entry.feasible:
-            insort(ranked, _rank_key(entry.candidate))
+        """Expand and cost point in one walk, then evaluate and check it."""
+        spec, ops, params = _walk(space, point, segments)
+        cand = evaluate(spec, evaluator, ops, params, point=point)
+        feasible = check_constraints(ops, cand.score, constraints)
+        seen[point] = HistoryEntry(gen, feasible, cand)
+        if feasible:
+            insort(ranked, (-cand.u_value, point))
 
     gen = 0
     visit(space.base_point(), gen)
@@ -610,8 +579,8 @@ def explore(
                 if point not in seen:
                     visit(point, gen)
             break
-    # Points are unique, so rank keys are too: the minimum is the one best.
-    best = _best(seen.values())
+    # Points are unique, so rank keys are too: the first is the one best.
+    best = seen[ranked[0][1]].candidate if ranked else None
     if best is not None:
         _recount(best)
     return ExploreResult(best=best, history=list(seen.values()))
@@ -619,7 +588,7 @@ def explore(
 
 def _recount(cand: Candidate):
     """Check the walk's totals for cand against a fresh count_network, so
-    that a fault in the walk's memos fails the search."""
+    that a fault in the walk's memo fails the search."""
     report = complexity.count_network(cand.spec)
     if (report.total_ops, report.total_params) != (cand.ops, cand.params):
         raise RuntimeError(

@@ -36,15 +36,21 @@ def brute_force_search(
 ) -> Optional[Candidate]:
     """Exact constrained argmax of u over the whole space.
 
-    Ties break toward the lexicographically smallest slot-value tuple.
+    Each point is expanded, costed by a fresh count_network, scored and
+    checked on its own, with none of the search's walk or ranking.  Ties
+    break toward the lexicographically smallest slot-value tuple.
     Refuses spaces larger than 2^16 points.
     """
     size = space.size()
     if size > BRUTE_FORCE_LIMIT:
         raise ConfigError(f"space has {size} points, brute force caps at {BRUTE_FORCE_LIMIT}")
-    segments: dict = {}  # explorer._walk's memos, dropped with this search
-    costs: dict = {}
-    return explorer._best(
-        explorer._assess(space, p, constraints, evaluator, segments, costs, 0)
-        for p in space.enumerate_points()
-    )
+    best = None
+    for point in space.enumerate_points():
+        spec = explorer.expand_point(space, point)
+        report = complexity.count_network(spec)
+        cand = explorer.evaluate(spec, evaluator, report.total_ops, report.total_params, point=point)
+        if not complexity.check_constraints(cand.ops, cand.score, constraints):
+            continue
+        if best is None or (-cand.u_value, point) < (-best.u_value, best.point):
+            best = cand
+    return best

@@ -292,12 +292,12 @@ detect large    # 3
 """
 
 
-def walk_every_point(space, segments, costs) -> int:
-    """Walk each point of space over one pair of memos: each gives
+def walk_every_point(space, segments) -> int:
+    """Walk each point of space over one segment memo: each gives
     expand_point's spec, and its totals are a fresh count_network's."""
     points = 0
     for point in space.enumerate_points():
-        spec, ops, params = _walk(space, point, segments, costs)
+        spec, ops, params = _walk(space, point, segments)
         assert spec == expand_point(space, point), point
         report = count_network(spec)
         assert (ops, params) == (report.total_ops, report.total_params), point
@@ -306,14 +306,12 @@ def walk_every_point(space, segments, costs) -> int:
 
 
 class TestNodeCostMemo:
-    """explorer._walk's memos: expanding a point also chains and costs it."""
+    """explorer._walk's memo: expanding a point also chains and costs it."""
 
     def test_shared_memo_matches_fresh_counts_over_design_space(self):
         text = resources.files("compactdet.configs").joinpath("explore-space.txt").read_text()
         space = parse_design_space(text, load_bundled_config("explore-proto"))
-        costs = {}
-        assert walk_every_point(space, {}, costs) == 4374
-        assert 0 < len(costs) < 200  # a few dozen distinct node costs
+        assert walk_every_point(space, {}) == 4374
 
     @pytest.mark.parametrize(
         "config, doc, size", [("reference", REFERENCE_CONCAT_DOC, 6)], ids=["concat-of-a-slotted-node"]
@@ -321,7 +319,7 @@ class TestNodeCostMemo:
     def test_shared_memo_matches_fresh_counts_where_shapes_and_heads_vary(self, config, doc, size):
         """The concat's key holds the shape of the node it concatenates.
         Raw heads are the prototype's on every point (next test)."""
-        assert walk_every_point(parse_design_space(doc, load_bundled_config(config)), {}, {}) == size
+        assert walk_every_point(parse_design_space(doc, load_bundled_config(config)), {}) == size
 
     def test_no_point_changes_the_raw_heads(self):
         """An fca between a conv and its detect takes no fca_site, so the
@@ -336,15 +334,12 @@ class TestNodeCostMemo:
         activated, head = spec.nodes[0], spec.nodes[1]
         assert activated.op == head.op and table.of(0) == table.of(1) == table.of(INPUT_ID)
         assert linear_conv_ids(spec) == {1}
-        costs = {}
-        _, ops, params = _walk(space, (), {}, costs)
+        _, ops, params = _walk(space, (), {})
         rows = count_network(spec).rows
         assert (ops, params) == (sum(c.ops for *_, c in rows), sum(c.params for *_, c in rows))
-        by_linear = {key[1]: cost for key, (_, cost) in costs.items() if key[0] == head.op}
-        assert rows[0][2] == by_linear[False] == count_node(activated, table.of(INPUT_ID), table.of(0))
-        assert rows[1][2] == by_linear[True] == count_node(head, table.of(0), table.of(1), linear=True)
+        assert rows[0][2] == count_node(activated, table.of(INPUT_ID), table.of(0))
+        assert rows[1][2] == count_node(head, table.of(0), table.of(1), linear=True)
         assert rows[0][2].ops - rows[1][2].ops == 21 * 4 * 4  # the activation
-        assert len(costs) == 3
 
 
 # Node 2 concatenates a 4x4 map with an 8x8 one.  Its twin's node 2 has the
@@ -365,40 +360,40 @@ def slotless(text: str) -> DesignSpace:
 
 
 class TestMemoHidesNoCheck:
-    """Shared memos never let a network through that a fresh count refuses."""
+    """A shared segment memo never lets a network through that a fresh
+    count refuses."""
 
     FORWARD_REF = NetworkSpec(
         nodes=(NodeSpec(0, ConvSpec(1, 4, 1), input_id=1), NodeSpec(1, ConvSpec(1, 4, 1), input_id=0)),
         input_shape=(3, 8, 8),
     )
 
-    @pytest.mark.parametrize("memos", [None, ({}, {})], ids=["fresh", "memo"])
-    def test_forward_reference_and_mismatched_concat_raise(self, memos):
+    @pytest.mark.parametrize("memo", [None, {}], ids=["fresh", "memo"])
+    def test_forward_reference_and_mismatched_concat_raise(self, memo):
         """Fresh: count_network.  Memo: the explorer's path, a space parsed
-        over the network and its point walked over a search's memos."""
+        over the network and its point walked over a search's memo."""
 
         def count(spec):
-            if memos is None:
+            if memo is None:
                 return count_network(spec)
-            return _walk(parse_design_space("", spec), (), *memos)
+            return _walk(parse_design_space("", spec), (), memo)
 
         with pytest.raises(ParseError, match="node 0 references node 1"):
             count(self.FORWARD_REF)
         with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
             count(parse_network_spec(MISMATCHED_CONCAT_CFG))
-        assert memos in (None, ({}, {}))  # no failure is cached
+        assert memo in (None, {})  # no failure is cached
 
     def test_failing_node_raises_again_with_the_same_memo(self):
-        """As infer_shapes raises, and also when the memos hold the twin's
-        segment and concat."""
-        segments, costs = {}, {}
-        _walk(slotless(MATCHED_CONCAT_CFG), (), segments, costs)
+        """As infer_shapes raises, and also when the memo holds the twin's
+        segment."""
+        segments = {}
+        _walk(slotless(MATCHED_CONCAT_CFG), (), segments)
         space = slotless(MISMATCHED_CONCAT_CFG)
         for _ in range(2):
             with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
-                _walk(space, (), segments, costs)
-        assert len(costs) == 5  # the twin's three nodes and two convs; no failure
-        assert len(segments) == 1  # the twin's one segment
+                _walk(space, (), segments)
+        assert len(segments) == 1  # the twin's one segment; no failure
 
 
 class TestReferenceBudgets:

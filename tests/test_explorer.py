@@ -18,13 +18,11 @@ from hypothesis import strategies as st
 from compactdet import complexity, explorer
 from compactdet.arch_graph import (
     _KINDS,
-    _inputs,
     INPUT_ID,
     NetworkSpec,
     NodeSpec,
     ParseError,
     infer_shapes,
-    linear_conv_ids,
     load_bundled_config,
     parse_network_spec,
 )
@@ -36,7 +34,6 @@ from compactdet.explorer import (
     DesignSpace,
     HistoryEntry,
     Slot,
-    _assess,
     _Stream,
     _walk,
     evaluate,
@@ -514,9 +511,9 @@ class TestExpandPointOracle:
         gives the replace form's spec and a fresh count_network's totals."""
         name, doc = case
         space = parse_design_space(doc, network(name))
-        segments, costs = {}, {}
+        segments = {}
         for point in space.enumerate_points():
-            spec, ops, params = _walk(space, point, segments, costs)
+            spec, ops, params = _walk(space, point, segments)
             assert spec == expand_point_oracle(space, point), point
             report = count_network(spec)
             assert (ops, params) == (report.total_ops, report.total_params), point
@@ -555,7 +552,8 @@ class TestPerformance:
 
 def assessed(space, point) -> Candidate:
     """The candidate a search builds for point, costed by its walk."""
-    return _assess(space, point, ConstraintSet(), synthetic_evaluator(), {}, {}, 0).candidate
+    spec, ops, params = _walk(space, point, {})
+    return evaluate(spec, synthetic_evaluator(), ops, params, point=point)
 
 
 class TestEvaluate:
@@ -777,7 +775,7 @@ class TestExplore:
 
     def test_no_cost_memo_outlives_a_search(self, space, monkeypatch):
         """Two searches in a row make the same count_node calls and give the
-        same results: each one's node-cost memo goes with it."""
+        same results: each one's segment memo goes with it."""
         calls = []
         count_node = complexity.count_node
         monkeypatch.setattr(
@@ -795,34 +793,29 @@ class TestExplore:
             assert 0 < first_calls == len(calls) - first_calls
 
     @pytest.mark.parametrize("doc", [SPACE_DOC, ""], ids=["demo", "equal-convs"])
-    def test_one_count_network_call_and_one_count_node_call_per_node_key(self, doc, monkeypatch):
-        """count_network runs once, on the best point; the walks call
-        count_node once per distinct (op, raw head or not, shapes read).
-        In the slotless space two equal activated convs read equal shapes
-        and share one call."""
+    def test_count_network_once_and_count_node_per_built_node(self, doc, monkeypatch):
+        """count_network runs once, on the best point; count_node runs once
+        per node of each segment entry the search builds, and once per node
+        of the best point.  The slotless space's one segment is built once."""
         base = load_bundled_config("explore-proto") if doc else parse_network_spec(EQUAL_CONVS_CFG)
         space = parse_design_space(doc, base)
-        counted, node_calls = [], []
-        count_network, count_node = complexity.count_network, complexity.count_node
+        counted, node_calls, segments = [], [], {}
+        count_network, count_node, walk = complexity.count_network, complexity.count_node, explorer._walk
         monkeypatch.setattr(
             complexity, "count_network", lambda spec: counted.append(spec) or count_network(spec)
         )
         monkeypatch.setattr(
             complexity, "count_node", lambda *a, **k: node_calls.append(1) or count_node(*a, **k)
         )
+        monkeypatch.setattr(explorer, "_walk", lambda space, point, _: walk(space, point, segments))
         result = run_explore(space, seed=4, budget=100)
         assert counted == [result.best.spec]
-        keys = set()
-        for entry in result.history:
-            spec = entry.candidate.spec
-            table, heads = infer_shapes(spec), linear_conv_ids(spec)
-            keys.update((n.op, n.id in heads, tuple(map(table.of, _inputs(n)))) for n in spec.nodes)
-        assert len(node_calls) == len(keys) + len(result.best.spec.nodes)
-        assert len(keys) == (34 if doc else 3)
+        built = sum(len(nodes) for nodes, *_ in segments.values())
+        assert len(node_calls) == built + len(result.best.spec.nodes)
+        assert (len(segments), built) == ((56, 196) if doc else (1, 4))
 
     def test_one_segment_lookup_per_segment_of_each_point(self, space, monkeypatch):
-        """A search looks each point up once per segment, never per node,
-        and looks node costs up only to build a segment it has not seen."""
+        """A search looks each point up once per segment, never per node."""
 
         class Counting(dict):
             lookups = 0
@@ -832,14 +825,13 @@ class TestExplore:
                 return super().get(key, default)
 
         want = run_explore(space, seed=4, budget=100)
-        segments, costs = Counting(), Counting()
+        segments = Counting()
         walk = explorer._walk
-        monkeypatch.setattr(explorer, "_walk", lambda space, point, *_: walk(space, point, segments, costs))
+        monkeypatch.setattr(explorer, "_walk", lambda space, point, _: walk(space, point, segments))
         result = run_explore(space, seed=4, budget=100)
         assert result == want
         assert len(space._segments) == 6 < len(space.base.nodes) == 16
         assert segments.lookups == len(result.history) * len(space._segments)
-        assert costs.lookups == sum(len(nodes) for nodes, *_ in segments.values())
 
     def test_walk_totals_that_count_network_refutes_fail_the_search(self, space, monkeypatch):
         walk = explorer._walk
