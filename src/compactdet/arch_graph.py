@@ -22,8 +22,8 @@ Grammar (one statement per line, `#` starts a comment):
     detect <scale_tag>
 
 `from` rebinds the input of the next node-producing line.  `detect` marks
-its input as one of the prediction grids; a runnable detection network has
-exactly three, tagged large/medium/small from coarse to fine.  Integer
+its input as one of the prediction grids, tagged large/medium/small from
+coarse to fine; a runnable detection network has at least one.  Integer
 arguments are ASCII-decimal [0-9]+ tokens of at most MAX_INT (2**31 - 1).
 
 Every node kind is one `_Kind` record in `_KINDS`, keyed by its op class:
@@ -613,9 +613,10 @@ class WeightStore:
 
 
 def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
-    """Run a complete detection network; returns (large, medium, small) maps,
-    C-contiguous in NCHW order (the kernels work channels-last, and a
-    float32 reduction over a grid, such as its std, sums in memory order).
+    """Run a detection network; returns one grid per detect tag it has, in
+    SCALE_TAGS order, C-contiguous in NCHW order (the kernels work
+    channels-last, and a float32 reduction over a grid, such as its std,
+    sums in memory order).  A network with no detect node is a ConfigError.
 
     Raises NonFiniteOutputError naming the first node whose float32
     arithmetic overflows, divides by zero or gives an invalid value.  A
@@ -627,11 +628,9 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
         raise ConfigError(
             f"input shape {tuple(x.shape[1:])} does not match spec {tuple(spec.input_shape)}"
         )
-    detect_tags = sorted(n.op.scale_tag for n in spec.detect_nodes())
-    if detect_tags != sorted(SCALE_TAGS):
-        raise ConfigError(
-            f"a runnable detection network needs detect nodes {list(SCALE_TAGS)}, got {detect_tags}"
-        )
+    grid_ids = {n.op.scale_tag: n.id for n in spec.detect_nodes()}
+    if not grid_ids:
+        raise ConfigError("a runnable detection network needs a detect node, and this one has none")
     weights.validate_against(spec)
 
     raw_heads = linear_conv_ids(spec)
@@ -639,7 +638,6 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
     # Each output is freed once its last reader has run (at once if nothing
     # reads it), except the detect outputs, which are the grids.
     last_read = {ref: node.id for node in spec.nodes for ref in _inputs(node)}
-    grid_ids = {n.id for n in spec.detect_nodes()}
 
     def fail(err: str, _flag: int):
         raise NonFiniteOutputError(f"node {node.id} ({node.kind}): float32 {err}")
@@ -660,10 +658,9 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
             params = None
             params = next(stream, None)
             for done in {node.id, *_inputs(node)}:
-                if last_read.get(done, node.id) == node.id and done not in grid_ids:
+                if last_read.get(done, node.id) == node.id and done not in grid_ids.values():
                     del outputs[done]
-    by_tag = {n.op.scale_tag: outputs[n.id] for n in spec.detect_nodes()}
-    return tuple(np.ascontiguousarray(by_tag[tag]) for tag in SCALE_TAGS)
+    return tuple(np.ascontiguousarray(outputs[grid_ids[tag]]) for tag in SCALE_TAGS if tag in grid_ids)
 
 
 def load_bundled_config(name: str) -> "NetworkSpec":

@@ -255,8 +255,9 @@ def detect(
     undefined.
     """
     grids = execute(spec, weights, image)
+    tags = sorted({n.op.scale_tag for n in spec.detect_nodes()}, key=SCALE_TAGS.index)
     parts = []
-    for tag, grid in zip(SCALE_TAGS, grids):
+    for tag, grid in zip(tags, grids, strict=True):
         if not np.isfinite(grid).all():
             raise NonFiniteOutputError(f"the {tag} prediction grid has non-finite values")
         if tag not in spec.anchors:

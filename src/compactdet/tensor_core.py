@@ -5,8 +5,8 @@ height, width).  That shape is the contract; memory order is not.  A kernel
 takes an array that is C-contiguous in NCHW order or in channels-last
 (NHWC) order, and as_tensor copies any other to NCHW.  The convolutions
 return channels-last arrays, with their products taken pixel-major, and
-so do upsample_nearest and concat_channels, whatever the order of their
-input; the elementwise kernels keep the memory order of
+so do upsample_nearest, concat_channels and max_pool2d, whatever the order
+of their input; the elementwise kernels keep the memory order of
 their input.  A float32 reduction sums in memory order, so
 global_avg_pool reduces an NCHW-contiguous copy, and arch_graph.execute
 returns NCHW-contiguous grids.  Every kernel here is pure:
@@ -24,8 +24,8 @@ zeros on each side, which is "same" padding for the odd k ConvWeights allows.
 The convolutions pad and unfold their input one block at a time (a block of
 output rows), never as a whole-input copy, so their working memory beyond
 the output is set by a block, not by the input.  conv2d's unfold is a
-sliding_window_view of its padded rows, and so are max_pool2d's windows:
-no strides are computed by hand.
+sliding_window_view of its padded rows, so no strides are computed by
+hand; max_pool2d takes no windows, but one strided view per tap.
 """
 
 from __future__ import annotations
@@ -386,23 +386,25 @@ def channel_scale(x: np.ndarray, scales: np.ndarray) -> np.ndarray:
 
 
 def max_pool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Max pooling with size-preserving edge padding, output ceil(d / stride).
+    """Max pooling with size-preserving edge padding, output ceil(d / stride);
+    the output is channels-last.
 
-    Windows hanging over the right/bottom edge are padded with -inf so the
-    maximum is always taken over real samples.
+    The maximum is taken tap by tap, in window order, over a channels-last
+    copy of x with a -inf border, so a window hanging over the right/bottom
+    edge takes its maximum over real samples.  An output is NaN if its window
+    holds one; a tie of -0.0 and 0.0 goes as np.maximum(earlier, later)
+    breaks it, which gives the bytes of numpy's max over each window.
     """
     x = as_tensor(x)
     if kernel < 1 or stride < 1:
         raise ConfigError("pool kernel and stride must be >= 1")
-    h, w = x.shape[2:]
-    out_h = -(-h // stride)
-    out_w = -(-w // stride)
-    pad_h = (out_h - 1) * stride + kernel - h
-    pad_w = (out_w - 1) * stride + kernel - w
-    xp = np.pad(
-        x,
-        ((0, 0), (0, 0), (0, max(pad_h, 0)), (0, max(pad_w, 0))),
-        constant_values=-np.inf,
-    )
-    windows = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(windows.max(axis=(4, 5)))
+    n, c, h, w = x.shape
+    out_h, out_w = -(-h // stride), -(-w // stride)
+    rows, cols = max(h, (out_h - 1) * stride + kernel), max(w, (out_w - 1) * stride + kernel)
+    padded = np.full((n, rows, cols, c), -np.inf, dtype=DTYPE)
+    padded[:, :h, :w] = x.transpose(0, 2, 3, 1)
+    taps = [padded[:, u::stride, v::stride][:, :out_h, :out_w] for u in range(kernel) for v in range(kernel)]
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    return out.transpose(0, 3, 1, 2)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compactdet import detection
 from compactdet.arch_graph import (
     DEFAULT_ANCHORS,
     INPUT_ID,
@@ -545,12 +546,30 @@ class TestExecute:
         with pytest.raises(ConfigError, match="input shape"):
             execute(self.spec, self.store, np.zeros((1, 3, 32, 32), dtype=np.float32))
 
-    def test_requires_three_detect_tags(self):
+    def test_two_detect_tags_give_two_grids_each_decoded_with_its_anchors(self, monkeypatch):
+        """tiny-yolov3 detects at two scales: execute returns its large and
+        medium grids, in SCALE_TAGS order, and detect decodes each one with
+        its own tag's anchors."""
         spec = load_bundled_config("tiny-yolov3")
-        store = WeightStore.zeros(spec)
-        x = np.zeros((1, 3, 416, 416), dtype=np.float32)
-        with pytest.raises(ConfigError, match="detect nodes"):
-            execute(spec, store, x)
+        store = WeightStore.random(spec, seed=0)
+        x = np.random.default_rng(0).random((1, 3, 416, 416), dtype=np.float32)
+        grids = execute(spec, store, x)
+        assert [grid.shape for grid in grids] == [(1, 75, 13, 13), (1, 75, 26, 26)]
+        decoded = []
+        decode = detection.decode_predictions
+
+        def recording(grid, anchors, conf_threshold):
+            boxes = decode(grid, anchors, conf_threshold)
+            decoded.append((grid.shape, anchors, len(boxes)))
+            return boxes
+
+        monkeypatch.setattr(detection, "decode_predictions", recording)
+        detection.detect(x, spec, store, conf_threshold=0.25)
+        assert [(shape, anchors) for shape, anchors, _ in decoded] == [
+            ((1, 75, 13, 13), spec.anchors["large"]),
+            ((1, 75, 26, 26), spec.anchors["medium"]),
+        ]
+        assert all(count > 0 for *_, count in decoded)
 
     def test_head_logits_unbounded_below(self):
         """Detect inputs skip the activation, so negatives pass unscaled.

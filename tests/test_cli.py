@@ -31,6 +31,7 @@ from compactdet.complexity import load_weights, save_weights
 from compactdet.detection import parse_detections
 from compactdet.explorer import Candidate, HistoryEntry
 from compactdet.nn_modules import param_tensors
+from compactdet.tensor_core import ConfigError
 
 HEAD_CFG = """\
 input 3 16 16
@@ -405,6 +406,45 @@ class TestDetect:
         assert rc == 0
         digest = hashlib.sha256(out.read_text().encode()).hexdigest()
         assert digest == "9783d2123046d7cf5000101c50aff8bc09e0fb4dc8cd552c294684924fa91342"
+
+    def test_tiny_yolov3_detects_and_reruns_byte_identical(self, tmp_path):
+        """Criterion 11 for the paper's baseline: seed-0 random float32
+        weights and a seeded frame give lines that all parse, twice alike."""
+        spec = load_bundled_config("tiny-yolov3")
+        weights = tmp_path / "tiny-f32.w"
+        save_weights(weights, spec, WeightStore.random(spec, seed=0), bits=32)
+        image = tmp_path / "frame0.ppm"
+        write_ppm(image, np.random.default_rng(0).integers(0, 256, size=(416, 416, 3), dtype=np.uint8))
+        texts = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"dets-{tag}.txt"
+            rc, _, _ = run_quietly([
+                "detect", "--config", bundled("tiny-yolov3.cfg"), "--weights", str(weights),
+                "--image", str(image), "--out", str(out),
+            ])
+            assert rc == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        lines = texts[0].splitlines()
+        assert lines and len(parse_detections(texts[0])["frame0"]) == len(lines)
+
+    def test_network_without_detect_node_exits_2(self, tmp_path):
+        """execute refuses a network with no detect node, so detect exits 2
+        and not with a traceback from concatenating no candidates."""
+        text = "input 3 16 16\nconv 3 8 2\n"
+        spec = parse_network_spec(text)
+        store = WeightStore.random(spec, seed=0)
+        with pytest.raises(ConfigError, match="^a runnable detection network needs a detect node"):
+            arch_graph.execute(spec, store, np.zeros((1, 3, 16, 16), dtype=np.float32))
+        cfg, weights, image = tmp_path / "net.cfg", tmp_path / "net.w", tmp_path / "frame.ppm"
+        cfg.write_text(text)
+        save_weights(weights, spec, store, bits=32)
+        write_ppm(image, np.zeros((16, 16, 3), dtype=np.uint8))
+        rc, out, err = run_quietly([
+            "detect", "--config", str(cfg), "--weights", str(weights), "--image", str(image),
+        ])
+        assert (rc, out) == (2, "")
+        assert err == "error: a runnable detection network needs a detect node, and this one has none\n"
 
     def test_non_finite_anchor_exit_2(self, head_setup, tmp_path, capsys):
         cfg, weights, image = head_setup

@@ -305,8 +305,8 @@ def walk_every_point(space, segments) -> int:
     return points
 
 
-class TestNodeCostMemo:
-    """explorer._walk's memo: expanding a point also chains and costs it."""
+class TestSegmentMemo:
+    """explorer._walk's segment memo: expanding a point also chains and costs it."""
 
     def test_shared_memo_matches_fresh_counts_over_design_space(self):
         text = resources.files("compactdet.configs").joinpath("explore-space.txt").read_text()
@@ -385,15 +385,20 @@ class TestMemoHidesNoCheck:
         assert memo in (None, {})  # no failure is cached
 
     def test_failing_node_raises_again_with_the_same_memo(self):
-        """As infer_shapes raises, and also when the memo holds the twin's
-        segment."""
+        """A failing walk caches nothing, so it raises again, as infer_shapes
+        raises.  The memo also holds the twin's walk, whose node 2 has the
+        same op and input shape; but a key holds its space's own _Segments,
+        which hash by identity, so no key the twin left can serve the
+        failing space."""
         segments = {}
         _walk(slotless(MATCHED_CONCAT_CFG), (), segments)
+        twin_keys = set(segments)
         space = slotless(MISMATCHED_CONCAT_CFG)
         for _ in range(2):
             with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
                 _walk(space, (), segments)
-        assert len(segments) == 1  # the twin's one segment; no failure
+            assert set(segments) == twin_keys
+        assert not any(seg in space._segments for seg, *_ in twin_keys)
 
 
 class TestReferenceBudgets:

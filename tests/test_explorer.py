@@ -773,7 +773,7 @@ class TestExplore:
         winners = [c for c in feasible if c.u_value == top]
         assert result.best is min(winners, key=lambda c: c.point)
 
-    def test_no_cost_memo_outlives_a_search(self, space, monkeypatch):
+    def test_no_segment_memo_outlives_a_search(self, space, monkeypatch):
         """Two searches in a row make the same count_node calls and give the
         same results: each one's segment memo goes with it."""
         calls = []

@@ -3,10 +3,11 @@
 The production kernels use strided views and matmul; most references here
 are the obvious quadruple loop accumulating in float64, so an agreement
 check exercises the layout and ordering logic rather than restating it.
-The conv, depthwise, leaky ReLU and sigmoid kernels also keep the forms
-they replaced (one product over the whole padded input, an einsum and
-strided windows, an np.where, and a sign split through masks) as oracles
-that they must match byte for byte, up to a whole network run.
+The conv, depthwise, leaky ReLU, sigmoid and max pool kernels also keep
+the forms they replaced (one product over the whole padded input, an
+einsum and strided windows, an np.where, a sign split through masks, and
+one max per sliding window) as oracles that they must match byte for
+byte, up to a whole network run.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from compactdet import arch_graph, nn_modules, tensor_core
 from compactdet.tensor_core import (
@@ -783,7 +785,61 @@ def max_pool_reference(x, kernel, stride):
     return out
 
 
+def max_pool_windows_oracle(x, kernel, stride):
+    """The vectorized max pool that max_pool2d replaced: a -inf pad on the
+    right and bottom, then one max over each strided sliding window."""
+    x = as_tensor(x)
+    h, w = x.shape[2:]
+    pad_h = (-(-h // stride) - 1) * stride + kernel - h
+    pad_w = (-(-w // stride) - 1) * stride + kernel - w
+    xp = np.pad(x, ((0, 0), (0, 0), (0, max(pad_h, 0)), (0, max(pad_w, 0))), constant_values=-np.inf)
+    windows = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.ascontiguousarray(windows.max(axis=(4, 5)))
+
+
+POOL_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=np.float32)
+
+
 class TestMaxPool:
+    @pytest.mark.parametrize(
+        "kernel, stride", [(1, 2), (2, 3), (1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (3, 1)],
+    )
+    @pytest.mark.parametrize("share", [0.3, 1.0])
+    def test_bytes_match_both_oracles(self, kernel, stride, share):
+        """Bit for bit, from NCHW and channels-last inputs, for k < s, k = s
+        and k > s: windows holding NaN, +-inf, and -0.0 and 0.0 in both
+        orders.  The loop reference's Python max keeps the first of tied
+        zeros and passes over a NaN that follows a number, where np.maximum
+        keeps the later zero and any NaN; so it checks x with every NaN and
+        zero made 0.0."""
+        rng = np.random.default_rng(kernel * 10 + stride)
+        for h, w in [(1, 1), (2, 5), (7, 7), (8, 6)]:
+            x = hostile(rng, (2, 3, h, w), POOL_SPECIALS, share)
+            plain = np.where(np.isnan(x) | (x == 0), np.float32(0.0), x)
+            for arg, oracles in (
+                (x, [max_pool_windows_oracle]),
+                (plain, [max_pool_windows_oracle, max_pool_reference]),
+            ):
+                for order in (arg, channels_last(arg)):
+                    got = max_pool2d(order, kernel, stride)
+                    assert is_channels_last(got)
+                    for oracle in oracles:
+                        assert same_bytes(got, oracle(arg, kernel, stride))
+
+    @pytest.mark.parametrize("shape, kernel, stride", [((1, 512, 13, 13), 2, 1), ((1, 16, 416, 416), 2, 2)])
+    def test_bytes_match_both_oracles_on_tiny_yolov3_pools(self, shape, kernel, stride):
+        """Tiny YOLOv3's stride-1 pool, which reads past its 13x13 input, and
+        its first pool.  The loop reference checks one channel, with its
+        zeros made 0.0 (previous test)."""
+        rng = np.random.default_rng(shape[1])
+        x = hostile(rng, shape, POOL_SPECIALS, 0.2)
+        want = max_pool_windows_oracle(x, kernel, stride)
+        for arg in (x, channels_last(x)):
+            got = max_pool2d(arg, kernel, stride)
+            assert is_channels_last(got) and same_bytes(got, want)
+        plain = np.where(np.isnan(x[:, :1]) | (x[:, :1] == 0), np.float32(0.0), x[:, :1])
+        assert same_bytes(max_pool2d(plain, kernel, stride), max_pool_reference(plain, kernel, stride))
+
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
