@@ -212,7 +212,7 @@ def cmd_quantize(args) -> int:
                 if err > worst_err:
                     worst_err, worst = err, arr
         # The file keeps the scale as f32; the bound uses its full-precision value.
-        worst_bound = complexity.quantize_tensor(worst).scale / 2 if worst is not None else 0.0
+        worst_bound = complexity.quantize_tensor(worst)[1] / 2 if worst is not None else 0.0
         out_size = Path(tmp).stat().st_size
         os.replace(tmp, args.out)
     finally:

@@ -9,10 +9,11 @@ Counting conventions (batch size 1 throughout):
 * Concatenation and detect markers are free.
 * Parameter counts include biases.
 
-Weight storage is per-tensor asymmetric affine quantization at 8 bits:
-scale = (max - min) / 255 over a zero-anchored range, zero_point in
-[0, 255].  Biases always stay at 32 bits.  Inference arithmetic elsewhere
-is 32-bit regardless; quantization only changes what is stored on disk.
+Weight storage is per-tensor asymmetric affine quantization at 8 bits: a
+tensor is (codes, scale, zero_point), uint8 codes with real = scale *
+(codes - zero_point), scale = (max - min) / 255 over a zero-anchored range
+and zero_point in [0, 255].  Biases always stay at 32 bits.  Inference
+arithmetic is 32-bit regardless; quantization only changes what is stored.
 """
 
 from __future__ import annotations
@@ -129,25 +130,10 @@ def _stored_bytes(layout: list) -> int:
     )
 
 
-@dataclass
-class QuantizedWeights:
-    """8-bit affine-quantized tensor: real = scale * (q - zero_point)."""
-
-    values: np.ndarray
-    scale: float
-    zero_point: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.uint8)
-        if not (0 <= self.zero_point <= 255):
-            raise ConfigError(f"zero_point {self.zero_point} outside [0, 255]")
-        if not self.scale > 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
-
-
 def _affine_grid(w: np.ndarray, levels: int) -> tuple:
-    """Map w onto the integer grid [0, levels]; returns (q, scale, zero_point)."""
-    w = np.asarray(w, dtype=np.float32)
+    """Map w onto the integer grid [0, levels]; returns (q, scale, zero_point),
+    q C-contiguous."""
+    w = np.ascontiguousarray(w, dtype=np.float32)
     # Pull the range through zero so the affine map can represent 0.0
     # exactly and the round-trip error stays within scale / 2; a constant
     # tensor then still spans [min(v, 0), max(v, 0)] and lands on a grid
@@ -160,17 +146,18 @@ def _affine_grid(w: np.ndarray, levels: int) -> tuple:
     return q, scale, zero_point
 
 
-def quantize_tensor(w: np.ndarray) -> QuantizedWeights:
-    """Asymmetric per-tensor 8-bit quantization over a zero-anchored range."""
+def quantize_tensor(w: np.ndarray) -> tuple:
+    """Asymmetric per-tensor 8-bit quantization over a zero-anchored range;
+    returns (codes, scale, zero_point), codes uint8."""
     q, scale, zero_point = _affine_grid(w, 255)
-    return QuantizedWeights(values=q.astype(np.uint8), scale=scale, zero_point=zero_point)
+    return q.astype(np.uint8), scale, zero_point
 
 
-def dequantize_tensor(q: QuantizedWeights) -> np.ndarray:
-    """scale * (q - zero_point) in float32, computed in one new array."""
-    real = q.values.astype(np.float32)
-    real -= np.float32(q.zero_point)
-    real *= np.float32(q.scale)
+def dequantize_tensor(codes: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
+    """scale * (codes - zero_point) in float32, computed in one new array."""
+    real = codes.astype(np.float32)
+    real -= np.float32(zero_point)
+    real *= np.float32(scale)
     return real
 
 
@@ -221,11 +208,11 @@ def save_weights(path, spec: NetworkSpec, store: WeightStore, bits: int = 32):
         for (_, entries), params in zip(_layout(spec, bits), store.params, strict=True):
             for (_, as_f32), (_, arr) in zip(entries, param_tensors(params)):
                 if as_f32:
-                    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                    fh.write(np.ascontiguousarray(arr, dtype="<f4"))
                 else:
-                    q = quantize_tensor(arr)
-                    fh.write(struct.pack("<fi", q.scale, q.zero_point))
-                    fh.write(q.values.tobytes())
+                    codes, scale, zero_point = quantize_tensor(arr)
+                    fh.write(struct.pack("<fi", scale, zero_point))
+                    fh.write(codes)
 
 
 def load_weights(path, spec: NetworkSpec) -> tuple:
@@ -239,9 +226,9 @@ def load_weights(path, spec: NetworkSpec) -> tuple:
     dequantized then, and execution always runs in 32-bit arithmetic.  The
     store holds no node's tensors once the pass has moved on, so a forward
     pass holds one node's parameters at a time.  A node is refused when it
-    is read (WeightFormatError) unless every 8-bit scale is positive with
-    its zero point in [0, 255], and every tensor it yields is finite, which
-    also rules out infinite scales and scales whose 255-fold overflows.
+    is read (WeightFormatError) unless each 8-bit tensor's zero point is in
+    [0, 255] and its scale > 0, and every tensor it yields, read as f32 or
+    decoded, is finite.
     """
     with open(path, "rb") as fh:
         bits = _read_header(fh)
@@ -315,14 +302,15 @@ def _read_node(fh: BinaryIO, node: NodeSpec, entries: list):
             arr = _read_into(fh, np.empty(shape, dtype="<f4"))
         else:
             scale, zero_point = struct.unpack("<fi", _read_into(fh, bytearray(8)))
-            values = _read_into(fh, np.empty(shape, dtype=np.uint8))
-            try:
-                q = QuantizedWeights(values=values, scale=scale, zero_point=zero_point)
-            except ConfigError as exc:
-                raise WeightFormatError(f"node {node.id} ({node.kind}) tensor {position}: {exc}") from None
+            where = f"node {node.id} ({node.kind}) tensor {position}"
+            if not 0 <= zero_point <= 255:
+                raise WeightFormatError(f"{where}: zero_point {zero_point} outside [0, 255]")
+            if not scale > 0:
+                raise WeightFormatError(f"{where}: scale must be positive, got {scale}")
+            codes = _read_into(fh, np.empty(shape, dtype=np.uint8))
             # An infinite or huge scale gives inf/NaN here; refused below.
             with np.errstate(over="ignore", invalid="ignore"):
-                arr = dequantize_tensor(q)
+                arr = dequantize_tensor(codes, scale, zero_point)
         tensors.append(arr)
     params = _KINDS[type(node.op)].build(tensors)
     for name, arr in param_tensors(params):

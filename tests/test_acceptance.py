@@ -419,10 +419,10 @@ def test_criterion_09_quantization():
         scale_factor = 10.0 ** rng.uniform(-3, 3)
         offset = rng.uniform(-2, 2) * scale_factor
         w = (rng.standard_normal(shape) * scale_factor + offset).astype(np.float32)
-        q = quantize_tensor(w)
-        recon = (q.values.astype(np.float64) - q.zero_point) * q.scale
+        codes, scale, zero_point = quantize_tensor(w)
+        recon = (codes.astype(np.float64) - zero_point) * scale
         err = float(np.max(np.abs(w.astype(np.float64) - recon)))
-        assert err <= q.scale / 2 + q.scale * 1e-9
+        assert err <= scale / 2 + scale * 1e-9
 
     spec = parse_network_spec(
         (resources.files("compactdet.configs") / "explore-proto.cfg").read_text())

@@ -407,12 +407,20 @@ class TestDetect:
         digest = hashlib.sha256(out.read_text().encode()).hexdigest()
         assert digest == "9783d2123046d7cf5000101c50aff8bc09e0fb4dc8cd552c294684924fa91342"
 
-    def test_tiny_yolov3_detects_and_reruns_byte_identical(self, tmp_path):
-        """Criterion 11 for the paper's baseline: seed-0 random float32
-        weights and a seeded frame give lines that all parse, twice alike."""
+    @staticmethod
+    def tiny_yolov3_detects_twice_alike(tmp_path, quantized: bool):
+        """Seed-0 random float32 Tiny YOLOv3 weights, or their `quantize`d
+        8-bit file, and a seeded frame give lines that all parse, twice alike."""
         spec = load_bundled_config("tiny-yolov3")
         weights = tmp_path / "tiny-f32.w"
         save_weights(weights, spec, WeightStore.random(spec, seed=0), bits=32)
+        if quantized:
+            f32, weights = weights, tmp_path / "tiny-8bit.w"
+            rc, _, _ = run_quietly([
+                "quantize", "--config", bundled("tiny-yolov3.cfg"), "--weights", str(f32),
+                "--out", str(weights),
+            ])
+            assert rc == 0 and load_weights(weights, spec)[1] == 8
         image = tmp_path / "frame0.ppm"
         write_ppm(image, np.random.default_rng(0).integers(0, 256, size=(416, 416, 3), dtype=np.uint8))
         texts = []
@@ -427,6 +435,15 @@ class TestDetect:
         assert texts[0] == texts[1]
         lines = texts[0].splitlines()
         assert lines and len(parse_detections(texts[0])["frame0"]) == len(lines)
+
+    def test_tiny_yolov3_detects_and_reruns_byte_identical(self, tmp_path):
+        """Criterion 11 for the paper's baseline, on float32 weights."""
+        self.tiny_yolov3_detects_twice_alike(tmp_path, quantized=False)
+
+    def test_tiny_yolov3_8bit_detects_and_reruns_byte_identical(self, tmp_path):
+        """The same on the 8-bit file `quantize` writes: its largest tensor,
+        1024x512x3x3, goes through quantize_tensor and dequantize_tensor."""
+        self.tiny_yolov3_detects_twice_alike(tmp_path, quantized=True)
 
     def test_network_without_detect_node_exits_2(self, tmp_path):
         """execute refuses a network with no detect node, so detect exits 2

@@ -44,7 +44,6 @@ from compactdet.arch_graph import (
 from compactdet.complexity import (
     ConstraintSet,
     NodeCost,
-    QuantizedWeights,
     WeightFormatError,
     check_constraints,
     count_network,
@@ -470,21 +469,20 @@ class TestQuantization:
                 w = -np.abs(w)         # all-negative range
             elif kind == 3:
                 w = np.full(size, float(w[0]), dtype=np.float32)  # constant
-            q = quantize_tensor(w)
-            back = dequantize_tensor(q)
+            codes, scale, zero_point = quantize_tensor(w)
+            back = dequantize_tensor(codes, scale, zero_point)
             err = np.abs(back.astype(np.float64) - w.astype(np.float64)).max()
             # scale / 2 holds in exact arithmetic; dequantization rounds the
             # product (magnitude <= 255 * scale) once in float32.
-            slack = 255 * q.scale * np.finfo(np.float32).eps
-            assert err <= q.scale / 2 + slack
+            slack = 255 * scale * np.finfo(np.float32).eps
+            assert err <= scale / 2 + slack
 
     def test_zero_is_exact(self):
         """The grid always contains 0.0 exactly (zero-anchored range)."""
         rng = np.random.default_rng(62)
         for _ in range(100):
             w = rng.uniform(0.5, 2.0, size=32).astype(np.float32)  # min > 0
-            q = quantize_tensor(np.append(w, 0.0).astype(np.float32))
-            back = dequantize_tensor(q)
+            back = dequantize_tensor(*quantize_tensor(np.append(w, 0.0).astype(np.float32)))
             assert back[-1] == 0.0
 
     def test_constant_tensor_exact(self):
@@ -492,34 +490,23 @@ class TestQuantization:
         for v in (3.0, -527.0, 0.001):
             q = quantize_tensor(np.full(7, v, dtype=np.float32))
             np.testing.assert_allclose(
-                dequantize_tensor(q), np.full(7, v, dtype=np.float32), rtol=1e-6
+                dequantize_tensor(*q), np.full(7, v, dtype=np.float32), rtol=1e-6
             )
 
     def test_all_zero_tensor(self):
-        q = quantize_tensor(np.zeros(5, dtype=np.float32))
-        assert q.scale == 1.0 and q.zero_point == 0
-        np.testing.assert_array_equal(dequantize_tensor(q), np.zeros(5, dtype=np.float32))
+        codes, scale, zero_point = quantize_tensor(np.zeros(5, dtype=np.float32))
+        assert scale == 1.0 and zero_point == 0
+        np.testing.assert_array_equal(dequantize_tensor(codes, scale, zero_point), np.zeros(5, dtype=np.float32))
 
     def test_values_are_uint8(self):
-        q = quantize_tensor(np.array([-1.0, 0.0, 2.0], dtype=np.float32))
-        assert q.values.dtype == np.uint8
-        assert 0 <= q.zero_point <= 255
+        codes, _, zero_point = quantize_tensor(np.array([-1.0, 0.0, 2.0], dtype=np.float32))
+        assert codes.dtype == np.uint8
+        assert 0 <= zero_point <= 255
 
     def test_extremes_land_on_grid_ends(self):
         w = np.array([-1.0, 1.0], dtype=np.float32)
-        q = quantize_tensor(w)
-        assert q.values.min() == 0 and q.values.max() == 255
-
-    def test_quantized_weights_validation(self):
-        with pytest.raises(ConfigError):
-            QuantizedWeights(np.zeros(3, dtype=np.uint8), scale=0.0, zero_point=0)
-        with pytest.raises(ConfigError):
-            QuantizedWeights(np.zeros(3, dtype=np.uint8), scale=1.0, zero_point=300)
-
-
-    def test_quantized_weights_reject_nan_scale(self):
-        with pytest.raises(ConfigError):
-            QuantizedWeights(np.zeros(3, dtype=np.uint8), scale=float("nan"), zero_point=0)
+        codes, _, _ = quantize_tensor(w)
+        assert codes.min() == 0 and codes.max() == 255
 
 
 class TestFakeQuantize:
@@ -537,7 +524,7 @@ class TestFakeQuantize:
         rng = np.random.default_rng(64)
         w = rng.standard_normal(100).astype(np.float32)
         np.testing.assert_array_equal(
-            fake_quantize(w, 8), dequantize_tensor(quantize_tensor(w))
+            fake_quantize(w, 8), dequantize_tensor(*quantize_tensor(w))
         )
 
     def test_bit_range_enforced(self):
@@ -602,8 +589,20 @@ class TestWeightsFile:
                 if name.endswith("bias"):
                     np.testing.assert_array_equal(ta, tb)  # biases stay 32-bit
                 else:
-                    want = dequantize_tensor(quantize_tensor(ta))
+                    want = dequantize_tensor(*quantize_tensor(ta))
                     np.testing.assert_array_equal(tb, want)
+
+    @pytest.mark.parametrize("bits", [8, 32])
+    def test_fortran_ordered_tensors_write_the_same_file(self, tmp_path, bits):
+        """Tensors are written from their own buffers in C order, so a store
+        holding Fortran-ordered copies writes the same bytes."""
+        fortran = WeightStore([
+            arch_graph._KINDS[type(node.op)].build([np.asfortranarray(arr) for _, arr in param_tensors(params)])
+            for node, params in zip(self.spec.nodes, self.store.params, strict=True)
+        ])
+        for name, store in (("c", self.store), ("f", fortran)):
+            save_weights(tmp_path / name, self.spec, store, bits=bits)
+        assert (tmp_path / "c").read_bytes() == (tmp_path / "f").read_bytes()
 
     def test_file_sizes_match_model_size(self, tmp_path):
         """On-disk payload is header (7 bytes) + model_size_bytes."""
@@ -659,13 +658,16 @@ class TestWeightsFile:
 
     @pytest.mark.parametrize(
         "scale, zero_point",
-        [(float("inf"), 0), (0.0, 0), (3e38, 0), (1.0, -1), (1.0, 256)],
-        ids=["inf-scale", "zero-scale", "overflowing-scale", "zero-point-low", "zero-point-high"],
+        [(float("inf"), 0), (0.0, 0), (-1.0, 0), (float("nan"), 0), (3e38, 0), (1.0, -1), (1.0, 256)],
+        ids=[
+            "inf-scale", "zero-scale", "negative-scale", "nan-scale", "overflowing-scale",
+            "zero-point-low", "zero-point-high",
+        ],
     )
     def test_bad_quantization_fields(self, tmp_path, scale, zero_point):
-        """Scale finite and > 0, zero point in [0, 255], finite dequantized
-        values; a scale of 3e38 passes the first check but overflows.  The
-        file is refused when the tensor is read."""
+        """Scale > 0, zero point in [0, 255], finite dequantized values; a
+        scale of 3e38 passes the first check but overflows.  The file is
+        refused when the tensor is read."""
         path = tmp_path / "w8.bin"
         save_weights(path, self.spec, self.store, bits=8)
         data = bytearray(path.read_bytes())
