@@ -288,7 +288,7 @@ _KINDS = {
             forward=lambda op, x, params, outputs, linear: nn_modules.pep_forward(x, op, params),
             slots={"proj1": "proj1_channels", "expansion": "expansion_channels", "out": "out_channels"},
             param_shapes=lambda op, c: nn_modules.pep_param_shapes(op, c),
-            build=lambda tensors: nn_modules.build_pep_params(tensors),
+            build=lambda tensors: nn_modules.build_block_params(tensors),
             draws_biases=True,
         ),
         _Kind(
@@ -298,7 +298,7 @@ _KINDS = {
             forward=lambda op, x, params, outputs, linear: nn_modules.ep_forward(x, op, params),
             slots={"expansion": "expansion_channels", "out": "out_channels"},
             param_shapes=lambda op, c: nn_modules.ep_param_shapes(op, c),
-            build=lambda tensors: nn_modules.build_ep_params(tensors),
+            build=lambda tensors: nn_modules.build_block_params(tensors),
             draws_biases=True,
         ),
         _Kind(

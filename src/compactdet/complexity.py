@@ -142,7 +142,11 @@ def _affine_grid(w: np.ndarray, levels: int) -> tuple:
     hi = max(float(w.max()), 0.0) if w.size else 0.0
     scale = 1.0 if hi == lo else (hi - lo) / levels
     zero_point = int(np.clip(np.round(-lo / scale), 0, levels))
-    q = np.clip(np.round(w.astype(np.float64) / scale) + zero_point, 0, levels)
+    q = w.astype(np.float64)
+    q /= scale
+    np.round(q, out=q)
+    q += zero_point
+    np.clip(q, 0, levels, out=q)
     return q, scale, zero_point
 
 

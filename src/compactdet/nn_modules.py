@@ -5,7 +5,9 @@ A PEP block projects the input down to a narrow channel count, expands,
 runs a 3x3 depthwise convolution, and projects back out.  EP skips the
 first projection.  Both add the input back when the stride is 1 and the
 channel count is preserved.  Activations (leaky ReLU) follow every layer
-except the final projection, which stays linear.
+except the final projection, which stays linear.  PEP and EP share one
+forward body and one parameter record, BlockParams, whose project_in is
+None for EP.
 
 FCA squeezes the feature map with a global average pool, runs it through a
 two-layer bottleneck, and rescales each channel by a sigmoid gate.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -96,15 +98,10 @@ def residual_active(cfg: Union[PepConfig, EpConfig], in_channels: int) -> bool:
 
 
 @dataclass
-class PepParams:
-    project_in: ConvWeights
-    expand: ConvWeights
-    depthwise: ConvWeights
-    project_out: ConvWeights
+class BlockParams:
+    """A PEP or EP block's layers, in storage order; EP has no project_in."""
 
-
-@dataclass
-class EpParams:
+    project_in: Optional[ConvWeights]
     expand: ConvWeights
     depthwise: ConvWeights
     project: ConvWeights
@@ -116,12 +113,6 @@ class FcaParams:
     reduce_bias: np.ndarray
     restore_weight: np.ndarray
     restore_bias: np.ndarray
-
-    def __post_init__(self):
-        self.reduce_weight = np.asarray(self.reduce_weight, dtype=DTYPE)
-        self.reduce_bias = np.asarray(self.reduce_bias, dtype=DTYPE)
-        self.restore_weight = np.asarray(self.restore_weight, dtype=DTYPE)
-        self.restore_bias = np.asarray(self.restore_bias, dtype=DTYPE)
 
 
 def draw_tensors(shapes, rng, biases: bool = True) -> list:
@@ -159,18 +150,15 @@ def fca_param_shapes(cfg: FcaConfig, channels: int) -> tuple:
     return ((width, channels), (width,), (channels, width), (channels,))
 
 
-def build_pep_params(tensors) -> PepParams:
-    """Wrap tensors in pep_param_shapes order."""
-    pk, pb, ek, eb, dk, db, ok, ob = tensors
-    return PepParams(
-        ConvWeights(pk, pb), ConvWeights(ek, eb), ConvWeights(dk, db, groups=len(dk)), ConvWeights(ok, ob)
+def build_block_params(tensors) -> BlockParams:
+    """Wrap tensors in pep_param_shapes or ep_param_shapes order."""
+    *head, ek, eb, dk, db, pk, pb = tensors
+    return BlockParams(
+        ConvWeights(*head) if head else None,
+        ConvWeights(ek, eb),
+        ConvWeights(dk, db, groups=len(dk)),
+        ConvWeights(pk, pb),
     )
-
-
-def build_ep_params(tensors) -> EpParams:
-    """Wrap tensors in ep_param_shapes order."""
-    ek, eb, dk, db, pk, pb = tensors
-    return EpParams(ConvWeights(ek, eb), ConvWeights(dk, db, groups=len(dk)), ConvWeights(pk, pb))
 
 
 @functools.cache
@@ -209,34 +197,34 @@ def _check_params(params, want: tuple, label: str):
         )
 
 
-def _block_forward(x: np.ndarray, cfg, project_in, expand, depthwise, project) -> np.ndarray:
+def _block_forward(x: np.ndarray, cfg, params: BlockParams) -> np.ndarray:
     """The body PEP and EP share: PEP's first projection (EP has none),
     expand 1x1, 3x3 depthwise, linear 1x1 projection, then the residual
     from the block input x when it applies.  Each kernel output is held by
     nothing else, so it is activated, and the residual added, where it
     lies; each rebinding of y frees the layer before."""
     y = x
-    if project_in is not None:
-        y = conv2d(y, project_in)
+    if params.project_in is not None:
+        y = conv2d(y, params.project_in)
         y = leaky_relu(y, out=y)
-    y = conv2d(y, expand)
+    y = conv2d(y, params.expand)
     y = leaky_relu(y, out=y)
-    y = depthwise_conv2d(y, depthwise, cfg.stride)
+    y = depthwise_conv2d(y, params.depthwise, cfg.stride)
     y = leaky_relu(y, out=y)
-    y = conv2d(y, project)
+    y = conv2d(y, params.project)
     if residual_active(cfg, x.shape[1]):
         y = add(y, x, out=y)
     return y
 
 
-def pep_forward(x: np.ndarray, cfg: PepConfig, params: PepParams) -> np.ndarray:
+def pep_forward(x: np.ndarray, cfg: PepConfig, params: BlockParams) -> np.ndarray:
     _check_params(params, pep_param_shapes(cfg, x.shape[1]), f"{cfg} over {x.shape[1]} input channels")
-    return _block_forward(x, cfg, params.project_in, params.expand, params.depthwise, params.project_out)
+    return _block_forward(x, cfg, params)
 
 
-def ep_forward(x: np.ndarray, cfg: EpConfig, params: EpParams) -> np.ndarray:
+def ep_forward(x: np.ndarray, cfg: EpConfig, params: BlockParams) -> np.ndarray:
     _check_params(params, ep_param_shapes(cfg, x.shape[1]), f"{cfg} over {x.shape[1]} input channels")
-    return _block_forward(x, cfg, None, params.expand, params.depthwise, params.project)
+    return _block_forward(x, cfg, params)
 
 
 def fca_forward(x: np.ndarray, cfg: FcaConfig, params: FcaParams) -> np.ndarray:

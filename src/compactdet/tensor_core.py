@@ -370,19 +370,13 @@ def add(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 
 
 def channel_scale(x: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Multiply each channel by a per-(batch, channel) scalar.
-
-    scales may be (c,), (n, c) or (n, c, 1, 1); it is broadcast over space.
-    """
+    """Multiply each channel by a per-(batch, channel) scalar: scales is
+    (n, c), broadcast over space."""
     x = as_tensor(x)
     s = np.asarray(scales, dtype=DTYPE)
-    if s.ndim == 1:
-        s = s.reshape(1, -1, 1, 1)
-    elif s.ndim == 2:
-        s = s.reshape(s.shape[0], s.shape[1], 1, 1)
-    if s.shape[1] != x.shape[1]:
-        raise ConfigError(f"scale channels {s.shape[1]} do not match tensor channels {x.shape[1]}")
-    return x * s
+    if s.shape != x.shape[:2]:
+        raise ConfigError(f"scales shape {s.shape} does not match (batch, channels) {x.shape[:2]}")
+    return x * s[:, :, None, None]
 
 
 def max_pool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:

@@ -234,7 +234,7 @@ def test_criterion_06_module_composition():
         y = leaky_relu(conv2d(x, p.project_in))
         y = leaky_relu(conv2d(y, p.expand))
         y = leaky_relu(depthwise_conv2d(y, p.depthwise, cfg.stride))
-        y = conv2d(y, p.project_out)
+        y = conv2d(y, p.project)
         if cfg.stride == 1 and cfg.out_channels == c_in:
             y = y + x
         gauge(pep_forward(x, cfg, p), y)

@@ -376,7 +376,7 @@ class TestWeightStore:
         store = WeightStore.zeros(spec)
         assert [n for n, _ in param_tensors(store.params[0])] == [
             "project_in.kernel", "project_in.bias", "expand.kernel", "expand.bias",
-            "depthwise.kernel", "depthwise.bias", "project_out.kernel", "project_out.bias",
+            "depthwise.kernel", "depthwise.bias", "project.kernel", "project.bias",
         ]
         assert [n for n, _ in param_tensors(store.params[1])] == [
             "expand.kernel", "expand.bias", "depthwise.kernel", "depthwise.bias",
@@ -429,10 +429,10 @@ def params_digest(*params) -> str:
 # Digests of WeightStore.zeros and WeightStore.random at seeds 0, 1, 2.
 STORE_DIGESTS = {
     "reference": (
-        "eee9149efef2099192cd55d36b1e3fe0ee6c0f00648ae8ca7941f621e7748d25",
-        "9aafe55b73e5098e6b58df346c4b2ecc096b9da48b332c7a00e3331564f6b30a",
-        "f3db9a98890a49e4eb5c0de11cadd2d75f31d5db7bbcddf71d05d9c29abf0a8e",
-        "8432cf6148b92848042c62ef0d401ef372ca4e5d1a1d0f7eb4ff0d7e45a6f188",
+        "1bb77ab48c0766edb768fc16c84da6bc0c2678cf2e57f3b69c312a924a2f6314",
+        "517924cbae5fc5f8044bea3b6106e858b85226afa631d86d920370e75a13feb9",
+        "2457be4c878b16add6ea22302b3948d6437ba391c9ab8c1f46dc535c55c76466",
+        "98eadb37aab19eccfa693e3211924920790dc689aa976b2339a78b9483de5095",
     ),
     "tiny-yolov3": (
         "0f7a94fab91a3b653193efdcc26fb0ea0916c2ba573e128ed297b30e51e04cca",
@@ -441,10 +441,10 @@ STORE_DIGESTS = {
         "17a13fe4220e81941cac021a904aae3243cf3c39a83ce57abb8fc57d81cb57e9",
     ),
     "explore-proto": (
-        "915d1ec1f2db9b0c5c2565d2f003dde58be8621532b4db79332e3f677aa1e1c5",
-        "29f1d8c87673eb13659ceea754f442b9bf7acf5d218b606454194358988f8897",
-        "270094186fe61d5d5768e2e8e97a74194848f485027a81b4c0ea5bf8a4223475",
-        "07c20981c89379957ef5d332fc05b8069660132dae4ef683494f2f2f6c48ddf7",
+        "caf0d5dca16a7902a52c4129b35468248a358ee6156994771db5d19c02862abb",
+        "568cb15a9b564277386d8bf8b56dd084d2cddc3cf23384284920f5169fb16040",
+        "7067484d4cc8274c427e61e8f152d14316842220652e2c3a1ace4810d153338e",
+        "9d63be35dad7e5f294a28b44cb8f04f5e9c5474496fa6d7ff8ffd0f29a992e80",
     ),
 }
 
@@ -452,28 +452,28 @@ STORE_DIGESTS = {
 # default_rng(0), (1) and (2).
 MODULE_DIGESTS = [
     (init_params, PepConfig(3, 7, 9, 2), 5, (
-        "0e3eb27f45eb41de626119bf01b1d559bba2c59d96f98e809006cf10243d66b3",
-        "6c58d86897d0e36c32bfce350c834450854dcff593cc41449702b9bea06ad899",
-        "9868a1f1f7a928f54b94cba19a86a842be5d4749ba6ad8db45467886adce784c",
-        "d51f7c81803a10481ffd7ef68a1060b0ac346fff5351fd16b735e4dd3d4eefd2",
+        "c0dbf7411f822443c647fbd6c33e7173855c7c0e2300e7e6ceb19daf650abbe7",
+        "92db132c08c50adc38fed9740dd6d08bb4d8094b355dc2e1069b58c231d754dc",
+        "dd5173deba5dd2a8f6ea49093db25bab6cdd55de0b2a0e1aea91844c3b5248c7",
+        "b3378cb149a4b62712d842d623df5d258c99f4f52ab0f674d88bd8bee714f1a7",
     )),
     (init_params, PepConfig(4, 4, 4, 1), 4, (
-        "258d4f88fcdd547551fd9c56c87ebd36fd49eb603da57fafb2deb60c8286ac50",
-        "d0f7b7a5c032877be1b3d2d93c55533852ec8ba671a4f6d6e665982f73b6039a",
-        "9f12d911cc5c86301f93f5bf9c754d5ef17e241169e0897b1a47ba63a90eba65",
-        "d18040c86a31a22fb780af80c4876ff016b102263fd4e984f7c5f8aaacce3f89",
+        "887d6d7dc8e6d3c61bc9909b8d367a8e43bc7ef736c0cc225d5587ea5142a046",
+        "ddd330ab702a34fe8100da9f7c972ce71098d2ecebef8cb5b7348782e677d825",
+        "f279cc5c6dbaed5cbe43f840b0bbea1cf0ee57466972bd1c7fe79ef17a4632ed",
+        "8ff3994036fa39f0c4f2be069dd148ab523189d7cddb92167d0e0370909ff57a",
     )),
     (init_params, EpConfig(8, 5, 2), 6, (
-        "44925c30215e55b94f13b44201a28bffc123510f9c3e52752550ef406b32db9c",
-        "3bc3531812d1664bf412efe029f8aa7ef085f4cdd3c0a24f167b5360a74c1e3a",
-        "a59d2ad1bf40a28f685570ccf57a4b0076ca2c4416bc2cb79e1f2e0e1b44ce06",
-        "b37d8638d7546a8a8a77980bf873127b142e353985a9c9361a961cd2e70b9fd2",
+        "f4ff64adb994268c11f533535f60e13cf5cd5f32cc1f9397da197226ab2b8625",
+        "e19468eee8f50af749c185b2859c3fbe70fd133c0a4edfc343059d0a99e7c4ad",
+        "53b9c0020d2c5140499a4927f9852454f9706e05171fb543cb5f5d6907294492",
+        "068decda26c8d0d58020998e6ebeaed4f235e8082a570d1fd5c938cd1afa63d0",
     )),
     (init_params, EpConfig(3, 3, 1), 3, (
-        "a43b6c3a01d0b48dffca433cbec83ab8e61632de6721081b996c3c49621387cb",
-        "823c3b8337521760901985f8c79b5795f39408526b7cd0278afa63815b092284",
-        "3966ad17baba4336933c2c1294e16ce3391f3f16aefcc1e0e0875cd7d78739d7",
-        "6f0ca0ac72b6215305564bf3f6091bf1996eede68b6078d88931d0287cf2725d",
+        "7cd4cf6efefbdedbbf329567787462be61d6839d08495e29920c2aef74235a82",
+        "19ede5e2b4363664ce4749ec509bf300b27de578611ac14bad6a1dbf2c15e7ce",
+        "ace290d0a1d9a969811d047f82986920bdb946a1cb32743b0a99bc611b9bde84",
+        "4b6d050295e682de583286c37376f7592eeb3426d7086675ff4fb9cb95d5a746",
     )),
     (init_params, FcaConfig(2), 6, (
         "1c19cf29251801dc2999de28884e5cf950fe836d225aa18c04248862d1828c61",

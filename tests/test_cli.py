@@ -649,7 +649,7 @@ class TestQuantize:
         assert hashlib.sha256(stdout.encode()).hexdigest() == (
             "dbe24db8074ea10b99334d57bf51d76c5e272cd45411f0b9e1118ef7da4e9dc3"
         )
-        assert hashlib.sha256(open("out.w", "rb").read()).hexdigest() == (
+        assert hashlib.sha256(Path("out.w").read_bytes()).hexdigest() == (
             "51f9b96b18e6791b6a9350459bb9279878baf6996e8d3c5244de3a4b7d4861d8"
         )
 

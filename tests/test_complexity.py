@@ -508,6 +508,19 @@ class TestQuantization:
         codes, _, _ = quantize_tensor(w)
         assert codes.min() == 0 and codes.max() == 255
 
+    def test_peak_is_one_float64_copy_and_the_codes(self):
+        """The float64 grid steps run in one buffer (2x the float32 input's
+        bytes) beside the uint8 codes (0.25x): peak <= 2.5x.  A chain of
+        whole-tensor temporaries peaked at 4x."""
+        w = np.random.default_rng(0).standard_normal((256, 128, 3, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            quantize_tensor(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * w.nbytes
+
 
 class TestFakeQuantize:
     def test_error_shrinks_with_bits(self):
@@ -701,6 +714,22 @@ class TestWeightsFile:
         path.write_bytes(bytes(data))
         loaded, _ = load_weights(path, spec)
         with pytest.raises(WeightFormatError, match=r"node 0 \(pep\) tensor project_in\.bias: non-finite"):
+            list(loaded.params)
+
+    @pytest.mark.parametrize("block", ["pep 2 4 6 1", "ep 4 6 1"])
+    def test_non_finite_last_block_kernel_in_32bit_file(self, tmp_path, block):
+        """PEP and EP name their last layer alike: project."""
+        spec = parse_network_spec(f"input 3 8 8\n{block}\n")
+        path = tmp_path / "block.bin"
+        save_weights(path, spec, WeightStore.zeros(spec), bits=32)
+        (_, _, shapes), = node_param_shapes(spec)
+        start = 7 + 4 * sum(math.prod(shape) for shape in shapes[:-2])  # header, then the layers before project
+        data = bytearray(path.read_bytes())
+        data[start:start + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(data))
+        loaded, _ = load_weights(path, spec)
+        kind = block.split()[0]
+        with pytest.raises(WeightFormatError, match=rf"node 0 \({kind}\) tensor project\.kernel: non-finite"):
             list(loaded.params)
 
     @pytest.mark.parametrize("bits", [8, 32])

@@ -15,10 +15,15 @@ from compactdet.nn_modules import (
     EpConfig,
     FcaConfig,
     PepConfig,
+    build_block_params,
+    draw_tensors,
     ep_forward,
+    ep_param_shapes,
     fca_bottleneck_width,
     fca_forward,
+    param_tensors,
     pep_forward,
+    pep_param_shapes,
     residual_active,
 )
 from compactdet.tensor_core import ConfigError
@@ -28,7 +33,7 @@ def pep_reference(x, params, stride, with_residual):
     y = tc.leaky_relu(tc.conv2d(x, params.project_in))
     y = tc.leaky_relu(tc.conv2d(y, params.expand))
     y = tc.leaky_relu(tc.depthwise_conv2d(y, params.depthwise, stride))
-    y = tc.conv2d(y, params.project_out)
+    y = tc.conv2d(y, params.project)
     return y + x if with_residual else y
 
 
@@ -109,12 +114,12 @@ class TestPep:
         x = np.zeros((1, 5, 4, 4), dtype=np.float32)
         cfg = PepConfig(3, 6, 5, 1)
         wrong = init_params(PepConfig(3, 7, 5, 1), 5)
-        with pytest.raises(ConfigError, match="PepParams shapes"):
+        with pytest.raises(ConfigError, match="BlockParams shapes"):
             pep_forward(x, cfg, wrong)
         ecfg = EpConfig(6, 5, 1)
-        with pytest.raises(ConfigError, match="EpParams shapes"):
+        with pytest.raises(ConfigError, match="BlockParams shapes"):
             ep_forward(x, ecfg, init_params(EpConfig(6, 4, 1), 5))
-        with pytest.raises(ConfigError, match="EpParams shapes"):
+        with pytest.raises(ConfigError, match="BlockParams shapes"):
             ep_forward(x, ecfg, init_params(ecfg, 4))
 
 
@@ -243,7 +248,23 @@ class TestInit:
         assert p.expand.kernel.shape == (7, 3, 1, 1)
         assert p.depthwise.kernel.shape == (7, 1, 3, 3)
         assert p.depthwise.groups == 7 and p.expand.groups == 1
-        assert p.project_out.kernel.shape == (9, 7, 1, 1)
+        assert p.project.kernel.shape == (9, 7, 1, 1)
         f = init_params(FcaConfig(8), 20, np.random.default_rng(2))
         assert f.reduce_weight.shape == (2, 20)
         assert f.restore_weight.shape == (20, 2)
+
+    @pytest.mark.parametrize("shapes, cfg, c_in, count", [
+        (pep_param_shapes, PepConfig(3, 7, 9, 2), 5, 8),
+        (ep_param_shapes, EpConfig(8, 5, 2), 6, 6),
+    ])
+    def test_build_block_params_keeps_storage_order(self, shapes, cfg, c_in, count):
+        """One builder for both block kinds: param_tensors gives back the
+        very arrays it was handed, in order, EP has no first projection,
+        and the depthwise layer is grouped per channel."""
+        ts = draw_tensors(shapes(cfg, c_in), np.random.default_rng(3))
+        assert len(ts) == count
+        params = build_block_params(ts)
+        got = [arr for _, arr in param_tensors(params)]
+        assert len(got) == count and all(a is b for a, b in zip(got, ts))
+        assert (params.project_in is None) == isinstance(cfg, EpConfig)
+        assert params.depthwise.groups == cfg.expansion_channels == len(params.depthwise.kernel)
