@@ -23,8 +23,10 @@ Grammar (one statement per line, `#` starts a comment):
 
 `from` rebinds the input of the next node-producing line.  `detect` marks
 its input as one of the prediction grids, tagged large/medium/small from
-coarse to fine; a runnable detection network has at least one.  Integer
-arguments are ASCII-decimal [0-9]+ tokens of at most MAX_INT (2**31 - 1).
+coarse to fine, which is grid order whatever the line order; a runnable
+detection network has at least one.  `anchors` gives one set per detect
+tag, all of one count, or none for DEFAULT_ANCHORS; `classes` defaults to
+20.  Integer arguments are ASCII-decimal [0-9]+ tokens of at most MAX_INT.
 
 Every node kind is one `_Kind` record in `_KINDS`, keyed by its op class:
 grammar word, node-reference fields, explorer slot names, shape rule, cost
@@ -157,16 +159,18 @@ class NodeSpec:
 class NetworkSpec:
     nodes: tuple
     input_shape: tuple  # (channels, height, width)
-    num_classes: int = 20
-    anchors: dict = field(default_factory=lambda: dict(DEFAULT_ANCHORS))
+    num_classes: int
+    anchors: dict  # scale tag -> (w, h) pairs
 
     @property
     def anchors_per_scale(self) -> int:
-        """Every scale has the same count; the parser refuses configs that differ."""
+        """Every scale has the same count; _validate_references refuses specs that differ."""
         return len(next(iter(self.anchors.values())))
 
     def detect_nodes(self) -> list:
-        return [n for n in self.nodes if type(n.op) is DetectSpec]
+        """The detect nodes in grid order: SCALE_TAGS order, whatever their node order."""
+        detects = (n for n in self.nodes if type(n.op) is DetectSpec)
+        return sorted(detects, key=lambda n: SCALE_TAGS.index(n.op.scale_tag))
 
     def detect_channels(self) -> int:
         return self.anchors_per_scale * (5 + self.num_classes)
@@ -360,6 +364,10 @@ def _validate_references(spec: NetworkSpec):
     tags = [n.op.scale_tag for n in spec.detect_nodes()]
     if len(tags) != len(set(tags)):
         raise ParseError(f"duplicate detect scale tags: {tags}")
+    if not set(tags) <= set(spec.anchors):
+        raise ParseError(f"anchors given for {sorted(spec.anchors)}, need one set per detect tag {tags}")
+    if len({len(pairs) for pairs in spec.anchors.values()}) > 1:
+        raise ParseError("anchor counts differ between scales")
 
 
 def _decimal(token):
@@ -489,10 +497,6 @@ def parse_network_spec(text: str) -> NetworkSpec:
         raise ParseError("missing input line")
     if pending_from is not None:
         raise ParseError("dangling from line with no following node")
-    if anchors and set(anchors) != set(SCALE_TAGS):
-        raise ParseError(f"anchors given for {sorted(anchors)}, need all of {list(SCALE_TAGS)} or none")
-    if len({len(pairs) for pairs in anchors.values()}) > 1:
-        raise ParseError("anchor counts differ between scales")
 
     spec = NetworkSpec(
         nodes=tuple(nodes),
@@ -550,9 +554,8 @@ def linear_conv_ids(spec: NetworkSpec) -> frozenset:
     """Conv nodes that feed a detect node emit raw logits (no activation)."""
     return frozenset(
         n.input_id
-        for n in spec.nodes
-        if type(n.op) is DetectSpec and n.input_id != INPUT_ID
-        and type(spec.nodes[n.input_id].op) is ConvSpec
+        for n in spec.detect_nodes()
+        if n.input_id != INPUT_ID and type(spec.nodes[n.input_id].op) is ConvSpec
     )
 
 
@@ -613,8 +616,8 @@ class WeightStore:
 
 
 def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
-    """Run a detection network; returns one grid per detect tag it has, in
-    SCALE_TAGS order, C-contiguous in NCHW order (the kernels work
+    """Run a detection network; returns one grid per detect node, in
+    detect_nodes() order, C-contiguous in NCHW order (the kernels work
     channels-last, and a float32 reduction over a grid, such as its std,
     sums in memory order).  A network with no detect node is a ConfigError.
 
@@ -628,7 +631,7 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
         raise ConfigError(
             f"input shape {tuple(x.shape[1:])} does not match spec {tuple(spec.input_shape)}"
         )
-    grid_ids = {n.op.scale_tag: n.id for n in spec.detect_nodes()}
+    grid_ids = [n.id for n in spec.detect_nodes()]
     if not grid_ids:
         raise ConfigError("a runnable detection network needs a detect node, and this one has none")
     weights.validate_against(spec)
@@ -658,9 +661,9 @@ def execute(spec: NetworkSpec, weights: WeightStore, x: np.ndarray) -> tuple:
             params = None
             params = next(stream, None)
             for done in {node.id, *_inputs(node)}:
-                if last_read.get(done, node.id) == node.id and done not in grid_ids.values():
+                if last_read.get(done, node.id) == node.id and done not in grid_ids:
                     del outputs[done]
-    return tuple(np.ascontiguousarray(outputs[grid_ids[tag]]) for tag in SCALE_TAGS if tag in grid_ids)
+    return tuple(np.ascontiguousarray(outputs[i]) for i in grid_ids)
 
 
 def load_bundled_config(name: str) -> "NetworkSpec":

@@ -66,10 +66,9 @@ def read_ppm(path) -> np.ndarray:
 
     if next_token() != b"P6":
         raise PpmError("not a binary PPM (P6) file")
+    fields = [next_token() for _ in range(3)]
     try:
-        width = _decimal(next_token())
-        height = _decimal(next_token())
-        maxval = _decimal(next_token())
+        width, height, maxval = map(_decimal, fields)
     except ValueError:
         raise PpmError("non-numeric header field") from None
     if width < 1 or height < 1:
@@ -223,25 +222,15 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
-def _search_summary(history: list, constraints, seconds: float) -> str:
+def _search_summary(history: list, seconds: float) -> str:
     """One stderr line: evaluations, time, rate, and each infeasible point
-    counted once, under the first check of check_constraints it fails:
-    --max-ops, else the score floor, split into non-finite and low scores."""
-    over = non_finite = under = 0
-    for entry in history:
-        if entry.feasible:
-            continue
-        if constraints.max_ops is not None and entry.candidate.ops > constraints.max_ops:
-            over += 1
-        elif math.isnan(entry.candidate.score):
-            non_finite += 1
-        else:
-            under += 1
+    counted once, under the first check it failed (HistoryEntry.failed)."""
+    count = [entry.failed for entry in history].count
     rate = len(history) / seconds if seconds > 0 else float("inf")
     return (
         f"explore: {len(history)} evaluations in {seconds:.3f} s ({rate:.0f}/s); "
-        f"infeasible: {over} over --max-ops, {under} under --min-score, "
-        f"{non_finite} non-finite score"
+        f"infeasible: {count('max_ops')} over --max-ops, {count('min_score')} under --min-score, "
+        f"{count('non_finite_score')} non-finite score"
     )
 
 
@@ -259,7 +248,7 @@ def cmd_explore(args) -> int:
     evaluator = explorer.synthetic_evaluator()
     start = time.perf_counter()
     result = explorer.explore(space, constraints, evaluator, budget=args.budget, seed=args.seed)
-    print(_search_summary(result.history, constraints, time.perf_counter() - start), file=sys.stderr)
+    print(_search_summary(result.history, time.perf_counter() - start), file=sys.stderr)
 
     log_lines = [explorer.format_log_header(space)]
     log_lines += [explorer.format_history_line(args.seed, e) for e in result.history]

@@ -173,13 +173,15 @@ class ConstraintSet:
     min_score: Optional[float] = None
 
 
-def check_constraints(total_ops: int, map_proxy: float, constraints: ConstraintSet) -> bool:
-    """Feasibility indicator over a total op count and a detection-quality proxy."""
+def failed_constraint(total_ops: int, map_proxy: float, constraints: ConstraintSet) -> Optional[str]:
+    """The first check a total op count and a detection-quality proxy fail:
+    "max_ops", else, for the score floor, "non_finite_score" or
+    "min_score"; None when they pass them all."""
     if constraints.max_ops is not None and total_ops > constraints.max_ops:
-        return False
+        return "max_ops"
     if constraints.min_score is not None and not (map_proxy >= constraints.min_score):
-        return False
-    return True
+        return "min_score" if math.isfinite(map_proxy) else "non_finite_score"
+    return None
 
 
 def _read_into(fh: BinaryIO, buf):

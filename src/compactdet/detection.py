@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .arch_graph import (
-    MAX_INT, SCALE_TAGS, NetworkSpec, NonFiniteOutputError, WeightStore, _decimal, _float, execute,
+    MAX_INT, NetworkSpec, NonFiniteOutputError, WeightStore, _decimal, _float, execute,
 )
 from .tensor_core import ConfigError
 
@@ -254,14 +254,11 @@ def detect(
     error on the way (a NaN bias), so no score reaches decode or NMS
     undefined.
     """
-    grids = execute(spec, weights, image)
-    tags = sorted({n.op.scale_tag for n in spec.detect_nodes()}, key=SCALE_TAGS.index)
     parts = []
-    for tag, grid in zip(tags, grids, strict=True):
+    for node, grid in zip(spec.detect_nodes(), execute(spec, weights, image), strict=True):
+        tag = node.op.scale_tag
         if not np.isfinite(grid).all():
             raise NonFiniteOutputError(f"the {tag} prediction grid has non-finite values")
-        if tag not in spec.anchors:
-            raise ConfigError(f"spec has no anchors for scale {tag!r}")
         parts.append(decode_predictions(grid, spec.anchors[tag], conf_threshold))
     candidates = Boxes.concat(parts)
     return candidates[nms(candidates, nms_iou)]

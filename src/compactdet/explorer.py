@@ -59,7 +59,7 @@ from .arch_graph import (
     infer_shapes,
     linear_conv_ids,
 )
-from .complexity import ConstraintSet, check_constraints
+from .complexity import ConstraintSet, failed_constraint
 from .nn_modules import EpConfig, FcaConfig, PepConfig
 from .tensor_core import ConfigError
 
@@ -71,7 +71,7 @@ RAW_BLOCK = 256  # raw 64-bit outputs a search reads from its bit generator at a
 
 def _pinned_ids(base: NetworkSpec) -> set:
     """Detect nodes and every node whose output channels reach one."""
-    pinned = {node.id for node in base.nodes if node.kind == "detect"}
+    pinned = {node.id for node in base.detect_nodes()}
     for node in reversed(base.nodes):  # readers come after what they read
         if node.id in pinned and "out" not in _KINDS[type(node.op)].slots:
             pinned.update(_inputs(node))  # a kind with no out field passes channels on
@@ -243,7 +243,7 @@ def _walk(space: DesignSpace, point: tuple, segments: dict) -> tuple:
 
     A point of a parsed space needs no reference check: renumbering maps
     each ref to an earlier node, and detect nodes are never dropped or
-    repeated, so their scale tags stay distinct.
+    repeated, so their scale tags stay distinct, with the base's anchors.
     """
     nodes: list = []
     remap = {INPUT_ID: (INPUT_ID, tuple(space.base.input_shape))}  # base id -> (new id, shape)
@@ -413,8 +413,12 @@ def evaluate(
 @dataclass(frozen=True)
 class HistoryEntry:
     gen: int
-    feasible: bool
+    failed: Optional[str]  # failed_constraint's verdict; None when feasible
     candidate: Candidate
+
+    @property
+    def feasible(self) -> bool:
+        return self.failed is None
 
 
 @dataclass(frozen=True)
@@ -548,9 +552,8 @@ def explore(
         """Expand and cost point in one walk, then evaluate and check it."""
         spec, ops, params = _walk(space, point, segments)
         cand = evaluate(spec, evaluator, ops, params, point=point)
-        feasible = check_constraints(ops, cand.score, constraints)
-        seen[point] = HistoryEntry(gen, feasible, cand)
-        if feasible:
+        seen[point] = entry = HistoryEntry(gen, failed_constraint(ops, cand.score, constraints), cand)
+        if entry.feasible:
             insort(ranked, (-cand.u_value, point))
 
     gen = 0

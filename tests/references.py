@@ -49,7 +49,7 @@ def brute_force_search(
         spec = explorer.expand_point(space, point)
         report = complexity.count_network(spec)
         cand = explorer.evaluate(spec, evaluator, report.total_ops, report.total_params, point=point)
-        if not complexity.check_constraints(cand.ops, cand.score, constraints):
+        if complexity.failed_constraint(cand.ops, cand.score, constraints) is not None:
             continue
         if best is None or (-cand.u_value, point) < (-best.u_value, best.point):
             best = cand

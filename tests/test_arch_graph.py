@@ -115,7 +115,10 @@ class TestParse:
             ("input 3 8 8\nconv 1 1 1\nfrom 0\nfrom 0\nconv 1 1 1\n", "line 4: two from lines in a row"),
             ("input 3 8 8\nconv 1 1 0\n", "stride"),
             ("input 16 16 16\nconv 2 8 1\n", "line 2: conv kernel side must be odd, got 2"),
-            ("input 3 8 8\nanchors large 0.5,0.5\nconv 1 1 1\n", "need all"),
+            (
+                "input 3 8 8\nanchors large 0.5,0.5\nconv 1 1 1\ndetect medium\n",
+                r"^anchors given for \['large'\], need one set per detect tag \['medium'\]$",
+            ),
             ("input 3 8 8\nanchors huge 0.5,0.5\nconv 1 1 1\n", "unknown scale tag"),
             ("input 3 8 8\nanchors large 0.5\nconv 1 1 1\n", "not w,h"),
             ("input 3 8 8\nanchors large nan,0.2\nconv 1 1 1\n", "positive and finite, got 'nan,0.2'"),
@@ -190,10 +193,28 @@ class TestBuilder:
         assert spec.nodes[2].op == ConcatSpec(0)
         assert infer_shapes(spec).of(2) == (8, 16, 16)
 
+    @pytest.mark.parametrize(
+        "anchors, message",
+        [
+            ({}, r"^anchors given for \[\], need one set per detect tag \['large', 'medium', 'small'\]$"),
+            (
+                {tag: pairs[:2] if tag == "medium" else pairs for tag, pairs in DEFAULT_ANCHORS.items()},
+                "^anchor counts differ between scales$",
+            ),
+        ],
+        ids=["no anchors", "unequal counts"],
+    )
+    def test_anchors_rule_holds_for_a_spec_built_in_code(self, anchors, message):
+        """Shape inference checks the anchors rule that parse does, so a
+        spec built in code gets a ParseError, not a bare StopIteration."""
+        spec = dataclasses.replace(parse_network_spec(MINI), anchors=anchors)
+        with pytest.raises(ParseError, match=message):
+            infer_shapes(spec)
+
     def test_empty_graph_rejected(self):
         # A spec built in code, not parsed, still gets the check from shape inference.
         with pytest.raises(ParseError, match="no nodes"):
-            infer_shapes(NetworkSpec(nodes=(), input_shape=(3, 16, 16)))
+            infer_shapes(NetworkSpec(nodes=(), input_shape=(3, 16, 16), num_classes=20, anchors=DEFAULT_ANCHORS))
 
 
 def random_config_text(rng) -> str:
@@ -325,6 +346,14 @@ class TestReferenceNetwork:
         assert by_tag["large"] == (75, 13, 13)
         assert by_tag["medium"] == (75, 26, 26)
         assert by_tag["small"] == (75, 52, 52)
+
+    def test_detect_nodes_in_grid_order(self):
+        """reference.cfg lists its small grid's detect first (node 41);
+        detect_nodes() gives grid order, large to small."""
+        spec = load_bundled_config("reference")
+        assert [(n.id, n.op.scale_tag) for n in spec.detect_nodes()] == [
+            (47, "large"), (44, "medium"), (41, "small"),
+        ]
 
     def test_head_convs_are_linear(self):
         spec = load_bundled_config("reference")
@@ -583,6 +612,18 @@ class TestExecute:
         store.params[head_id].bias[:] = -3.0
         large, _, _ = execute(self.spec, store, self.x)
         np.testing.assert_array_equal(large, np.full((1, 21, 2, 2), -3.0, dtype=np.float32))
+
+    def test_two_grids_need_anchors_for_their_two_tags_only(self):
+        """A config gives anchors for the tags its detect nodes use; a tag
+        with no detect node needs none."""
+        spec = parse_network_spec(
+            "input 3 32 32\nclasses 1\nanchors large 0.5,0.5 0.8,0.8\nanchors small 0.1,0.1 0.2,0.2\n"
+            "conv 3 8 2\nconv 1 12 1\ndetect small\nfrom 0\nconv 1 12 2\ndetect large\n"
+        )
+        assert sorted(spec.anchors) == ["large", "small"]
+        store, x = WeightStore.random(spec, seed=3), self.x[:, :, :32, :32].copy()
+        assert [g.shape for g in execute(spec, store, x)] == [(1, 12, 8, 8), (1, 12, 16, 16)]
+        assert len(detection.detect(x, spec, store, conf_threshold=0.0)) > 0
 
     def test_node_reading_a_detect_output_by_default(self):
         """Liveness counts every reader: conv 3 reads detect node 2's

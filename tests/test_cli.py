@@ -113,24 +113,24 @@ class TestPpm:
         assert img.shape == (2, 2, 3)
         assert img[0, 0, 0] == 0 and img[1, 1, 2] == 11
 
-    @pytest.mark.parametrize(
-        "data",
-        [
-            b"P5\n2 2\n255\n" + bytes(12),        # wrong magic
-            b"P6\n2 2\n99\n" + bytes(12),         # unsupported maxval
-            b"P6\n2 2\n255\n" + bytes(5),         # truncated raster
-            b"P6\n0 2\n255\n",                     # zero dimension
-            b"P6\ntwo 2\n255\n" + bytes(12),      # non-numeric
-            b"P6",                                 # truncated header
-            b"P6\n+2 10\n255\n" + bytes(60),      # signed width
-            b"P6\n2 1_0\n255\n" + bytes(60),      # underscore in height
-            b"P6\n2 2\n+255\n" + bytes(12),      # signed maxval
-        ],
-    )
+    MALFORMED = {  # file bytes -> the refusal's text
+        b"P5\n2 2\n255\n" + bytes(12): "not a binary PPM",
+        b"P6\n2 2\n99\n" + bytes(12): "only maxval 255 is supported, got 99",
+        b"P6\n2 2\n255\n" + bytes(5): "raster has 5 bytes, expected 12",
+        b"P6\n0 2\n255\n": "bad dimensions 0x2",
+        b"P6\ntwo 2\n255\n" + bytes(12): "non-numeric header field",
+        b"P6": "truncated header",
+        b"P6\n2 2\n": "truncated header",  # no maxval
+        b"P6\n+2 10\n255\n" + bytes(60): "non-numeric header field",  # signed width
+        b"P6\n2 1_0\n255\n" + bytes(60): "non-numeric header field",  # underscore in height
+        b"P6\n2 2\n+255\n" + bytes(12): "non-numeric header field",  # signed maxval
+    }
+
+    @pytest.mark.parametrize("data", list(MALFORMED))
     def test_rejects_malformed(self, tmp_path, data):
         path = tmp_path / "bad.ppm"
         path.write_bytes(data)
-        with pytest.raises(PpmError):
+        with pytest.raises(PpmError, match=f"^{self.MALFORMED[data]}"):
             read_ppm(path)
 
     def test_write_rejects_bad_shape(self, tmp_path):
@@ -820,8 +820,7 @@ class TestExplore:
 
         def entry(ops, score):
             cand = Candidate(spec=spec, ops=ops, params=1, score=score, u_value=0.0)
-            feasible = complexity.check_constraints(ops, score, constraints)
-            return HistoryEntry(gen=0, feasible=feasible, candidate=cand)
+            return HistoryEntry(gen=0, failed=complexity.failed_constraint(ops, score, constraints), candidate=cand)
 
         constraints = complexity.ConstraintSet(max_ops=100, min_score=0.5)
         history = [
@@ -832,7 +831,7 @@ class TestExplore:
             entry(50, float("nan")),   # non-finite score
             entry(50, float("nan")),
         ]
-        assert cli._search_summary(history, constraints, 2.0) == (
+        assert cli._search_summary(history, 2.0) == (
             "explore: 6 evaluations in 2.000 s (3/s); "
             "infeasible: 2 over --max-ops, 1 under --min-score, 2 non-finite score"
         )

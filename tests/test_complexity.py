@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from compactdet import arch_graph, complexity, detection
 from compactdet.arch_graph import (
+    DEFAULT_ANCHORS,
     INPUT_ID,
     ConvSpec,
     MaxPoolSpec,
@@ -45,10 +46,10 @@ from compactdet.complexity import (
     ConstraintSet,
     NodeCost,
     WeightFormatError,
-    check_constraints,
     count_network,
     count_node,
     dequantize_tensor,
+    failed_constraint,
     load_weights,
     model_size_bytes,
     quantize_tensor,
@@ -365,6 +366,8 @@ class TestMemoHidesNoCheck:
     FORWARD_REF = NetworkSpec(
         nodes=(NodeSpec(0, ConvSpec(1, 4, 1), input_id=1), NodeSpec(1, ConvSpec(1, 4, 1), input_id=0)),
         input_shape=(3, 8, 8),
+        num_classes=20,
+        anchors=DEFAULT_ANCHORS,
     )
 
     @pytest.mark.parametrize("memo", [None, {}], ids=["fresh", "memo"])
@@ -553,20 +556,22 @@ class TestFakeQuantize:
 class TestConstraints:
     def test_ops_bound(self):
         cons = ConstraintSet(max_ops=100)
-        assert check_constraints(100, 1.0, cons)
-        assert not check_constraints(101, 1.0, cons)
+        assert failed_constraint(100, 1.0, cons) is None
+        assert failed_constraint(101, 1.0, cons) == "max_ops"
 
     def test_score_bound(self):
         cons = ConstraintSet(min_score=0.5)
-        assert check_constraints(1, 0.5, cons)
-        assert not check_constraints(1, 0.49, cons)
+        assert failed_constraint(1, 0.5, cons) is None
+        assert failed_constraint(1, 0.49, cons) == "min_score"
 
     def test_nan_score_fails_a_floor(self):
         cons = ConstraintSet(min_score=0.0)
-        assert not check_constraints(1, float("nan"), cons)
+        assert failed_constraint(1, float("nan"), cons) == "non_finite_score"
+        # The ops ceiling is checked first.
+        assert failed_constraint(2, float("nan"), ConstraintSet(max_ops=1, min_score=0.0)) == "max_ops"
 
     def test_unbounded_is_feasible(self):
-        assert check_constraints(10**12, float("nan"), ConstraintSet())
+        assert failed_constraint(10**12, float("nan"), ConstraintSet()) is None
 
 
 def conv_settings(params) -> list:

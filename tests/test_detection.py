@@ -14,6 +14,7 @@ give their values exactly.
 """
 
 import math
+import re
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -25,7 +26,7 @@ from box_oracles import (
     BBox, Detection, GroundTruth, as_boxes, as_columns, as_detections, box_to_letterboxed, checked_map,
     iou, kmeans_anchors,
 )
-from compactdet.arch_graph import SCALE_TAGS, WeightStore, execute, load_bundled_config
+from compactdet.arch_graph import SCALE_TAGS, ParseError, WeightStore, execute, load_bundled_config
 from compactdet import detection
 from compactdet.detection import (
     NMS_BLOCK,
@@ -1023,11 +1024,14 @@ class TestDetectPipeline:
 
     @pytest.mark.parametrize("tag", SCALE_TAGS)
     def test_refuses_a_tag_without_anchors(self, tag):
+        """execute's shape check refuses the spec before any node runs."""
         spec = load_bundled_config("explore-proto")
+        store = WeightStore.zeros(spec)
         spec.anchors = {t: pairs for t, pairs in spec.anchors.items() if t != tag}
         x = np.zeros((1, 3, 64, 64), dtype=np.float32)
-        with pytest.raises(ConfigError, match=f"^spec has no anchors for scale '{tag}'$"):
-            detect(x, spec, WeightStore.zeros(spec))
+        want = f"anchors given for {sorted(spec.anchors)}, need one set per detect tag {list(SCALE_TAGS)}"
+        with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
+            detect(x, spec, store)
 
     @pytest.mark.parametrize("tag", SCALE_TAGS)
     def test_error_names_the_non_finite_grid(self, tag):

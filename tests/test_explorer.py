@@ -933,12 +933,12 @@ class TestLogFormat:
 
     def test_line(self, base):
         cand = Candidate(spec=base, ops=1000, params=50, score=0.5, u_value=-3.25, point=(8, 12))
-        entry = HistoryEntry(gen=2, feasible=True, candidate=cand)
+        entry = HistoryEntry(gen=2, failed=None, candidate=cand)
         assert format_history_line(7, entry) == "2 7 1 1000 50 0.500000 -3.250000 8 12"
 
     def test_line_nan_and_inf_spelling(self, base):
         cand = Candidate(
             spec=base, ops=1, params=1, score=float("nan"), u_value=float("-inf"), point=(8,)
         )
-        entry = HistoryEntry(gen=0, feasible=False, candidate=cand)
+        entry = HistoryEntry(gen=0, failed="non_finite_score", candidate=cand)
         assert format_history_line(0, entry) == "0 0 0 1 1 nan -inf 8"
