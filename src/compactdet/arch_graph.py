@@ -88,7 +88,6 @@ class ParseError(ValueError):
     """A config document line could not be interpreted."""
 
     def __init__(self, message: str, line_no: Optional[int] = None):
-        self.line_no = line_no
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
@@ -97,16 +96,6 @@ class ParseError(ValueError):
 class NonFiniteOutputError(ValueError):
     """The network gave a non-finite value: finite weights can still
     overflow float32 on the way through it."""
-
-
-class ShapeError(ValueError):
-    """Shapes fail to chain through the graph."""
-
-    def __init__(self, message: str, node_id: Optional[int] = None):
-        self.node_id = node_id
-        if node_id is not None:
-            message = f"node {node_id}: {message}"
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -535,11 +524,11 @@ class ShapeTable(dict):
 
 def _node_shape(node: NodeSpec, shapes: dict, spec: NetworkSpec) -> tuple:
     """node's output shape by its kind's rule, given the shapes of the nodes
-    it reads by id; ShapeError naming node if they do not chain."""
+    it reads by id; ConfigError naming node if they do not chain."""
     try:
         return _KINDS[type(node.op)].shape(node.op, shapes[node.input_id], shapes, spec)
     except ConfigError as exc:
-        raise ShapeError(str(exc), node.id) from None
+        raise ConfigError(f"node {node.id}: {exc}") from None
 
 
 def infer_shapes(spec: NetworkSpec) -> ShapeTable:

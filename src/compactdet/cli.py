@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arch_graph, complexity, detection, explorer
-from .arch_graph import NonFiniteOutputError, ParseError, ShapeError, _decimal
+from .arch_graph import NonFiniteOutputError, ParseError, _decimal
 from .complexity import WeightFormatError
 from .detection import DetectionFormatError
 from .nn_modules import param_tensors
@@ -359,16 +359,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ShapeError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:  # numpy's message names the failed allocation
+    except (ParseError, ConfigError, MemoryError) as exc:  # numpy's MemoryError can have no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
-    except (WeightFormatError, PpmError, NonFiniteOutputError, DetectionFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, UnicodeDecodeError) as exc:
+    except (WeightFormatError, PpmError, NonFiniteOutputError, DetectionFormatError,
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -187,6 +187,9 @@ class TestDescribe:
         cfg.write_text("input 3 8 8\nconv 1 20 1\ndetect large\n")
         rc = cli.main(["describe", "--config", str(cfg)])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: node 1: detect 'large' input has 20 channels, needs 3*(5+20) = 75\n"
+        )
 
 
 class TestDetect:
@@ -835,6 +838,23 @@ class TestExplore:
             "explore: 6 evaluations in 2.000 s (3/s); "
             "infeasible: 2 over --max-ops, 1 under --min-score, 2 non-finite score"
         )
+
+    def test_prototype_that_does_not_chain_exits_2_before_search(self, tmp_path, capsys):
+        """A prototype whose shapes do not chain is a config error that names
+        its node, whatever the space: nothing is evaluated or written."""
+        proto = tmp_path / "proto.cfg"
+        proto.write_text("input 3 16 16\nconv 3 4 1\nconv 3 4 2\nconcat 0\n")
+        space = tmp_path / "space.txt"
+        space.write_text("")
+        out, log = tmp_path / "best.cfg", tmp_path / "log.txt"
+        rc = cli.main([
+            "explore", "--config", str(proto), "--space", str(space),
+            "--out", str(out), "--log", str(log), "--budget", "8",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: node 2: concat inputs 8x8 and 16x16 differ spatially\n"
+        assert not out.exists() and not log.exists()
 
     @pytest.mark.parametrize("log_name", ["same.cfg", "sub/../same.cfg"])
     def test_out_equal_to_log_exits_2_before_search(self, tmp_path, capsys, monkeypatch, log_name):

@@ -32,7 +32,6 @@ from compactdet.arch_graph import (
     NetworkSpec,
     NodeSpec,
     ParseError,
-    ShapeError,
     UpsampleSpec,
     WeightStore,
     execute,
@@ -382,7 +381,7 @@ class TestMemoHidesNoCheck:
 
         with pytest.raises(ParseError, match="node 0 references node 1"):
             count(self.FORWARD_REF)
-        with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
+        with pytest.raises(ConfigError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
             count(parse_network_spec(MISMATCHED_CONCAT_CFG))
         assert memo in (None, {})  # no failure is cached
 
@@ -397,7 +396,7 @@ class TestMemoHidesNoCheck:
         twin_keys = set(segments)
         space = slotless(MISMATCHED_CONCAT_CFG)
         for _ in range(2):
-            with pytest.raises(ShapeError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
+            with pytest.raises(ConfigError, match="^node 2: concat inputs 4x4 and 8x8 differ spatially"):
                 _walk(space, (), segments)
             assert set(segments) == twin_keys
         assert not any(seg in space._segments for seg, *_ in twin_keys)
